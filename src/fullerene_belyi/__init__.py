@@ -7,36 +7,33 @@ exists, and computes the euclidean geometry of the barrel's distinguished
 pentagonal face.
 """
 
-from .belyi import (FactoredBelyi, FullereneParams, Passport, counting,
-                    face_vector, fullerene_passport, main_equation_residual,
-                    verify_belyi)
+from .belyi import (BelyiFormatError, FactoredBelyi, FullereneParams,
+                    Passport, counting, face_vector, fullerene_passport,
+                    main_equation_residual)
 from .derive import (CaseReport, Verdict, case_degrees, d6_solve, derive_case,
-                     family_k, family_k_formula, halphen_intermediates_check,
+                     family_k, family_k_formula, halphen_identity_failures,
                      ode_leading_coeff, ode_residual, vm_from_p)
 from .exact import (GaussRat, RationalMap, UniPoly, is_squarefree, poly_gcd,
                     squarefree_decomposition)
-from .geometry import (BarrelVertices, ComplexPoint, FaceGeometryReport,
-                       Plane, SpherePoint, barrel_vertices, face_geometry,
-                       inverse_stereographic, plane_through, poly_roots)
+from .geometry import (BarrelVertices, FaceGeometryReport, Plane, SpherePoint,
+                       barrel_vertices, face_geometry, inverse_stereographic,
+                       plane_through, poly_roots)
 from .moebius import (INFINITY, Moebius, build_beta12, build_beta60,
                       build_beta72, moebius_from_three_points,
                       ratmap_compose_moebius, schwarz_check, schwarz_forms)
-from .multipoly import (EliminationTrace, MultiPoly, ParamPoly,
-                        divide_out_assumed_nonzero, sequential_linear_solve)
+from .multipoly import EliminationTrace, MultiPoly, sequential_linear_solve
 
 __all__ = [
-    "BarrelVertices", "CaseReport", "ComplexPoint", "EliminationTrace",
-    "FaceGeometryReport",
-    "FactoredBelyi", "FullereneParams", "GaussRat", "INFINITY", "Moebius",
-    "MultiPoly", "ParamPoly", "Passport", "Plane", "RationalMap",
+    "BarrelVertices", "BelyiFormatError", "CaseReport", "EliminationTrace",
+    "FaceGeometryReport", "FactoredBelyi", "FullereneParams", "GaussRat",
+    "INFINITY", "Moebius", "MultiPoly", "Passport", "Plane", "RationalMap",
     "SpherePoint", "UniPoly", "Verdict", "barrel_vertices", "build_beta12",
     "build_beta60", "build_beta72", "case_degrees", "counting", "d6_solve",
-    "derive_case", "divide_out_assumed_nonzero", "face_geometry",
-    "face_vector", "family_k", "family_k_formula", "fullerene_passport",
-    "halphen_intermediates_check", "inverse_stereographic", "is_squarefree",
-    "main_equation_residual", "moebius_from_three_points", "ode_leading_coeff",
-    "ode_residual", "plane_through", "poly_gcd", "poly_roots",
-    "ratmap_compose_moebius", "schwarz_check", "schwarz_forms",
-    "sequential_linear_solve", "squarefree_decomposition", "verify_belyi",
-    "vm_from_p",
+    "derive_case", "face_geometry", "face_vector", "family_k",
+    "family_k_formula", "fullerene_passport", "halphen_identity_failures",
+    "inverse_stereographic", "is_squarefree", "main_equation_residual",
+    "moebius_from_three_points", "ode_leading_coeff", "ode_residual",
+    "plane_through", "poly_gcd", "poly_roots", "ratmap_compose_moebius",
+    "schwarz_check", "schwarz_forms", "sequential_linear_solve",
+    "squarefree_decomposition", "vm_from_p",
 ]

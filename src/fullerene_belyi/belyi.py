@@ -28,6 +28,10 @@ class BelyiVerificationError(ValueError):
     """A factored Belyi function failed certification."""
 
 
+class BelyiFormatError(ValueError):
+    """A belyi v1 document is malformed."""
+
+
 class IdentityFailed(BelyiVerificationError):
     pass
 
@@ -185,16 +189,7 @@ class FactoredBelyi:
         zero_factors = tuple(squarefree_decomposition(f.num))
         pole_factors = tuple(squarefree_decomposition(f.den))
         one_factors = tuple(squarefree_decomposition(w))
-        dn, dd = f.num.degree, f.den.degree
-        if dn > dd:
-            side, order = "pole", dn - dd
-        elif dn < dd:
-            side, order = "zero", dd - dn
-        elif f.k == GaussRat.of(1):
-            # beta(inf) = 1: order of vanishing of beta - 1 at infinity
-            side, order = "one", dd - w.degree
-        else:
-            side, order = "none", 0
+        side, order = _infinity_from_degrees(f.k, f.num, f.den, w)
         return FactoredBelyi(f.k, zero_factors, one_factors, pole_factors,
                              side, order)
 
@@ -297,41 +292,48 @@ class FactoredBelyi:
 
     @staticmethod
     def from_text(text: str) -> "FactoredBelyi":
+        """Parse a belyi v1 document; any malformed line, or a document
+        that does not describe a factored function, raises BelyiFormatError."""
         k = None
         side_tag, order = "none", 0
         factors: dict[str, list[tuple[UniPoly, int]]] = {
             "zero": [], "one": [], "pole": []}
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != "belyi v1":
-            raise ValueError("not a belyi v1 document")
+            raise BelyiFormatError("not a belyi v1 document")
         for ln in lines[1:]:
             fields = ln.split()
-            if fields[0] == "k":
-                k = GaussRat.from_token(fields[1])
-            elif fields[0] == "infinity":
-                side_tag, order = fields[1], int(fields[2])
-            elif fields[0] in factors:
-                factors[fields[0]].append(
-                    (UniPoly.from_tokens(fields[2:]), int(fields[1])))
-            else:
-                raise ValueError(f"unknown belyi line: {ln!r}")
+            try:
+                if fields[0] == "k" and len(fields) == 2:
+                    k = GaussRat.from_token(fields[1])
+                elif fields[0] == "infinity" and len(fields) == 3:
+                    side_tag, order = fields[1], int(fields[2])
+                elif fields[0] in factors and len(fields) >= 3:
+                    factors[fields[0]].append(
+                        (UniPoly.from_tokens(fields[2:]), int(fields[1])))
+                else:
+                    raise ValueError("unknown line or wrong field count")
+            except (ValueError, ZeroDivisionError) as exc:
+                raise BelyiFormatError(f"bad belyi line {ln!r}: {exc}") from exc
         if k is None:
-            raise ValueError("belyi document is missing the scalar k")
-        return FactoredBelyi(k, tuple(factors["zero"]), tuple(factors["one"]),
-                             tuple(factors["pole"]), side_tag, order)
+            raise BelyiFormatError("belyi document is missing the scalar k")
+        try:
+            return FactoredBelyi(k, tuple(factors["zero"]), tuple(factors["one"]),
+                                 tuple(factors["pole"]), side_tag, order)
+        except ValueError as exc:
+            raise BelyiFormatError(str(exc)) from exc
 
 
 def _infinity_from_degrees(k: GaussRat, z_prod: UniPoly, q_prod: UniPoly,
                            w: UniPoly) -> tuple[str, int]:
+    """Critical class and order of infinity for beta = k*z_prod/q_prod,
+    with w = k*z_prod - q_prod the numerator of beta - 1."""
     dn, dd = z_prod.degree, q_prod.degree
     if dn > dd:
         return "pole", dn - dd
     if dn < dd:
         return "zero", dd - dn
     if k == GaussRat.of(1):
+        # beta(inf) = 1: order of vanishing of beta - 1 at infinity
         return "one", dd - w.degree
     return "none", 0
-
-
-def verify_belyi(f: FactoredBelyi) -> Passport:
-    return f.verify()

@@ -444,18 +444,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, lines = run(args)
+        if args.format == "json":
+            text = json.dumps(_round_floats(doc), indent=2) + "\n"
+        else:
+            text = "\n".join(lines) + "\n"
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except (BelyiVerificationError, GeometryError, ValueError, KeyError,
             OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        text = json.dumps(_round_floats(doc), indent=2) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -25,10 +25,7 @@ from functools import cache
 
 from .belyi import FactoredBelyi
 from .exact import GaussRat, RationalMap, UniPoly
-from .multipoly import (EliminationTrace, MultiPoly, ParamPoly,
-                        sequential_linear_solve)
-
-Polylike = UniPoly | ParamPoly
+from .multipoly import EliminationTrace, MultiPoly, sequential_linear_solve
 
 
 class Verdict(Enum):
@@ -57,7 +54,7 @@ def ode_leading_coeff(s: int) -> int:
     return value
 
 
-def ode_residual(p: Polylike) -> Polylike:
+def ode_residual(p: UniPoly) -> UniPoly:
     """22*P*P'''' + 45*P''^2 - 66*P'*P'''."""
     d1 = p.derivative()
     d2 = d1.derivative()
@@ -66,7 +63,7 @@ def ode_residual(p: Polylike) -> Polylike:
     return (p * d4) * 22 + (d2 * d2) * 45 - (d1 * d3) * 66
 
 
-def vm_from_p(p: Polylike, s: int) -> tuple[Polylike, Polylike]:
+def vm_from_p(p: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
     """V = (25/(11 s^2)) * (-12*P*P'' + 11*P'^2) and
     M = (25/(11 s^3)) * (90*P*P'*P'' - 36*P^2*P''' - 55*P'^3)."""
     d1 = p.derivative()
@@ -130,28 +127,23 @@ def halphen_identity_failures(P: UniPoly, V: UniPoly, M: UniPoly,
     return failures
 
 
-def halphen_intermediates_check(P: UniPoly, V: UniPoly, M: UniPoly,
-                                s: int) -> bool:
-    return not halphen_identity_failures(P, V, M, s)
-
-
 # ---------------------------------------------------------------------------
 # The ODE elimination for one big face of degree s
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_p(m: int) -> tuple[ParamPoly, list[str]]:
+def _symbolic_p(m: int) -> tuple[UniPoly, list[str]]:
     """Monic z^m + a_{m-2} z^{m-2} + ... + a_0 (the z^{m-1} term is removed
     by an affine shift).  Unknowns returned highest index first."""
     names = [f"a{i}" for i in range(m - 2, -1, -1)]
     terms = {m: MultiPoly.const(names, 1)}
     for i in range(m - 1):
         terms[i] = MultiPoly.var(names, f"a{i}")
-    return ParamPoly.from_terms(names, terms), names
+    return UniPoly.from_terms(terms), names
 
 
 @cache
-def run_ode_elimination(s: int) -> tuple[ParamPoly, EliminationTrace]:
+def run_ode_elimination(s: int) -> tuple[UniPoly, EliminationTrace]:
     """Plug the indeterminate monic P into the ODE and solve the coefficient
     system linearly, highest z-degree first."""
     _, _, _, m = case_degrees(s)
@@ -161,6 +153,11 @@ def run_ode_elimination(s: int) -> tuple[ParamPoly, EliminationTrace]:
               for d in range(residual.degree, -1, -1)]
     trace = sequential_linear_solve(system, names)
     return p_sym, trace
+
+
+def _at_point(p_sym: UniPoly, values: dict[str, Fraction]) -> UniPoly:
+    """The symbolic P with every coefficient evaluated: a UniPoly over Q(i)."""
+    return p_sym.map_coeffs(lambda c: GaussRat.of(c.evaluate(values)))
 
 
 @dataclass
@@ -175,9 +172,9 @@ class CaseReport:
     verdict: Verdict
     leading_coeff: int
     trace: EliminationTrace | None = None
-    P: UniPoly | ParamPoly | None = None
-    V: UniPoly | ParamPoly | None = None
-    M: UniPoly | ParamPoly | None = None
+    P: UniPoly | None = None  # over GaussRat when solved, MultiPoly for a family
+    V: UniPoly | None = None
+    M: UniPoly | None = None
     k: GaussRat | MultiPoly | None = None
     family: dict[str, MultiPoly] = field(default_factory=dict)
     free_vars: tuple[str, ...] = ()
@@ -245,7 +242,7 @@ def derive_case(s: int, bound: int = 12) -> CaseReport:
         assignment = {"a6": Fraction(-11)}
         report.normalization = {"a6": Fraction(-11)}
         values = trace.evaluate(assignment)
-        P = p_sym.evaluate_coeffs(values)
+        P = _at_point(p_sym, values)
         V, M = vm_from_p(P, s)
         k = (V ** 3 - M ** 2).divide_exact(P ** 5)
         if k.is_zero or k.degree != 0:
@@ -309,7 +306,7 @@ def family_k(a9: Fraction | int, a10: Fraction | int
         raise ValueError("(a9, a10) = (0, 0) degenerates to a monomial")
     p_sym, trace = run_ode_elimination(6)
     values = trace.evaluate({"a9": a9, "a10": a10})
-    P = p_sym.evaluate_coeffs(values)
+    P = _at_point(p_sym, values)
     V, M = vm_from_p(P, 6)
     k = GaussRat.of(family_k_formula().evaluate({"a9": a9, "a10": a10}))
     residual = V ** 3 - (M ** 2 + (P ** 5).scale(k))
@@ -359,14 +356,13 @@ def d6_solve() -> D6Report:
     def v(name: str) -> MultiPoly:
         return MultiPoly.var(names, name)
 
-    def quad(hi: str, lo: str) -> ParamPoly:
-        return ParamPoly.from_terms(
-            names, {2: MultiPoly.const(names, 1), 1: v(hi), 0: v(lo)})
+    def quad(hi: str, lo: str) -> UniPoly:
+        return UniPoly.from_terms({2: MultiPoly.const(names, 1), 1: v(hi), 0: v(lo)})
 
     A = quad("a1", "a0")
     B = quad("b1", "b0")
     C = quad("c1", "c0")
-    S = A * A * A - B * B * C - ParamPoly.from_terms(names, {1: v("k")})
+    S = A * A * A - B * B * C - UniPoly.from_terms({1: v("k")})
     system = [(d, S.coefficient(d)) for d in range(S.degree, -1, -1)]
     assumption = v("a1") - v("b1")
     trace = sequential_linear_solve(system, names, assumptions=[assumption])

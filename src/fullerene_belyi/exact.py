@@ -4,11 +4,15 @@ Three layers live here:
 
   GaussRat     -- a + b*i with Fraction real and imaginary parts.  A field;
                   all operations are exact and values are immutable.
-  UniPoly      -- dense univariate polynomial over GaussRat.  Coefficients
-                  are stored lowest power first with no trailing zeros; the
+  UniPoly      -- the one dense univariate polynomial type, over GaussRat
+                  or over MultiPoly (a family whose coefficients carry
+                  parameters); the coefficients set the ring and the
+                  polynomial carries that ring's zero.  Coefficients are
+                  stored lowest power first with no trailing zeros; the
                   zero polynomial is the empty coefficient tuple and has no
                   degree (asking for one raises, which catches silent degree
-                  arithmetic early).
+                  arithmetic early).  Division, gcd and serialization are
+                  over Q(i) only.
   RationalMap  -- k * num(z) / den(z) with num, den monic and coprime.
 
 Polynomials serialize as lists of coefficient tokens "a/b" (rational) or
@@ -128,21 +132,51 @@ ONE = GaussRat.of(1)
 I = GaussRat.of(0, 1)
 
 
+def binary_power(base, n: int, one):
+    """base**n by repeated squaring, for any type with an exact `*`;
+    `one` is the answer for n = 0."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
+
+def _zero_of(c):
+    """The zero of c's coefficient ring (c * 0 keeps a MultiPoly's variables)."""
+    return ZERO if isinstance(c, (int, Fraction, GaussRat)) else c * 0
+
+
 class UniPoly:
-    """Dense exact univariate polynomial in z over GaussRat.
+    """Dense exact univariate polynomial in z over a coefficient ring.
+
+    The ring is GaussRat unless the coefficients say otherwise: ints and
+    Fractions coerce to GaussRat, while ring elements with +, -, * and
+    is_zero (MultiPoly, for a family with parameter coefficients) pass
+    through unchanged.  ring_zero is that ring's zero; it is read off the
+    first coefficient when not given.
 
     coeffs[i] is the coefficient of z^i; the tuple never ends in a zero.
     The zero polynomial is the empty tuple and deliberately has no degree.
-    Instances are immutable and hashable.
+    Instances are immutable, and hashable when their coefficients are.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "ring_zero")
 
-    def __init__(self, coeffs: Iterable[Scalarish] = ()):
-        cs = [GaussRat.coerce(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable = (), ring_zero=None):
+        cs = [GaussRat.coerce(c) if isinstance(c, (int, Fraction)) else c
+              for c in coeffs]
+        if ring_zero is None:
+            ring_zero = _zero_of(cs[0]) if cs else ZERO
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "ring_zero", ring_zero)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("UniPoly is immutable")
@@ -170,14 +204,15 @@ class UniPoly:
         return UniPoly([0] * power + [c])
 
     @staticmethod
-    def from_terms(terms: dict[int, Scalarish]) -> "UniPoly":
-        """Build from {power: coefficient}."""
+    def from_terms(terms: dict) -> "UniPoly":
+        """Build from {power: coefficient}; the coefficients set the ring."""
         if not terms:
             return UniPoly.zero()
-        cs = [GaussRat.of(0)] * (max(terms) + 1)
+        zero = _zero_of(next(iter(terms.values())))
+        cs = [zero] * (max(terms) + 1)
         for p, c in terms.items():
-            cs[p] = GaussRat.coerce(c)
-        return UniPoly(cs)
+            cs[p] = c
+        return UniPoly(cs, zero)
 
     # -- structure ----------------------------------------------------
 
@@ -191,12 +226,12 @@ class UniPoly:
             raise ValueError("the zero polynomial has no degree")
         return len(self.coeffs) - 1
 
-    def coefficient(self, power: int) -> GaussRat:
+    def coefficient(self, power: int):
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
-        return ZERO
+        return self.ring_zero
 
-    def leading(self) -> GaussRat:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -217,63 +252,64 @@ class UniPoly:
     # -- ring arithmetic ----------------------------------------------
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
+        a, b = self, other
+        if len(a.coeffs) < len(b.coeffs):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
+        out = list(a.coeffs)
+        for i, c in enumerate(b.coeffs):
             out[i] = out[i] + c
-        return UniPoly(out)
+        return UniPoly(out, a.ring_zero)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly([-c for c in self.coeffs], self.ring_zero)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
-    def scale(self, s: Scalarish) -> "UniPoly":
-        s = GaussRat.coerce(s)
-        if s.is_zero:
-            return UniPoly.zero()
-        return UniPoly([c * s for c in self.coeffs])
+    def scale(self, s) -> "UniPoly":
+        """Every coefficient times s, by the coefficient's own *."""
+        if isinstance(self.ring_zero, GaussRat):
+            s = GaussRat.coerce(s)
+        if not s:
+            return UniPoly((), self.ring_zero)
+        return UniPoly([c * s for c in self.coeffs], self.ring_zero)
 
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if not isinstance(other, UniPoly):
             return self.scale(other)
         a, b = self.coeffs, other.coeffs
+        zero = self.ring_zero
         if not a or not b:
-            return UniPoly.zero()
-        out = [GaussRat.of(0)] * (len(a) + len(b) - 1)
+            return UniPoly((), zero)
+        nonzero_b = [(j, y) for j, y in enumerate(b) if not y.is_zero]
+        out = [zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x.is_zero:
                 continue
-            for j, y in enumerate(b):
+            for j, y in nonzero_b:
                 out[i + j] = out[i + j] + x * y
-        return UniPoly(out)
+        return UniPoly(out, zero)
 
     def __rmul__(self, other) -> "UniPoly":
         return self * other
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, UniPoly((1 + self.ring_zero,), self.ring_zero))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return UniPoly([self.coeffs[i] * i for i in range(1, len(self.coeffs))],
+                       self.ring_zero)
+
+    def map_coeffs(self, fn) -> "UniPoly":
+        """fn applied to every coefficient.  fn is a ring map (substitution,
+        evaluation); the result lives in fn's target ring."""
+        return UniPoly([fn(c) for c in self.coeffs], fn(self.ring_zero))
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(z)), by Horner over polynomials."""
-        result = UniPoly.zero()
+        result = UniPoly((), self.ring_zero)
         for c in reversed(self.coeffs):
-            result = result * inner + UniPoly.constant(c)
+            result = result * inner + UniPoly((c,), self.ring_zero)
         return result
 
     def substitute_power(self, n: int) -> "UniPoly":
@@ -282,10 +318,12 @@ class UniPoly:
             raise ValueError("power substitution needs n >= 1")
         if not self.coeffs:
             return self
-        out = [GaussRat.of(0)] * ((len(self.coeffs) - 1) * n + 1)
+        out = [self.ring_zero] * ((len(self.coeffs) - 1) * n + 1)
         for i, c in enumerate(self.coeffs):
             out[i * n] = c
-        return UniPoly(out)
+        return UniPoly(out, self.ring_zero)
+
+    # -- division over Q(i) -------------------------------------------
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
@@ -303,7 +341,7 @@ class UniPoly:
         rem = list(self.coeffs)
         dlead = other.leading().inverse()
         dd = other.degree
-        q = [GaussRat.of(0)] * (len(rem) - dd)
+        q = [ZERO] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c.is_zero:
@@ -312,7 +350,7 @@ class UniPoly:
             q[i - dd] = f
             for j, oc in enumerate(other.coeffs):
                 rem[i - dd + j] = rem[i - dd + j] - f * oc
-        return UniPoly(q), UniPoly(rem)
+        return UniPoly(q, ZERO), UniPoly(rem, ZERO)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[0]
@@ -349,29 +387,21 @@ class UniPoly:
         return UniPoly([GaussRat.from_token(t) for t in tokens])
 
     def __str__(self) -> str:
+        """Over Q(i): z^2 - 3/2*z + (1+2i).  Over a parameter ring every
+        coefficient keeps its parentheses and terms join with " + ":
+        z^12 + (a10)*z^10 + (-15/44*a10^2)*z^8 + ..."""
         if self.is_zero:
             return "0"
+        scalar = isinstance(self.ring_zero, GaussRat)
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
             if c.is_zero:
                 continue
-            if i == 0:
-                mono = ""
-            elif i == 1:
-                mono = "z"
-            else:
-                mono = f"z^{i}"
-            if c == ONE and mono:
-                text = mono
-            elif c == -ONE and mono:
-                text = f"-{mono}"
-            else:
-                cs = str(c)
-                if ("+" in cs[1:]) or ("-" in cs[1:]):
-                    cs = f"({cs})"
-                text = f"{cs}*{mono}" if mono else cs
-            parts.append(text)
+            mono = "z" if i == 1 else (f"z^{i}" if i else "")
+            parts.append(_scalar_term(c, mono) if scalar else _family_term(c, mono))
+        if not scalar:
+            return " + ".join(parts)
         joined = parts[0]
         for p in parts[1:]:
             joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -379,6 +409,24 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
+
+
+def _scalar_term(c: GaussRat, mono: str) -> str:
+    if mono and c == ONE:
+        return mono
+    if mono and c == -ONE:
+        return f"-{mono}"
+    cs = str(c)
+    if ("+" in cs[1:]) or ("-" in cs[1:]):
+        cs = f"({cs})"
+    return f"{cs}*{mono}" if mono else cs
+
+
+def _family_term(c, mono: str) -> str:
+    cs = str(c)
+    if mono:
+        return mono if cs == "1" else f"({cs})*{mono}"
+    return f"({cs})" if " " in cs else cs
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:

@@ -32,21 +32,6 @@ class GeometryError(ValueError):
 
 
 @dataclass(frozen=True)
-class ComplexPoint:
-    re: float
-    im: float
-
-    @staticmethod
-    def of(z: complex) -> "ComplexPoint":
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise GeometryError("non-finite complex point")
-        return ComplexPoint(z.real, z.imag)
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-
-@dataclass(frozen=True)
 class SpherePoint:
     x: float
     y: float
@@ -251,7 +236,7 @@ def barrel_vertices() -> BarrelVertices:
 # ---------------------------------------------------------------------------
 
 
-def inverse_stereographic(point: complex | ComplexPoint) -> SpherePoint:
+def inverse_stereographic(point: complex) -> SpherePoint:
     """x + iy -> (2x, 2y, x^2+y^2-1) / (x^2+y^2+1) on the unit sphere."""
     z = complex(point)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

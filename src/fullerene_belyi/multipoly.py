@@ -2,8 +2,9 @@
 
 MultiPoly stores {exponent tuple: Fraction} over a fixed, ordered variable
 tuple shared by every polynomial of one system; zero coefficients are never
-stored.  ParamPoly is a polynomial in z whose coefficients are MultiPolys
-(indeterminate-coefficient polynomials such as z^m + a_{m-1} z^{m-1} + ...).
+stored.  A polynomial in z whose coefficients are MultiPolys (an
+indeterminate-coefficient polynomial such as z^m + a_{m-1} z^{m-1} + ...)
+is an exact.UniPoly over this ring.
 
 The elimination engine walks a list of equations (by convention the
 z-coefficients of some identity, highest degree first), repeatedly
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .exact import GaussRat, UniPoly
+from .exact import UniPoly, binary_power
 
 Expo = tuple[int, ...]
 RationalLike = Union[int, Fraction]
@@ -131,6 +132,10 @@ class MultiPoly:
                 out.pop(expo, None)
         return MultiPoly(self.vars, out)
 
+    def __radd__(self, other: RationalLike) -> "MultiPoly":
+        """rational + polynomial, e.g. 1 + zero for the ring's one."""
+        return MultiPoly.const(self.vars, other) + self
+
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
@@ -162,12 +167,7 @@ class MultiPoly:
         return MultiPoly(self.vars, {e: c * s for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.const(self.vars, 1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return binary_power(self, n, MultiPoly.const(self.vars, 1))
 
     def substitute(self, name: str, replacement: "MultiPoly | RationalLike") -> "MultiPoly":
         """Replace one variable by a polynomial (or constant) and renormalize."""
@@ -251,144 +251,6 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-class ParamPoly:
-    """Polynomial in z whose coefficients are MultiPolys over shared variables."""
-
-    __slots__ = ("vars", "coeffs")
-
-    def __init__(self, variables: Sequence[str], coeffs: Iterable[MultiPoly]):
-        vs = tuple(variables)
-        cs = list(coeffs)
-        for c in cs:
-            if c.vars != vs:
-                raise ValueError("coefficient variable set mismatch")
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ParamPoly is immutable")
-
-    @staticmethod
-    def zero(variables: Sequence[str]) -> "ParamPoly":
-        return ParamPoly(variables, ())
-
-    @staticmethod
-    def from_terms(variables: Sequence[str],
-                   terms: Mapping[int, MultiPoly]) -> "ParamPoly":
-        vs = tuple(variables)
-        if not terms:
-            return ParamPoly.zero(vs)
-        cs = [MultiPoly.zero(vs)] * (max(terms) + 1)
-        for power, c in terms.items():
-            cs[power] = c
-        return ParamPoly(vs, cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
-
-    def coefficient(self, power: int) -> MultiPoly:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return MultiPoly.zero(self.vars)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ParamPoly) and self.vars == other.vars
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return ParamPoly(self.vars, out)
-
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.vars, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ParamPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, MultiPoly):
-            return ParamPoly(self.vars, [c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return ParamPoly.zero(self.vars)
-        out = [MultiPoly.zero(self.vars)
-               for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y.is_zero:
-                    continue
-                out[i + j] = out[i + j] + x * y
-        return ParamPoly(self.vars, out)
-
-    def __rmul__(self, other) -> "ParamPoly":
-        return self * other
-
-    def scale(self, s: RationalLike) -> "ParamPoly":
-        return ParamPoly(self.vars, [c.scale(s) for c in self.coeffs])
-
-    def __pow__(self, n: int) -> "ParamPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = ParamPoly.from_terms(self.vars, {0: MultiPoly.const(self.vars, 1)})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def derivative(self) -> "ParamPoly":
-        return ParamPoly(self.vars,
-                         [self.coeffs[i].scale(i) for i in range(1, len(self.coeffs))])
-
-    def substitute(self, name: str, replacement: MultiPoly | RationalLike) -> "ParamPoly":
-        return ParamPoly(self.vars,
-                         [c.substitute(name, replacement) for c in self.coeffs])
-
-    def evaluate_coeffs(self, assignments: Mapping[str, RationalLike]) -> UniPoly:
-        """Assign every variable, producing an exact UniPoly over Q(i)."""
-        return UniPoly([GaussRat.of(c.evaluate(assignments)) for c in self.coeffs])
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
-            mono = "z" if i == 1 else (f"z^{i}" if i else "")
-            cs = str(c)
-            if mono:
-                parts.append(mono if cs == "1" else f"({cs})*{mono}")
-            else:
-                parts.append(f"({cs})" if (" " in cs) else cs)
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"ParamPoly({self})"
-
-
 # ---------------------------------------------------------------------------
 # Sequential linear elimination
 # ---------------------------------------------------------------------------
@@ -451,10 +313,9 @@ class EliminationTrace:
             p = p.substitute(step.variable, step.substitution)
         return p
 
-    def apply_param(self, p: ParamPoly) -> ParamPoly:
-        for step in self.steps:
-            p = p.substitute(step.variable, step.substitution)
-        return p
+    def apply_param(self, p: UniPoly) -> UniPoly:
+        """apply() on every coefficient of a polynomial in z over MultiPoly."""
+        return p.map_coeffs(self.apply)
 
     def resolved_substitutions(self) -> dict[str, MultiPoly]:
         """Each solved variable expressed purely in the free variables."""
@@ -494,13 +355,6 @@ class EliminationTrace:
                 for s in self.steps
             ],
         }
-
-
-def divide_out_assumed_nonzero(eq: MultiPoly, factor: MultiPoly) -> MultiPoly:
-    """Divide an equation by a factor the caller has proven nonzero."""
-    if factor.is_constant:
-        raise ValueError("assumption factors must be nonconstant")
-    return eq.divide_exact(factor)
 
 
 def _divide_assumptions(eq: MultiPoly, assumptions: Sequence[MultiPoly]

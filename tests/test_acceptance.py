@@ -289,19 +289,17 @@ def test_criterion_09_property_suites():
             for d in range(residual.degree, -1, -1):
                 assert trace.apply(residual.coefficient(d)).is_zero
         d6 = d6_solve()
-        from fullerene_belyi.multipoly import ParamPoly
-
         names = d6.trace.steps[0].substitution.vars
 
         def quad(hi, lo):
-            return ParamPoly.from_terms(names, {
+            return UniPoly.from_terms({
                 2: MultiPoly.const(names, 1),
                 1: MultiPoly.var(names, hi),
                 0: MultiPoly.var(names, lo)})
 
         ansatz = (quad("a1", "a0") ** 3
                   - quad("b1", "b0") ** 2 * quad("c1", "c0")
-                  - ParamPoly.from_terms(names, {1: MultiPoly.var(names, "k")}))
+                  - UniPoly.from_terms({1: MultiPoly.var(names, "k")}))
         for d in range(ansatz.degree, -1, -1):
             assert d6.trace.apply(ansatz.coefficient(d)).is_zero
 

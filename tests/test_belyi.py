@@ -8,7 +8,7 @@ from fullerene_belyi.belyi import (DegreeImbalance, FactoredBelyi,
                                    FactorsShareRoot, FactorNotSquarefree,
                                    IdentityFailed, Passport, counting,
                                    face_vector, fullerene_passport,
-                                   main_equation_residual, verify_belyi)
+                                   main_equation_residual)
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from oracles import eval_pairs, gadd, gmul, gneg, poly_pairs
 
@@ -119,7 +119,7 @@ def quotient6_by_hand() -> FactoredBelyi:
 
 
 def test_verify_quotient6():
-    assert str(verify_belyi(quotient6_by_hand())) == "(3^2 | 2^2 1^2 | 5^1 1^1)"
+    assert str(quotient6_by_hand().verify()) == "(3^2 | 2^2 1^2 | 5^1 1^1)"
 
 
 def test_verify_identity_failure_names_factor():

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fullerene_belyi
 from fullerene_belyi.cli import (flat_pentagon_layout, main, render_svg)
 from fullerene_belyi.geometry import (FaceGeometryReport, Plane, SpherePoint,
                                       face_geometry)
@@ -124,6 +129,28 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     path.write_text("not a belyi file\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("document, output, name", [
+    ("belyi v1\nk\nzero 1 0 1\npole 1 1 1\n", None, "BelyiFormatError"),
+    ("belyi v1\nk 1\ninfinity pole\n", None, "BelyiFormatError"),
+    ("belyi v1\nk 1/0\n", None, "BelyiFormatError"),
+    (None, "missing-dir/report.txt", "FileNotFoundError"),
+], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "output-dir-missing"])
+def test_bad_input_exits_1_with_named_error(tmp_path, document, output, name):
+    if document is None:
+        argv = ["--output", str(tmp_path / output), "passport", "0"]
+    else:
+        path = tmp_path / "bad.belyi"
+        path.write_text(document, encoding="utf-8")
+        argv = ["verify", str(path)]
+    src = str(Path(fullerene_belyi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "fullerene_belyi.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith(f"error: {name}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_output_to_file(tmp_path, capsys):

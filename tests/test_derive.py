@@ -7,11 +7,10 @@ import pytest
 from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
                                     derive_case, family_k, family_k_formula,
                                     halphen_identity_failures,
-                                    halphen_intermediates_check,
                                     ode_leading_coeff, ode_residual,
                                     run_ode_elimination, vm_from_p)
 from fullerene_belyi.exact import GaussRat, UniPoly
-from fullerene_belyi.multipoly import MultiPoly, ParamPoly
+from fullerene_belyi.multipoly import MultiPoly
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,7 @@ def test_vm_from_p_parametric_leading_terms():
     p_sym, trace = run_ode_elimination(6)
     p_fam = trace.apply_param(p_sym)
     V, M = vm_from_p(p_fam, 6)
-    names = p_fam.vars
+    names = p_fam.leading().vars
     a9 = MultiPoly.var(names, "a9")
     a10 = MultiPoly.var(names, "a10")
     assert V.coefficient(22).is_zero
@@ -93,7 +92,7 @@ def test_vm_from_p_parametric_leading_terms():
 
 def test_halphen_identities_hold_for_icosahedral(icosahedral_data):
     P, V, M, _ = icosahedral_data
-    assert halphen_intermediates_check(P, V, M, 5)
+    assert not halphen_identity_failures(P, V, M, 5)
 
 
 def test_halphen_degree_bound_on_R(icosahedral_data):
@@ -115,7 +114,7 @@ def test_halphen_perturbed_m_fails_first_at_sM(icosahedral_data):
     P, V, M, _ = icosahedral_data
     failures = halphen_identity_failures(P, V, M + UniPoly.one(), 5)
     assert failures and failures[0] == "sM"
-    assert not halphen_intermediates_check(P, V, M + UniPoly.one(), 5)
+    assert halphen_identity_failures(P, V, M + UniPoly.one(), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def test_derive_case_5_output_satisfies_all_certifications():
     report = derive_case(5)
     assert main_equation_residual(
         Fraction(1, 1728), report.V, report.P, UP.one(), report.M).is_zero
-    assert halphen_intermediates_check(report.P, report.V, report.M, 5)
+    assert not halphen_identity_failures(report.P, report.V, report.M, 5)
 
 
 PUBLISHED_FAMILY = {
@@ -194,6 +193,9 @@ def test_derive_case_6_family_and_degree_deficit():
     for name, expr in report.family.items():
         assert expr == reference[name], name
         assert str(expr) == PUBLISHED_FAMILY[name]
+    # the parameter display that the derive 6 report carries
+    assert str(report.P).startswith(
+        "z^12 + (a10)*z^10 + (a9)*z^9 + (-15/44*a10^2)*z^8")
     # V falls short of the required degree 22 identically
     assert report.V.coefficient(22).is_zero
     # k(a9, a10) = -5^4 (2^3 5^2 a10^3 + 3^3 11 a9^2) / (3^3 11^3)
@@ -319,13 +321,13 @@ def test_replay_annihilates_quotient_system():
     names = trace.steps[0].substitution.vars
 
     def quad(hi, lo):
-        return ParamPoly.from_terms(names, {
+        return UniPoly.from_terms({
             2: MultiPoly.const(names, 1),
             1: MultiPoly.var(names, hi),
             0: MultiPoly.var(names, lo)})
 
     S = (quad("a1", "a0") ** 3 - quad("b1", "b0") ** 2 * quad("c1", "c0")
-         - ParamPoly.from_terms(names, {1: MultiPoly.var(names, "k")}))
+         - UniPoly.from_terms({1: MultiPoly.var(names, "k")}))
     system = [(d, S.coefficient(d)) for d in range(S.degree, -1, -1)]
     _replay(system, trace)
 
@@ -338,13 +340,13 @@ def test_quotient_solution_is_order_independent():
     names = trace.steps[0].substitution.vars
 
     def quad(hi, lo):
-        return ParamPoly.from_terms(names, {
+        return UniPoly.from_terms({
             2: MultiPoly.const(names, 1),
             1: MultiPoly.var(names, hi),
             0: MultiPoly.var(names, lo)})
 
     S = (quad("a1", "a0") ** 3 - quad("b1", "b0") ** 2 * quad("c1", "c0")
-         - ParamPoly.from_terms(names, {1: MultiPoly.var(names, "k")}))
+         - UniPoly.from_terms({1: MultiPoly.var(names, "k")}))
     system = [(d, S.coefficient(d)) for d in range(S.degree, -1, -1)]
     assumption = MultiPoly.var(names, "a1") - MultiPoly.var(names, "b1")
     reference = d6_solve().values

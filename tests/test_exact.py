@@ -8,6 +8,7 @@ import pytest
 from fullerene_belyi.exact import (GaussRat, RationalMap, UniPoly,
                                    is_squarefree, poly_gcd,
                                    squarefree_decomposition)
+from fullerene_belyi.multipoly import MultiPoly
 from oracles import (derivative_pairs, euclid_gcd_pairs, mul_pointwise_equal,
                      poly_pairs)
 
@@ -114,6 +115,20 @@ def test_degree_bookkeeping(rng):
         if p.is_zero or q.is_zero:
             continue
         assert (p * q).degree == p.degree + q.degree
+
+
+def test_power_zero_is_one_of_the_polynomial_ring():
+    p = UniPoly.from_terms({2: 1, 1: 10, 0: 5})
+    assert p ** 0 == UniPoly.one()
+    assert (p ** 0).coefficient(0) == GaussRat.of(1)
+    names = ("a1", "a0")
+    q = UniPoly.from_terms({2: MultiPoly.const(names, 1),
+                            0: MultiPoly.var(names, "a0")})
+    one = q ** 0
+    assert one.degree == 0
+    assert one.coefficient(0) == MultiPoly.const(names, 1)
+    assert one.coefficient(1) == MultiPoly.zero(names)
+    assert one * q == q
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from fullerene_belyi.exact import GaussRat, UniPoly
 from fullerene_belyi.multipoly import (InconsistentSystemError, MultiPoly,
                                        NonDivisibleError, NonLinearStepError,
-                                       ParamPoly, divide_out_assumed_nonzero,
                                        sequential_linear_solve)
 
 AB = ("a1", "a0", "b1", "b0")
@@ -75,8 +75,19 @@ def test_divide_exact_and_failure():
         (a1 * a1 + c(1)).divide_exact(a1 - b1)
 
 
+def test_binary_power_matches_repeated_product():
+    base = v("a1") - v("b1").scale(Fraction(2, 3)) + c(1)
+    product = c(1)
+    assert base ** 0 == product
+    for n in range(1, 9):
+        product = product * base
+        assert base ** n == product
+    with pytest.raises(ValueError):
+        base ** -1
+
+
 # ---------------------------------------------------------------------------
-# divide_out_assumed_nonzero
+# dividing out a factor assumed nonzero
 # ---------------------------------------------------------------------------
 
 
@@ -84,30 +95,30 @@ def test_divide_out_degree_three_coefficient():
     a1, a0, b1, b0 = v("a1"), v("a0"), v("b1"), v("b0")
     inner = (a1 * a1 - a1 * b1 * 5 + b1 * b1 * 4 + a0 * 6 - b0 * 6)
     eq = (a1 - b1) * inner
-    assert divide_out_assumed_nonzero(eq, a1 - b1) == inner
+    assert eq.divide_exact(a1 - b1) == inner
 
 
 def test_divide_out_fifth_power():
     a1, b1 = v("a1"), v("b1")
     eq = ((a1 - b1) ** 5 * (a1 * 2 - b1 * 5)).scale(Fraction(-1, 27))
-    out = divide_out_assumed_nonzero(eq, (a1 - b1) ** 5)
+    out = eq.divide_exact((a1 - b1) ** 5)
     assert out == (a1 * 2 - b1 * 5).scale(Fraction(-1, 27))
 
 
 def test_divide_out_nondivisible_is_error():
     a1, b1 = v("a1"), v("b1")
     with pytest.raises(NonDivisibleError):
-        divide_out_assumed_nonzero(a1 * 2 - b1 * 5, a1 - b1)
+        (a1 * 2 - b1 * 5).divide_exact(a1 - b1)
 
 
 # ---------------------------------------------------------------------------
-# ParamPoly
+# UniPoly over MultiPoly coefficients
 # ---------------------------------------------------------------------------
 
 
-def test_parampoly_derivative():
+def test_unipoly_over_multipoly_derivative():
     names = ("a1", "a0")
-    p = ParamPoly.from_terms(names, {
+    p = UniPoly.from_terms({
         2: MultiPoly.const(names, 1),
         1: MultiPoly.var(names, "a1"),
         0: MultiPoly.var(names, "a0")})
@@ -123,7 +134,7 @@ def symbolic_monic(m):
     terms = {m: MultiPoly.const(names, 1)}
     for i in range(m):
         terms[i] = MultiPoly.var(names, f"a{i}")
-    return ParamPoly.from_terms(names, terms)
+    return UniPoly.from_terms(terms)
 
 
 @pytest.mark.parametrize("m", [7, 9, 11, 12, 13])
@@ -150,26 +161,26 @@ def test_quotient_ansatz_z5_coefficient_dies_with_c_elimination():
     names = ("c1", "c0", "b1", "b0", "a1", "a0", "k")
 
     def quad(hi, lo):
-        return ParamPoly.from_terms(names, {
+        return UniPoly.from_terms({
             2: MultiPoly.const(names, 1),
             1: MultiPoly.var(names, hi),
             0: MultiPoly.var(names, lo)})
 
     S = (quad("a1", "a0") ** 3 - quad("b1", "b0") ** 2 * quad("c1", "c0")
-         - ParamPoly.from_terms(names, {1: MultiPoly.var(names, "k")}))
+         - UniPoly.from_terms({1: MultiPoly.var(names, "k")}))
     c1_solution = MultiPoly.var(names, "a1") * 3 - MultiPoly.var(names, "b1") * 2
     assert S.coefficient(6).is_zero
     assert not S.coefficient(5).is_zero
     assert S.coefficient(5).substitute("c1", c1_solution).is_zero
 
 
-def test_parampoly_evaluate_coeffs():
+def test_unipoly_over_multipoly_evaluates_coeffs():
     names = ("a1", "a0")
-    p = ParamPoly.from_terms(names, {
+    p = UniPoly.from_terms({
         2: MultiPoly.const(names, 1),
         1: MultiPoly.var(names, "a1"),
         0: MultiPoly.var(names, "a0")})
-    concrete = p.evaluate_coeffs({"a1": 10, "a0": 5})
+    concrete = p.map_coeffs(lambda c: GaussRat.of(c.evaluate({"a1": 10, "a0": 5})))
     assert [str(c) for c in concrete.coeffs] == ["5", "10", "1"]
 
 
