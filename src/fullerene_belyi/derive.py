@@ -14,6 +14,10 @@ P = z^11 - 11z^6 - z, giving the icosahedral V, M and k = 1728.  For s = 6
 the elimination leaves the two-parameter family below, but V's z^22
 coefficient vanishes identically, so its degree falls short of the required
 10 + 2s and no dessin exists; the 22-atom fullerene is ruled out with it.
+The family still satisfies V^3 = M^2 + k*P^5 for a k(a9, a10) read off the
+top coefficients; that identity is certified exactly, without expanding V^3,
+M^2 or P^5, by one Kronecker evaluation whose injectivity follows from the
+family's weighted homogeneity and a bound on the identity's coefficients.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .belyi import FactoredBelyi
 from .exact import GaussRat, RationalMap, UniPoly
@@ -255,8 +260,7 @@ def derive_case(s: int, bound: int = 12) -> CaseReport:
         return report
 
     # s == 6: substitute the solved coefficients, keep a9/a10 free
-    p_fam = trace.apply_param(p_sym)
-    V, M = vm_from_p(p_fam, s)
+    p_fam, V, M = _family()
     report.P, report.V, report.M = p_fam, V, M
     report.family = trace.resolved_substitutions()
     v_top = V.coefficient(kdeg)
@@ -279,17 +283,99 @@ def derive_case(s: int, bound: int = 12) -> CaseReport:
 
 
 @cache
-def family_k_formula() -> MultiPoly:
-    """k(a9, a10) with V^3 = M^2 + k*P^5 for the s = 6 family, derived by
-    exact parametric division (top coefficient of V^3 - M^2 over monic P^5),
-    then certified by expanding the full identity."""
+def _family() -> tuple[UniPoly, UniPoly, UniPoly]:
+    """(P, V, M) of the s = 6 family over MultiPoly, with a9 and a10 free."""
     p_sym, trace = run_ode_elimination(6)
     p_fam = trace.apply_param(p_sym)
     V, M = vm_from_p(p_fam, 6)
-    diff = V ** 3 - M ** 2
-    k = diff.coefficient(60)
-    if not (diff - (p_fam ** 5) * k).is_zero:
+    return p_fam, V, M
+
+
+def _integer_form(f: UniPoly, i9: int, i10: int
+                  ) -> tuple[int, int, dict[tuple[int, int], int]]:
+    """(weight, d, {(e9, e10): integer}) for d*f at z = 1, where d is the lcm
+    of f's coefficient denominators and i9, i10 index a9, a10.
+
+    z^e * a9^e9 * a10^e10 weighs e + 3*e9 + 2*e10 (a_i weighs 12 - i, which
+    makes the ODE and so the family weighted-homogeneous).  Raises
+    AssertionError unless f is nonzero, every term has the same weight and
+    no other variable appears; then the weight fixes e, so setting z = 1
+    merges no two terms.
+    """
+    weights = set()
+    terms: dict[tuple[int, int], Fraction] = {}
+    for e, coeff in enumerate(f.coeffs):
+        for expo, c in coeff.terms.items():
+            e9, e10 = expo[i9], expo[i10]
+            if sum(expo) != e9 + e10:
+                raise AssertionError(f"term {expo} uses a variable other than a9, a10")
+            weights.add(e + 3 * e9 + 2 * e10)
+            terms[e9, e10] = c
+    if len(weights) != 1:
+        raise AssertionError(f"not weighted-homogeneous: term weights {sorted(weights)}")
+    d = lcm(*(c.denominator for c in terms.values()))
+    return weights.pop(), d, {key: c.numerator * (d // c.denominator)
+                              for key, c in terms.items()}
+
+
+def _kronecker(f: dict[tuple[int, int], int], beta: int, span: int) -> int:
+    """f at a9 = 2^beta, a10 = 2^(beta*span), by shifts."""
+    return sum(c << beta * (e9 + span * e10) for (e9, e10), c in f.items())
+
+
+def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
+                             k: MultiPoly) -> None:
+    """Raise AssertionError unless V^3 = M^2 + k*P^5 holds exactly.
+
+    With d_F the denominator lcm of F and primes for the integer forms d_F*F,
+    the identity is R = A*V'^3 - B*M'^2 - C*k'*P'^5 = 0 over Z[a9, a10] at
+    z = 1, for A = d_M^2 d_P^5 d_k, B = d_V^3 d_P^5 d_k, C = d_V^3 d_M^2.
+    The weight check makes R weighted-homogeneous of weight w = 3*w(V), so
+    its a9-exponents stay below span = w/3 + 1, and every coefficient of R
+    is at most bound = A|V'|^3 + B|M'|^2 + C|k'||P'|^5 in the 1-norm.  At
+    a9 = 2^beta, a10 = 2^(beta*span) with 2^beta > 4*bound each monomial
+    of R lands on its own base-2^beta digit, so R = 0 exactly when that one
+    integer is 0.
+    """
+    names = P.leading().vars
+    i9, i10 = names.index("a9"), names.index("a10")
+    (wv, dv, v), (wm, dm, m), (wp, dp, p), (wk, dk, kk) = (
+        _integer_form(f, i9, i10) for f in (V, M, P, UniPoly.from_terms({0: k})))
+    if not 3 * wv == 2 * wm == 5 * wp + wk:
+        raise AssertionError(
+            f"weights {wv}, {wm}, {wp}, {wk} of V, M, P, k do not balance")
+    a = dm ** 2 * dp ** 5 * dk
+    b = dv ** 3 * dp ** 5 * dk
+    c = dv ** 3 * dm ** 2
+
+    def norm(f: dict[tuple[int, int], int]) -> int:
+        return sum(map(abs, f.values()))
+
+    bound = a * norm(v) ** 3 + b * norm(m) ** 2 + c * norm(kk) * norm(p) ** 5
+    beta = bound.bit_length() + 2
+    span = wv + 1
+    ev, em, ep, ek = (_kronecker(f, beta, span) for f in (v, m, p, kk))
+    if a * ev ** 3 - b * em ** 2 - c * ek * ep ** 5:
         raise AssertionError("family does not satisfy V^3 = M^2 + k*P^5")
+
+
+@cache
+def family_k_formula() -> MultiPoly:
+    """k(a9, a10) with V^3 = M^2 + k*P^5 for the s = 6 family.
+
+    k is read off the top coefficients, (lead V^3 - lead M^2) / lead P^5,
+    after checking 3 deg V = 2 deg M = 5 deg P.  The full identity is then
+    certified by _certify_family_identity: one exact integer evaluation at
+    a9 = 2^beta, a10 = 2^(beta*span), never expanding V^3, M^2 or P^5.  That
+    evaluation is a proof, not a sample: the checked weighted homogeneity
+    and the computed coefficient bound that sets beta make it injective on
+    the identity's monomials.
+    """
+    P, V, M = _family()
+    if not 3 * V.degree == 2 * M.degree == 5 * P.degree:
+        raise AssertionError("V^3, M^2 and P^5 do not share a degree")
+    k = (V.leading() ** 3 - M.leading() ** 2).divide_exact(P.leading() ** 5)
+    _certify_family_identity(P, V, M, k)
     return k
 
 

@@ -50,6 +50,15 @@ class MultiPoly:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", cleaned)
 
+    @classmethod
+    def _trusted(cls, vs: tuple[str, ...], terms: dict[Expo, Fraction]) -> "MultiPoly":
+        """Wrap terms that are already nonzero Fractions with full-arity
+        keys, as every arithmetic result is, skipping the cleaning."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "vars", vs)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
 
@@ -125,19 +134,19 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for expo, c in other.terms.items():
-            s = out.get(expo, Fraction(0)) + c
+            s = out.get(expo, 0) + c
             if s:
                 out[expo] = s
             else:
                 out.pop(expo, None)
-        return MultiPoly(self.vars, out)
+        return MultiPoly._trusted(self.vars, out)
 
     def __radd__(self, other: RationalLike) -> "MultiPoly":
         """rational + polynomial, e.g. 1 + zero for the ring's one."""
         return MultiPoly.const(self.vars, other) + self
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -150,12 +159,12 @@ class MultiPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 expo = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(expo, Fraction(0)) + ca * cb
+                s = out.get(expo, 0) + ca * cb
                 if s:
                     out[expo] = s
                 else:
                     out.pop(expo, None)
-        return MultiPoly(self.vars, out)
+        return MultiPoly._trusted(self.vars, out)
 
     def __rmul__(self, other) -> "MultiPoly":
         return self * other
@@ -164,7 +173,7 @@ class MultiPoly:
         s = Fraction(s)
         if not s:
             return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: c * s for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: c * s for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
         return binary_power(self, n, MultiPoly.const(self.vars, 1))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fullerene_belyi import derive
 from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
                                     derive_case, family_k, family_k_formula,
                                     halphen_identity_failures,
@@ -205,6 +206,94 @@ def test_derive_case_6_family_and_degree_deficit():
                   ).scale(Fraction(-(5 ** 4), 3 ** 3 * 11 ** 3))
     assert report.k == expected_k
     assert family_k_formula() == expected_k
+
+
+def test_family_identity_full_expansion_reference():
+    # the term-by-term MultiPoly expansion that the certificate replaced
+    P, V, M = derive._family()
+    k = family_k_formula()
+    diff = V ** 3 - M ** 2
+    assert (diff - P ** 5 * k).is_zero
+    assert diff.coefficient(60) == k
+
+
+def _bump_term(coeff, pick):
+    """coeff with one term's coefficient doubled: same weight, new value."""
+    expo = pick(coeff.terms)
+    return MultiPoly(coeff.vars, {**coeff.terms, expo: coeff.terms[expo] * 2})
+
+
+def _with_coefficient(f, power, fn):
+    coeffs = list(f.coeffs)
+    coeffs[power] = fn(coeffs[power])
+    return UniPoly(coeffs, f.ring_zero)
+
+
+def _mutated_family(case):
+    """(P, V, M, k) with one change, and the rejection message it must hit.
+    The parameter weight of a z^e coefficient falls as e rises, so the
+    top z-degree coefficient has the lowest weight, the bottom the highest."""
+    P, V, M = derive._family()
+    pvmk = {"P": P, "V": V, "M": M, "k": family_k_formula()}
+    target, change = case.split(":")
+    f = pvmk[target]
+    names = pvmk["k"].vars
+    if change == "homogeneous-wrong-weight":
+        # k * a10 is homogeneous of weight 8, but 3 w(V) = 5 w(P) + 6
+        pvmk[target] = f * MultiPoly.var(names, "a10")
+        message = "do not balance"
+    elif target == "k":
+        pvmk["k"] = _bump_term(f, {"first": min, "last": max}[change])
+        message = "does not satisfy"
+    elif change in ("lowest-weight", "highest-weight"):
+        power = (f.degree if change == "lowest-weight" else
+                 min(e for e, c in enumerate(f.coeffs) if not c.is_zero))
+        pvmk[target] = _with_coefficient(f, power, lambda c: _bump_term(c, min))
+        message = "does not satisfy"
+    elif change == "wrong-weight":
+        # a9 * z^0 weighs 3; every term of V weighs 22
+        a9 = MultiPoly.var(names, "a9")
+        pvmk[target] = _with_coefficient(f, 0, lambda c: c + a9)
+        message = "not weighted-homogeneous"
+    else:
+        # a8 * z^18 would weigh 22 with a8 at weight 12 - 8, but the family
+        # has no a8 left, so any exponent on it is rejected
+        a8 = MultiPoly.var(names, "a8")
+        pvmk[target] = _with_coefficient(f, 18, lambda c: c + a8)
+        message = "other than a9, a10"
+    return pvmk["P"], pvmk["V"], pvmk["M"], pvmk["k"], message
+
+
+@pytest.mark.parametrize("case", [
+    f"{target}:{change}" for target in "VMP"
+    for change in ("lowest-weight", "highest-weight")
+] + ["k:first", "k:last", "k:homogeneous-wrong-weight", "V:wrong-weight",
+      "V:third-variable"])
+def test_family_certificate_rejects_mutation(case):
+    P, V, M, k, message = _mutated_family(case)
+    with pytest.raises(AssertionError, match=message):
+        derive._certify_family_identity(P, V, M, k)
+
+
+def test_family_certificate_accepts_family():
+    P, V, M = derive._family()
+    derive._certify_family_identity(P, V, M, family_k_formula())
+
+
+def test_family_computed_once_for_report_and_k(monkeypatch):
+    calls = []
+    original = derive.vm_from_p
+
+    def counting(p, s):
+        calls.append(s)
+        return original(p, s)
+
+    monkeypatch.setattr(derive, "vm_from_p", counting)
+    derive._family.cache_clear()
+    family_k_formula.cache_clear()
+    report = derive_case(6)
+    assert family_k_formula() == report.k
+    assert calls == [6]
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 8])

@@ -44,6 +44,25 @@ def test_substitute_constant():
     assert expr.evaluate({"a6": 11}) == Fraction(-1)
 
 
+def _stored_cleanly(p):
+    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+def test_arithmetic_results_store_only_nonzero_fractions():
+    a1, b1 = v("a1"), v("b1")
+    half = MultiPoly(AB, {(1, 0, 0, 0): 1, (0, 0, 1, 0): Fraction(1, 2)})
+    results = [half + b1, half - a1, -half, half * half, half * 3,
+               half.scale(Fraction(2, 3)), half * (a1 - b1)]
+    # exact cancellation leaves no zero-coefficient terms behind
+    cancelled = [half - half, (a1 + b1) - b1, (a1 - b1) * (a1 + b1) - a1 * a1,
+                 half.scale(0)]
+    for p in results + cancelled:
+        assert _stored_cleanly(p), p
+    assert [p.terms for p in cancelled[:1] + cancelled[3:]] == [{}, {}]
+    assert cancelled[1] == a1
+    assert cancelled[2].terms == {(0, 0, 2, 0): Fraction(-1)}
+
+
 def test_variable_set_mismatch():
     with pytest.raises(ValueError):
         v("a1") + MultiPoly.var(("x", "y"), "x")
