@@ -13,8 +13,8 @@ from .belyi import (BelyiFormatError, FactoredBelyi, FullereneParams,
 from .derive import (CaseReport, Verdict, case_degrees, d6_solve, derive_case,
                      family_k, family_k_formula, halphen_identity_failures,
                      ode_leading_coeff, ode_residual, vm_from_p)
-from .exact import (GaussRat, RationalMap, UniPoly, is_squarefree, poly_gcd,
-                    squarefree_decomposition)
+from .exact import (GaussRat, RationalMap, UniPoly, coprime, is_squarefree,
+                    poly_gcd, squarefree_decomposition)
 from .geometry import (BarrelVertices, FaceGeometryReport, Plane, SpherePoint,
                        barrel_vertices, face_geometry, inverse_stereographic,
                        plane_through, poly_roots)
@@ -28,8 +28,8 @@ __all__ = [
     "FaceGeometryReport", "FactoredBelyi", "FullereneParams", "GaussRat",
     "INFINITY", "Moebius", "MultiPoly", "Passport", "Plane", "RationalMap",
     "SpherePoint", "UniPoly", "Verdict", "barrel_vertices", "build_beta12",
-    "build_beta60", "build_beta72", "case_degrees", "counting", "d6_solve",
-    "derive_case", "face_geometry", "face_vector", "family_k",
+    "build_beta60", "build_beta72", "case_degrees", "coprime", "counting",
+    "d6_solve", "derive_case", "face_geometry", "face_vector", "family_k",
     "family_k_formula", "fullerene_passport", "halphen_identity_failures",
     "inverse_stereographic", "is_squarefree", "main_equation_residual",
     "moebius_from_three_points", "ode_leading_coeff", "ode_residual",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .exact import (GaussRat, RationalMap, UniPoly, is_squarefree, poly_gcd,
+from .exact import (GaussRat, RationalMap, UniPoly, coprime, is_squarefree,
                     squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
@@ -243,7 +243,7 @@ class FactoredBelyi:
                 a, b = all_factors[i][0], all_factors[j][0]
                 if a.degree == 0 or b.degree == 0:
                     continue
-                if poly_gcd(a, b).degree > 0:
+                if not coprime(a, b):
                     raise FactorsShareRoot(f"factors {a} and {b} share a root")
 
         z_prod = _product(self.zero_factors)

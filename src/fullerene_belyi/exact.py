@@ -17,10 +17,45 @@ Three layers live here:
 
 Polynomials serialize as lists of coefficient tokens "a/b" (rational) or
 "a/b,c/d" (real,imag), lowest index first; see README for the format note.
+
+Two integer kernels do the heavy work of certification.
+
+Multiplication over Q(i) (Kronecker substitution).  Each operand is
+cleared to integer real and imaginary vectors over one common denominator
+d (the lcm of its denominators).  Every vector is packed into one integer
+as its value at z = 2^B, three big-integer products give the real part
+rr - ii and the imaginary part (Ar + Ai)(Br + Bi) - rr - ii of the
+product at 2^B (rr = Ar*Br, ii = Ai*Bi), and the digits are unpacked and
+divided by d_a*d_b.  Evaluation at 2^B is a ring map, so the unpacking is
+exact once every product coefficient c satisfies |c| < 2^(B-1).  A
+coefficient of the product is a sum of at most n = min(len a, len b)
+terms x*y, and |Re(x*y)|, |Im(x*y)| <= (|Re x| + |Im x|)(|Re y| + |Im y|),
+so |c| <= n * max|a| * max|b| with max|.| the largest such 1-norm of an
+operand's integer digits; B is that bound's bit length plus a sign bit,
+rounded up to whole bytes.  The schoolbook loop remains for the MultiPoly
+coefficient ring.
+
+Coprimality (a certificate modulo one fixed prime).  Let p = _P, a prime
+with p = 1 (mod 4), r = _R with r^2 = -1 (mod p), and J the prime ideal
+(p, i - r) of Z[i]; Z[i]/J is the field F_p, with i mapped to r.  Suppose
+no denominator of a or b is divisible by p, so both lie in R[z] for the
+local ring R = Z[i]_J, and lead(a) is a unit of R (its reduction is
+nonzero).  If a and b had a common factor over Q(i), they would have a
+monic irreducible one, g.  R is a discrete valuation ring, hence
+integrally closed, and g divides the monic a/lead(a) in R[z], so g lies in
+R[z] (Gauss's lemma).  Dividing by the monic g stays in R[z], so g divides
+a and b in R[z], and its reduction, monic of the same degree, divides the
+reductions of both.  Hence a constant gcd of the reductions in F_p[z]
+proves a and b coprime.  coprime() returns True on that certificate and
+otherwise (a denominator divisible by p, lead(a) vanishing mod J, or a
+nonconstant gcd mod J: an unlucky prime or a true common factor) returns
+the answer of the exact Euclidean poly_gcd.  No point is sampled and no
+answer is probabilistic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -127,6 +162,7 @@ class GaussRat:
         raise ValueError(f"bad coefficient token: {token!r}")
 
 
+_FZERO = Fraction(0)
 ZERO = GaussRat.of(0)
 ONE = GaussRat.of(1)
 I = GaussRat.of(0, 1)
@@ -145,6 +181,59 @@ def binary_power(base, n: int, one):
         if n:
             base = base * base
     return one if result is None else result
+
+
+def _cleared(coeffs: Sequence[GaussRat]) -> tuple[int, list[int], list[int]]:
+    """(d, re, im) with coeffs[k] = (re[k] + im[k]*i) / d and d the lcm of
+    every denominator."""
+    d = math.lcm(*[c.re.denominator for c in coeffs],
+                 *[c.im.denominator for c in coeffs])
+    return (d, [c.re.numerator * (d // c.re.denominator) for c in coeffs],
+            [c.im.numerator * (d // c.im.denominator) for c in coeffs])
+
+
+def _pack(digits: Sequence[int], width: int) -> int:
+    """sum(digits[k] * 2^(B*k)) with B = 8*width, for |digits[k]| < 2^B."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in digits)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in digits)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    """The n signed digits c_k of x = sum(c_k * 2^(B*k)), B = 8*width, given
+    |c_k| < 2^(B-1).  Adding 2^(B-1) to every digit makes them all
+    nonnegative; the big-int addition absorbs the borrows of the negative
+    ones, and the bytes then split into digits directly."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = (x + offset).to_bytes(n * width, "little")
+    return [int.from_bytes(raw[k:k + width], "little") - half
+            for k in range(0, n * width, width)]
+
+
+def _kron_width(n: int, ma: int, mb: int) -> int:
+    """Bytes per digit for a product with at most n terms per coefficient
+    and operand digits of 1-norm at most ma and mb: the bound n*ma*mb must
+    stay below 2^(B-1), B = 8*width."""
+    return ((n * ma * mb).bit_length() + 8) // 8
+
+
+def _kronecker_mul(a: Sequence[GaussRat], b: Sequence[GaussRat]) -> list[GaussRat]:
+    """Coefficients of a*b over Q(i), by three big-integer products."""
+    da, ar, ai = _cleared(a)
+    db, br, bi = _cleared(b)
+    width = _kron_width(min(len(a), len(b)),
+                        max(abs(x) + abs(y) for x, y in zip(ar, ai)),
+                        max(abs(x) + abs(y) for x, y in zip(br, bi)))
+    Ar, Ai, Br, Bi = (_pack(v, width) for v in (ar, ai, br, bi))
+    n = len(a) + len(b) - 1
+    rr, ii = Ar * Br, Ai * Bi
+    re = _unpack(rr - ii, n, width)
+    im = (_unpack((Ar + Ai) * (Br + Bi) - rr - ii, n, width) if Ai or Bi
+          else [0] * n)
+    d = da * db
+    return [GaussRat(Fraction(x, d), Fraction(y, d) if y else _FZERO)
+            for x, y in zip(re, im)]
 
 
 def _zero_of(c):
@@ -281,6 +370,9 @@ class UniPoly:
         zero = self.ring_zero
         if not a or not b:
             return UniPoly((), zero)
+        if isinstance(zero, GaussRat):
+            return UniPoly(_kronecker_mul(a, b), zero)
+        # schoolbook over a parameter ring
         nonzero_b = [(j, y) for j, y in enumerate(b) if not y.is_zero]
         out = [zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -442,13 +534,75 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.monic()
 
 
+# The certificate prime.  _P = 5 (mod 8), so 2 is a quadratic non-residue
+# mod _P and _R = 2^((_P-1)/4) satisfies _R^2 = -1 (mod _P).
+_P = (1 << 61) - 259
+_R = pow(2, (_P - 1) // 4, _P)
+
+
+def _reduce_mod_p(f: UniPoly) -> list[int] | None:
+    """f modulo the prime ideal (_P, i - _R) of Z[i], as coefficients in
+    F_p (p = _P) lowest first without trailing zeros; None when some
+    denominator is divisible by _P, so that f has no reduction."""
+    inverses: dict[int, int] = {}
+    out = []
+    for c in f.coeffs:
+        v = 0
+        for part, unit in ((c.re, 1), (c.im, _R)):
+            if not part:
+                continue
+            d = part.denominator
+            inv = inverses.get(d)
+            if inv is None:
+                if d % _P == 0:
+                    return None
+                inv = inverses[d] = pow(d, -1, _P)
+            v += part.numerator * inv * unit
+        out.append(v % _P)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _constant_gcd_mod_p(a: list[int], b: list[int]) -> bool:
+    """True iff gcd(a, b) in F_p[z] (p = _P) is a nonzero constant; a is
+    nonzero, and neither list ends in a zero."""
+    while b:
+        a = list(a)
+        inv = pow(b[-1], -1, _P)
+        n = len(b) - 1
+        while len(a) > n:
+            f = a.pop() * inv % _P
+            if f:
+                s = len(a) - n
+                for j in range(n):
+                    a[s + j] = (a[s + j] - f * b[j]) % _P
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def coprime(a: UniPoly, b: UniPoly) -> bool:
+    """True iff a and b have no common root, i.e. gcd(a, b) is constant.
+
+    Certified modulo one fixed prime when that is conclusive (see the
+    module docstring), otherwise decided by poly_gcd.  The certificate
+    needs lead(a) to survive the reduction, so pass the polynomial with
+    the unit leading coefficient first."""
+    if a and b:
+        ra, rb = _reduce_mod_p(a), _reduce_mod_p(b)
+        if (ra is not None and rb is not None and len(ra) == len(a.coeffs)
+                and _constant_gcd_mod_p(ra, rb)):
+            return True
+    return poly_gcd(a, b).degree == 0
+
+
 def is_squarefree(p: UniPoly) -> bool:
     """True iff gcd(p, p') is constant."""
     if p.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    if p.degree == 0:
-        return True
-    return poly_gcd(p, p.derivative()).degree == 0
+    return p.degree == 0 or coprime(p, p.derivative())
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:

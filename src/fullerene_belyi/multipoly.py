@@ -184,17 +184,21 @@ class MultiPoly:
             replacement = MultiPoly.const(self.vars, replacement)
         self._check(replacement)
         i = self.vars.index(name)
-        out = MultiPoly.zero(self.vars)
         powers: dict[int, MultiPoly] = {0: MultiPoly.const(self.vars, 1)}
         maxp = max((e[i] for e in self.terms), default=0)
         for p in range(1, maxp + 1):
             powers[p] = powers[p - 1] * replacement
+        out: dict[Expo, Fraction] = {}
         for expo, c in self.terms.items():
-            stripped = list(expo)
-            stripped[i] = 0
-            base = MultiPoly(self.vars, {tuple(stripped): c})
-            out = out + base * powers[expo[i]]
-        return out
+            stripped = expo[:i] + (0,) + expo[i + 1:]
+            for ep, cp in powers[expo[i]].terms.items():
+                e = tuple(x + y for x, y in zip(stripped, ep))
+                s = out.get(e, 0) + c * cp
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return MultiPoly._trusted(self.vars, out)
 
     def evaluate(self, assignments: Mapping[str, RationalLike]) -> Fraction:
         idx = {name: self.vars.index(name) for name in assignments}

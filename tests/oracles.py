@@ -37,6 +37,19 @@ def eval_pairs(pairs, x):
     return acc
 
 
+def mul_pairs(a, b):
+    """Schoolbook product of two pair-list polynomials."""
+    if not a or not b:
+        return []
+    out = [GZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = gadd(out[i + j], gmul(x, y))
+    while out and out[-1] == GZERO:
+        out.pop()
+    return out
+
+
 def mul_pointwise_equal(p, q, r):
     """True iff r == p*q, checked by evaluation at deg(p)+deg(q)+1 distinct
     rational points (enough to pin a polynomial of that degree)."""

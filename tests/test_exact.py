@@ -5,12 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from fullerene_belyi.exact import (GaussRat, RationalMap, UniPoly,
+from fullerene_belyi import exact
+from fullerene_belyi.exact import (GaussRat, RationalMap, UniPoly, coprime,
                                    is_squarefree, poly_gcd,
                                    squarefree_decomposition)
 from fullerene_belyi.multipoly import MultiPoly
-from oracles import (derivative_pairs, euclid_gcd_pairs, mul_pointwise_equal,
-                     poly_pairs)
+from oracles import (derivative_pairs, euclid_gcd_pairs, mul_pairs,
+                     mul_pointwise_equal, poly_pairs)
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property tests need hypothesis
+    st = None
 
 
 def rand_gauss(rng, span=9):
@@ -107,6 +113,112 @@ def test_ring_axioms_randomized(rng):
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
         assert mul_pointwise_equal(p, q, p * q)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker kernel against the schoolbook oracle
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_schoolbook(p, q):
+    assert poly_pairs(p * q) == mul_pairs(poly_pairs(p), poly_pairs(q))
+
+
+def rand_kernel_poly(rng, deg, kind, bits=20):
+    """deg + 1 coefficients of `kind`: real, imaginary, gaussian, mixed
+    (unrelated denominators) or big (integers of `bits` bits)."""
+    def part():
+        return rng.randint(-(1 << bits), 1 << bits)
+
+    coeffs = []
+    for _ in range(deg + 1):
+        if kind == "real":
+            c = GaussRat.of(part())
+        elif kind == "imaginary":
+            c = GaussRat.of(0, part())
+        elif kind == "mixed":
+            c = GaussRat.of(Fraction(part(), rng.randint(1, 10 ** 6)),
+                            Fraction(part(), rng.randint(1, 10 ** 6)))
+        else:
+            c = GaussRat.of(part(), part())
+        coeffs.append(c)
+    if coeffs[-1].is_zero:
+        coeffs[-1] = GaussRat.of(1)
+    return UniPoly(coeffs)
+
+
+@pytest.mark.parametrize("kind", ["real", "imaginary", "gaussian", "mixed"])
+def test_kronecker_matches_schoolbook_degrees_0_to_80(rng, kind):
+    for deg in range(0, 81, 8):
+        p = rand_kernel_poly(rng, deg, kind)
+        q = rand_kernel_poly(rng, rng.randint(0, 80), kind)
+        assert_matches_schoolbook(p, q)
+        assert_matches_schoolbook(q, p)
+
+
+def test_kronecker_real_times_imaginary(rng):
+    for deg in (0, 1, 7, 40):
+        p = rand_kernel_poly(rng, deg, "real")
+        q = rand_kernel_poly(rng, deg + 3, "imaginary")
+        assert_matches_schoolbook(p, q)
+        assert_matches_schoolbook(q, q)
+
+
+@pytest.mark.parametrize("bits", [256, 300, 1024])
+def test_kronecker_big_coefficients(rng, bits):
+    for deg in (0, 3, 24, 72):
+        p = rand_kernel_poly(rng, deg, "gaussian", bits)
+        q = rand_kernel_poly(rng, 80 - deg, "real", bits)
+        assert_matches_schoolbook(p, q)
+        assert_matches_schoolbook(p, p)
+
+
+def test_kronecker_constant_times_polynomial(rng):
+    p = rand_kernel_poly(rng, 60, "mixed")
+    for c in (GaussRat.of(3), GaussRat.of(0, Fraction(-2, 7)),
+              GaussRat.of(Fraction(1, 3), 5)):
+        assert p * UniPoly.constant(c) == p.scale(c)
+        assert UniPoly.constant(c) * p == p.scale(c)
+        assert_matches_schoolbook(UniPoly.constant(c), p)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("unit", [(1, 0), (0, 1), (1, 1)], ids=str)
+@pytest.mark.parametrize("top, n, x, bits", [
+    # n*x*y = 2^(bits-1) - 1: the largest digit `bits` bits hold
+    ((1 << 15) - 1, 7, 31, 16), ((1 << 255) - 1, 7, 31, 256),
+    # n*x*y = 2^15 and 2^255: one more, so the width grows by a byte
+    (1 << 15, 8, 64, 24), (1 << 255, 8, 1 << 126, 264)])
+def test_kronecker_digits_at_the_borrow_boundary(sign, unit, top, n, x, bits):
+    y = top // (n * x)
+    assert n * x * y == top
+    # n equal coefficients on each side: the middle coefficient of the
+    # product is unit^2 * n*x*y, for the units 1 and i exactly the bound
+    # the width is proven from, and twice the max-norm bound for 1 + i
+    u = GaussRat.of(*unit)
+    p = UniPoly([u * x] * n)
+    q = UniPoly([u * (sign * y)] * n)
+    if sum(unit) == 1:
+        assert 8 * exact._kron_width(n, x, y) == bits
+    prod = p * q
+    assert prod.coefficient(n - 1) == u * u * (sign * top)
+    assert_matches_schoolbook(p, q)
+
+
+def test_kronecker_kernel_property():
+    if st is None:
+        pytest.skip("hypothesis is not installed")
+    part = st.fractions(max_denominator=1 << 40) | st.integers(
+        -(1 << 300), 1 << 300).map(Fraction)
+    gauss = st.builds(GaussRat, part, part)
+    poly = st.lists(gauss, max_size=30).map(UniPoly)
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly, poly)
+    def check(p, q):
+        assert_matches_schoolbook(p, q)
+
+    check()
 
 
 def test_degree_bookkeeping(rng):
@@ -211,6 +323,113 @@ def test_squarefree_examples():
     assert is_squarefree(UniPoly.from_terms({10: 1, 5: -11, 0: -1}))
     assert is_squarefree(
         UniPoly.from_terms({20: 1, 15: 228, 10: 494, 5: -228, 0: 1}))
+
+
+# ---------------------------------------------------------------------------
+# the mod-p coprimality certificate
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Records every fallback to the exact poly_gcd."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(exact, "poly_gcd", spy)
+    return calls
+
+
+def test_certificate_prime_and_root_of_minus_one():
+    p, r = exact._P, exact._R
+    assert p % 4 == 1 and r * r % p == p - 1
+    # deterministic Miller-Rabin: these bases decide every n < 3.3 * 10^24
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            pytest.fail(f"{p} is composite (witness {a})")
+
+
+def test_coprime_certifies_without_gcd(gcd_calls, icosahedral_data):
+    P, V, M, _ = icosahedral_data
+    assert coprime(V, P) and coprime(M, V) and coprime(P, M)
+    assert is_squarefree(P) and is_squarefree(V) and is_squarefree(M)
+    assert gcd_calls == []
+
+
+def test_coprime_unlucky_prime_falls_back(gcd_calls):
+    # z and z - p are coprime over Q(i) but both reduce to z mod (p, i - r)
+    z = UniPoly.x()
+    shifted = z - UniPoly.constant(exact._P)
+    assert coprime(z, shifted)
+    assert coprime(shifted, z)
+    assert len(gcd_calls) == 2
+
+
+def test_coprime_prime_in_a_denominator_falls_back(gcd_calls):
+    z = UniPoly.x()
+    root = UniPoly.constant(Fraction(1, exact._P))
+    a = z - root
+    assert coprime(a, z + UniPoly.one())
+    assert coprime(z + UniPoly.one(), a)
+    assert not coprime(a, a * (z + UniPoly.one()))
+    assert not coprime((z + UniPoly.one()) * a, a)
+    gauss = UniPoly((GaussRat.of(1, Fraction(2, exact._P)), 1))
+    assert not coprime(gauss * z, gauss)
+    assert len(gcd_calls) == 5
+
+
+def test_coprime_leading_coefficient_divisible_by_prime(gcd_calls):
+    # a reduces to -(z - 2) and b to -1, yet a and b share the root 1/p
+    z, one = UniPoly.x(), UniPoly.one()
+    b = z.scale(exact._P) - one
+    assert not coprime(b * (z - one * 2), b)
+    assert len(gcd_calls) == 1
+
+
+def test_coprime_shared_root_is_false(gcd_calls):
+    z, one, i = UniPoly.x(), UniPoly.one(), UniPoly.constant(GaussRat.of(0, 1))
+    assert not coprime((z - i) * (z + one), (z - i) * (z - one * 3))
+    assert coprime((z - i) * (z + one), (z + i) * (z - one * 3))
+    assert not coprime(z * z + one, z - i)
+    assert coprime(z * z - one, z - i)
+    assert len(gcd_calls) == 2
+
+
+def test_coprime_agrees_with_gcd_randomized(rng):
+    count = 0
+    while count < 150:
+        p, q, g = (rand_poly(rng, 6, span=4) for _ in range(3))
+        if p.is_zero or q.is_zero or g.is_zero:
+            continue
+        count += 1
+        if count % 2:
+            p, q = p * g, q * g
+        assert coprime(p, q) == (poly_gcd(p, q).degree == 0)
+
+
+def test_is_squarefree_non_monic(gcd_calls):
+    z, one = UniPoly.x(), UniPoly.one()
+    assert is_squarefree((z * z - one).scale(3))
+    assert is_squarefree((z * z + one).scale(GaussRat.of(2, -5)))
+    assert not is_squarefree(((z - one) ** 2 * (z + one)).scale(Fraction(-7, 2)))
+    assert gcd_calls != []  # the False answer came from poly_gcd
+    del gcd_calls[:]
+    # a leading coefficient divisible by p: no unit to certify with
+    assert is_squarefree(UniPoly((-1, 0, exact._P)))
+    assert len(gcd_calls) == 1
 
 
 def test_squarefree_decomposition():

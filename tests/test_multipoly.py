@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fullerene_belyi import derive
 from fullerene_belyi.exact import GaussRat, UniPoly
 from fullerene_belyi.multipoly import (InconsistentSystemError, MultiPoly,
                                        NonDivisibleError, NonLinearStepError,
@@ -84,6 +85,53 @@ def test_substitution_is_ring_homomorphism(rng):
         rhs = p.substitute("y", r) * q.substitute("y", r)
         assert lhs == rhs
         assert (p + q).substitute("y", r) == p.substitute("y", r) + q.substitute("y", r)
+
+
+def substitute_by_accumulation(p, name, replacement):
+    """The former MultiPoly.substitute, kept as the reference: one
+    polynomial sum per term of p."""
+    if isinstance(replacement, (int, Fraction)):
+        replacement = MultiPoly.const(p.vars, replacement)
+    i = p.vars.index(name)
+    out = MultiPoly.zero(p.vars)
+    for expo, c in p.terms.items():
+        stripped = list(expo)
+        stripped[i] = 0
+        out = out + MultiPoly(p.vars, {tuple(stripped): c}) * replacement ** expo[i]
+    return out
+
+
+def test_substitute_matches_accumulation_randomized(rng):
+    names = ("x", "y", "w")
+
+    def rand_mp(terms):
+        return MultiPoly(names, {tuple(rng.randint(0, 3) for _ in names):
+                                 Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                 for _ in range(terms)})
+
+    for _ in range(200):
+        p = rand_mp(rng.randint(0, 8))
+        r = rand_mp(rng.randint(0, 3)) if rng.random() < 0.8 else rng.randint(-3, 3)
+        name = rng.choice(names)
+        got = p.substitute(name, r)
+        assert got == substitute_by_accumulation(p, name, r)
+        assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+
+
+def test_substitute_matches_accumulation_on_s6_elimination(monkeypatch):
+    checked = []
+    fast = MultiPoly.substitute
+
+    def both(self, name, replacement):
+        got = fast(self, name, replacement)
+        assert got == substitute_by_accumulation(self, name, replacement)
+        checked.append(name)
+        return got
+
+    monkeypatch.setattr(MultiPoly, "substitute", both)
+    p_sym, trace = derive.run_ode_elimination.__wrapped__(6)
+    assert trace.apply_param(p_sym) == derive._family()[0]
+    assert len(checked) > 100
 
 
 def test_divide_exact_and_failure():
