@@ -236,13 +236,11 @@ class FactoredBelyi:
         for f, _ in all_factors:
             if not f.is_monic:
                 raise FactorNotSquarefree(f"factor {f} is not monic")
-            if f.degree >= 1 and not is_squarefree(f):
+            if not is_squarefree(f):
                 raise FactorNotSquarefree(f"factor {f} has a repeated root")
         for i in range(len(all_factors)):
             for j in range(i + 1, len(all_factors)):
                 a, b = all_factors[i][0], all_factors[j][0]
-                if a.degree == 0 or b.degree == 0:
-                    continue
                 if not coprime(a, b):
                     raise FactorsShareRoot(f"factors {a} and {b} share a root")
 

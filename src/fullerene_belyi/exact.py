@@ -543,7 +543,7 @@ _R = pow(2, (_P - 1) // 4, _P)
 def _reduce_mod_p(f: UniPoly) -> list[int] | None:
     """f modulo the prime ideal (_P, i - _R) of Z[i], as coefficients in
     F_p (p = _P) lowest first without trailing zeros; None when some
-    denominator is divisible by _P, so that f has no reduction."""
+    denominator is divisible by _P, where the certificate does not apply."""
     inverses: dict[int, int] = {}
     out = []
     for c in f.coeffs:

@@ -125,8 +125,8 @@ def assert_matches_schoolbook(p, q):
 
 
 def rand_kernel_poly(rng, deg, kind, bits=20):
-    """deg + 1 coefficients of `kind`: real, imaginary, gaussian, mixed
-    (unrelated denominators) or big (integers of `bits` bits)."""
+    """deg + 1 coefficients of `kind` (real, imaginary, gaussian, or mixed:
+    gaussian with unrelated denominators), numerators up to `bits` bits."""
     def part():
         return rng.randint(-(1 << bits), 1 << bits)
 
