@@ -139,6 +139,15 @@ def _product(factors: Factors) -> UniPoly:
     return reduce(lambda acc, fe: acc * fe[0] ** fe[1], factors, UniPoly.one())
 
 
+def merge_by_exponent(factors) -> Factors:
+    """The factors sharing an exponent multiplied together, in ascending
+    order of exponent: the shape squarefree_decomposition returns."""
+    merged: dict[int, UniPoly] = {}
+    for f, e in factors:
+        merged[e] = merged[e] * f if e in merged else f
+    return tuple((merged[e], e) for e in sorted(merged))
+
+
 def _normalize_factors(factors) -> Factors:
     out = []
     for f, e in factors:
@@ -180,8 +189,11 @@ class FactoredBelyi:
     def from_ratmap(f: RationalMap) -> "FactoredBelyi":
         """Factor a rational map into Belyi shape via squarefree splitting.
 
-        Factors of equal multiplicity may come out merged (their product is
-        squarefree); passports are insensitive to that.
+        This is how the degree-6 function and maps given by users enter;
+        the composed presets are built factor by factor (substitute_power
+        and moebius.factored_compose_moebius), and tests hold them to this
+        reference.  Factors of equal multiplicity come out merged (their
+        product is squarefree); passports are insensitive to that.
         """
         w = f.one_numerator()
         if w.is_zero:
@@ -192,6 +204,35 @@ class FactoredBelyi:
         side, order = _infinity_from_degrees(f.k, f.num, f.den, w)
         return FactoredBelyi(f.k, zero_factors, one_factors, pole_factors,
                              side, order)
+
+    def substitute_power(self, n: int) -> "FactoredBelyi":
+        """beta(z^n), factor by factor.
+
+        A factor f with f(0) != 0 becomes f(z^n) with the same exponent:
+        (f(z^n))' = n*z^(n-1)*f'(z^n) keeps it squarefree, and the roots
+        of different factors lift to disjoint sets of n-th roots, so the
+        factors stay coprime.  A factor z*g gives z with n times its
+        exponent and g(z^n) with its own, and the order at infinity is
+        multiplied by n.  Factors sharing an exponent are then merged, so
+        the result is what from_ratmap returns for the substituted map.
+        """
+        if n < 1:
+            raise ValueError("power substitution needs n >= 1")
+
+        def lift(factors: Factors) -> Factors:
+            out = []
+            for f, e in factors:
+                if f.coefficient(0).is_zero:
+                    out.append((UniPoly.x(), n * e))
+                    f = UniPoly(f.coeffs[1:])
+                    if f.degree == 0:
+                        continue
+                out.append((f.substitute_power(n), e))
+            return merge_by_exponent(out)
+
+        return FactoredBelyi(self.k, lift(self.zero_factors),
+                             lift(self.one_factors), lift(self.pole_factors),
+                             self.infinity_side, self.infinity_order * n)
 
     def to_ratmap(self) -> RationalMap:
         return RationalMap(self.k, _product(self.zero_factors),

@@ -85,10 +85,6 @@ class GaussRat:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.im
-
     def __bool__(self) -> bool:
         return not self.is_zero
 
@@ -583,6 +579,16 @@ def _constant_gcd_mod_p(a: list[int], b: list[int]) -> bool:
     return len(a) == 1
 
 
+def _certified_coprime(a: UniPoly, b: UniPoly) -> bool:
+    """True when the certificate modulo the fixed prime proves a and b
+    coprime; False means only that it is inconclusive."""
+    if not (a and b):
+        return False
+    ra, rb = _reduce_mod_p(a), _reduce_mod_p(b)
+    return (ra is not None and rb is not None and len(ra) == len(a.coeffs)
+            and _constant_gcd_mod_p(ra, rb))
+
+
 def coprime(a: UniPoly, b: UniPoly) -> bool:
     """True iff a and b have no common root, i.e. gcd(a, b) is constant.
 
@@ -590,12 +596,7 @@ def coprime(a: UniPoly, b: UniPoly) -> bool:
     module docstring), otherwise decided by poly_gcd.  The certificate
     needs lead(a) to survive the reduction, so pass the polynomial with
     the unit leading coefficient first."""
-    if a and b:
-        ra, rb = _reduce_mod_p(a), _reduce_mod_p(b)
-        if (ra is not None and rb is not None and len(ra) == len(a.coeffs)
-                and _constant_gcd_mod_p(ra, rb)):
-            return True
-    return poly_gcd(a, b).degree == 0
+    return _certified_coprime(a, b) or poly_gcd(a, b).degree == 0
 
 
 def is_squarefree(p: UniPoly) -> bool:
@@ -647,13 +648,16 @@ class RationalMap:
         if den.is_zero:
             raise ZeroDivisionError("rational map with zero denominator")
         if not _known_canonical:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
             k = k * num.leading() / den.leading()
             num = num.monic()
             den = den.monic()
+            # the monic num leads, so the certificate applies; poly_gcd
+            # runs only when it is inconclusive or the two share a root
+            if not _certified_coprime(num, den):
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num.divide_exact(g)
+                    den = den.divide_exact(g)
         if k.is_zero:
             raise ValueError("rational map with zero scalar")
         object.__setattr__(self, "k", k)

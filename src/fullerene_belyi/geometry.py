@@ -167,12 +167,15 @@ class BarrelVertices:
         return self.points[label]
 
 
+@cache
 def barrel_vertex_polynomial() -> UniPoly:
-    """z^24 + 228 z^18 + 494 z^12 - 228 z^6 + 1, taken from the degree-72
-    preset rather than typed in."""
+    """z^24 + 228 z^18 + 494 z^12 - 228 z^6 + 1, taken from the certified
+    degree-72 preset rather than typed in."""
     from .moebius import build_beta72
 
-    (factor, exponent), = build_beta72().zero_factors
+    beta = build_beta72()
+    beta.verify()
+    (factor, exponent), = beta.zero_factors
     if exponent != 3 or factor.degree != 24:
         raise AssertionError("unexpected degree-72 vertex factor")
     return factor

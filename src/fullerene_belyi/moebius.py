@@ -7,10 +7,14 @@ The unfolding chain is
     beta72 = beta12(z^6),
 
 where mu1 carries (0, 1, inf) to (-11+2i, 0, -11-2i) and mu2 carries
-(0, inf, i) to (-1, 1, inf).  All substitution happens on projective pairs
-(numerator, denominator), so points passing through infinity need no special
-cases.  Schwarz's classical invariant triple is reproduced at the end as an
-independent cross-check of the degree-60 function.
+(0, inf, i) to (-1, 1, inf).  The presets never leave factored form: each
+step maps the monic squarefree factors of the previous function one by one
+(factored_compose_moebius here, FactoredBelyi.substitute_power in belyi),
+and the multiplied-out maps are read off the result.  Composition of a
+plain RationalMap (ratmap_compose_moebius) works on projective pairs
+(numerator, denominator) and is kept for user maps and as the tests'
+reference.  Schwarz's classical invariant triple is reproduced at the end
+as an independent cross-check of the degree-60 function.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .belyi import FactoredBelyi
+from .belyi import FactoredBelyi, merge_by_exponent
 from .derive import d6_solve
-from .exact import GaussRat, RationalMap, UniPoly, Scalarish
+from .exact import (ONE, GaussRat, RationalMap, UniPoly, Scalarish,
+                    binary_power)
 
 
 class _Infinity:
@@ -171,6 +176,49 @@ def ratmap_compose_moebius(f: RationalMap, m: Moebius, side: str = "pre"
     raise ValueError(f"side must be 'pre' or 'post', not {side!r}")
 
 
+def factored_compose_moebius(beta: FactoredBelyi, m: Moebius) -> FactoredBelyi:
+    """beta(m(z)) in factored form, without multiplying the factors out.
+
+    A factor f becomes the monic numerator of f(m(z)) over
+    (cz + d)^deg f; its roots are the m-preimages of f's roots, so the
+    factors stay squarefree and coprime.  The one factor vanishing at
+    m(inf) = a/c loses a degree, and its class and exponent pass to
+    infinity (which is untagged when no factor vanishes there).  The point
+    m^-1(inf) = -d/c takes infinity's old class and order.  The scalar
+    picks up the leading coefficients, and the power (cz + d)^(+-o) left
+    over when infinity was a zero or pole of order o.  With c = 0,
+    infinity keeps its tag and that power is the constant d^(+-o).
+    """
+    side, order = beta.infinity_side, beta.infinity_order
+    affine = m.c.is_zero
+    new_side, new_order = (side, order) if affine else ("none", 0)
+    k = beta.k
+    sides = {}
+    for name, factors in (("zero", beta.zero_factors),
+                          ("one", beta.one_factors),
+                          ("pole", beta.pole_factors)):
+        out = []
+        for f, e in factors:
+            h = _homogenized_substitution(f, m, f.degree)
+            if h.degree < f.degree:
+                new_side, new_order = name, e
+            if name != "one":
+                lead = binary_power(h.leading(), e, ONE)
+                k = k * lead if name == "zero" else k / lead
+            if h.degree > 0:
+                out.append((h.monic(), e))
+        sides[name] = out
+    if side in ("zero", "pole"):
+        u = binary_power(m.d if affine else m.c, order, ONE)
+        k = k * u if side == "zero" else k / u
+    if not affine and side != "none":
+        sides[side].append((UniPoly([m.d / m.c, ONE]), order))
+    return FactoredBelyi(k, merge_by_exponent(sides["zero"]),
+                         merge_by_exponent(sides["one"]),
+                         merge_by_exponent(sides["pole"]),
+                         new_side, new_order)
+
+
 # ---------------------------------------------------------------------------
 # The preset pipeline
 # ---------------------------------------------------------------------------
@@ -198,36 +246,35 @@ def beta6_ratmap() -> RationalMap:
 
 
 @cache
-def beta12_ratmap() -> RationalMap:
-    """beta6 . mu1 . (z -> z^2) . mu2, built on projective pairs."""
-    f = ratmap_compose_moebius(beta6_ratmap(), mu1(), "pre")
-    f = f.substitute_power(2)
-    return ratmap_compose_moebius(f, mu2(), "pre")
-
-
-@cache
-def beta60_ratmap() -> RationalMap:
-    return beta12_ratmap().substitute_power(5)
-
-
-@cache
-def beta72_ratmap() -> RationalMap:
-    return beta12_ratmap().substitute_power(6)
-
-
-@cache
 def build_beta12() -> FactoredBelyi:
-    return FactoredBelyi.from_ratmap(beta12_ratmap())
+    """beta6 . mu1 . (z -> z^2) . mu2, factor by factor."""
+    beta = factored_compose_moebius(d6_solve().belyi, mu1())
+    return factored_compose_moebius(beta.substitute_power(2), mu2())
 
 
 @cache
 def build_beta60() -> FactoredBelyi:
-    return FactoredBelyi.from_ratmap(beta60_ratmap())
+    return build_beta12().substitute_power(5)
 
 
 @cache
 def build_beta72() -> FactoredBelyi:
-    return FactoredBelyi.from_ratmap(beta72_ratmap())
+    return build_beta12().substitute_power(6)
+
+
+@cache
+def beta12_ratmap() -> RationalMap:
+    return build_beta12().to_ratmap()
+
+
+@cache
+def beta60_ratmap() -> RationalMap:
+    return build_beta60().to_ratmap()
+
+
+@cache
+def beta72_ratmap() -> RationalMap:
+    return build_beta72().to_ratmap()
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +296,18 @@ def schwarz_forms() -> tuple[UniPoly, UniPoly, UniPoly]:
 
 def schwarz_check(phi30_override: UniPoly | None = None) -> bool:
     """phi20^3 - phi30^2 = 1728 * phi12^5 exactly, and the degree-60 preset
-    equals phi20^3/(1728*phi12^5) after z -> -z.  The override lets tests
-    demonstrate that a perturbed phi30 breaks the identity."""
+    equals phi20^3/(1728*phi12^5) after z -> -z.  The second check compares
+    factored forms: by the identity, beta - 1 = phi30^2/(1728*phi12^5), and
+    the degrees 60 over 55 put a pole of order 5 at infinity.  The override
+    lets tests demonstrate that a perturbed phi30 breaks the identity."""
     phi12, phi20, phi30 = schwarz_forms()
     if phi30_override is not None:
         phi30 = phi30_override
     if phi20 ** 3 - phi30 ** 2 != (phi12 ** 5).scale(1728):
         return False
-    flipped = ratmap_compose_moebius(beta60_ratmap(), Moebius.of(-1, 0, 0, 1),
-                                     "pre")
-    schwarz_map = RationalMap(GaussRat.of(1, 0) / 1728, phi20 ** 3, phi12 ** 5)
-    return flipped == schwarz_map
+    flipped = factored_compose_moebius(build_beta60(), Moebius.of(-1, 0, 0, 1))
+    k = (binary_power(phi20.leading(), 3, ONE)
+         / binary_power(phi12.leading(), 5, ONE) / 1728)
+    schwarz = FactoredBelyi(k, ((phi20.monic(), 3),), ((phi30.monic(), 2),),
+                            ((phi12.monic(), 5),), "pole", 5)
+    return flipped == schwarz

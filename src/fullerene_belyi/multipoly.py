@@ -101,9 +101,6 @@ class MultiPoly:
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
@@ -315,10 +312,6 @@ class EliminationTrace:
             if step.variable == name:
                 return step.substitution
         raise KeyError(name)
-
-    @property
-    def solved_vars(self) -> tuple[str, ...]:
-        return tuple(s.variable for s in self.steps)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         """Substitute every solved variable, in recorded order."""

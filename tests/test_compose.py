@@ -1,16 +1,22 @@
 """Moebius maps and the composition pipeline for the 12/60/72-edge presets."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from fullerene_belyi.exact import GaussRat, UniPoly
+from fullerene_belyi import belyi, cli, exact, geometry, moebius
+from fullerene_belyi.belyi import (BelyiVerificationError, FactoredBelyi,
+                                   Passport)
+from fullerene_belyi.derive import d6_solve
+from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.moebius import (INFINITY, Moebius, beta6_ratmap,
                                      beta12_ratmap, beta60_ratmap,
                                      beta72_ratmap, build_beta12, build_beta60,
-                                     build_beta72, moebius_from_three_points,
-                                     mu1, mu2, ratmap_compose_moebius,
-                                     schwarz_check, schwarz_forms)
+                                     build_beta72, factored_compose_moebius,
+                                     moebius_from_three_points, mu1, mu2,
+                                     ratmap_compose_moebius, schwarz_check,
+                                     schwarz_forms)
 
 
 def rand_moebius(rng):
@@ -188,6 +194,153 @@ def test_passport_lift_relation_for_presets():
         # pole at 0, and the simple pole at infinity
         expected_faces = sorted([5] * (2 * n) + [n, n], reverse=True)
         assert lifted.faces == tuple(expected_faces)
+
+
+# ---------------------------------------------------------------------------
+# the factored builders against the multiply-out-and-split reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, ratmap", [
+    (build_beta12, beta12_ratmap), (build_beta60, beta60_ratmap),
+    (build_beta72, beta72_ratmap)])
+def test_factored_builders_match_from_ratmap(build, ratmap):
+    reference = FactoredBelyi.from_ratmap(ratmap())
+    assert build().to_text() == reference.to_text()
+    assert build() == reference
+
+
+def test_beta12_built_factored_matches_projective_pipeline():
+    # the old chain: multiply out, compose on projective pairs, split by Yun
+    f = ratmap_compose_moebius(beta6_ratmap(), mu1(), "pre").substitute_power(2)
+    f = ratmap_compose_moebius(f, mu2(), "pre")
+    assert build_beta12() == FactoredBelyi.from_ratmap(f)
+
+
+@pytest.mark.parametrize("base, n", [("d6", 2), ("d6", 5), ("d12", 3),
+                                     ("d60", 2)])
+def test_substitute_power_matches_from_ratmap(base, n):
+    # d60's pole side is z * (z^10 - 11 z^5 - 1) merged at exponent 5;
+    # lifting by 2 must split it into z^10 and the rest at exponent 5
+    beta = cli.load_preset(base)
+    reference = FactoredBelyi.from_ratmap(beta.to_ratmap().substitute_power(n))
+    assert beta.substitute_power(n).to_text() == reference.to_text()
+
+
+def test_substitute_power_mutations_fail_verify():
+    base = build_beta12()
+    z = UniPoly.x()
+    for n in (5, 6):
+        good = base.substitute_power(n)
+        good.verify()
+        unscaled = replace(good, infinity_order=base.infinity_order)
+        with pytest.raises(BelyiVerificationError):
+            unscaled.verify()
+        # z keeping its exponent instead of taking n times it
+        poles = tuple((z, e) if f == z else (f.substitute_power(n), e)
+                      for f, e in base.pole_factors)
+        with pytest.raises(BelyiVerificationError):
+            replace(good, pole_factors=poles).verify()
+
+
+def cube() -> FactoredBelyi:
+    """z^3: the only finite zero is 0, so sending infinity there moves
+    infinity onto the zero side."""
+    return FactoredBelyi.from_ratmap(RationalMap(1, UniPoly.monomial(3),
+                                                 UniPoly.one()))
+
+
+def moebius_cases(rng, targets):
+    """Random maps, affine maps (c = 0), and maps sending infinity onto
+    each Gaussian-rational critical point in targets."""
+    cases = [rand_moebius(rng) for _ in range(4)]
+    while len(cases) < 7:
+        a, b = (GaussRat.of(rng.randint(-5, 5), rng.randint(-5, 5))
+                for _ in range(2))
+        if not a.is_zero:
+            cases.append(Moebius.of(a, b, 0, 1))
+    for t in targets:
+        # z -> t + 1/(z - w): infinity goes to t, w to infinity
+        w = GaussRat.of(rng.randint(-5, 5), rng.randint(-5, 5))
+        cases.append(Moebius.of(t, 1 - t * w, 1, -w))
+    return cases
+
+
+@pytest.mark.parametrize("base, targets", [
+    ("d6", [GaussRat.of(0), GaussRat.of(-11, 2)]),
+    ("d12", [GaussRat.of(0), GaussRat.of(0, 1), GaussRat.of(0, -1)]),
+    ("cube", [GaussRat.of(0), GaussRat.of(1)])])
+def test_factored_moebius_keeps_passport_and_matches_reference(rng, base,
+                                                               targets):
+    start = cube() if base == "cube" else cli.load_preset(base)
+    passport = start.verify()
+    for first in moebius_cases(rng, targets):
+        beta = start
+        # a second, random map covers every infinity tag the first leaves
+        for m in (first, rand_moebius(rng)):
+            got = factored_compose_moebius(beta, m)
+            reference = FactoredBelyi.from_ratmap(
+                ratmap_compose_moebius(beta.to_ratmap(), m))
+            assert got.to_text() == reference.to_text()
+            assert got.verify() == passport
+            beta = got
+
+
+def test_factored_moebius_moves_infinity_tags():
+    d12 = build_beta12()
+    # infinity onto the simple pole at 0, the double one-point at i, and a
+    # regular point
+    to_zero = factored_compose_moebius(d12, Moebius.of(0, 1, 1, 0))
+    assert (to_zero.infinity_side, to_zero.infinity_order) == ("pole", 1)
+    to_i = factored_compose_moebius(d12, mu2().inverse())
+    assert (to_i.infinity_side, to_i.infinity_order) == ("one", 2)
+    regular = factored_compose_moebius(d12, Moebius.of(1, 0, 1, 7))
+    assert (regular.infinity_side, regular.infinity_order) == ("none", 0)
+    # z -> -z keeps the tag, and k picks up (-1)^(-1) from the pole
+    flipped = factored_compose_moebius(d12, Moebius.of(-1, 0, 0, 1))
+    assert (flipped.infinity_side, flipped.infinity_order) == ("pole", 1)
+    assert flipped.k == GaussRat.of(Fraction(-1, 1728))
+
+
+@pytest.fixture
+def yun_degrees(monkeypatch):
+    """Degrees of every polynomial split by squarefree_decomposition, with
+    the preset caches emptied so each command builds from d6 again."""
+    degrees = []
+
+    def spy(p):
+        degrees.append(p.degree)
+        return exact.squarefree_decomposition(p)
+
+    monkeypatch.setattr(belyi, "squarefree_decomposition", spy)
+    caches = (moebius.build_beta12, moebius.build_beta60, moebius.build_beta72,
+              moebius.beta12_ratmap, moebius.beta60_ratmap,
+              moebius.beta72_ratmap, geometry.barrel_vertex_polynomial,
+              geometry.barrel_vertices, d6_solve)
+    for fn in caches:
+        fn.cache_clear()
+    return degrees
+
+
+def test_commands_split_nothing_above_degree_six(yun_degrees, capsys):
+    for argv in (["compose", "d12"], ["compose", "d60"], ["compose", "d72"],
+                 ["compose", "schwarz"], ["geometry", "barrel"],
+                 ["verify", "d72"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert yun_degrees  # d6 itself is still split by Yun
+    assert max(yun_degrees) <= 6
+
+
+def test_schwarz_check_compares_factored_forms():
+    phi12, phi20, phi30 = schwarz_forms()
+    flipped = factored_compose_moebius(build_beta60(), Moebius.of(-1, 0, 0, 1))
+    # phi12 leads with -1, so its monic fifth power carries the sign into k
+    assert flipped.k == GaussRat.of(Fraction(-1, 1728))
+    assert flipped.zero_factors == ((phi20, 3),)
+    assert flipped.one_factors == ((phi30, 2),)
+    assert flipped.pole_factors == ((phi12.monic(), 5),)
+    assert flipped.verify() == Passport.of([3] * 20, [2] * 30, [5] * 12)
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,26 @@ def test_ratmap_canonicalization():
         RationalMap(1, UniPoly.zero(), z)
 
 
+def test_ratmap_of_each_preset_needs_no_gcd(gcd_calls):
+    from fullerene_belyi.cli import PRESETS, load_preset
+
+    presets = [load_preset(name) for name in PRESETS]
+    gcd_calls.clear()
+    for beta in presets:
+        f = beta.to_ratmap()
+        assert f.num.is_monic and f.den.is_monic and f.k == beta.k
+    assert gcd_calls == []
+
+
+def test_ratmap_shared_root_is_cancelled_through_gcd(gcd_calls):
+    z = UniPoly.x()
+    i = UniPoly.constant(GaussRat.of(0, 1))
+    f = RationalMap(3, (z - i) * (z + i) * z.scale(2), (z - i) ** 2)
+    assert f.num == (z + i) * z and f.den == z - i
+    assert f.k == GaussRat.of(6)
+    assert gcd_calls  # the certificate cannot settle a shared root
+
+
 def test_ratmap_substitute_power_simple():
     z = UniPoly.x()
     f = RationalMap(1, z, z + UniPoly.one())
