@@ -26,8 +26,7 @@ from .belyi import (BelyiVerificationError, FactoredBelyi, face_vector,
                     counting, fullerene_passport)
 from .derive import Verdict, d6_solve, derive_case
 from .geometry import (FaceGeometryReport, GeometryError, PENTAGON_CYCLE,
-                       barrel_vertex_polynomial, barrel_vertices,
-                       face_geometry, residual_scale)
+                       barrel_vertices, face_geometry)
 from .moebius import (beta12_ratmap, beta60_ratmap, beta72_ratmap,
                       build_beta12, build_beta60, build_beta72, schwarz_check,
                       schwarz_forms)
@@ -235,20 +234,12 @@ def cmd_compose(what: str, write_path: str | None = None):
     return doc, lines
 
 
-def cmd_geometry(svg_path: str | None, root_tol: float):
+def cmd_geometry(svg_path: str | None):
     verts = barrel_vertices()
-    poly = barrel_vertex_polynomial()
-    worst = max(abs(poly.eval_complex(z)) / residual_scale(poly, z)
-                for z in verts.points.values())
-    if worst > root_tol:
-        raise GeometryError(
-            f"barrel root residual {worst:.3e} exceeds --root-tol {root_tol:g}")
     report = face_geometry(PENTAGON_CYCLE)
     doc = {
         "command": "geometry",
         "target": "barrel",
-        "root_tolerance": root_tol,
-        "worst_root_residual": worst,
         "ring_radii": list(verts.radii),
         "radii_products": [verts.radii[0] * verts.radii[3],
                            verts.radii[1] * verts.radii[2]],
@@ -413,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geometry", help="metric report of the barrel pentagon")
     p.add_argument("target", choices=("barrel",))
     p.add_argument("--svg", metavar="PATH", help="also write the flat-face SVG")
-    p.add_argument("--root-tol", type=float, default=1e-10,
-                   help="relative residual bound for polynomial roots")
 
     return parser
 
@@ -433,9 +422,7 @@ def run(args: argparse.Namespace) -> tuple[dict, list[str]]:
             raise ValueError("--write applies to the d12/d60/d72 targets")
         return cmd_compose(args.target, args.write)
     if args.subcommand == "geometry":
-        if args.root_tol <= 0:
-            raise ValueError("--root-tol must be positive")
-        return cmd_geometry(args.svg, args.root_tol)
+        return cmd_geometry(args.svg)
     raise AssertionError("unreachable")
 
 

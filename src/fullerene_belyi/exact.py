@@ -640,24 +640,22 @@ class RationalMap:
 
     __slots__ = ("k", "num", "den")
 
-    def __init__(self, k: Scalarish, num: UniPoly, den: UniPoly,
-                 *, _known_canonical: bool = False):
+    def __init__(self, k: Scalarish, num: UniPoly, den: UniPoly):
         k = GaussRat.coerce(k)
         if num.is_zero:
             raise ValueError("rational map with zero numerator")
         if den.is_zero:
             raise ZeroDivisionError("rational map with zero denominator")
-        if not _known_canonical:
-            k = k * num.leading() / den.leading()
-            num = num.monic()
-            den = den.monic()
-            # the monic num leads, so the certificate applies; poly_gcd
-            # runs only when it is inconclusive or the two share a root
-            if not _certified_coprime(num, den):
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.divide_exact(g)
-                    den = den.divide_exact(g)
+        k = k * num.leading() / den.leading()
+        num = num.monic()
+        den = den.monic()
+        # the monic num leads, so the certificate applies; poly_gcd
+        # runs only when it is inconclusive or the two share a root
+        if not _certified_coprime(num, den):
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.divide_exact(g)
+                den = den.divide_exact(g)
         if k.is_zero:
             raise ValueError("rational map with zero scalar")
         object.__setattr__(self, "k", k)
@@ -677,12 +675,6 @@ class RationalMap:
 
     def __hash__(self) -> int:
         return hash((self.k, self.num, self.den))
-
-    def substitute_power(self, n: int) -> "RationalMap":
-        """self(z^n).  Substitution into coprime monic num/den keeps them
-        coprime and monic, so no renormalization pass is needed."""
-        return RationalMap(self.k, self.num.substitute_power(n),
-                           self.den.substitute_power(n), _known_canonical=True)
 
     def one_numerator(self) -> UniPoly:
         """Numerator of self - 1 over the common denominator: k*num - den."""

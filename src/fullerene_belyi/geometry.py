@@ -1,12 +1,19 @@
-"""Numeric layer: complex roots of the barrel vertex polynomial, inverse
-stereographic projection onto the unit sphere, and the metric report for the
-distinguished pentagonal face.
+"""Numeric layer: the barrel vertices, inverse stereographic projection
+onto the unit sphere, and the metric report for the distinguished
+pentagonal face.
 
-Roots come from Aberth-Ehrlich simultaneous iteration followed by Newton
-polishing; every returned root satisfies |p(root)| <= tol * scale(root)
-where scale(z) = sum |c_i| |z|^i is the evaluation-magnitude norm of the
-polynomial at the root (the natural backward-error yardstick).  Ordering is
-by (modulus, argument), so runs are deterministic.
+The barrel vertex polynomial is v(z) = q(z^6) with q the quartic zero
+factor of the degree-12 function.  barrel_vertices reads q off v exactly,
+finds its four roots numerically, certifies each one real and simple by an
+exact sign change of q, and places the 24 vertices as sixth roots of them;
+the ring structure is a consequence, not a numerical observation.
+
+poly_roots is the general root finder: Aberth-Ehrlich simultaneous
+iteration followed by Newton polishing; every returned root satisfies
+|p(root)| <= tol * scale(root) where scale(z) = sum |c_i| |z|^i is the
+evaluation-magnitude norm of the polynomial at the root (the natural
+backward-error yardstick).  Ordering is by (modulus, argument), so runs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 from .exact import UniPoly, is_squarefree
@@ -181,57 +189,48 @@ def barrel_vertex_polynomial() -> UniPoly:
     return factor
 
 
-_RING_TOL = 1e-9
-
-
 @cache
 def barrel_vertices() -> BarrelVertices:
-    """Roots of the vertex polynomial, checked against the ring structure
-    and labeled A1..A24."""
+    """The 24 vertices, placed from the quartic q with v(z) = q(z^6).
+
+    q's roots come from poly_roots and are then certified exactly: q has
+    real coefficients and changes sign, in Fraction arithmetic, across
+    disjoint brackets [x - d, x + d] with d = 2^-40 * max(1, |x|), one per
+    root.  deg q disjoint sign changes prove every root real and simple.
+    Sorted by |w|, the roots must have signs (+, +, -, -).  The sixth roots
+    of w > 0 lie at arguments k*pi/3 and those of w < 0 at pi/6 + k*pi/3,
+    all at radius |w|^(1/6), so the ring structure follows from q.  Any
+    failed check raises GeometryError."""
     v = barrel_vertex_polynomial()
-    roots = poly_roots(v, 1e-10)
-    if len(roots) != 24:
-        raise GeometryError("expected 24 vertices")
-
-    moduli = sorted(abs(z) for z in roots)
-    rings = [moduli[0:6], moduli[6:12], moduli[12:18], moduli[18:24]]
-    radii = []
-    for ring in rings:
-        if ring[-1] - ring[0] > _RING_TOL:
-            raise GeometryError("vertex moduli do not cluster into rings")
-        radii.append(math.fsum(ring) / 6.0)
-    r1, r2, r3, r4 = radii
-    if not (abs(r1 * r4 - 1.0) <= _RING_TOL and abs(r2 * r3 - 1.0) <= _RING_TOL):
-        raise GeometryError("ring radii do not pair into reciprocals")
-
-    def expected(k: int) -> tuple[float, float]:
-        # (radius, argument) for label A_k
-        if k <= 6:
-            return r1, math.pi * (k - 1) / 3.0
-        if k <= 12:
-            return r2, math.pi * (k - 7) / 3.0
-        if k <= 18:
-            return r3, math.pi / 6.0 + math.pi * (k - 13) / 3.0
-        return r4, math.pi / 6.0 + math.pi * (k - 19) / 3.0
-
-    points = {}
-    taken = [False] * 24
-    for k in range(1, 25):
-        r, theta = expected(k)
-        target = r * cmath.exp(1j * theta)
-        best, best_dist = None, math.inf
-        for i, z in enumerate(roots):
-            if taken[i]:
-                continue
-            dist = abs(z - target)
-            if dist < best_dist:
-                best, best_dist = i, dist
-        if best is None or best_dist > _RING_TOL:
+    q = UniPoly(v.coeffs[::6])
+    if q.substitute_power(6) != v:
+        raise GeometryError("vertex polynomial is not a polynomial in z^6")
+    if any(c.im for c in q.coeffs):
+        raise GeometryError("vertex polynomial has non-real coefficients")
+    roots = []  # (x, lo, hi) by ascending x
+    for x in sorted(z.real for z in poly_roots(q)):
+        delta = Fraction(max(1.0, abs(x))) / 2 ** 40
+        lo, hi = Fraction(x) - delta, Fraction(x) + delta
+        if q.evaluate(lo).re * q.evaluate(hi).re >= 0:
             raise GeometryError(
-                f"no root matches the expected position of A{k}")
-        taken[best] = True
-        points[f"A{k}"] = roots[best]
-    return BarrelVertices(points=points, radii=(r1, r2, r3, r4))
+                f"quartic in z^6 has no certified real root near {x!r}")
+        if roots and roots[-1][2] >= lo:
+            raise GeometryError("root brackets of the quartic in z^6 overlap")
+        roots.append((x, lo, hi))
+    roots.sort(key=lambda t: abs(t[0]))
+    signs = [1 if lo > 0 else -1 if hi < 0 else 0 for _, lo, hi in roots]
+    if signs != [1, 1, -1, -1]:
+        raise GeometryError(
+            f"quartic roots by modulus have signs {signs}, not [1, 1, -1, -1]")
+
+    radii = tuple(abs(x) ** (1.0 / 6.0) for x, _, _ in roots)
+    points = {}
+    for ring, (r, sign) in enumerate(zip(radii, signs)):
+        offset = 0.0 if sign > 0 else math.pi / 6.0
+        for k in range(6):
+            points[f"A{6 * ring + k + 1}"] = cmath.rect(
+                r, offset + math.pi * k / 3.0)
+    return BarrelVertices(points=points, radii=radii)
 
 
 # ---------------------------------------------------------------------------

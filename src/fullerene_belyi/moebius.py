@@ -160,20 +160,12 @@ def _homogenized_substitution(p: UniPoly, m: Moebius, degree: int) -> UniPoly:
     return out
 
 
-def ratmap_compose_moebius(f: RationalMap, m: Moebius, side: str = "pre"
-                           ) -> RationalMap:
-    """side="pre" gives f(m(z)); side="post" gives m(f(z)); both exact."""
-    if side == "pre":
-        e = max(f.num.degree, f.den.degree)
-        num = _homogenized_substitution(f.num, m, e)
-        den = _homogenized_substitution(f.den, m, e)
-        return RationalMap(f.k, num, den)
-    if side == "post":
-        kn = f.num.scale(f.k)
-        num = kn.scale(m.a) + f.den.scale(m.b)
-        den = kn.scale(m.c) + f.den.scale(m.d)
-        return RationalMap(1, num, den)
-    raise ValueError(f"side must be 'pre' or 'post', not {side!r}")
+def ratmap_compose_moebius(f: RationalMap, m: Moebius) -> RationalMap:
+    """f(m(z)), exact."""
+    e = max(f.num.degree, f.den.degree)
+    num = _homogenized_substitution(f.num, m, e)
+    den = _homogenized_substitution(f.den, m, e)
+    return RationalMap(f.k, num, den)
 
 
 def factored_compose_moebius(beta: FactoredBelyi, m: Moebius) -> FactoredBelyi:
@@ -238,11 +230,6 @@ def mu2() -> Moebius:
     """(iz - 1)/(iz + 1): sends (0, inf, i) to (-1, 1, inf)."""
     return moebius_from_three_points((0, INFINITY, GaussRat.of(0, 1)),
                                      (-1, 1, INFINITY))
-
-
-@cache
-def beta6_ratmap() -> RationalMap:
-    return d6_solve().belyi.to_ratmap()
 
 
 @cache

@@ -2,11 +2,15 @@
 
 Everything here works on plain data (lists of Fraction pairs, Fractions,
 floats), never on the package's own types, so a test comparing library
-output against these functions exercises two unrelated code paths.
+output against these functions exercises two unrelated code paths.  The
+one exception is ratmap_substitute_power, the multiplied-out reference for
+FactoredBelyi.substitute_power.
 """
 
 import math
 from fractions import Fraction
+
+from fullerene_belyi.exact import RationalMap
 
 # A Gaussian rational is an (re, im) pair of Fractions.
 GZERO = (Fraction(0), Fraction(0))
@@ -170,3 +174,9 @@ def pentagon_chord_angles(quartic_roots):
         cos = dot / math.sqrt(sum(a * a for a in u) * sum(b * b for b in v))
         angles[label] = math.degrees(math.acos(max(-1.0, min(1.0, cos))))
     return angles
+
+
+def ratmap_substitute_power(f, n):
+    """f(z^n) for a RationalMap f, by substituting into num and den."""
+    return RationalMap(f.k, f.num.substitute_power(n),
+                       f.den.substitute_power(n))

@@ -10,7 +10,8 @@ from fullerene_belyi.belyi import (DegreeImbalance, FactoredBelyi,
                                    face_vector, fullerene_passport,
                                    main_equation_residual)
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
-from oracles import eval_pairs, gadd, gmul, gneg, poly_pairs
+from oracles import (eval_pairs, gadd, gmul, gneg, poly_pairs,
+                     ratmap_substitute_power)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,7 @@ def test_passport_repetition_under_power_substitution():
     fixed points by n; parts at 0 and infinity scale in place."""
     base = quotient6_by_hand().to_ratmap()
     for n in (5, 6):
-        lifted = FactoredBelyi.from_ratmap(base.substitute_power(n))
+        lifted = FactoredBelyi.from_ratmap(ratmap_substitute_power(base, n))
         pp = lifted.verify()
         base_pp = quotient6_by_hand().verify()
         # black side of the base: two roots of part 3, no fixed points

@@ -103,13 +103,6 @@ def test_geometry_text(capsys):
     assert "dihedral between the planes: 1.3608 deg" in out
 
 
-def test_geometry_root_tol_override(capsys):
-    code, _, err = run_cli(capsys, "geometry", "barrel", "--root-tol", "1e-18")
-    assert code == 1 and "exceeds --root-tol" in err
-    code, _, _ = run_cli(capsys, "geometry", "barrel", "--root-tol", "1e-9")
-    assert code == 0
-
-
 # ---------------------------------------------------------------------------
 # files, round trips, determinism
 # ---------------------------------------------------------------------------

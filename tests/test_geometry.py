@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from fullerene_belyi.exact import UniPoly
+from fullerene_belyi import geometry
+from fullerene_belyi.exact import GaussRat, UniPoly
 from fullerene_belyi.geometry import (GeometryError, barrel_vertex_polynomial,
                                       barrel_vertices, face_geometry,
                                       inverse_stereographic, plane_through,
@@ -59,6 +60,70 @@ def test_barrel_root_residuals():
     assert v == UniPoly.from_terms({24: 1, 18: 228, 12: 494, 6: -228, 0: 1})
     for z in barrel_vertices().points.values():
         assert abs(v.eval_complex(z)) <= 1e-10 * residual_scale(v, z)
+
+
+@pytest.fixture
+def fresh_barrel():
+    """Empty the barrel_vertices cache before and after the test, so a
+    monkeypatched vertex polynomial is read and does not leak."""
+    geometry.barrel_vertices.cache_clear()
+    yield
+    geometry.barrel_vertices.cache_clear()
+
+
+@pytest.mark.parametrize("terms, message", [
+    ({24: 1, 18: 228, 12: 494, 7: 1, 6: -228, 0: 1}, "polynomial in z\\^6"),
+    ({24: 1, 0: GaussRat.of(0, 1)}, "non-real"),
+    ({24: 1, 18: 228, 12: 494, 6: -228, 0: 100000}, "no certified real root"),
+    ({24: 1, 18: -228, 12: 494, 6: 228, 0: 1}, "signs"),
+], ids=["not-in-z6", "non-real", "complex-pair", "flipped-signs"])
+def test_barrel_vertices_reject_mutated_polynomial(monkeypatch, fresh_barrel,
+                                                   terms, message):
+    monkeypatch.setattr(geometry, "barrel_vertex_polynomial",
+                        lambda: UniPoly.from_terms(terms))
+    with pytest.raises(GeometryError, match=message):
+        barrel_vertices()
+
+
+def test_barrel_vertices_reject_overlapping_brackets(monkeypatch,
+                                                     fresh_barrel):
+    # a root reported twice gives two sign changes around one root, so
+    # four sign changes would no longer prove four real roots
+    def twice(p):
+        roots = poly_roots(p)
+        return [roots[0], *roots[:3]]
+
+    monkeypatch.setattr(geometry, "poly_roots", twice)
+    with pytest.raises(GeometryError, match="overlap"):
+        barrel_vertices()
+
+
+def test_barrel_vertices_find_roots_of_the_quartic_only(monkeypatch,
+                                                        fresh_barrel):
+    degrees = []
+
+    def spy(p, *args):
+        degrees.append(p.degree)
+        return poly_roots(p, *args)
+
+    monkeypatch.setattr(geometry, "poly_roots", spy)
+    barrel_vertices()
+    assert degrees == [4]
+
+
+def test_barrel_vertices_on_real_axis():
+    verts = barrel_vertices()
+    assert verts["A1"].imag == 0.0 and verts["A1"].real > 0
+    assert verts["A7"].imag == 0.0 and verts["A7"].real > 0
+
+
+def test_barrel_radii_against_quartic_oracle():
+    want = [abs(w) ** (1.0 / 6.0)
+            for w in sorted(quartic_oracle_roots(), key=abs)]
+    got = barrel_vertices().radii
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12
 
 
 def test_barrel_ring_radii():
