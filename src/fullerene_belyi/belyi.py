@@ -108,10 +108,19 @@ def face_vector(p6: int) -> FullereneParams:
         n_dessin_edges=60 + 6 * p6, realizable=(p6 != 1))
 
 
+# a passport lists its 6*p6 + 62 parts one by one, so p6 is capped before
+# anything is allocated; face_vector and counting are O(1) and stay unbounded
+MAX_PASSPORT_P6 = 10 ** 6
+
+
 def fullerene_passport(p6: int) -> Passport:
-    """(3^(2n) | 2^(3n) | 5^12 6^(n-10)) with n = 10 + p6."""
+    """(3^(2n) | 2^(3n) | 5^12 6^(n-10)) with n = 10 + p6, for
+    0 <= p6 <= MAX_PASSPORT_P6."""
     if p6 < 0:
         raise ValueError("hexagon count must be nonnegative")
+    if p6 > MAX_PASSPORT_P6:
+        raise ValueError(f"hexagon count {p6} exceeds {MAX_PASSPORT_P6}: the "
+                         "passport would list 6*p6 + 62 parts")
     n = 10 + p6
     return Passport.of([3] * (2 * n), [2] * (3 * n), [5] * 12 + [6] * p6)
 

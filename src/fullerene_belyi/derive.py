@@ -15,9 +15,22 @@ the elimination leaves the two-parameter family below, but V's z^22
 coefficient vanishes identically, so its degree falls short of the required
 10 + 2s and no dessin exists; the 22-atom fullerene is ruled out with it.
 The family still satisfies V^3 = M^2 + k*P^5 for a k(a9, a10) read off the
-top coefficients; that identity is certified exactly, without expanding V^3,
-M^2 or P^5, by one Kronecker evaluation whose injectivity follows from the
-family's weighted homogeneity and a bound on the identity's coefficients.
+top coefficients.  That identity is certified by the differential argument,
+without expanding V^3, M^2 or P^5.  The two Halphen identities
+    s*M = 3*V'*P - 5*V*P'    and    s*V^2 = 2*M'*P - 5*M*P'
+give, for D = V^3 - M^2,
+    D'*P - 5*P'*D = V^2*(3*V'*P - 5*V*P') - M*(2*M'*P - 5*M*P')
+                  = V^2*(s*M) - M*(s*V^2) = 0,
+so (D/P^5)' = 0 and D/P^5 is a constant of Q(a9, a10).  Since
+3 deg V = 2 deg M = 5 deg P, that constant is
+(lead V^3 - lead M^2)/lead P^5, which is k.
+
+The family is weighted-homogeneous (z, a10, a9 weigh 1, 2, 3), so each of
+P, V, M and the Halphen identities is fixed by its value at z = 1.  V and M
+are computed, and each Halphen identity is certified, by one evaluation of
+that value at a9 = 2^beta, a10 = 2^(beta*span) in Python integers (Kronecker
+substitution).  beta comes from a proven bound on the coefficients, so every
+monomial owns one signed digit: the evaluation is exact and injective.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import lcm, prod
 
 from .belyi import FactoredBelyi
 from .exact import GaussRat, RationalMap, UniPoly
@@ -287,12 +300,15 @@ def _family() -> tuple[UniPoly, UniPoly, UniPoly]:
     """(P, V, M) of the s = 6 family over MultiPoly, with a9 and a10 free."""
     p_sym, trace = run_ode_elimination(6)
     p_fam = trace.apply_param(p_sym)
-    V, M = vm_from_p(p_fam, 6)
+    V, M = _family_vm(p_fam, 6)
     return p_fam, V, M
 
 
-def _integer_form(f: UniPoly, i9: int, i10: int
-                  ) -> tuple[int, int, dict[tuple[int, int], int]]:
+# the integer form of a family polynomial at z = 1: {(e9, e10): integer}
+Form = dict[tuple[int, int], int]
+
+
+def _integer_form(f: UniPoly, i9: int, i10: int) -> tuple[int, int, Form]:
     """(weight, d, {(e9, e10): integer}) for d*f at z = 1, where d is the lcm
     of f's coefficient denominators and i9, i10 index a9, a10.
 
@@ -318,45 +334,135 @@ def _integer_form(f: UniPoly, i9: int, i10: int
                               for key, c in terms.items()}
 
 
-def _kronecker(f: dict[tuple[int, int], int], beta: int, span: int) -> int:
+def _derivative_form(w: int, f: Form) -> Form:
+    """The integer form of the z-derivative, at weight w - 1, from the
+    integer form f of weight w: a9^e9 * a10^e10 sits on z^(w - 3*e9 - 2*e10)
+    and is multiplied by that exponent."""
+    return {(e9, e10): c * e for (e9, e10), c in f.items()
+            if (e := w - 3 * e9 - 2 * e10)}
+
+
+def _kronecker(f: Form, beta: int, span: int) -> int:
     """f at a9 = 2^beta, a10 = 2^(beta*span), by shifts."""
     return sum(c << beta * (e9 + span * e10) for (e9, e10), c in f.items())
+
+
+def _kronecker_sum(terms: list[tuple[int, tuple[Form, ...]]], w: int
+                   ) -> tuple[int, int, int]:
+    """(x, beta, span) with x = sum of c * f1 * f2 * ... over terms, a
+    combination of integer forms of total weight w, evaluated at
+    a9 = 2^beta, a10 = 2^(beta*span).
+
+    A coefficient of f1 * f2 is at most |f1| |f2| in the 1-norm, so every
+    coefficient of the combination is at most bound = sum |c| |f1| |f2| ...;
+    beta = bit_length(bound) + 1 keeps a sign bit, so each coefficient lies
+    strictly inside (-2^(beta-1), 2^(beta-1)).  The weight caps the
+    a9-exponent at w // 3 < span.  So each monomial owns one signed
+    base-2^beta digit of x at position e9 + span*e10: x is 0 exactly when
+    the combination is, and _unpack recovers the combination from x.
+    """
+    bound = sum(abs(c) * prod(sum(map(abs, f.values())) for f in fs)
+                for c, fs in terms)
+    beta = bound.bit_length() + 1
+    span = w // 3 + 1
+    x = sum(c * prod(_kronecker(f, beta, span) for f in fs) for c, fs in terms)
+    return x, beta, span
+
+
+def _unpack(x: int, beta: int, span: int, w: int, scale: Fraction,
+            names: tuple[str, ...], i9: int, i10: int) -> UniPoly:
+    """scale times the weight-w polynomial whose _kronecker_sum is x: the
+    signed base-2^beta digit at e9 + span*e10 is the coefficient of
+    a9^e9 * a10^e10 * z^(w - 3*e9 - 2*e10)."""
+    mask, half = (1 << beta) - 1, 1 << (beta - 1)
+    coeffs: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    position = 0
+    while x:
+        digit = x & mask
+        x >>= beta
+        if digit >= half:
+            digit -= 1 << beta
+            x += 1
+        if digit:
+            e10, e9 = divmod(position, span)
+            expo = [0] * len(names)
+            expo[i9], expo[i10] = e9, e10
+            coeffs.setdefault(w - 3 * e9 - 2 * e10, {})[tuple(expo)] = scale * digit
+        position += 1
+    return UniPoly.from_terms({e: MultiPoly._trusted(names, t)
+                               for e, t in coeffs.items()})
+
+
+def _family_vm(P: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
+    """vm_from_p(P, s) for a weighted-homogeneous P over Q[a9, a10], from a
+    few big-integer products instead of MultiPoly ones.
+
+    With p the integer form d*P at z = 1 and p', p'', p''' those of d*P',
+    d*P'', d*P''' (same d), V and M are the combinations
+      V = 25/(11 s^2 d^2) * (11*p'^2 - 12*p*p'')
+      M = 25/(11 s^3 d^3) * (90*p*p'*p'' - 36*p^2*p''' - 55*p'^3)
+    of weights 2w - 2 and 3w - 3 for P of weight w.  _kronecker_sum packs
+    each at a digit width proven from its 1-norm bound, and _unpack reads
+    the coefficients back, each on the z-power its weight fixes.
+    """
+    names = P.leading().vars
+    i9, i10 = names.index("a9"), names.index("a10")
+    w, d, p0 = _integer_form(P, i9, i10)
+    p1 = _derivative_form(w, p0)
+    p2 = _derivative_form(w - 1, p1)
+    p3 = _derivative_form(w - 2, p2)
+    v = _kronecker_sum([(11, (p1, p1)), (-12, (p0, p2))], 2 * w - 2)
+    m = _kronecker_sum([(90, (p0, p1, p2)), (-36, (p0, p0, p3)),
+                        (-55, (p1, p1, p1))], 3 * w - 3)
+    return (_unpack(*v, 2 * w - 2, Fraction(25, 11 * s ** 2 * d ** 2), names, i9, i10),
+            _unpack(*m, 3 * w - 3, Fraction(25, 11 * s ** 3 * d ** 3), names, i9, i10))
 
 
 def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
                              k: MultiPoly) -> None:
     """Raise AssertionError unless V^3 = M^2 + k*P^5 holds exactly.
 
-    With d_F the denominator lcm of F and primes for the integer forms d_F*F,
-    the identity is R = A*V'^3 - B*M'^2 - C*k'*P'^5 = 0 over Z[a9, a10] at
-    z = 1, for A = d_M^2 d_P^5 d_k, B = d_V^3 d_P^5 d_k, C = d_V^3 d_M^2.
-    The weight check makes R weighted-homogeneous of weight w = 3*w(V), so
-    its a9-exponents stay below span = w/3 + 1, and every coefficient of R
-    is at most bound = A|V'|^3 + B|M'|^2 + C|k'||P'|^5 in the 1-norm.  At
-    a9 = 2^beta, a10 = 2^(beta*span) with 2^beta > 4*bound each monomial
-    of R lands on its own base-2^beta digit, so R = 0 exactly when that one
-    integer is 0.
+    The proof is the paper's differential argument, with s = deg P - 6:
+      sM    s*M = 3*V'*P - 5*V*P'       (weight 33)
+      sV2   s*V^2 = 2*M'*P - 5*M*P'     (weight 44)
+    For D = V^3 - M^2 these give
+      D'*P - 5*P'*D = V^2*(3*V'*P - 5*V*P') - M*(2*M'*P - 5*M*P')
+                    = V^2*(s*M) - M*(s*V^2) = 0,
+    so (D/P^5)' = (D'*P - 5*P'*D)/P^6 = 0 and D = c*P^5 for a c in
+    Q(a9, a10) free of z.  When 3 deg V = 2 deg M = 5 deg P, comparing the
+    z^(5 deg P) coefficients gives c*lead(P)^5 = lead(V)^3 - lead(M)^2,
+    and that is checked for c = k in MultiPoly.
+
+    Each of sM and sV2 is certified by one Kronecker evaluation of its
+    denominator-cleared integer form at z = 1 (_kronecker_sum), which is
+    injective: every term's weight is checked (so both identities are
+    weighted-homogeneous and z = 1 merges no terms), and the digit width
+    comes from a proven bound on the coefficients.
     """
     names = P.leading().vars
     i9, i10 = names.index("a9"), names.index("a10")
-    (wv, dv, v), (wm, dm, m), (wp, dp, p), (wk, dk, kk) = (
+    (wv, dv, v), (wm, dm, m), (wp, dp, p), (wk, _, _) = (
         _integer_form(f, i9, i10) for f in (V, M, P, UniPoly.from_terms({0: k})))
-    if not 3 * wv == 2 * wm == 5 * wp + wk:
+    if not (wm == wv + wp - 1 and 2 * wv == wm + wp - 1 and 3 * wv == 5 * wp + wk):
         raise AssertionError(
             f"weights {wv}, {wm}, {wp}, {wk} of V, M, P, k do not balance")
-    a = dm ** 2 * dp ** 5 * dk
-    b = dv ** 3 * dp ** 5 * dk
-    c = dv ** 3 * dm ** 2
-
-    def norm(f: dict[tuple[int, int], int]) -> int:
-        return sum(map(abs, f.values()))
-
-    bound = a * norm(v) ** 3 + b * norm(m) ** 2 + c * norm(kk) * norm(p) ** 5
-    beta = bound.bit_length() + 2
-    span = wv + 1
-    ev, em, ep, ek = (_kronecker(f, beta, span) for f in (v, m, p, kk))
-    if a * ev ** 3 - b * em ** 2 - c * ek * ep ** 5:
-        raise AssertionError("family does not satisfy V^3 = M^2 + k*P^5")
+    if not 3 * V.degree == 2 * M.degree == 5 * P.degree:
+        raise AssertionError("V^3, M^2 and P^5 do not share a degree")
+    s = P.degree - 6
+    v1, m1, p1 = (_derivative_form(*f) for f in ((wv, v), (wm, m), (wp, p)))
+    # s*M = 3*V'*P - 5*V*P' and s*V^2 = 2*M'*P - 5*M*P', denominators cleared
+    s_m, _, _ = _kronecker_sum([(s * dv * dp, (m,)), (-3 * dm, (v1, p)),
+                                (5 * dm, (v, p1))], wm)
+    if s_m:
+        raise AssertionError("family does not satisfy s*M = 3*V'*P - 5*V*P'")
+    s_v2, _, _ = _kronecker_sum([(s * dm * dp, (v, v)), (-2 * dv * dv, (m1, p)),
+                                 (5 * dv * dv, (m, p1))], 2 * wv)
+    if s_v2:
+        raise AssertionError("family does not satisfy s*V^2 = 2*M'*P - 5*M*P'")
+    if k * P.leading() ** 5 != V.leading() ** 3 - M.leading() ** 2:
+        raise AssertionError(
+            "family does not satisfy V^3 = M^2 + k*P^5: k is not "
+            "(lead V^3 - lead M^2)/lead P^5")
 
 
 @cache
@@ -364,16 +470,19 @@ def family_k_formula() -> MultiPoly:
     """k(a9, a10) with V^3 = M^2 + k*P^5 for the s = 6 family.
 
     k is read off the top coefficients, (lead V^3 - lead M^2) / lead P^5,
-    after checking 3 deg V = 2 deg M = 5 deg P.  The full identity is then
-    certified by _certify_family_identity: one exact integer evaluation at
-    a9 = 2^beta, a10 = 2^(beta*span), never expanding V^3, M^2 or P^5.  That
-    evaluation is a proof, not a sample: the checked weighted homogeneity
-    and the computed coefficient bound that sets beta make it injective on
-    the identity's monomials.
+    and _certify_family_identity proves the identity by the differential
+    argument: the two Halphen identities
+      s*M = 3*V'*P - 5*V*P'   and   s*V^2 = 2*M'*P - 5*M*P'
+    give (V^3 - M^2)'*P - 5*P'*(V^3 - M^2) = V^2*(s*M) - M*(s*V^2) = 0, so
+    (V^3 - M^2)/P^5 has zero z-derivative and is a constant of Q(a9, a10);
+    with 3 deg V = 2 deg M = 5 deg P that constant is the ratio of top
+    coefficients, which is k.  Each Halphen identity is certified by one
+    exact integer evaluation at a9 = 2^beta, a10 = 2^(beta*span), never
+    expanding V^3, M^2 or P^5.  That evaluation is a proof, not a sample:
+    the checked weighted homogeneity and the computed coefficient bound
+    that sets beta make it injective on the identity's monomials.
     """
     P, V, M = _family()
-    if not 3 * V.degree == 2 * M.degree == 5 * P.degree:
-        raise AssertionError("V^3, M^2 and P^5 do not share a degree")
     k = (V.leading() ** 3 - M.leading() ** 2).divide_exact(P.leading() ** 5)
     _certify_family_identity(P, V, M, k)
     return k

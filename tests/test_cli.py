@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fullerene_belyi
+from fullerene_belyi.belyi import MAX_PASSPORT_P6
 from fullerene_belyi.cli import (flat_pentagon_layout, main, render_svg)
 from fullerene_belyi.geometry import (FaceGeometryReport, Plane, SpherePoint,
                                       face_geometry)
@@ -47,6 +49,22 @@ def test_passport_json(capsys):
     doc = json.loads(out)
     assert doc["display"] == "(3^20 | 2^30 | 5^12)"
     assert doc["degree"] == 60
+
+
+@pytest.mark.parametrize("p6", [10 ** 15, MAX_PASSPORT_P6 + 1])
+def test_passport_rejects_huge_p6_before_allocating(capsys, p6):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "passport", str(p6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and not out
+    assert err.startswith("error: ValueError: ")
+    assert peak < 1 << 20
+    # the face vector is O(1) and stays unbounded
+    code, out, _ = run_cli(capsys, "facevector", str(p6))
+    assert code == 0 and f"faces {12 + p6} " in out
 
 
 def test_verify_preset(capsys):

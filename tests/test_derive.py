@@ -1,5 +1,6 @@
 """The one-big-face derivations and the 6-edge quotient elimination."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,65 @@ def test_vm_from_p_parametric_leading_terms():
     assert M.coefficient(33).is_zero
     assert M.coefficient(30) == a9.scale(Fraction(25, 11))
     assert M.coefficient(29) == (a10 * a10).scale(Fraction(-2500, 363))
+
+
+def test_family_vm_matches_schoolbook_reference():
+    P, V, M = derive._family()
+    assert (V, M) == vm_from_p(P, 6)
+
+
+# (e9, e10) of the monomials a9^e9 * a10^e10 * z^(12 - 3*e9 - 2*e10) below z^12
+WEIGHT_12 = [(e9, e10) for e9 in range(5) for e10 in range(7)
+             if 0 < 3 * e9 + 2 * e10 <= 12]
+
+
+def _weighted_p(names, coefficients):
+    """z^12 + sum c * a9^e9 * a10^e10 * z^(12 - 3*e9 - 2*e10)."""
+    i9, i10 = names.index("a9"), names.index("a10")
+    terms = {12: {(0,) * len(names): Fraction(1)}}
+    for (e9, e10), c in coefficients.items():
+        expo = [0] * len(names)
+        expo[i9], expo[i10] = e9, e10
+        terms.setdefault(12 - 3 * e9 - 2 * e10, {})[tuple(expo)] = c
+    return UniPoly.from_terms({e: MultiPoly(names, t) for e, t in terms.items()})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_family_vm_on_random_weighted_p(seed):
+    # dense and sparse P with up to 200-bit numerators, so that the packed
+    # digits of V and M come close to the 1-norm bound that sets beta
+    rng = random.Random(seed)
+    picked = rng.sample(WEIGHT_12, rng.randint(1, len(WEIGHT_12)))
+    coefficients = {
+        key: Fraction(rng.choice((-1, 1)) * (rng.getrandbits(rng.randint(1, 200)) or 1),
+                      rng.choice((1, 1, 3, 44, 605, 2 ** 61 - 1)))
+        for key in picked}
+    names = ("a10", "a9") if seed % 2 else ("a9", "x", "a10")
+    P = _weighted_p(names, coefficients)
+    for s in (5, 6):
+        assert derive._family_vm(P, s) == vm_from_p(P, s)
+
+
+@pytest.mark.parametrize("keys", [[(4, 0)], [(0, 6)], [(2, 3)],
+                                  [(4, 0), (2, 3), (0, 6)]])
+def test_family_vm_at_the_digit_bound(keys):
+    # P = z^12 + c * (sum of a9^e9 * a10^e10 with 3*e9 + 2*e10 = 12), the
+    # z^0 terms.  With one term, the digit of M's combination at c^2 is
+    # -36 * 1320 * c^2, the 1-norm bound but for O(c), so beta needs its
+    # sign bit.  With all three, three products of c's land on
+    # a9^4 * a10^6, three times what a max-norm bound would allow.
+    names = ("a10", "a9")
+    for c in (2 ** 200 - 1, -(2 ** 200) + 1, 3 ** 127):
+        P = _weighted_p(names, dict.fromkeys(keys, Fraction(c)))
+        assert derive._family_vm(P, 6) == vm_from_p(P, 6)
+
+
+def test_family_vm_rejects_inhomogeneous_p():
+    names = ("a10", "a9")
+    P = _weighted_p(names, {(1, 0): Fraction(1)}) + UniPoly.from_terms(
+        {8: MultiPoly.var(names, "a9")})
+    with pytest.raises(AssertionError, match="not weighted-homogeneous"):
+        derive._family_vm(P, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +296,26 @@ def _mutated_family(case):
     P, V, M = derive._family()
     pvmk = {"P": P, "V": V, "M": M, "k": family_k_formula()}
     target, change = case.split(":")
+    if target == "VM":
+        # (2V, 2M) still solves the linear s*M = 3*V'*P - 5*V*P', but not
+        # s*V^2 = 2*M'*P - 5*M*P'
+        return P, V * 2, M * 2, pvmk["k"], r"does not satisfy s\*V\^2"
     f = pvmk[target]
     names = pvmk["k"].vars
-    if change == "homogeneous-wrong-weight":
+    if change == "negated":
+        # (-M)^2 = M^2, and -V still solves s*V^2 = 2*M'*P - 5*M*P', but
+        # s*M = 3*V'*P - 5*V*P' pins both signs
+        pvmk[target] = -f
+        message = r"does not satisfy s\*M ="
+    elif change == "doubled":
+        pvmk[target] = f * 2
+        message = "does not satisfy"
+    elif change == "degree":
+        # a constant times z^22 weighs 22 like every term of V, but
+        # 3 * 22 != 5 * deg P = 60
+        pvmk[target] = f + UniPoly.from_terms({22: MultiPoly.const(names, 1)})
+        message = "do not share a degree"
+    elif change == "homogeneous-wrong-weight":
         # k * a10 is homogeneous of weight 8, but 3 w(V) = 5 w(P) + 6
         pvmk[target] = f * MultiPoly.var(names, "a10")
         message = "do not balance"
@@ -268,7 +345,8 @@ def _mutated_family(case):
     f"{target}:{change}" for target in "VMP"
     for change in ("lowest-weight", "highest-weight")
 ] + ["k:first", "k:last", "k:homogeneous-wrong-weight", "V:wrong-weight",
-      "V:third-variable"])
+      "V:third-variable", "M:negated", "V:negated", "V:doubled", "V:degree",
+      "VM:doubled"])
 def test_family_certificate_rejects_mutation(case):
     P, V, M, k, message = _mutated_family(case)
     with pytest.raises(AssertionError, match=message):
@@ -281,19 +359,24 @@ def test_family_certificate_accepts_family():
 
 
 def test_family_computed_once_for_report_and_k(monkeypatch):
-    calls = []
-    original = derive.vm_from_p
-
-    def counting(p, s):
-        calls.append(s)
-        return original(p, s)
-
-    monkeypatch.setattr(derive, "vm_from_p", counting)
+    calls = {"_family_vm": [], "vm_from_p": []}
+    for name, seen in calls.items():
+        original = getattr(derive, name)
+        monkeypatch.setattr(derive, name, lambda p, s, f=original, seen=seen:
+                            seen.append(s) or f(p, s))
+    # past the (cached) elimination, derive 6 multiplies no polynomials in
+    # z: V, M and the certificate come from packed integers
+    run_ode_elimination(6)
+    products = []
+    multiply = UniPoly.__mul__
+    monkeypatch.setattr(UniPoly, "__mul__", lambda f, g: products.append(
+        (f, g)) or multiply(f, g))
     derive._family.cache_clear()
     family_k_formula.cache_clear()
     report = derive_case(6)
     assert family_k_formula() == report.k
-    assert calls == [6]
+    assert calls == {"_family_vm": [6], "vm_from_p": []}
+    assert products == []
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 8])
