@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .exact import (GaussRat, RationalMap, UniPoly, coprime, is_squarefree,
+from .exact import (GaussRat, RationalMap, UniPoly, _cleared_identity,
+                    _coprime_given, _gauss_mul, _reduce_mod_p, _squarefree_given,
                     squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
@@ -144,6 +145,10 @@ def main_equation_residual(k: GaussRat | Fraction | int, V: UniPoly, P: UniPoly,
     return (V ** 3 - M ** 2).scale(k) - P ** 5 * H ** 6
 
 
+def _degree_of(factors: Factors) -> int:
+    return sum(f.degree * e for f, e in factors)
+
+
 def _product(factors: Factors) -> UniPoly:
     return reduce(lambda acc, fe: acc * fe[0] ** fe[1], factors, UniPoly.one())
 
@@ -210,7 +215,8 @@ class FactoredBelyi:
         zero_factors = tuple(squarefree_decomposition(f.num))
         pole_factors = tuple(squarefree_decomposition(f.den))
         one_factors = tuple(squarefree_decomposition(w))
-        side, order = _infinity_from_degrees(f.k, f.num, f.den, w)
+        side, order = _infinity_from_degrees(f.k, f.num.degree, f.den.degree,
+                                             w.degree)
         return FactoredBelyi(f.k, zero_factors, one_factors, pole_factors,
                              side, order)
 
@@ -250,7 +256,7 @@ class FactoredBelyi:
     # -- structure ---------------------------------------------------------
 
     def _side_sum(self, factors: Factors, side: str) -> int:
-        total = sum(f.degree * e for f, e in factors)
+        total = _degree_of(factors)
         if self.infinity_side == side:
             total += self.infinity_order
         return total
@@ -277,35 +283,41 @@ class FactoredBelyi:
     def verify(self) -> Passport:
         """Certify the factored data and return the passport.
 
-        Checks: every factor squarefree; all factors pairwise coprime; the
-        identity k*Z - Q = c*O for the declared one-side product O (c a
-        nonzero scalar); and the three side degrees balance, including the
-        infinity contribution.
+        Checks, in this order: every factor monic and squarefree; all
+        factors pairwise coprime; the three side degrees balance, including
+        the infinity contribution; the identity k*Z - Q = c*O for the
+        declared one-side product O (c a nonzero scalar); and the infinity
+        tag against the degrees of Z, Q and k*Z - Q.
+
+        Everything runs on integers.  Each factor is reduced modulo the
+        prime ideal J = (p, i - r) once; its squarefreeness (the reduction
+        against its derivative in F_p) and its coprimality with every other
+        factor are certified on those reductions, with the exact poly_gcd
+        where the certificate is inconclusive (exact module docstring).
+        The identity is checked cross-multiplied in Z[i]: with every
+        factor f cleared to g_f/d_f, k = kappa/d_k, G_Z = prod g_f^e and
+        D_Z = prod d_f^e (likewise for Q and O), k*Z - Q is
+        W/(d_k*D_Z*D_Q) for W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and
+        k*Z - Q = c*O with O = G_O/D_O monic holds iff W != 0,
+        deg W = deg O and D_O*W = lead(W)*G_O coefficient by coefficient.
+        W and G_O come from one Kronecker evaluation each, at a width
+        bounded by the product-of-powers 1-norms.  The side sums come
+        before the products, so an unbalanced document costs nothing of
+        its degree.
         """
         all_factors = (self.zero_factors + self.one_factors + self.pole_factors)
+        reductions = []
         for f, _ in all_factors:
             if not f.is_monic:
                 raise FactorNotSquarefree(f"factor {f} is not monic")
-            if not is_squarefree(f):
+            reductions.append(_reduce_mod_p(f))
+            if not _squarefree_given(f, reductions[-1]):
                 raise FactorNotSquarefree(f"factor {f} has a repeated root")
         for i in range(len(all_factors)):
             for j in range(i + 1, len(all_factors)):
                 a, b = all_factors[i][0], all_factors[j][0]
-                if not coprime(a, b):
+                if not _coprime_given(a, reductions[i], b, reductions[j]):
                     raise FactorsShareRoot(f"factors {a} and {b} share a root")
-
-        z_prod = _product(self.zero_factors)
-        q_prod = _product(self.pole_factors)
-        o_prod = _product(self.one_factors)
-        w = z_prod.scale(self.k) - q_prod
-        if w.is_zero:
-            raise IdentityFailed("k*zeros - poles collapsed to zero")
-        # the one-side scalar is w's leading coefficient; only the monic
-        # part is declared, so compare after normalization
-        if w.monic() != o_prod:
-            raise IdentityFailed(
-                "k*zeros - poles does not factor as declared: "
-                f"got {w.monic()}, declared {o_prod}")
 
         n = self.degree
         if self._side_sum(self.one_factors, "one") != n:
@@ -316,9 +328,31 @@ class FactoredBelyi:
             raise DegreeImbalance(
                 f"pole side sums to {self._side_sum(self.pole_factors, 'pole')}, "
                 f"zero side to {n}")
+
+        w, g_o, d_o = _cleared_identity(self.k, self.zero_factors,
+                                        self.pole_factors, self.one_factors)
+        if not w:
+            raise IdentityFailed("k*zeros - poles collapsed to zero")
+        # the one-side scalar is lead(W) / (d_k*D_Z*D_Q); only the monic
+        # part is declared, so compare W / lead(W) with G_O / D_O
+        lead = w[-1]
+        if len(w) != len(g_o) or any(_gauss_mul(lead, g) != (d_o * x, d_o * y)
+                                     for (x, y), g in zip(w, g_o)):
+            # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2
+            lr, li = lead
+            norm = lr * lr + li * li
+            got = UniPoly([GaussRat(Fraction(x * lr + y * li, norm),
+                                    Fraction(y * lr - x * li, norm)) for x, y in w])
+            declared = UniPoly([GaussRat(Fraction(x, d_o), Fraction(y, d_o))
+                                for x, y in g_o])
+            raise IdentityFailed(
+                "k*zeros - poles does not factor as declared: "
+                f"got {got}, declared {declared}")
+
         # infinity order must match what the numerator/denominator degrees say
         expected_side, expected_order = _infinity_from_degrees(
-            self.k, z_prod, q_prod, w)
+            self.k, _degree_of(self.zero_factors),
+            _degree_of(self.pole_factors), len(w) - 1)
         if (expected_side, expected_order) != (self.infinity_side, self.infinity_order):
             raise DegreeImbalance(
                 f"infinity tagged {self.infinity_side}^{self.infinity_order}, "
@@ -372,16 +406,15 @@ class FactoredBelyi:
             raise BelyiFormatError(str(exc)) from exc
 
 
-def _infinity_from_degrees(k: GaussRat, z_prod: UniPoly, q_prod: UniPoly,
-                           w: UniPoly) -> tuple[str, int]:
-    """Critical class and order of infinity for beta = k*z_prod/q_prod,
-    with w = k*z_prod - q_prod the numerator of beta - 1."""
-    dn, dd = z_prod.degree, q_prod.degree
+def _infinity_from_degrees(k: GaussRat, dn: int, dd: int,
+                           dw: int) -> tuple[str, int]:
+    """Critical class and order of infinity for beta = k*Z/Q with
+    deg Z = dn, deg Q = dd and deg(k*Z - Q) = dw."""
     if dn > dd:
         return "pole", dn - dd
     if dn < dd:
         return "zero", dd - dn
     if k == GaussRat.of(1):
         # beta(inf) = 1: order of vanishing of beta - 1 at infinity
-        return "one", dd - w.degree
+        return "one", dd - dw
     return "none", 0

@@ -18,7 +18,7 @@ Three layers live here:
 Polynomials serialize as lists of coefficient tokens "a/b" (rational) or
 "a/b,c/d" (real,imag), lowest index first; see README for the format note.
 
-Two integer kernels do the heavy work of certification.
+Three integer kernels do the heavy work of certification.
 
 Multiplication over Q(i) (Kronecker substitution).  Each operand is
 cleared to integer real and imaginary vectors over one common denominator
@@ -50,12 +50,32 @@ proves a and b coprime.  coprime() returns True on that certificate and
 otherwise (a denominator divisible by p, lead(a) vanishing mod J, or a
 nonconstant gcd mod J: an unlucky prime or a true common factor) returns
 the answer of the exact Euclidean poly_gcd.  No point is sampled and no
-answer is probabilistic.
+answer is probabilistic.  Reduction mod J is a ring map that commutes with
+d/dz, and p' has no denominator that p lacks, so is_squarefree reduces p
+once and runs the certificate on that reduction and its derivative in
+F_p[z].
+
+The identity of a factored Belyi function (products of powers in Z[i]).
+FactoredBelyi.verify proves k*Z - Q = c*O for Z, Q and O products of
+powers f^e of monic factors, without a Fraction.  Every factor is cleared
+once to g_f/d_f, with g_f in Z[i][z] and d_f the lcm of its denominators,
+and k = kappa/d_k.  With G_Z = prod g_f^e and D_Z = prod d_f^e (likewise
+for Q and O), k*Z - Q = W/(d_k*D_Z*D_Q) for
+W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and since O = G_O/D_O is monic, the
+identity holds iff W != 0, deg W = deg O and D_O*W = lead(W)*G_O
+coefficient by coefficient.  Only W and G_O are unpacked, from their
+values at z = 2^B, taken as big-integer powers and products of the packed
+g_f.  The 1-norm ||g||_1 = sum(|Re g_k| + |Im g_k|) is submultiplicative
+(the inequality above) and bounds every |Re| and |Im| digit, so the digits
+of W are below ||kappa||_1 * prod_Z ||g||_1^e * D_Q
++ d_k * D_Z * prod_Q ||g||_1^e and those of G_O below prod_O ||g||_1^e; B
+is the larger bound's bit length plus a sign bit, in whole bytes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -164,18 +184,18 @@ ONE = GaussRat.of(1)
 I = GaussRat.of(0, 1)
 
 
-def binary_power(base, n: int, one):
-    """base**n by repeated squaring, for any type with an exact `*`;
-    `one` is the answer for n = 0."""
+def binary_power(base, n: int, one, mul=operator.mul):
+    """base**n by repeated squaring, for any exact product `mul` (the
+    type's own `*` by default); `one` is the answer for n = 0."""
     if n < 0:
         raise ValueError("negative power")
     result = None
     while n:
         if n & 1:
-            result = base if result is None else result * base
+            result = base if result is None else mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return one if result is None else result
 
 
@@ -214,6 +234,27 @@ def _kron_width(n: int, ma: int, mb: int) -> int:
     return ((n * ma * mb).bit_length() + 8) // 8
 
 
+GaussInt = tuple[int, int]  # (re, im)
+
+
+def _gauss_mul(a: GaussInt, b: GaussInt) -> GaussInt:
+    """a*b in Z[i]: one integer product when both are real, two for a
+    square, three otherwise."""
+    (ar, ai), (br, bi) = a, b
+    if not (ai or bi):
+        return ar * br, 0
+    if a is b:
+        return (ar + ai) * (ar - ai), 2 * ar * ai
+    rr, ii = ar * br, ai * bi
+    return rr - ii, (ar + ai) * (br + bi) - rr - ii
+
+
+def _unpack_gauss(x: GaussInt, n: int, width: int) -> list[GaussInt]:
+    """The n (re, im) digits of a packed Gaussian integer (see _unpack)."""
+    return list(zip(_unpack(x[0], n, width),
+                    _unpack(x[1], n, width) if x[1] else [0] * n))
+
+
 def _kronecker_mul(a: Sequence[GaussRat], b: Sequence[GaussRat]) -> list[GaussRat]:
     """Coefficients of a*b over Q(i), by three big-integer products."""
     da, ar, ai = _cleared(a)
@@ -221,15 +262,45 @@ def _kronecker_mul(a: Sequence[GaussRat], b: Sequence[GaussRat]) -> list[GaussRa
     width = _kron_width(min(len(a), len(b)),
                         max(abs(x) + abs(y) for x, y in zip(ar, ai)),
                         max(abs(x) + abs(y) for x, y in zip(br, bi)))
-    Ar, Ai, Br, Bi = (_pack(v, width) for v in (ar, ai, br, bi))
-    n = len(a) + len(b) - 1
-    rr, ii = Ar * Br, Ai * Bi
-    re = _unpack(rr - ii, n, width)
-    im = (_unpack((Ar + Ai) * (Br + Bi) - rr - ii, n, width) if Ai or Bi
-          else [0] * n)
+    product = _gauss_mul((_pack(ar, width), _pack(ai, width)),
+                         (_pack(br, width), _pack(bi, width)))
     d = da * db
     return [GaussRat(Fraction(x, d), Fraction(y, d) if y else _FZERO)
-            for x, y in zip(re, im)]
+            for x, y in _unpack_gauss(product, len(a) + len(b) - 1, width)]
+
+
+def _cleared_identity(k: GaussRat, zeros, poles, ones
+                      ) -> tuple[list[GaussInt], list[GaussInt], int]:
+    """(W, G_O, D_O) for the identity k*Z - Q = c*O of a factored Belyi
+    function, in Z[i] (see the module docstring); zeros, poles and ones are
+    its (factor, exponent) pairs.  W and G_O are lists of (re, im) digits,
+    lowest first: W without trailing zeros, G_O with deg O + 1 entries."""
+    dk, (kr,), (ki,) = _cleared((k,))
+    sides = []
+    for factors in (zeros, poles, ones):
+        cleared = [(_cleared(f.coeffs), e) for f, e in factors]
+        sides.append((cleared,
+                      math.prod(d ** e for (d, _, _), e in cleared),
+                      math.prod((sum(map(abs, re)) + sum(map(abs, im))) ** e
+                                for (_, re, im), e in cleared),
+                      sum((len(re) - 1) * e for (_, re, _), e in cleared)))
+    (cz, dz, nz, degz), (cq, dq, nq, degq), (co, do, no, dego) = sides
+    bound = max((abs(kr) + abs(ki)) * nz * dq + dk * dz * nq, no)
+    width = (bound.bit_length() + 8) // 8
+
+    def packed(cleared) -> GaussInt:
+        acc = (1, 0)
+        for (_, re, im), e in cleared:
+            g = (_pack(re, width), _pack(im, width))
+            acc = _gauss_mul(acc, binary_power(g, e, (1, 0), _gauss_mul))
+        return acc
+
+    gz, gq = _gauss_mul((kr * dq, ki * dq), packed(cz)), packed(cq)
+    w = _unpack_gauss((gz[0] - dk * dz * gq[0], gz[1] - dk * dz * gq[1]),
+                      max(degz, degq) + 1, width)
+    while w and w[-1] == (0, 0):
+        w.pop()
+    return w, _unpack_gauss(packed(co), dego + 1, width), do
 
 
 def _zero_of(c):
@@ -568,25 +639,39 @@ def _constant_gcd_mod_p(a: list[int], b: list[int]) -> bool:
         inv = pow(b[-1], -1, _P)
         n = len(b) - 1
         while len(a) > n:
+            # the division runs on unreduced digits, reduced when it ends
             f = a.pop() * inv % _P
             if f:
                 s = len(a) - n
                 for j in range(n):
-                    a[s + j] = (a[s + j] - f * b[j]) % _P
+                    a[s + j] -= f * b[j]
+        a = [x % _P for x in a]
         while a and not a[-1]:
             a.pop()
         a, b = b, a
     return len(a) == 1
 
 
-def _certified_coprime(a: UniPoly, b: UniPoly) -> bool:
-    """True when the certificate modulo the fixed prime proves a and b
-    coprime; False means only that it is inconclusive."""
-    if not (a and b):
-        return False
-    ra, rb = _reduce_mod_p(a), _reduce_mod_p(b)
-    return (ra is not None and rb is not None and len(ra) == len(a.coeffs)
+def _derivative_mod_p(r: list[int]) -> list[int]:
+    """The derivative of a reduction in F_p[z] (p = _P), without trailing
+    zeros."""
+    out = [i * c % _P for i, c in enumerate(r)][1:]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _proves_coprime(a: UniPoly, ra: list[int] | None, rb: list[int] | None) -> bool:
+    """True when ra = _reduce_mod_p(a) and rb, the reduction of b, prove a
+    and b coprime; False means only that the certificate is inconclusive."""
+    return (bool(ra) and rb is not None and len(ra) == len(a.coeffs)
             and _constant_gcd_mod_p(ra, rb))
+
+
+def _coprime_given(a: UniPoly, ra: list[int] | None,
+                   b: UniPoly, rb: list[int] | None) -> bool:
+    """coprime(a, b) with the reductions ra of a and rb of b made already."""
+    return _proves_coprime(a, ra, rb) or poly_gcd(a, b).degree == 0
 
 
 def coprime(a: UniPoly, b: UniPoly) -> bool:
@@ -596,14 +681,23 @@ def coprime(a: UniPoly, b: UniPoly) -> bool:
     module docstring), otherwise decided by poly_gcd.  The certificate
     needs lead(a) to survive the reduction, so pass the polynomial with
     the unit leading coefficient first."""
-    return _certified_coprime(a, b) or poly_gcd(a, b).degree == 0
+    return _coprime_given(a, _reduce_mod_p(a), b, _reduce_mod_p(b))
+
+
+def _squarefree_given(p: UniPoly, rp: list[int] | None) -> bool:
+    """is_squarefree(p) for a nonconstant p, given rp = _reduce_mod_p(p).
+    The reduction of p' is the derivative of rp in F_p[z], and p' has no
+    denominator that p lacks, so the coprimality certificate for p and p'
+    runs on rp alone."""
+    return (_proves_coprime(p, rp, rp and _derivative_mod_p(rp))
+            or poly_gcd(p, p.derivative()).degree == 0)
 
 
 def is_squarefree(p: UniPoly) -> bool:
     """True iff gcd(p, p') is constant."""
     if p.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    return p.degree == 0 or coprime(p, p.derivative())
+    return p.degree == 0 or _squarefree_given(p, _reduce_mod_p(p))
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -651,7 +745,7 @@ class RationalMap:
         den = den.monic()
         # the monic num leads, so the certificate applies; poly_gcd
         # runs only when it is inconclusive or the two share a root
-        if not _certified_coprime(num, den):
+        if not _proves_coprime(num, _reduce_mod_p(num), _reduce_mod_p(den)):
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num.divide_exact(g)

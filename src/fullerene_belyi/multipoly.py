@@ -181,6 +181,8 @@ class MultiPoly:
             replacement = MultiPoly.const(self.vars, replacement)
         self._check(replacement)
         i = self.vars.index(name)
+        if not any(e[i] for e in self.terms):
+            return self
         powers: dict[int, MultiPoly] = {0: MultiPoly.const(self.vars, 1)}
         maxp = max((e[i] for e in self.terms), default=0)
         for p in range(1, maxp + 1):
@@ -320,8 +322,25 @@ class EliminationTrace:
         return p
 
     def apply_param(self, p: UniPoly) -> UniPoly:
-        """apply() on every coefficient of a polynomial in z over MultiPoly."""
-        return p.map_coeffs(self.apply)
+        """apply() on every coefficient of a polynomial in z over MultiPoly.
+
+        A coefficient that is a single variable (every nonconstant
+        coefficient of the ODE's P) is read off resolved_substitutions().
+        Those mention only free variables, so putting each into any other
+        coefficient in turn substitutes them all at once, as apply() does
+        step by step."""
+        resolved = self.resolved_substitutions()
+
+        def resolve(c: MultiPoly) -> MultiPoly:
+            if len(c.terms) == 1:
+                (expo, coeff), = c.terms.items()
+                if coeff == 1 and sum(expo) == 1:
+                    return resolved.get(c.vars[expo.index(1)], c)
+            for name, expr in resolved.items():
+                c = c.substitute(name, expr)
+            return c
+
+        return p.map_coeffs(resolve)
 
     def resolved_substitutions(self) -> dict[str, MultiPoly]:
         """Each solved variable expressed purely in the free variables."""

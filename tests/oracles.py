@@ -3,14 +3,17 @@
 Everything here works on plain data (lists of Fraction pairs, Fractions,
 floats), never on the package's own types, so a test comparing library
 output against these functions exercises two unrelated code paths.  The
-one exception is ratmap_substitute_power, the multiplied-out reference for
-FactoredBelyi.substitute_power.
+exceptions are ratmap_substitute_power, the multiplied-out reference for
+FactoredBelyi.substitute_power, and reference_verify, the multiplied-out
+reference for FactoredBelyi.verify.
 """
 
 import math
 from fractions import Fraction
 
-from fullerene_belyi.exact import RationalMap
+from fullerene_belyi.belyi import (DegreeImbalance, FactorNotSquarefree,
+                                   FactorsShareRoot, IdentityFailed)
+from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly, poly_gcd
 
 # A Gaussian rational is an (re, im) pair of Fractions.
 GZERO = (Fraction(0), Fraction(0))
@@ -180,3 +183,62 @@ def ratmap_substitute_power(f, n):
     """f(z^n) for a RationalMap f, by substituting into num and den."""
     return RationalMap(f.k, f.num.substitute_power(n),
                        f.den.substitute_power(n))
+
+
+def reference_verify(beta):
+    """FactoredBelyi.verify as it was before the integer certificate, the
+    reference for the one in the package: squarefreeness and coprimality
+    by the exact Euclidean poly_gcd, the identity k*Z - Q = c*O by
+    multiplying the factors out over Q(i), and the checks in their old
+    order (the identity before the side sums).  Returns the passport or
+    raises the error verify raises, with the same message."""
+    all_factors = beta.zero_factors + beta.one_factors + beta.pole_factors
+    for f, _ in all_factors:
+        if not f.is_monic:
+            raise FactorNotSquarefree(f"factor {f} is not monic")
+        if poly_gcd(f, f.derivative()).degree:
+            raise FactorNotSquarefree(f"factor {f} has a repeated root")
+    for i in range(len(all_factors)):
+        for j in range(i + 1, len(all_factors)):
+            a, b = all_factors[i][0], all_factors[j][0]
+            if poly_gcd(a, b).degree:
+                raise FactorsShareRoot(f"factors {a} and {b} share a root")
+
+    def product(factors):
+        out = UniPoly.one()
+        for f, e in factors:
+            out = out * f ** e
+        return out
+
+    z_prod, q_prod, o_prod = (product(beta.zero_factors),
+                              product(beta.pole_factors),
+                              product(beta.one_factors))
+    w = z_prod.scale(beta.k) - q_prod
+    if w.is_zero:
+        raise IdentityFailed("k*zeros - poles collapsed to zero")
+    if w.monic() != o_prod:
+        raise IdentityFailed(
+            "k*zeros - poles does not factor as declared: "
+            f"got {w.monic()}, declared {o_prod}")
+
+    def side_sum(factors, side):
+        total = sum(f.degree * e for f, e in factors)
+        return total + (beta.infinity_order if beta.infinity_side == side else 0)
+
+    n = side_sum(beta.zero_factors, "zero")
+    for side, factors in (("one", beta.one_factors), ("pole", beta.pole_factors)):
+        if side_sum(factors, side) != n:
+            raise DegreeImbalance(f"{side} side sums to {side_sum(factors, side)}, "
+                                  f"zero side to {n}")
+    dn, dd = z_prod.degree, q_prod.degree
+    if dn != dd:
+        expected = ("pole", dn - dd) if dn > dd else ("zero", dd - dn)
+    elif beta.k == GaussRat.of(1):
+        expected = ("one", dd - w.degree)
+    else:
+        expected = ("none", 0)
+    if expected != (beta.infinity_side, beta.infinity_order):
+        raise DegreeImbalance(
+            f"infinity tagged {beta.infinity_side}^{beta.infinity_order}, "
+            f"degrees give {expected[0]}^{expected[1]}")
+    return beta.passport()

@@ -1,17 +1,21 @@
 """Passports, the factored-form identity, and fullerene bookkeeping."""
 
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from fullerene_belyi.belyi import (DegreeImbalance, FactoredBelyi,
-                                   FactorsShareRoot, FactorNotSquarefree,
-                                   IdentityFailed, Passport, counting,
-                                   face_vector, fullerene_passport,
-                                   main_equation_residual)
+from fullerene_belyi import belyi, exact
+from fullerene_belyi.belyi import (BelyiVerificationError, DegreeImbalance,
+                                   FactoredBelyi, FactorsShareRoot,
+                                   FactorNotSquarefree, IdentityFailed,
+                                   Passport, counting, face_vector,
+                                   fullerene_passport, main_equation_residual)
+from fullerene_belyi.cli import PRESETS, load_preset
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from oracles import (eval_pairs, gadd, gmul, gneg, poly_pairs,
-                     ratmap_substitute_power)
+                     ratmap_substitute_power, reference_verify)
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +262,190 @@ def test_passport_display_and_sums():
     pp = Passport.of([3, 3], [2, 1, 2, 1], [5, 1])
     assert str(pp) == "(3^2 | 2^2 1^2 | 5^1 1^1)"
     assert pp.degree == 6 and pp.is_balanced
+
+
+# ---------------------------------------------------------------------------
+# the integer certificate against the multiplied-out reference
+# ---------------------------------------------------------------------------
+
+
+def outcome(check, beta):
+    """The passport, or the class and message of the error `check` raises."""
+    try:
+        return check(beta)
+    except BelyiVerificationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_agrees(beta):
+    got = outcome(FactoredBelyi.verify, beta)
+    assert got == outcome(reference_verify, beta)
+    return got
+
+
+def conjugate(beta: FactoredBelyi, a: GaussRat, b: GaussRat) -> FactoredBelyi:
+    """beta(a*z + b) with monic factors: f(a*z + b) = a^deg(f) * (monic), so
+    only k picks up a power of a, a^(deg Z - deg Q)."""
+    inner = UniPoly((b, a))
+
+    def side(factors):
+        return tuple((f.compose(inner).monic(), e) for f, e in factors)
+
+    shift = (sum(f.degree * e for f, e in beta.zero_factors)
+             - sum(f.degree * e for f, e in beta.pole_factors))
+    k = beta.k * exact.binary_power(a, shift, 1) if shift >= 0 else (
+        beta.k / exact.binary_power(a, -shift, 1))
+    return replace(beta, k=k, zero_factors=side(beta.zero_factors),
+                    one_factors=side(beta.one_factors),
+                    pole_factors=side(beta.pole_factors))
+
+
+# a and b of height h, both parts +-h, signs varying with h
+HEIGHTS = {1: (GaussRat.of(1, 1), GaussRat.of(-1, 1)),
+           3: (GaussRat.of(3, -3), GaussRat.of(3, 3)),
+           9: (GaussRat.of(-9, 9), GaussRat.of(9, -9))}
+
+
+def agreement_cases():
+    cases = {}
+    for name in PRESETS:
+        beta = load_preset(name)
+        cases[name] = beta
+        for h, (a, b) in HEIGHTS.items():
+            cases[f"{name}/h{h}"] = conjugate(beta, a, b)
+    for name in ("d6", "d12/h3", "d72/h1"):
+        for delta in (1, -1):
+            cases[f"{name}/k{delta:+d}"] = replace(cases[name], k=cases[name].k + delta)
+    # a repeated factor also unbalances the sides; the factor checks come
+    # first, so these fail with FactorsShareRoot
+    for name, side in (("d12/h9", "one_factors"), ("d72/h1", "pole_factors")):
+        beta = cases[name]
+        cases[f"{name}/repeated-{side}"] = replace(
+            beta, **{side: getattr(beta, side) + ((beta.zero_factors[0][0], 1),)})
+    # no factor at all and k = 1: k*Z - Q = 1 - 1 collapses to zero
+    cases["collapsed"] = FactoredBelyi(GaussRat.of(1), (), (), (), "none", 0)
+    # denominators divisible by the certificate prime: the exact fallback
+    for name in ("d6", "d12"):
+        cases[f"{name}/shift-1/p"] = conjugate(
+            load_preset(name), GaussRat.of(1), GaussRat.of(Fraction(1, exact._P)))
+    # k*Z - Q = z^2 + z against the declared O = z: the digits of O match
+    # the low digits of W, only deg W = deg O tells them apart
+    z = UniPoly.x()
+    zero = UniPoly((2, 1))
+    cases["deg-W-above-O"] = FactoredBelyi(
+        GaussRat.of(1), ((zero, 3),), ((z, 1),),
+        ((zero ** 3 - z * z - z, 1),), "one", 2)
+    return cases
+
+
+CASES = agreement_cases()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_verify_agrees_with_reference(name):
+    got = assert_agrees(CASES[name])
+    expect = {"/k": "IdentityFailed", "repeated": "FactorsShareRoot",
+              "collapsed": "IdentityFailed", "deg-W-above-O": "IdentityFailed"}
+    tag = next((t for t in expect if t in name), None)
+    if tag is None:
+        assert isinstance(got, Passport) and got.is_balanced
+    else:
+        assert got[0] == expect[tag]
+
+
+def test_agreement_cases_cover_real_gaussian_and_fallback():
+    def gaussian(beta):
+        return any(c.im for f, _ in beta.zero_factors + beta.one_factors
+                   + beta.pole_factors for c in f.coeffs)
+
+    assert not gaussian(CASES["d6"]) and gaussian(CASES["d6/h1"])
+    assert exact._reduce_mod_p(CASES["d6/shift-1/p"].zero_factors[0][0]) is None
+
+
+def power_family(c: GaussRat, e: int, flipped: bool) -> FactoredBelyi:
+    """beta = k*(z + c)^e / Q with Q = ((z + c)^e - z^e) / (e*c), so that
+    beta - 1 = z^e / (e*c*Q); flipped, 1 - beta, with (z + c)^e on the one
+    side.  The digits of (z + c)^e come close to the product-of-powers
+    bound on them."""
+    z = UniPoly.x()
+    zc = UniPoly((c, 1))
+    q = ((zc ** e) - z ** e).monic()
+    k = GaussRat.of(1) / (c * e)
+    if flipped:
+        return FactoredBelyi(-k, ((z, e),), ((zc, e),), ((q, 1),), "pole", 1)
+    return FactoredBelyi(k, ((zc, e),), ((z, e),), ((q, 1),), "pole", 1)
+
+
+@pytest.mark.parametrize("e", [2, 3, 5, 8, 13])
+def test_verify_at_the_digit_bound(e):
+    cs = ([GaussRat.of(1), GaussRat.of(1, 1), GaussRat.of(-2, 3)]
+          + [GaussRat.of((1 << j) + 1) for j in range(16, 40, 3)]
+          + [GaussRat.of((1 << j) - 1, -(1 << j) + 3) for j in range(16, 40, 3)])
+    for c in cs:
+        for flipped in (False, True):
+            beta = power_family(c, e, flipped)
+            assert assert_agrees(beta).degree == e
+            for delta in (1, GaussRat.of(0, -1)):
+                assert assert_agrees(replace(beta, k=beta.k + delta))[0] == "IdentityFailed"
+        # a false pole side: W stays small, and the width must still hold
+        # the digits of the declared (z + c)^e
+        pole = UniPoly.monomial(e - 1) + UniPoly.one()
+        assert_agrees(replace(power_family(c, e, True), pole_factors=((pole, 1),)))
+
+
+def test_verify_checks_side_sums_before_the_identity():
+    """A document that fails both the identity and the side sums now
+    reports DegreeImbalance; the multiplied-out reference checked the
+    identity first."""
+    beta = replace(quotient6_by_hand(), k=GaussRat.of(2), infinity_order=4)
+    assert outcome(reference_verify, beta)[0] == "IdentityFailed"
+    assert outcome(FactoredBelyi.verify, beta) == (
+        "DegreeImbalance", "pole side sums to 5, zero side to 6")
+
+
+def test_exponent_bomb_is_rejected_before_any_product():
+    text = ("belyi v1\nk 1\ninfinity pole 1000000000\n"
+            "zero 1000000000 0 1\none 1 1 1\n")
+    beta = FactoredBelyi.from_text(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeImbalance,
+                           match="^one side sums to 1, zero side to 1000000000$"):
+            beta.verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_verify_reduces_each_factor_once(monkeypatch):
+    calls = []
+    reduce = exact._reduce_mod_p
+
+    def counted(f):
+        calls.append(f)
+        return reduce(f)
+
+    monkeypatch.setattr(exact, "_reduce_mod_p", counted)
+    monkeypatch.setattr(belyi, "_reduce_mod_p", counted)
+    for name in ("d72", "d72/h9", "d60/h3"):
+        calls.clear()
+        beta = CASES[name]
+        beta.verify()
+        factors = beta.zero_factors + beta.one_factors + beta.pole_factors
+        assert len(factors) >= 3 and len(calls) == len(factors)
+
+
+def test_verify_builds_no_fraction_polynomial_on_accept(monkeypatch):
+    built = []
+    for cls in (UniPoly, GaussRat):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _cls=cls, **kwargs):
+            built.append(_cls.__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for name in ("d6", "d12/h1", "d60/h9", "d72/h3"):
+        assert isinstance(CASES[name].verify(), Passport)
+    assert built == []

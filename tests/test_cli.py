@@ -74,6 +74,22 @@ def test_verify_preset(capsys):
     assert "ok" in out
 
 
+def test_verify_rejects_exponent_bomb_before_any_product(capsys, tmp_path):
+    path = tmp_path / "huge.belyi"
+    path.write_text("belyi v1\nk 1\ninfinity pole 1000000000\n"
+                    "zero 1000000000 0 1\none 1 1 1\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and not out
+    assert err == ("error: DegreeImbalance: one side sums to 1, "
+                   "zero side to 1000000000\n")
+    assert peak < 1 << 20
+
+
 def test_verify_unknown_preset_fails(capsys):
     code, out, err = run_cli(capsys, "verify", "d61")
     assert code == 1

@@ -432,6 +432,25 @@ def test_is_squarefree_non_monic(gcd_calls):
     assert len(gcd_calls) == 1
 
 
+def test_is_squarefree_differentiates_the_reduction(gcd_calls, monkeypatch, rng):
+    """The certificate reduces p once and differentiates in F_p: the
+    reduction is a ring map that commutes with d/dz."""
+    count = 0
+    while count < 60:
+        p = rand_poly(rng, 8, span=5)
+        if p.is_zero or p.degree < 2:
+            continue
+        count += 1
+        assert exact._derivative_mod_p(exact._reduce_mod_p(p)) == (
+            exact._reduce_mod_p(p.derivative()))
+        assert is_squarefree(p) == (poly_gcd(p, p.derivative()).degree == 0)
+    del gcd_calls[:]
+    monkeypatch.setattr(UniPoly, "derivative", None)  # never built on this path
+    z, one = UniPoly.x(), UniPoly.one()
+    assert is_squarefree((z * z + one) * (z - one * 3))
+    assert gcd_calls == []
+
+
 def test_squarefree_decomposition():
     z = UniPoly.x()
     one = UniPoly.one()

@@ -1,8 +1,9 @@
 """Byte-for-byte golden outputs of the exact-algebra README commands.
 
 tests/golden/<command>_<arg>.<format> holds the standard output of
-`fullerene-belyi --format <format> <command> <arg>`, and d72.belyi the file
-`compose d72 --write` writes.  `geometry` is left out: its floats come from
+`fullerene-belyi --format <format> <command> <arg>`, d72.belyi the file
+`compose d72 --write` writes, and verify_file.<format> the output of
+`verify golden/d72.belyi` run from tests/.  `geometry` is left out: its floats come from
 the platform's libm.
 """
 
@@ -24,6 +25,16 @@ COMMANDS = [("passport", "0"), ("facevector", "1"), ("derive", "5"),
 def test_output_matches_golden(capsys, command, fmt):
     assert main(["--format", fmt, *command]) == 0
     expected = (GOLDEN / f"{'_'.join(command)}.{fmt}").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_file_matches_golden(capsys, monkeypatch, fmt):
+    """`verify <file>` on the written d72 file, by a fixed relative path
+    (the output names it)."""
+    monkeypatch.chdir(GOLDEN.parent)
+    assert main(["--format", fmt, "verify", "golden/d72.belyi"]) == 0
+    expected = (GOLDEN / f"verify_file.{fmt}").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 

@@ -134,6 +134,26 @@ def test_substitute_matches_accumulation_on_s6_elimination(monkeypatch):
     assert len(checked) > 100
 
 
+def test_substitute_absent_variable_returns_self():
+    a1, b1 = v("a1"), v("b1")
+    p = a1 * a1 + c(3)
+    assert p.substitute("b1", b1 + c(1)) is p
+    assert p.substitute("b0", 5) is p
+    with pytest.raises(ValueError):  # the variable sets are still checked
+        p.substitute("b1", MultiPoly.var(("x",), "x"))
+
+
+def test_apply_param_matches_apply_on_every_coefficient():
+    p_sym, trace = derive.run_ode_elimination(6)
+    assert trace.apply_param(p_sym) == p_sym.map_coeffs(trace.apply)
+    # coefficients other than single variables take the general path
+    names = p_sym.coeffs[0].vars
+    a0, a1, a9, a10 = (MultiPoly.var(names, n) for n in ("a0", "a1", "a9", "a10"))
+    general = UniPoly([a0 * a1 + a10.scale(3), a1.scale(2), a9, c(5, names),
+                       a0 * a0 * a9 - a1])
+    assert trace.apply_param(general) == general.map_coeffs(trace.apply)
+
+
 def test_divide_exact_and_failure():
     a1, b1 = v("a1"), v("b1")
     prod = (a1 - b1) * (a1 + b1)
