@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .exact import (GaussRat, RationalMap, UniPoly, _cleared_identity,
-                    _coprime_given, _gauss_mul, _reduce_mod_p, _squarefree_given,
+                    _coprime_given, _reduce_mod_p, _squarefree_given,
                     squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
@@ -329,22 +329,12 @@ class FactoredBelyi:
                 f"pole side sums to {self._side_sum(self.pole_factors, 'pole')}, "
                 f"zero side to {n}")
 
-        w, g_o, d_o = _cleared_identity(self.k, self.zero_factors,
-                                        self.pole_factors, self.one_factors)
-        if not w:
+        deg_w, mismatch = _cleared_identity(self.k, self.zero_factors,
+                                            self.pole_factors, self.one_factors)
+        if deg_w is None:
             raise IdentityFailed("k*zeros - poles collapsed to zero")
-        # the one-side scalar is lead(W) / (d_k*D_Z*D_Q); only the monic
-        # part is declared, so compare W / lead(W) with G_O / D_O
-        lead = w[-1]
-        if len(w) != len(g_o) or any(_gauss_mul(lead, g) != (d_o * x, d_o * y)
-                                     for (x, y), g in zip(w, g_o)):
-            # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2
-            lr, li = lead
-            norm = lr * lr + li * li
-            got = UniPoly([GaussRat(Fraction(x * lr + y * li, norm),
-                                    Fraction(y * lr - x * li, norm)) for x, y in w])
-            declared = UniPoly([GaussRat(Fraction(x, d_o), Fraction(y, d_o))
-                                for x, y in g_o])
+        if mismatch:
+            got, declared = mismatch
             raise IdentityFailed(
                 "k*zeros - poles does not factor as declared: "
                 f"got {got}, declared {declared}")
@@ -352,7 +342,7 @@ class FactoredBelyi:
         # infinity order must match what the numerator/denominator degrees say
         expected_side, expected_order = _infinity_from_degrees(
             self.k, _degree_of(self.zero_factors),
-            _degree_of(self.pole_factors), len(w) - 1)
+            _degree_of(self.pole_factors), deg_w)
         if (expected_side, expected_order) != (self.infinity_side, self.infinity_order):
             raise DegreeImbalance(
                 f"infinity tagged {self.infinity_side}^{self.infinity_order}, "

@@ -275,7 +275,7 @@ def derive_case(s: int, bound: int = 12) -> CaseReport:
     # s == 6: substitute the solved coefficients, keep a9/a10 free
     p_fam, V, M = _family()
     report.P, report.V, report.M = p_fam, V, M
-    report.family = trace.resolved_substitutions()
+    report.family = dict(_family_substitutions())
     v_top = V.coefficient(kdeg)
     m_top = M.coefficient(ldeg)
     if not v_top.is_zero:
@@ -296,10 +296,16 @@ def derive_case(s: int, bound: int = 12) -> CaseReport:
 
 
 @cache
+def _family_substitutions() -> dict[str, MultiPoly]:
+    """Every solved coefficient of the s = 6 P in the free a9 and a10."""
+    return run_ode_elimination(6)[1].resolved_substitutions()
+
+
+@cache
 def _family() -> tuple[UniPoly, UniPoly, UniPoly]:
     """(P, V, M) of the s = 6 family over MultiPoly, with a9 and a10 free."""
     p_sym, trace = run_ode_elimination(6)
-    p_fam = trace.apply_param(p_sym)
+    p_fam = trace.apply_param(p_sym, _family_substitutions())
     V, M = _family_vm(p_fam, 6)
     return p_fam, V, M
 

@@ -56,10 +56,10 @@ once and runs the certificate on that reduction and its derivative in
 F_p[z].
 
 The identity of a factored Belyi function (products of powers in Z[i]).
-FactoredBelyi.verify proves k*Z - Q = c*O for Z, Q and O products of
-powers f^e of monic factors, without a Fraction.  Every factor is cleared
-once to g_f/d_f, with g_f in Z[i][z] and d_f the lcm of its denominators,
-and k = kappa/d_k.  With G_Z = prod g_f^e and D_Z = prod d_f^e (likewise
+_cleared_identity, which FactoredBelyi.verify calls, proves k*Z - Q = c*O
+for Z, Q and O products of powers f^e of monic factors, without a
+Fraction.  Every factor is cleared once to g_f/d_f, with g_f in Z[i][z]
+and d_f the lcm of its denominators, and k = kappa/d_k.  With G_Z = prod g_f^e and D_Z = prod d_f^e (likewise
 for Q and O), k*Z - Q = W/(d_k*D_Z*D_Q) for
 W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and since O = G_O/D_O is monic, the
 identity holds iff W != 0, deg W = deg O and D_O*W = lead(W)*G_O
@@ -69,7 +69,9 @@ g_f.  The 1-norm ||g||_1 = sum(|Re g_k| + |Im g_k|) is submultiplicative
 (the inequality above) and bounds every |Re| and |Im| digit, so the digits
 of W are below ||kappa||_1 * prod_Z ||g||_1^e * D_Q
 + d_k * D_Z * prod_Q ||g||_1^e and those of G_O below prod_O ||g||_1^e; B
-is the larger bound's bit length plus a sign bit, in whole bytes.
+is the larger bound's bit length plus a sign bit, in whole bytes.  Only
+when the check fails are W/lead(W) and O rebuilt over Q(i), to name the two
+sides that differ.
 """
 
 from __future__ import annotations
@@ -270,11 +272,13 @@ def _kronecker_mul(a: Sequence[GaussRat], b: Sequence[GaussRat]) -> list[GaussRa
 
 
 def _cleared_identity(k: GaussRat, zeros, poles, ones
-                      ) -> tuple[list[GaussInt], list[GaussInt], int]:
-    """(W, G_O, D_O) for the identity k*Z - Q = c*O of a factored Belyi
-    function, in Z[i] (see the module docstring); zeros, poles and ones are
-    its (factor, exponent) pairs.  W and G_O are lists of (re, im) digits,
-    lowest first: W without trailing zeros, G_O with deg O + 1 entries."""
+                      ) -> tuple[int | None, tuple[UniPoly, UniPoly] | None]:
+    """Check the identity k*Z - Q = c*O of a factored Belyi function in
+    Z[i] (see the module docstring); zeros, poles and ones are its
+    (factor, exponent) pairs.  Returns (deg W, None) when it holds,
+    (None, None) when W, and so k*Z - Q, is zero, and otherwise
+    (deg W, (got, declared)): the two monic sides that differ,
+    W/lead(W) and O.  Only a failing check builds a UniPoly."""
     dk, (kr,), (ki,) = _cleared((k,))
     sides = []
     for factors in (zeros, poles, ones):
@@ -300,7 +304,22 @@ def _cleared_identity(k: GaussRat, zeros, poles, ones
                       max(degz, degq) + 1, width)
     while w and w[-1] == (0, 0):
         w.pop()
-    return w, _unpack_gauss(packed(co), dego + 1, width), do
+    if not w:
+        return None, None
+    g_o = _unpack_gauss(packed(co), dego + 1, width)
+    # the one-side scalar is lead(W) / (d_k*D_Z*D_Q); only the monic part
+    # is declared, so compare W / lead(W) with G_O / D_O
+    lead = w[-1]
+    if len(w) == len(g_o) and all(_gauss_mul(lead, g) == (do * x, do * y)
+                                  for (x, y), g in zip(w, g_o)):
+        return len(w) - 1, None
+    # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2
+    lr, li = lead
+    norm = lr * lr + li * li
+    got = UniPoly([GaussRat(Fraction(x * lr + y * li, norm),
+                            Fraction(y * lr - x * li, norm)) for x, y in w])
+    declared = UniPoly([GaussRat(Fraction(x, do), Fraction(y, do)) for x, y in g_o])
+    return len(w) - 1, (got, declared)
 
 
 def _zero_of(c):

@@ -321,24 +321,23 @@ class EliminationTrace:
             p = p.substitute(step.variable, step.substitution)
         return p
 
-    def apply_param(self, p: UniPoly) -> UniPoly:
+    def apply_param(self, p: UniPoly,
+                    resolved: Mapping[str, MultiPoly] | None = None) -> UniPoly:
         """apply() on every coefficient of a polynomial in z over MultiPoly.
 
         A coefficient that is a single variable (every nonconstant
-        coefficient of the ODE's P) is read off resolved_substitutions().
-        Those mention only free variables, so putting each into any other
-        coefficient in turn substitutes them all at once, as apply() does
-        step by step."""
-        resolved = self.resolved_substitutions()
+        coefficient of the ODE's P) is read off resolved, which is
+        resolved_substitutions() and is computed here when not passed;
+        any other coefficient goes through apply()."""
+        if resolved is None:
+            resolved = self.resolved_substitutions()
 
         def resolve(c: MultiPoly) -> MultiPoly:
             if len(c.terms) == 1:
                 (expo, coeff), = c.terms.items()
                 if coeff == 1 and sum(expo) == 1:
                     return resolved.get(c.vars[expo.index(1)], c)
-            for name, expr in resolved.items():
-                c = c.substitute(name, expr)
-            return c
+            return self.apply(c)
 
         return p.map_coeffs(resolve)
 

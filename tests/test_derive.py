@@ -12,7 +12,7 @@ from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
                                     ode_leading_coeff, ode_residual,
                                     run_ode_elimination, vm_from_p)
 from fullerene_belyi.exact import GaussRat, UniPoly
-from fullerene_belyi.multipoly import MultiPoly
+from fullerene_belyi.multipoly import EliminationTrace, MultiPoly
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +377,23 @@ def test_family_computed_once_for_report_and_k(monkeypatch):
     assert family_k_formula() == report.k
     assert calls == {"_family_vm": [6], "vm_from_p": []}
     assert products == []
+
+
+def test_derive_case_6_resolves_the_substitutions_once(monkeypatch):
+    """derive 6 reports the family and reads P's coefficients off one
+    resolved_substitutions() call."""
+    calls = []
+    resolve = EliminationTrace.resolved_substitutions
+    monkeypatch.setattr(EliminationTrace, "resolved_substitutions",
+                        lambda trace: calls.append(trace) or resolve(trace))
+    for cached in (run_ode_elimination, derive._family_substitutions,
+                   derive._family, family_k_formula):
+        cached.cache_clear()
+    report = derive_case(6)
+    assert len(calls) == 1
+    assert report.family == resolve(report.trace)
+    p_sym, trace = run_ode_elimination(6)
+    assert report.P == trace.apply_param(p_sym, report.family)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 8])

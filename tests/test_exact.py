@@ -451,6 +451,25 @@ def test_is_squarefree_differentiates_the_reduction(gcd_calls, monkeypatch, rng)
     assert gcd_calls == []
 
 
+def test_cleared_identity_names_the_monic_sides_only_on_failure():
+    """(deg W, None) when k*Z - Q = c*O, (None, None) when k*Z - Q
+    collapses, and (deg W, (W/lead(W), O)) when the monic sides differ."""
+    z, one = UniPoly.x(), UniPoly.one()
+    h = GaussRat.of(Fraction(1, 2), Fraction(1, 3))
+    k = GaussRat.of(Fraction(-2, 5), 7)
+    zero_side = (z - one.scale(h)) ** 2
+    one_side = (z - one * 3) * (z + one.scale(h))
+    pole_side = zero_side.scale(k) - one_side.scale(k - 1)  # monic
+    zeros, poles = ((zero_side, 1),), ((pole_side, 1),)
+    ones = ((z - one * 3, 1), (z + one.scale(h), 1))
+    assert exact._cleared_identity(k, zeros, poles, ones) == (2, None)
+    assert exact._cleared_identity(GaussRat.of(1), zeros, zeros, ones) == (
+        None, None)
+    wrong = ((z - one * 3, 1), (z + one * 2, 1))
+    assert exact._cleared_identity(k, zeros, poles, wrong) == (
+        2, (one_side, (z - one * 3) * (z + one * 2)))
+
+
 def test_squarefree_decomposition():
     z = UniPoly.x()
     one = UniPoly.one()
