@@ -12,13 +12,12 @@ here comes from a known spherical graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 from .exact import (GaussRat, RationalMap, UniPoly, _cleared_identity,
-                    _coprime_given, _reduce_mod_p, _squarefree_given,
-                    squarefree_decomposition)
+                    _coprime_given, _Record, _reduce_mod_p,
+                    _squarefree_given, squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
 
@@ -49,8 +48,7 @@ class DegreeImbalance(BelyiVerificationError):
     pass
 
 
-@dataclass(frozen=True)
-class Passport:
+class Passport(_Record, frozen=True):
     """Branching partitions over 0 (black), 1 (white) and infinity (faces)."""
 
     black: tuple[int, ...]
@@ -84,8 +82,7 @@ class Passport:
         return f"({side(self.black)} | {side(self.white)} | {side(self.faces)})"
 
 
-@dataclass(frozen=True)
-class FullereneParams:
+class FullereneParams(_Record, frozen=True):
     """Face vector and dessin size of the trivalent 5/6-gonal polyhedron
     with p6 hexagons."""
 
@@ -173,8 +170,7 @@ def _normalize_factors(factors) -> Factors:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FactoredBelyi:
+class FactoredBelyi(_Record, frozen=True):
     """beta = k * prod(zero_factors) / prod(pole_factors), with
     beta - 1 vanishing exactly on prod(one_factors); all factors monic
     and squarefree, infinity tagged with its critical class and order."""

@@ -17,26 +17,31 @@ single self-describing document; text output is fixed-layout.  Exit status is
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
-from pathlib import Path
 
 from .belyi import (BelyiVerificationError, FactoredBelyi, face_vector,
                     counting, fullerene_passport)
 from .derive import Verdict, d6_solve, derive_case
-from .geometry import (FaceGeometryReport, GeometryError, PENTAGON_CYCLE,
-                       barrel_vertices, face_geometry)
-from .moebius import (beta12_ratmap, beta60_ratmap, beta72_ratmap,
-                      build_beta12, build_beta60, build_beta72, schwarz_check,
-                      schwarz_forms)
+
+# moebius, geometry and json are imported by the commands that use them,
+# so that each command pays at start-up only for what it runs; the
+# FaceGeometryReport of the SVG annotations is geometry's (annotations are
+# not evaluated)
 
 PRESETS = ("d6", "d12", "d60", "d72")
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_preset(name: str) -> FactoredBelyi:
     if name == "d6":
         return d6_solve().belyi
+    from .moebius import build_beta12, build_beta60, build_beta72
     if name == "d12":
         return build_beta12()
     if name == "d60":
@@ -115,12 +120,12 @@ def cmd_verify(target: str):
         beta = load_preset(target)
         source = f"preset {target}"
     else:
-        path = Path(target)
-        if not path.exists():
+        if not os.path.exists(target):
             raise KeyError(
                 f"{target!r} is neither a preset ({', '.join(PRESETS)}) "
                 "nor an existing file")
-        beta = FactoredBelyi.from_text(path.read_text(encoding="utf-8"))
+        with open(target, encoding="utf-8") as fh:
+            beta = FactoredBelyi.from_text(fh.read())
         source = target
     passport = beta.verify()
     doc = {
@@ -183,6 +188,8 @@ def cmd_derive(s: int):
 
 
 def cmd_compose(what: str, write_path: str | None = None):
+    from .moebius import (beta12_ratmap, beta60_ratmap, beta72_ratmap,
+                          schwarz_check, schwarz_forms)
     if what == "schwarz":
         phi12, phi20, phi30 = schwarz_forms()
         ok = schwarz_check()
@@ -228,13 +235,14 @@ def cmd_compose(what: str, write_path: str | None = None):
         f"passport: {passport}",
     ]
     if write_path:
-        Path(write_path).write_text(beta.to_text(), encoding="utf-8")
+        _write_text(write_path, beta.to_text())
         doc["written"] = write_path
         lines.append(f"factored form written to {write_path}")
     return doc, lines
 
 
 def cmd_geometry(svg_path: str | None):
+    from .geometry import PENTAGON_CYCLE, barrel_vertices, face_geometry
     verts = barrel_vertices()
     report = face_geometry(PENTAGON_CYCLE)
     doc = {
@@ -365,8 +373,8 @@ def render_svg(report: FaceGeometryReport) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_svg(report: FaceGeometryReport, path: str | Path) -> None:
-    Path(path).write_text(render_svg(report), encoding="utf-8")
+def emit_svg(report: FaceGeometryReport, path: str) -> None:
+    _write_text(path, render_svg(report))
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +440,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc, lines = run(args)
         if args.format == "json":
+            import json
             text = json.dumps(_round_floats(doc), indent=2) + "\n"
         else:
             text = "\n".join(lines) + "\n"
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            _write_text(args.output, text)
         else:
             sys.stdout.write(text)
-    except (BelyiVerificationError, GeometryError, ValueError, KeyError,
-            OSError) as exc:
+    # BelyiVerificationError and geometry's GeometryError are ValueErrors
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -35,14 +35,13 @@ monomial owns one signed digit: the evaluation is exact and injective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from math import lcm, prod
 
 from .belyi import FactoredBelyi
-from .exact import GaussRat, RationalMap, UniPoly
+from .exact import GaussRat, RationalMap, UniPoly, _Record
 from .multipoly import EliminationTrace, MultiPoly, sequential_linear_solve
 
 
@@ -178,8 +177,7 @@ def _at_point(p_sym: UniPoly, values: dict[str, Fraction]) -> UniPoly:
     return p_sym.map_coeffs(lambda c: GaussRat.of(c.evaluate(values)))
 
 
-@dataclass
-class CaseReport:
+class CaseReport(_Record):
     """Outcome of the one-big-face derivation for a given s."""
 
     s: int
@@ -194,10 +192,10 @@ class CaseReport:
     V: UniPoly | None = None
     M: UniPoly | None = None
     k: GaussRat | MultiPoly | None = None
-    family: dict[str, MultiPoly] = field(default_factory=dict)
+    family: dict[str, MultiPoly] = dict
     free_vars: tuple[str, ...] = ()
-    normalization: dict[str, Fraction] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    normalization: dict[str, Fraction] = dict
+    notes: list[str] = list
 
     def to_report(self) -> dict:
         doc = {
@@ -521,8 +519,7 @@ def family_k(a9: Fraction | int, a10: Fraction | int
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class D6Report:
+class D6Report(_Record):
     belyi: FactoredBelyi
     trace: EliminationTrace
     values: dict[str, Fraction]

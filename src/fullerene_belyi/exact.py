@@ -78,20 +78,34 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-Rationalish = Union[int, Fraction]
-Scalarish = Union[int, Fraction, "GaussRat"]
+Rationalish = int | Fraction
 
 
-@dataclass(frozen=True)
 class GaussRat:
-    """A Gaussian rational a + b*i; both parts are exact Fractions."""
+    """A Gaussian rational a + b*i; both parts are exact Fractions.
+    Immutable; equal and hashed by (re, im)."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        _set_re(self, re)
+        _set_im(self, im)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GaussRat is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is GaussRat:
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @staticmethod
     def of(re: Rationalish = 0, im: Rationalish = 0) -> "GaussRat":
@@ -179,6 +193,11 @@ class GaussRat:
             return GaussRat(Fraction(parts[0]), Fraction(parts[1]))
         raise ValueError(f"bad coefficient token: {token!r}")
 
+
+# the slot setters, which skip the refusing __setattr__ (the hot path)
+_set_re = GaussRat.re.__set__
+_set_im = GaussRat.im.__set__
+Scalarish = int | Fraction | GaussRat
 
 _FZERO = Fraction(0)
 ZERO = GaussRat.of(0)
@@ -803,3 +822,66 @@ class RationalMap:
         return f"({self.k}) * ({self.num}) / ({self.den})"
 
     __repr__ = __str__
+
+
+class _Record:
+    """Base of the package's plain records.
+
+    The fields are the class's annotated names, in order; a class
+    attribute of the same name is the field's default, and a default that
+    is a class (list, dict) is called for a fresh container per record.
+    Fields are set by position or keyword, then __post_init__ runs.
+    Records compare by value; a `frozen=True` record also hashes by value
+    and refuses assignment with AttributeError, any other is unhashable.
+    """
+
+    def __init_subclass__(cls, frozen: bool = False):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Record._refuse
+            cls.__hash__ = _Record._value_hash
+        else:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} "
+                            f"fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields or key in values:
+                raise TypeError(f"{type(self).__name__}: unexpected or "
+                                f"repeated field {key!r}")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                if key not in self._defaults:
+                    raise TypeError(f"{type(self).__name__}: missing field {key!r}")
+                default = self._defaults[key]
+                values[key] = default() if isinstance(default, type) else default
+            object.__setattr__(self, key, values[key])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def _value_hash(self) -> int:
+        return hash(self._values())
+
+    def _refuse(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .exact import UniPoly, is_squarefree
+from .exact import UniPoly, _Record, is_squarefree
 
 ROOT_TOL = 1e-12
 _MAX_ABERTH_ITERS = 200
@@ -39,8 +38,7 @@ class GeometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(_Record, frozen=True):
     x: float
     y: float
     z: float
@@ -52,8 +50,7 @@ class SpherePoint:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(_Record, frozen=True):
     """p*X + q*Y + r*Z = 1."""
 
     p: float
@@ -159,8 +156,7 @@ def _principal_arg(z: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BarrelVertices:
+class BarrelVertices(_Record, frozen=True):
     """The 24 vertices of the two-hexagon fullerene on the complex line.
 
     Labels follow the ring structure: A1..A6 and A7..A12 sit at arguments
@@ -301,8 +297,7 @@ def interior_angle_deg(at: SpherePoint, toward_a: SpherePoint,
 PENTAGON_CYCLE = ("A1", "A7", "A13", "A8", "A2")
 
 
-@dataclass(frozen=True)
-class FaceGeometryReport:
+class FaceGeometryReport(_Record, frozen=True):
     """Metric data of one pentagonal face, walked in cycle order."""
 
     labels: tuple[str, ...]

@@ -19,13 +19,12 @@ as an independent cross-check of the degree-60 function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .belyi import FactoredBelyi, merge_by_exponent
 from .derive import d6_solve
 from .exact import (ONE, GaussRat, RationalMap, UniPoly, Scalarish,
-                    binary_power)
+                    _Record, binary_power)
 
 
 class _Infinity:
@@ -53,8 +52,7 @@ def _pt(v) -> ExtendedPoint:
     return GaussRat.coerce(v)
 
 
-@dataclass(frozen=True)
-class Moebius:
+class Moebius(_Record, frozen=True):
     """z -> (a*z + b)/(c*z + d) with ad - bc != 0, entries in Q(i).
 
     Entries are normalized so the first nonzero of (a, b, c, d) is 1, making

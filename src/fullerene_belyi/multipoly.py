@@ -17,14 +17,13 @@ are replayable and reportable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
 
-from .exact import UniPoly, binary_power
+from .exact import UniPoly, _Record, binary_power
 
 Expo = tuple[int, ...]
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 class NonDivisibleError(ArithmeticError):
@@ -290,8 +289,7 @@ class InconsistentSystemError(RuntimeError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class EliminationStep:
+class EliminationStep(_Record, frozen=True):
     """One solved equation: at z-degree `label`, `equation` (already reduced
     under earlier substitutions) was divided by the recorded assumption
     factors and solved for `variable` = `substitution`."""
@@ -303,9 +301,8 @@ class EliminationStep:
     substitution: MultiPoly
 
 
-@dataclass
-class EliminationTrace:
-    steps: list[EliminationStep] = field(default_factory=list)
+class EliminationTrace(_Record):
+    steps: list[EliminationStep] = list
     assumptions: tuple[MultiPoly, ...] = ()
     free_vars: tuple[str, ...] = ()
 

@@ -4,15 +4,17 @@ Everything here works on plain data (lists of Fraction pairs, Fractions,
 floats), never on the package's own types, so a test comparing library
 output against these functions exercises two unrelated code paths.  The
 exceptions are ratmap_substitute_power, the multiplied-out reference for
-FactoredBelyi.substitute_power, and reference_verify, the multiplied-out
-reference for FactoredBelyi.verify.
+FactoredBelyi.substitute_power, reference_verify, the multiplied-out
+reference for FactoredBelyi.verify, and replace_fields, which builds the
+altered documents the tests feed to both.
 """
 
 import math
 from fractions import Fraction
 
 from fullerene_belyi.belyi import (DegreeImbalance, FactorNotSquarefree,
-                                   FactorsShareRoot, IdentityFailed)
+                                   FactoredBelyi, FactorsShareRoot,
+                                   IdentityFailed)
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly, poly_gcd
 
 # A Gaussian rational is an (re, im) pair of Fractions.
@@ -242,3 +244,14 @@ def reference_verify(beta):
             f"infinity tagged {beta.infinity_side}^{beta.infinity_order}, "
             f"degrees give {expected[0]}^{expected[1]}")
     return beta.passport()
+
+
+def replace_fields(beta, **changes):
+    """beta with the named fields changed, rebuilt through the public
+    FactoredBelyi constructor, so its checks run on the new fields."""
+    fields = {"k": beta.k, "zero_factors": beta.zero_factors,
+              "one_factors": beta.one_factors,
+              "pole_factors": beta.pole_factors,
+              "infinity_side": beta.infinity_side,
+              "infinity_order": beta.infinity_order}
+    return FactoredBelyi(**{**fields, **changes})

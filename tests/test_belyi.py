@@ -1,7 +1,6 @@
 """Passports, the factored-form identity, and fullerene bookkeeping."""
 
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,8 @@ from fullerene_belyi.belyi import (BelyiVerificationError, DegreeImbalance,
 from fullerene_belyi.cli import PRESETS, load_preset
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from oracles import (eval_pairs, gadd, gmul, gneg, poly_pairs,
-                     ratmap_substitute_power, reference_verify)
+                     ratmap_substitute_power, reference_verify,
+                     replace_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +295,9 @@ def conjugate(beta: FactoredBelyi, a: GaussRat, b: GaussRat) -> FactoredBelyi:
              - sum(f.degree * e for f, e in beta.pole_factors))
     k = beta.k * exact.binary_power(a, shift, 1) if shift >= 0 else (
         beta.k / exact.binary_power(a, -shift, 1))
-    return replace(beta, k=k, zero_factors=side(beta.zero_factors),
-                    one_factors=side(beta.one_factors),
-                    pole_factors=side(beta.pole_factors))
+    return replace_fields(beta, k=k, zero_factors=side(beta.zero_factors),
+                          one_factors=side(beta.one_factors),
+                          pole_factors=side(beta.pole_factors))
 
 
 # a and b of height h, both parts +-h, signs varying with h
@@ -315,12 +315,13 @@ def agreement_cases():
             cases[f"{name}/h{h}"] = conjugate(beta, a, b)
     for name in ("d6", "d12/h3", "d72/h1"):
         for delta in (1, -1):
-            cases[f"{name}/k{delta:+d}"] = replace(cases[name], k=cases[name].k + delta)
+            cases[f"{name}/k{delta:+d}"] = replace_fields(
+                cases[name], k=cases[name].k + delta)
     # a repeated factor also unbalances the sides; the factor checks come
     # first, so these fail with FactorsShareRoot
     for name, side in (("d12/h9", "one_factors"), ("d72/h1", "pole_factors")):
         beta = cases[name]
-        cases[f"{name}/repeated-{side}"] = replace(
+        cases[f"{name}/repeated-{side}"] = replace_fields(
             beta, **{side: getattr(beta, side) + ((beta.zero_factors[0][0], 1),)})
     # no factor at all and k = 1: k*Z - Q = 1 - 1 collapses to zero
     cases["collapsed"] = FactoredBelyi(GaussRat.of(1), (), (), (), "none", 0)
@@ -386,18 +387,20 @@ def test_verify_at_the_digit_bound(e):
             beta = power_family(c, e, flipped)
             assert assert_agrees(beta).degree == e
             for delta in (1, GaussRat.of(0, -1)):
-                assert assert_agrees(replace(beta, k=beta.k + delta))[0] == "IdentityFailed"
+                assert assert_agrees(
+                    replace_fields(beta, k=beta.k + delta))[0] == "IdentityFailed"
         # a false pole side: W stays small, and the width must still hold
         # the digits of the declared (z + c)^e
         pole = UniPoly.monomial(e - 1) + UniPoly.one()
-        assert_agrees(replace(power_family(c, e, True), pole_factors=((pole, 1),)))
+        assert_agrees(replace_fields(power_family(c, e, True),
+                                     pole_factors=((pole, 1),)))
 
 
 def test_verify_checks_side_sums_before_the_identity():
     """A document that fails both the identity and the side sums now
     reports DegreeImbalance; the multiplied-out reference checked the
     identity first."""
-    beta = replace(quotient6_by_hand(), k=GaussRat.of(2), infinity_order=4)
+    beta = replace_fields(quotient6_by_hand(), k=GaussRat.of(2), infinity_order=4)
     assert outcome(reference_verify, beta)[0] == "IdentityFailed"
     assert outcome(FactoredBelyi.verify, beta) == (
         "DegreeImbalance", "pole side sums to 5, zero side to 6")

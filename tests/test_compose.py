@@ -1,6 +1,5 @@
 """Moebius maps and the composition pipeline for the 12/60/72-edge presets."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from fullerene_belyi.moebius import (INFINITY, Moebius, beta12_ratmap,
                                      moebius_from_three_points, mu1, mu2,
                                      ratmap_compose_moebius, schwarz_check,
                                      schwarz_forms)
-from oracles import ratmap_substitute_power
+from oracles import ratmap_substitute_power, replace_fields
 
 
 def rand_moebius(rng):
@@ -227,14 +226,14 @@ def test_substitute_power_mutations_fail_verify():
     for n in (5, 6):
         good = base.substitute_power(n)
         good.verify()
-        unscaled = replace(good, infinity_order=base.infinity_order)
+        unscaled = replace_fields(good, infinity_order=base.infinity_order)
         with pytest.raises(BelyiVerificationError):
             unscaled.verify()
         # z keeping its exponent instead of taking n times it
         poles = tuple((z, e) if f == z else (f.substitute_power(n), e)
                       for f, e in base.pole_factors)
         with pytest.raises(BelyiVerificationError):
-            replace(good, pole_factors=poles).verify()
+            replace_fields(good, pole_factors=poles).verify()
 
 
 def cube() -> FactoredBelyi:
