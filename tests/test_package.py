@@ -71,7 +71,8 @@ def test_records_compare_and_hash_by_value():
     assert a == b and hash(a) == hash(b) and a != SpherePoint(0.0, 0.8, 0.6)
     assert a != (0.0, 0.6, 0.8)
     assert repr(a) == "SpherePoint(x=0.0, y=0.6, z=0.8)"
-    assert len({Passport.of([3, 3], [2, 2, 2], [6]), Passport((3, 3), (2, 2, 2), (6,))}) == 1
+    assert len({Passport.of([3, 3], [2, 2, 2], [6]),
+                Passport((3, 3), (2, 2, 2), (6,))}) == 1
     assert GaussRat.of(1, 2) == GaussRat(Fraction(1), Fraction(2))
     assert hash(GaussRat.of(1, 2)) == hash((Fraction(1), Fraction(2)))
     assert GaussRat.of(1) != 1
