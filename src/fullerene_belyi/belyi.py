@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .exact import (GaussRat, RationalMap, UniPoly, _cleared_identity,
-                    _coprime_given, _Record, _reduce_mod_p,
+                    _coprime_given, _natural, _Record, _reduce_mod_p,
                     _squarefree_given, squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
@@ -296,10 +296,9 @@ class FactoredBelyi(_Record, frozen=True):
         W/(d_k*D_Z*D_Q) for W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and
         k*Z - Q = c*O with O = G_O/D_O monic holds iff W != 0,
         deg W = deg O and D_O*W = lead(W)*G_O coefficient by coefficient.
-        W and G_O come from one Kronecker evaluation each, at a width
-        bounded by the product-of-powers 1-norms.  The side sums come
-        before the products, so an unbalanced document costs nothing of
-        its degree.
+        W and G_O are one packed sum each ("Packed sums" in the exact
+        module docstring).  The side sums come before the products, so an
+        unbalanced document costs nothing of its degree.
         """
         all_factors = (self.zero_factors + self.one_factors + self.pole_factors)
         reductions = []
@@ -375,10 +374,10 @@ class FactoredBelyi(_Record, frozen=True):
                 if fields[0] == "k" and len(fields) == 2:
                     k = GaussRat.from_token(fields[1])
                 elif fields[0] == "infinity" and len(fields) == 3:
-                    side_tag, order = fields[1], int(fields[2])
+                    side_tag, order = fields[1], _natural(fields[2])
                 elif fields[0] in factors and len(fields) >= 3:
                     factors[fields[0]].append(
-                        (UniPoly.from_tokens(fields[2:]), int(fields[1])))
+                        (UniPoly.from_tokens(fields[2:]), _natural(fields[1])))
                 else:
                     raise ValueError("unknown line or wrong field count")
             except (ValueError, ZeroDivisionError) as exc:

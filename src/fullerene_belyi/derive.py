@@ -27,10 +27,11 @@ so (D/P^5)' = 0 and D/P^5 is a constant of Q(a9, a10).  Since
 
 The family is weighted-homogeneous (z, a10, a9 weigh 1, 2, 3), so each of
 P, V, M and the Halphen identities is fixed by its value at z = 1.  V and M
-are computed, and each Halphen identity is certified, by one evaluation of
-that value at a9 = 2^beta, a10 = 2^(beta*span) in Python integers (Kronecker
-substitution).  beta comes from a proven bound on the coefficients, so every
-monomial owns one signed digit: the evaluation is exact and injective.
+are computed, and each Halphen identity is certified, by one packed sum of
+exact (Kronecker substitution) over that value laid out with a9^e9 * a10^e10
+as digit e9 + span*e10.  The digit width is proven from the coefficients'
+1-norms ("Packed sums" in the exact module docstring), so every monomial
+owns one signed digit: the evaluation is exact and injective.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import lcm
 
 from .belyi import FactoredBelyi
-from .exact import GaussRat, RationalMap, UniPoly, _Record
+from .exact import GaussRat, RationalMap, UniPoly, _packed_sum, _Record
 from .multipoly import EliminationTrace, MultiPoly, sequential_linear_solve
 
 
@@ -177,6 +178,10 @@ def _at_point(p_sym: UniPoly, values: dict[str, Fraction]) -> UniPoly:
     return p_sym.map_coeffs(lambda c: GaussRat.of(c.evaluate(values)))
 
 
+# the largest big-face degree derive_case takes
+MAX_S = 12
+
+
 class CaseReport(_Record):
     """Outcome of the one-big-face derivation for a given s."""
 
@@ -226,7 +231,7 @@ class CaseReport(_Record):
         return doc
 
 
-def derive_case(s: int, bound: int = 12) -> CaseReport:
+def derive_case(s: int) -> CaseReport:
     """Decide whether a genus-zero dessin with passport
     (3^(10+2s) | 2^(15+3s) | 5^(6+s) s^1) exists, constructively.
 
@@ -234,8 +239,8 @@ def derive_case(s: int, bound: int = 12) -> CaseReport:
     degree falls short; anything else dies on the ODE's leading coefficient.
     """
     n, kdeg, ldeg, m = case_degrees(s)
-    if s > bound:
-        raise ValueError(f"s = {s} exceeds the configured bound {bound}")
+    if s > MAX_S:
+        raise ValueError(f"s = {s} exceeds the bound {MAX_S}")
     lead = ode_leading_coeff(s)
     report = CaseReport(s=s, n=n, vertex_degree=kdeg, midpoint_degree=ldeg,
                         face_degree=m, verdict=Verdict.NO_SOLUTION_LEADING_COEFF,
@@ -346,53 +351,38 @@ def _derivative_form(w: int, f: Form) -> Form:
             if (e := w - 3 * e9 - 2 * e10)}
 
 
-def _kronecker(f: Form, beta: int, span: int) -> int:
-    """f at a9 = 2^beta, a10 = 2^(beta*span), by shifts."""
-    return sum(c << beta * (e9 + span * e10) for (e9, e10), c in f.items())
+def _form_sum(terms: list[tuple[int, list[tuple[Form, int]]]], w: int) -> Form:
+    """The integer form of sum(c * prod(f^e)) over terms, a combination of
+    integer forms of total weight w, from one exact._packed_sum.
 
-
-def _kronecker_sum(terms: list[tuple[int, tuple[Form, ...]]], w: int
-                   ) -> tuple[int, int, int]:
-    """(x, beta, span) with x = sum of c * f1 * f2 * ... over terms, a
-    combination of integer forms of total weight w, evaluated at
-    a9 = 2^beta, a10 = 2^(beta*span).
-
-    A coefficient of f1 * f2 is at most |f1| |f2| in the 1-norm, so every
-    coefficient of the combination is at most bound = sum |c| |f1| |f2| ...;
-    beta = bit_length(bound) + 1 keeps a sign bit, so each coefficient lies
-    strictly inside (-2^(beta-1), 2^(beta-1)).  The weight caps the
-    a9-exponent at w // 3 < span.  So each monomial owns one signed
-    base-2^beta digit of x at position e9 + span*e10: x is 0 exactly when
-    the combination is, and _unpack recovers the combination from x.
+    Every form is laid out as a digit vector, a9^e9 * a10^e10 at position
+    e9 + span*e10: its value at a9 = x, a10 = x^span.  The weight caps the
+    a9-exponent of every monomial of every product at w // 3 < span, so the
+    layout is injective on them and each digit of the packed sum is the
+    combination's coefficient of the one monomial at its position.
     """
-    bound = sum(abs(c) * prod(sum(map(abs, f.values())) for f in fs)
-                for c, fs in terms)
-    beta = bound.bit_length() + 1
     span = w // 3 + 1
-    x = sum(c * prod(_kronecker(f, beta, span) for f in fs) for c, fs in terms)
-    return x, beta, span
+
+    def digits(f: Form) -> tuple[list[int], tuple[()]]:
+        out = [0] * (max(e9 + span * e10 for e9, e10 in f) + 1)
+        for (e9, e10), c in f.items():
+            out[e9 + span * e10] = c
+        return out, ()
+
+    packed = _packed_sum([((c, 0), [(digits(f), e) for f, e in fs]) for c, fs in terms],
+                         span * (w // 2 + 1))
+    return {(k % span, k // span): c for k, (c, _) in enumerate(packed) if c}
 
 
-def _unpack(x: int, beta: int, span: int, w: int, scale: Fraction,
-            names: tuple[str, ...], i9: int, i10: int) -> UniPoly:
-    """scale times the weight-w polynomial whose _kronecker_sum is x: the
-    signed base-2^beta digit at e9 + span*e10 is the coefficient of
-    a9^e9 * a10^e10 * z^(w - 3*e9 - 2*e10)."""
-    mask, half = (1 << beta) - 1, 1 << (beta - 1)
+def _family_poly(f: Form, w: int, scale: Fraction, names: tuple[str, ...],
+                 i9: int, i10: int) -> UniPoly:
+    """scale times the weight-w polynomial with integer form f: the
+    coefficient of a9^e9 * a10^e10 sits on z^(w - 3*e9 - 2*e10)."""
     coeffs: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    position = 0
-    while x:
-        digit = x & mask
-        x >>= beta
-        if digit >= half:
-            digit -= 1 << beta
-            x += 1
-        if digit:
-            e10, e9 = divmod(position, span)
-            expo = [0] * len(names)
-            expo[i9], expo[i10] = e9, e10
-            coeffs.setdefault(w - 3 * e9 - 2 * e10, {})[tuple(expo)] = scale * digit
-        position += 1
+    for (e9, e10), c in f.items():
+        expo = [0] * len(names)
+        expo[i9], expo[i10] = e9, e10
+        coeffs.setdefault(w - 3 * e9 - 2 * e10, {})[tuple(expo)] = scale * c
     return UniPoly.from_terms({e: MultiPoly._trusted(names, t)
                                for e, t in coeffs.items()})
 
@@ -405,9 +395,9 @@ def _family_vm(P: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
     d*P'', d*P''' (same d), V and M are the combinations
       V = 25/(11 s^2 d^2) * (11*p'^2 - 12*p*p'')
       M = 25/(11 s^3 d^3) * (90*p*p'*p'' - 36*p^2*p''' - 55*p'^3)
-    of weights 2w - 2 and 3w - 3 for P of weight w.  _kronecker_sum packs
-    each at a digit width proven from its 1-norm bound, and _unpack reads
-    the coefficients back, each on the z-power its weight fixes.
+    of weights 2w - 2 and 3w - 3 for P of weight w.  Each is one _form_sum,
+    exact to the digit by the "Packed sums" bound of the exact module, and
+    _family_poly puts every coefficient on the z-power its weight fixes.
     """
     names = P.leading().vars
     i9, i10 = names.index("a9"), names.index("a10")
@@ -415,11 +405,11 @@ def _family_vm(P: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
     p1 = _derivative_form(w, p0)
     p2 = _derivative_form(w - 1, p1)
     p3 = _derivative_form(w - 2, p2)
-    v = _kronecker_sum([(11, (p1, p1)), (-12, (p0, p2))], 2 * w - 2)
-    m = _kronecker_sum([(90, (p0, p1, p2)), (-36, (p0, p0, p3)),
-                        (-55, (p1, p1, p1))], 3 * w - 3)
-    return (_unpack(*v, 2 * w - 2, Fraction(25, 11 * s ** 2 * d ** 2), names, i9, i10),
-            _unpack(*m, 3 * w - 3, Fraction(25, 11 * s ** 3 * d ** 3), names, i9, i10))
+    v = _form_sum([(11, [(p1, 2)]), (-12, [(p0, 1), (p2, 1)])], 2 * w - 2)
+    m = _form_sum([(90, [(p0, 1), (p1, 1), (p2, 1)]), (-36, [(p0, 2), (p3, 1)]),
+                   (-55, [(p1, 3)])], 3 * w - 3)
+    return (_family_poly(v, 2 * w - 2, Fraction(25, 11 * s ** 2 * d ** 2), names, i9, i10),
+            _family_poly(m, 3 * w - 3, Fraction(25, 11 * s ** 3 * d ** 3), names, i9, i10))
 
 
 def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
@@ -437,11 +427,11 @@ def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
     z^(5 deg P) coefficients gives c*lead(P)^5 = lead(V)^3 - lead(M)^2,
     and that is checked for c = k in MultiPoly.
 
-    Each of sM and sV2 is certified by one Kronecker evaluation of its
-    denominator-cleared integer form at z = 1 (_kronecker_sum), which is
-    injective: every term's weight is checked (so both identities are
-    weighted-homogeneous and z = 1 merges no terms), and the digit width
-    comes from a proven bound on the coefficients.
+    Each of sM and sV2 is certified by one _form_sum of its
+    denominator-cleared integer form at z = 1, which is injective: every
+    term's weight is checked (so both identities are weighted-homogeneous
+    and z = 1 merges no terms), and the digit width comes from the proven
+    bound of "Packed sums" in the exact module docstring.
     """
     names = P.leading().vars
     i9, i10 = names.index("a9"), names.index("a10")
@@ -455,13 +445,11 @@ def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
     s = P.degree - 6
     v1, m1, p1 = (_derivative_form(*f) for f in ((wv, v), (wm, m), (wp, p)))
     # s*M = 3*V'*P - 5*V*P' and s*V^2 = 2*M'*P - 5*M*P', denominators cleared
-    s_m, _, _ = _kronecker_sum([(s * dv * dp, (m,)), (-3 * dm, (v1, p)),
-                                (5 * dm, (v, p1))], wm)
-    if s_m:
+    if _form_sum([(s * dv * dp, [(m, 1)]), (-3 * dm, [(v1, 1), (p, 1)]),
+                  (5 * dm, [(v, 1), (p1, 1)])], wm):
         raise AssertionError("family does not satisfy s*M = 3*V'*P - 5*V*P'")
-    s_v2, _, _ = _kronecker_sum([(s * dm * dp, (v, v)), (-2 * dv * dv, (m1, p)),
-                                 (5 * dv * dv, (m, p1))], 2 * wv)
-    if s_v2:
+    if _form_sum([(s * dm * dp, [(v, 2)]), (-2 * dv * dv, [(m1, 1), (p, 1)]),
+                  (5 * dv * dv, [(m, 1), (p1, 1)])], 2 * wv):
         raise AssertionError("family does not satisfy s*V^2 = 2*M'*P - 5*M*P'")
     if k * P.leading() ** 5 != V.leading() ** 3 - M.leading() ** 2:
         raise AssertionError(
@@ -481,10 +469,10 @@ def family_k_formula() -> MultiPoly:
     (V^3 - M^2)/P^5 has zero z-derivative and is a constant of Q(a9, a10);
     with 3 deg V = 2 deg M = 5 deg P that constant is the ratio of top
     coefficients, which is k.  Each Halphen identity is certified by one
-    exact integer evaluation at a9 = 2^beta, a10 = 2^(beta*span), never
-    expanding V^3, M^2 or P^5.  That evaluation is a proof, not a sample:
-    the checked weighted homogeneity and the computed coefficient bound
-    that sets beta make it injective on the identity's monomials.
+    exact packed sum (_form_sum), never expanding V^3, M^2 or P^5.  That
+    evaluation is a proof, not a sample: the checked weighted homogeneity
+    and the proven digit bound make it injective on the identity's
+    monomials.
     """
     P, V, M = _family()
     k = (V.leading() ** 3 - M.leading() ** 2).divide_exact(P.leading() ** 5)
@@ -523,19 +511,6 @@ class D6Report(_Record):
     belyi: FactoredBelyi
     trace: EliminationTrace
     values: dict[str, Fraction]
-
-    def to_report(self) -> dict:
-        return {
-            "belyi": {
-                "k": str(self.belyi.k),
-                "zeros": [(str(f), e) for f, e in self.belyi.zero_factors],
-                "ones": [(str(f), e) for f, e in self.belyi.one_factors],
-                "poles": [(str(f), e) for f, e in self.belyi.pole_factors],
-                "infinity": [self.belyi.infinity_side, self.belyi.infinity_order],
-            },
-            "values": {k: str(v) for k, v in sorted(self.values.items())},
-            "trace": self.trace.to_report(),
-        }
 
 
 @cache

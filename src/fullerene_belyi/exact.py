@@ -20,20 +20,26 @@ Polynomials serialize as lists of coefficient tokens "a/b" (rational) or
 
 Three integer kernels do the heavy work of certification.
 
-Multiplication over Q(i) (Kronecker substitution).  Each operand is
-cleared to integer real and imaginary vectors over one common denominator
-d (the lcm of its denominators).  Every vector is packed into one integer
-as its value at z = 2^B, three big-integer products give the real part
-rr - ii and the imaginary part (Ar + Ai)(Br + Bi) - rr - ii of the
-product at 2^B (rr = Ar*Br, ii = Ai*Bi), and the digits are unpacked and
-divided by d_a*d_b.  Evaluation at 2^B is a ring map, so the unpacking is
-exact once every product coefficient c satisfies |c| < 2^(B-1).  A
-coefficient of the product is a sum of at most n = min(len a, len b)
-terms x*y, and |Re(x*y)|, |Im(x*y)| <= (|Re x| + |Im x|)(|Re y| + |Im y|),
-so |c| <= n * max|a| * max|b| with max|.| the largest such 1-norm of an
-operand's integer digits; B is that bound's bit length plus a sign bit,
-rounded up to whole bytes.  The schoolbook loop remains for the MultiPoly
-coefficient ring.
+Packed sums (Kronecker substitution).  _packed_sum computes
+S = sum(c * prod f^e) over terms with c in Z[i] and every f in Z[i][z],
+given as its real and imaginary integer digit vectors.  Each vector is
+packed into one integer as its value at z = 2^B, the powers and products
+are taken as big integers in Z[i] (_gauss_mul), and the digits of S are
+unpacked.  Evaluation at 2^B is a ring map, so the unpacking is exact once
+every coefficient x of S satisfies |Re x|, |Im x| < 2^(B-1).  The 1-norm
+||g||_1 = sum(|Re g_k| + |Im g_k|) bounds both parts of every coefficient
+of g, it is subadditive, and it is submultiplicative, because
+|Re(x*y)| + |Im(x*y)| <= (|Re x| + |Im x|)(|Re y| + |Im y|) for any x, y in
+Z[i] and a coefficient of g*h is a sum of such products.  So every
+coefficient of S is below bound = sum ||c||_1 * prod ||f||_1^e, and B is the
+bound's bit length plus a sign bit, rounded up to whole bytes.  With c and
+every f nonzero, each packed digit is below the bound too.
+
+Multiplication over Q(i).  Each operand is cleared to integer real and
+imaginary vectors over one common denominator d (the lcm of its
+denominators); the product is the packed sum of the one term with c = 1,
+and its digits are divided by d_a*d_b.  The schoolbook loop remains for the
+MultiPoly coefficient ring.
 
 Coprimality (a certificate modulo one fixed prime).  Let p = _P, a prime
 with p = 1 (mod 4), r = _R with r^2 = -1 (mod p), and J the prime ideal
@@ -59,19 +65,14 @@ The identity of a factored Belyi function (products of powers in Z[i]).
 _cleared_identity, which FactoredBelyi.verify calls, proves k*Z - Q = c*O
 for Z, Q and O products of powers f^e of monic factors, without a
 Fraction.  Every factor is cleared once to g_f/d_f, with g_f in Z[i][z]
-and d_f the lcm of its denominators, and k = kappa/d_k.  With G_Z = prod g_f^e and D_Z = prod d_f^e (likewise
-for Q and O), k*Z - Q = W/(d_k*D_Z*D_Q) for
-W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and since O = G_O/D_O is monic, the
-identity holds iff W != 0, deg W = deg O and D_O*W = lead(W)*G_O
-coefficient by coefficient.  Only W and G_O are unpacked, from their
-values at z = 2^B, taken as big-integer powers and products of the packed
-g_f.  The 1-norm ||g||_1 = sum(|Re g_k| + |Im g_k|) is submultiplicative
-(the inequality above) and bounds every |Re| and |Im| digit, so the digits
-of W are below ||kappa||_1 * prod_Z ||g||_1^e * D_Q
-+ d_k * D_Z * prod_Q ||g||_1^e and those of G_O below prod_O ||g||_1^e; B
-is the larger bound's bit length plus a sign bit, in whole bytes.  Only
-when the check fails are W/lead(W) and O rebuilt over Q(i), to name the two
-sides that differ.
+and d_f the lcm of its denominators, and k = kappa/d_k.  With
+G_Z = prod g_f^e and D_Z = prod d_f^e (likewise for Q and O),
+k*Z - Q = W/(d_k*D_Z*D_Q) for W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and since
+O = G_O/D_O is monic, the identity holds iff W != 0, deg W = deg O and
+D_O*W = lead(W)*G_O coefficient by coefficient.  W is the packed sum of
+its two terms and G_O that of its one, so no product is expanded over
+Q(i).  Only when the check fails are W/lead(W) and O rebuilt over Q(i), to
+name the two sides that differ.
 """
 
 from __future__ import annotations
@@ -186,12 +187,30 @@ class GaussRat:
 
     @staticmethod
     def from_token(token: str) -> "GaussRat":
+        """Parse "a/b" or "a/b,c/d": each part an optional "-", ASCII
+        digits, and optionally "/" and ASCII digits.  Anything else raises
+        ValueError (ZeroDivisionError for a zero denominator)."""
         parts = token.split(",")
         if len(parts) == 1:
-            return GaussRat(Fraction(parts[0]), Fraction(0))
+            return GaussRat(_rational(parts[0]), _FZERO)
         if len(parts) == 2:
-            return GaussRat(Fraction(parts[0]), Fraction(parts[1]))
+            return GaussRat(_rational(parts[0]), _rational(parts[1]))
         raise ValueError(f"bad coefficient token: {token!r}")
+
+
+def _natural(text: str) -> int:
+    """The value of a nonempty string of ASCII digits; ValueError for
+    anything else (a sign, a space, "_", an exponent, a non-ASCII digit)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _rational(text: str) -> Fraction:
+    """A token part "a" or "a/b": natural numbers, a with an optional "-"."""
+    num, slash, den = text.partition("/")
+    n = -_natural(num[1:]) if num.startswith("-") else _natural(num)
+    return Fraction(n, _natural(den)) if slash else Fraction(n)
 
 
 # the slot setters, which skip the refusing __setattr__ (the hot path)
@@ -248,13 +267,6 @@ def _unpack(x: int, n: int, width: int) -> list[int]:
             for k in range(0, n * width, width)]
 
 
-def _kron_width(n: int, ma: int, mb: int) -> int:
-    """Bytes per digit for a product with at most n terms per coefficient
-    and operand digits of 1-norm at most ma and mb: the bound n*ma*mb must
-    stay below 2^(B-1), B = 8*width."""
-    return ((n * ma * mb).bit_length() + 8) // 8
-
-
 GaussInt = tuple[int, int]  # (re, im)
 
 
@@ -270,24 +282,24 @@ def _gauss_mul(a: GaussInt, b: GaussInt) -> GaussInt:
     return rr - ii, (ar + ai) * (br + bi) - rr - ii
 
 
-def _unpack_gauss(x: GaussInt, n: int, width: int) -> list[GaussInt]:
-    """The n (re, im) digits of a packed Gaussian integer (see _unpack)."""
-    return list(zip(_unpack(x[0], n, width),
-                    _unpack(x[1], n, width) if x[1] else [0] * n))
-
-
-def _kronecker_mul(a: Sequence[GaussRat], b: Sequence[GaussRat]) -> list[GaussRat]:
-    """Coefficients of a*b over Q(i), by three big-integer products."""
-    da, ar, ai = _cleared(a)
-    db, br, bi = _cleared(b)
-    width = _kron_width(min(len(a), len(b)),
-                        max(abs(x) + abs(y) for x, y in zip(ar, ai)),
-                        max(abs(x) + abs(y) for x, y in zip(br, bi)))
-    product = _gauss_mul((_pack(ar, width), _pack(ai, width)),
-                         (_pack(br, width), _pack(bi, width)))
-    d = da * db
-    return [GaussRat(Fraction(x, d), Fraction(y, d) if y else _FZERO)
-            for x, y in _unpack_gauss(product, len(a) + len(b) - 1, width)]
+def _packed_sum(terms, n: int) -> list[GaussInt]:
+    """The n (re, im) digits of sum(c * prod(f^e)) over terms
+    [(c, [((re, im), e), ...]), ...]: c is a nonzero Gaussian integer and
+    each f, the integer digit lists re + im*i lowest first, is nonzero.
+    One width serves every factor ("Packed sums" in the module docstring)."""
+    bound = sum((abs(cr) + abs(ci)) * math.prod(
+        (sum(map(abs, re)) + sum(map(abs, im))) ** e for (re, im), e in factors)
+        for (cr, ci), factors in terms)
+    width = (bound.bit_length() + 8) // 8
+    total_re = total_im = 0
+    for c, factors in terms:
+        for (re, im), e in factors:
+            g = (_pack(re, width), _pack(im, width))
+            c = _gauss_mul(c, binary_power(g, e, (1, 0), _gauss_mul))
+        total_re += c[0]
+        total_im += c[1]
+    return list(zip(_unpack(total_re, n, width),
+                    _unpack(total_im, n, width) if total_im else [0] * n))
 
 
 def _cleared_identity(k: GaussRat, zeros, poles, ones
@@ -302,30 +314,17 @@ def _cleared_identity(k: GaussRat, zeros, poles, ones
     sides = []
     for factors in (zeros, poles, ones):
         cleared = [(_cleared(f.coeffs), e) for f, e in factors]
-        sides.append((cleared,
+        sides.append(([((re, im), e) for (_, re, im), e in cleared],
                       math.prod(d ** e for (d, _, _), e in cleared),
-                      math.prod((sum(map(abs, re)) + sum(map(abs, im))) ** e
-                                for (_, re, im), e in cleared),
                       sum((len(re) - 1) * e for (_, re, _), e in cleared)))
-    (cz, dz, nz, degz), (cq, dq, nq, degq), (co, do, no, dego) = sides
-    bound = max((abs(kr) + abs(ki)) * nz * dq + dk * dz * nq, no)
-    width = (bound.bit_length() + 8) // 8
-
-    def packed(cleared) -> GaussInt:
-        acc = (1, 0)
-        for (_, re, im), e in cleared:
-            g = (_pack(re, width), _pack(im, width))
-            acc = _gauss_mul(acc, binary_power(g, e, (1, 0), _gauss_mul))
-        return acc
-
-    gz, gq = _gauss_mul((kr * dq, ki * dq), packed(cz)), packed(cq)
-    w = _unpack_gauss((gz[0] - dk * dz * gq[0], gz[1] - dk * dz * gq[1]),
-                      max(degz, degq) + 1, width)
+    (gz, dz, degz), (gq, dq, degq), (go, do, dego) = sides
+    w = _packed_sum([((kr * dq, ki * dq), gz), ((-dk * dz, 0), gq)],
+                    max(degz, degq) + 1)
     while w and w[-1] == (0, 0):
         w.pop()
     if not w:
         return None, None
-    g_o = _unpack_gauss(packed(co), dego + 1, width)
+    g_o = _packed_sum([((1, 0), go)], dego + 1)
     # the one-side scalar is lead(W) / (d_k*D_Z*D_Q); only the monic part
     # is declared, so compare W / lead(W) with G_O / D_O
     lead = w[-1]
@@ -476,7 +475,13 @@ class UniPoly:
         if not a or not b:
             return UniPoly((), zero)
         if isinstance(zero, GaussRat):
-            return UniPoly(_kronecker_mul(a, b), zero)
+            da, ar, ai = _cleared(a)
+            db, br, bi = _cleared(b)
+            d = da * db
+            digits = _packed_sum([((1, 0), [((ar, ai), 1), ((br, bi), 1)])],
+                                 len(a) + len(b) - 1)
+            return UniPoly([GaussRat(Fraction(x, d), Fraction(y, d) if y else _FZERO)
+                            for x, y in digits], zero)
         # schoolbook over a parameter ring
         nonzero_b = [(j, y) for j, y in enumerate(b) if not y.is_zero]
         out = [zero] * (len(a) + len(b) - 1)

@@ -258,6 +258,16 @@ def test_factored_text_roundtrip():
     assert str(again.verify()) == str(beta.verify())
 
 
+@pytest.mark.parametrize("field", ["1_0", "\u0663", "+3", "-3", "1e1", "3.0"])
+@pytest.mark.parametrize("line", ["infinity pole {}", "zero {} 5 10 1"])
+def test_exponent_and_infinity_order_are_ascii_digits(line, field):
+    text = quotient6_by_hand().to_text()
+    good = line.format(5 if line.startswith("infinity") else 3)
+    assert good in text
+    with pytest.raises(belyi.BelyiFormatError):
+        FactoredBelyi.from_text(text.replace(good, line.format(field), 1))
+
+
 def test_passport_display_and_sums():
     pp = Passport.of([3, 3], [2, 1, 2, 1], [5, 1])
     assert str(pp) == "(3^2 | 2^2 1^2 | 5^1 1^1)"

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -158,12 +159,26 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
+    # Fraction("1e9999999") alone takes seconds; the grammar refuses it
+    path = tmp_path / "exponent.belyi"
+    path.write_text("belyi v1\nk 1/1728\ninfinity pole 5\nzero 3 5 1e9999999 1\n"
+                    "one 2 -1 4 1\none 1 125 22 1\npole 1 0 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.startswith("error: BelyiFormatError: ")
+
+
 @pytest.mark.parametrize("document, output, name", [
     ("belyi v1\nk\nzero 1 0 1\npole 1 1 1\n", None, "BelyiFormatError"),
     ("belyi v1\nk 1\ninfinity pole\n", None, "BelyiFormatError"),
     ("belyi v1\nk 1/0\n", None, "BelyiFormatError"),
+    ("belyi v1\nk 1e9999999\nzero 1 0 1\npole 1 1 1\n", None, "BelyiFormatError"),
     (None, "missing-dir/report.txt", "FileNotFoundError"),
-], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "output-dir-missing"])
+], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "k-exponent-token",
+        "output-dir-missing"])
 def test_bad_input_exits_1_with_named_error(tmp_path, document, output, name):
     if document is None:
         argv = ["--output", str(tmp_path / output), "passport", "0"]

@@ -412,7 +412,6 @@ def test_derive_case_all_small_s_verdicts():
 def test_derive_case_bound():
     with pytest.raises(ValueError):
         derive_case(13)
-    assert derive_case(13, bound=13).verdict is Verdict.NO_SOLUTION_LEADING_COEFF
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: Gaussian rationals, polynomials, rational maps."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,16 @@ def test_gaussrat_field_axioms_randomized(rng):
         if not a.is_zero:
             assert a * a.inverse() == GaussRat.of(1)
             assert (b / a) * a == b
+
+
+@pytest.mark.parametrize("token", [
+    "1e5", "1.5", "1_000", " 7 ", "\u0663", "1e9999999", "+1", "1/-2", "-",
+    "1/", "/2", "1,2,3", "1,", "0x10"])
+def test_gaussrat_rejects_tokens_outside_the_grammar_at_once(token):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        GaussRat.from_token(token)
+    assert time.perf_counter() - start < 1
 
 
 def test_gaussrat_token_roundtrip(rng):
@@ -182,27 +193,53 @@ def test_kronecker_constant_times_polynomial(rng):
         assert_matches_schoolbook(UniPoly.constant(c), p)
 
 
+@pytest.fixture
+def widths(monkeypatch):
+    """The digit widths, in bits, that _packed_sum unpacks at."""
+    seen = []
+    unpack = exact._unpack
+
+    def spy(x, n, width):
+        seen.append(8 * width)
+        return unpack(x, n, width)
+
+    monkeypatch.setattr(exact, "_unpack", spy)
+    return seen
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("unit", [(1, 0), (0, 1), (1, 1)], ids=str)
-@pytest.mark.parametrize("top, n, x, bits", [
-    # n*x*y = 2^(bits-1) - 1: the largest digit `bits` bits hold
-    ((1 << 15) - 1, 7, 31, 16), ((1 << 255) - 1, 7, 31, 256),
-    # n*x*y = 2^15 and 2^255: one more, so the width grows by a byte
-    (1 << 15, 8, 64, 24), (1 << 255, 8, 1 << 126, 264)])
-def test_kronecker_digits_at_the_borrow_boundary(sign, unit, top, n, x, bits):
-    y = top // (n * x)
-    assert n * x * y == top
-    # n equal coefficients on each side: the middle coefficient of the
-    # product is unit^2 * n*x*y, for the units 1 and i exactly the bound
-    # the width is proven from, and twice the max-norm bound for 1 + i
+@pytest.mark.parametrize("x, y, bits", [
+    # x*y = 2^(bits-1) - 1: the largest digit `bits` bits hold
+    (7 * 31, 151, 16), (7, ((1 << 255) - 1) // 7, 256),
+    # x*y = 2^15 and 2^255: one more, so the width grows by a byte
+    (1 << 7, 1 << 8, 24), (1 << 126, 1 << 129, 264)])
+def test_kronecker_digits_at_the_borrow_boundary(widths, sign, unit, x, y, bits):
+    # monomials: the one coefficient of the product is unit^2 * x*y, for
+    # the units 1 and i exactly the bound ||p||_1 * ||q||_1 the width is
+    # proven from, for 1 + i half of it
     u = GaussRat.of(*unit)
-    p = UniPoly([u * x] * n)
-    q = UniPoly([u * (sign * y)] * n)
+    p = UniPoly.monomial(5, u * x)
+    q = UniPoly.monomial(3, u * (sign * y))
+    assert p * q == UniPoly.monomial(8, u * u * (sign * x * y))
     if sum(unit) == 1:
-        assert 8 * exact._kron_width(n, x, y) == bits
-    prod = p * q
-    assert prod.coefficient(n - 1) == u * u * (sign * top)
+        assert widths == [bits]
     assert_matches_schoolbook(p, q)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("c, f, e, digits, bits", [
+    # c * 7^2 = 2^63 - 1: the largest digit 64 bits hold
+    (((1 << 63) - 1) // 49, [0, 7], 2, [0, 0, (1 << 63) - 1], 64),
+    # c * 2^2 = 2^63: one more, so the width grows by a byte
+    (1 << 61, [0, 2], 2, [0, 0, 1 << 63], 72),
+    # c * (1 + z)^3: the digit 3c = 3 * 2^62 needs the 1-norm 8c of the
+    # bound, not c times the largest digit of 1 + z
+    (1 << 62, [1, 1], 3, [1 << 62, 3 << 62, 3 << 62, 1 << 62], 72)])
+def test_packed_sum_powers_at_the_borrow_boundary(widths, sign, c, f, e, digits, bits):
+    got = exact._packed_sum([((sign * c, 0), [((f, []), e)])], len(digits))
+    assert got == [(sign * d, 0) for d in digits]
+    assert widths == [bits]
 
 
 def test_kronecker_kernel_property():
