@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .exact import (GaussRat, RationalMap, UniPoly, _cleared_identity,
-                    _coprime_given, _natural, _Record, _reduce_mod_p,
+                    _coprime_given, _natural, _quote, _Record, _reduce_mod_p,
                     _squarefree_given, squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
@@ -142,6 +142,32 @@ def main_equation_residual(k: GaussRat | Fraction | int, V: UniPoly, P: UniPoly,
     return (V ** 3 - M ** 2).scale(k) - P ** 5 * H ** 6
 
 
+# a message shows a polynomial of at most this many characters, and an
+# integer of at most this many bits; longer ones it names by their size
+_SHOWN_CHARS = 200
+_SHOWN_BITS = 200
+
+
+def _show(f: UniPoly) -> str:
+    """f as a message shows it: str(f) when that is at most _SHOWN_CHARS
+    characters, else its degree and the largest bit length of a numerator
+    or denominator of its coefficients.  A b-bit integer has fewer than
+    0.302*b + 1 decimal digits, so f is printed only when all its integers
+    are short, and no long integer is converted to decimal."""
+    bits = [x.bit_length() for c in f.coeffs for q in (c.re, c.im)
+            for x in (q.numerator, q.denominator)]
+    if sum(b * 302 // 1000 + 1 for b in bits) <= _SHOWN_CHARS:
+        text = str(f)
+        if len(text) <= _SHOWN_CHARS:
+            return text
+    return f"<degree {f.degree} polynomial, coefficients up to {max(bits)} bits>"
+
+
+def _show_int(n: int) -> str:
+    """n in decimal, or its bit length when it has more than _SHOWN_BITS."""
+    return str(n) if n.bit_length() <= _SHOWN_BITS else f"<{n.bit_length()}-bit integer>"
+
+
 def _degree_of(factors: Factors) -> int:
     return sum(f.degree * e for f, e in factors)
 
@@ -184,7 +210,7 @@ class FactoredBelyi(_Record, frozen=True):
 
     def __post_init__(self):
         if self.infinity_side not in INFINITY_SIDES:
-            raise ValueError(f"unknown infinity tag {self.infinity_side!r}")
+            raise ValueError(f"unknown infinity tag {_quote(self.infinity_side)}")
         if self.infinity_side == "none" and self.infinity_order:
             raise ValueError("untagged infinity cannot carry an order")
         if self.infinity_side != "none" and self.infinity_order < 1:
@@ -304,25 +330,23 @@ class FactoredBelyi(_Record, frozen=True):
         reductions = []
         for f, _ in all_factors:
             if not f.is_monic:
-                raise FactorNotSquarefree(f"factor {f} is not monic")
+                raise FactorNotSquarefree(f"factor {_show(f)} is not monic")
             reductions.append(_reduce_mod_p(f))
             if not _squarefree_given(f, reductions[-1]):
-                raise FactorNotSquarefree(f"factor {f} has a repeated root")
+                raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
         for i in range(len(all_factors)):
             for j in range(i + 1, len(all_factors)):
                 a, b = all_factors[i][0], all_factors[j][0]
                 if not _coprime_given(a, reductions[i], b, reductions[j]):
-                    raise FactorsShareRoot(f"factors {a} and {b} share a root")
+                    raise FactorsShareRoot(
+                        f"factors {_show(a)} and {_show(b)} share a root")
 
         n = self.degree
-        if self._side_sum(self.one_factors, "one") != n:
-            raise DegreeImbalance(
-                f"one side sums to {self._side_sum(self.one_factors, 'one')}, "
-                f"zero side to {n}")
-        if self._side_sum(self.pole_factors, "pole") != n:
-            raise DegreeImbalance(
-                f"pole side sums to {self._side_sum(self.pole_factors, 'pole')}, "
-                f"zero side to {n}")
+        for side, factors in (("one", self.one_factors), ("pole", self.pole_factors)):
+            if self._side_sum(factors, side) != n:
+                raise DegreeImbalance(
+                    f"{side} side sums to {_show_int(self._side_sum(factors, side))}, "
+                    f"zero side to {_show_int(n)}")
 
         deg_w, mismatch = _cleared_identity(self.k, self.zero_factors,
                                             self.pole_factors, self.one_factors)
@@ -332,7 +356,7 @@ class FactoredBelyi(_Record, frozen=True):
             got, declared = mismatch
             raise IdentityFailed(
                 "k*zeros - poles does not factor as declared: "
-                f"got {got}, declared {declared}")
+                f"got {_show(got)}, declared {_show(declared)}")
 
         # infinity order must match what the numerator/denominator degrees say
         expected_side, expected_order = _infinity_from_degrees(
@@ -340,8 +364,8 @@ class FactoredBelyi(_Record, frozen=True):
             _degree_of(self.pole_factors), deg_w)
         if (expected_side, expected_order) != (self.infinity_side, self.infinity_order):
             raise DegreeImbalance(
-                f"infinity tagged {self.infinity_side}^{self.infinity_order}, "
-                f"degrees give {expected_side}^{expected_order}")
+                f"infinity tagged {self.infinity_side}^{_show_int(self.infinity_order)}, "
+                f"degrees give {expected_side}^{_show_int(expected_order)}")
         return self.passport()
 
     # -- serialization -------------------------------------------------------
@@ -381,7 +405,7 @@ class FactoredBelyi(_Record, frozen=True):
                 else:
                     raise ValueError("unknown line or wrong field count")
             except (ValueError, ZeroDivisionError) as exc:
-                raise BelyiFormatError(f"bad belyi line {ln!r}: {exc}") from exc
+                raise BelyiFormatError(f"bad belyi line {_quote(ln)}: {exc}") from exc
         if k is None:
             raise BelyiFormatError("belyi document is missing the scalar k")
         try:

@@ -160,17 +160,49 @@ def _symbolic_p(m: int) -> tuple[UniPoly, list[str]]:
     return UniPoly.from_terms(terms), names
 
 
+def _ode_system(m: int, names: list[str]) -> list[tuple[int, MultiPoly]]:
+    """(d, z^d coefficient) pairs of ode_residual(P) for the symbolic P of
+    _symbolic_p(m), whose unknowns are names, from the closed form.
+
+    With P = sum a_i z^i, a_m = 1 and a_(m-1) = 0, the z^d coefficient of
+    22*P*P'''' + 45*P''^2 - 66*P'*P''' is the sum over ordered pairs
+    i + j = d + 4 (0 <= i, j <= m) of
+        a_i*a_j*[22*j(j-1)(j-2)(j-3) + 45*i(i-1)*j(j-1) - 66*i*j(j-1)(j-2)],
+    a_i z^i times the z^(j-4) term of P'''', a_i i(i-1) z^(i-2) times the
+    z^(j-2) term of P'' and a_i i z^(i-1) times the z^(j-3) term of P'''.
+    Degrees run from 2m - 4 down to 0 and the leading zero equations are
+    dropped, so the list is [(d, ode_residual(P).coefficient(d)) for d from
+    its degree down to 0], built without multiplying over MultiPoly.
+    """
+    vs = tuple(names)
+    system = []
+    for d in range(2 * m - 4, -1, -1):
+        acc: dict[tuple[int, ...], int] = {}
+        for i in range(max(0, d + 4 - m), min(m, d + 4) + 1):
+            j = d + 4 - i
+            w = (22 * j * (j - 1) * (j - 2) * (j - 3) + 45 * i * (i - 1) * j * (j - 1)
+                 - 66 * i * j * (j - 1) * (j - 2))
+            if not w or m - 1 in (i, j):
+                continue
+            expo = [0] * len(vs)
+            for k in (i, j):
+                if k < m:
+                    expo[m - 2 - k] += 1
+            key = tuple(expo)
+            acc[key] = acc.get(key, 0) + w
+        eq = MultiPoly._trusted(vs, {e: Fraction(c) for e, c in acc.items() if c})
+        if eq or system:
+            system.append((d, eq))
+    return system
+
+
 @cache
 def run_ode_elimination(s: int) -> tuple[UniPoly, EliminationTrace]:
     """Plug the indeterminate monic P into the ODE and solve the coefficient
-    system linearly, highest z-degree first."""
+    system (_ode_system) linearly, highest z-degree first."""
     _, _, _, m = case_degrees(s)
     p_sym, names = _symbolic_p(m)
-    residual = ode_residual(p_sym)
-    system = [(d, residual.coefficient(d))
-              for d in range(residual.degree, -1, -1)]
-    trace = sequential_linear_solve(system, names)
-    return p_sym, trace
+    return p_sym, sequential_linear_solve(_ode_system(m, names), names)
 
 
 def _at_point(p_sym: UniPoly, values: dict[str, Fraction]) -> UniPoly:

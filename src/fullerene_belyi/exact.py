@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -195,14 +196,28 @@ class GaussRat:
             return GaussRat(_rational(parts[0]), _FZERO)
         if len(parts) == 2:
             return GaussRat(_rational(parts[0]), _rational(parts[1]))
-        raise ValueError(f"bad coefficient token: {token!r}")
+        raise ValueError(f"bad coefficient token: {_quote(token)}")
+
+
+def _quote(text: str, limit: int = 60) -> str:
+    """repr(text) for a message, cut to its first `limit` characters (and
+    its length named) when longer."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def _natural(text: str) -> int:
     """The value of a nonempty string of ASCII digits; ValueError for
-    anything else (a sign, a space, "_", an exponent, a non-ASCII digit)."""
+    anything else (a sign, a space, "_", an exponent, a non-ASCII digit),
+    and for more digits than Python's int-string limit, named by count."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"expected ASCII digits, got {text!r}")
+        raise ValueError(f"expected ASCII digits, got {_quote(text)}")
+    # the limit came in 3.11 and 3.10.7; 0, as before it, means none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(text) > limit:
+        raise ValueError(f"a number of {len(text)} digits exceeds Python's "
+                         f"int-string limit of {limit} digits")
     return int(text)
 
 

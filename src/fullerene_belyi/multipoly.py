@@ -7,18 +7,31 @@ indeterminate-coefficient polynomial such as z^m + a_{m-1} z^{m-1} + ...)
 is an exact.UniPoly over this ring.
 
 The elimination engine walks a list of equations (by convention the
-z-coefficients of some identity, highest degree first), repeatedly
-substitutes everything solved so far, divides out factors that the caller
-has declared nonzero, and solves each surviving equation for the
-highest-priority unknown in which it is linear with an invertible
-coefficient.  The full history is kept in an EliminationTrace so that runs
-are replayable and reportable.
+z-coefficients of some identity, highest degree first), substitutes
+everything solved so far, divides out factors that the caller has declared
+nonzero, and solves each surviving equation for the highest-priority
+unknown in which it is linear with an invertible coefficient.  The full
+history is kept in an EliminationTrace so that runs are replayable and
+reportable.
+
+Substitution is simultaneous (MultiPoly.substitute_all), and the engine
+keeps a resolved map: each solved variable sent to its expression in the
+variables still unsolved.  A new step x = e, with e in the unsolved
+variables, is substituted into the map's values and then added, so no value
+ever mentions a solved variable.  Substituting the solved steps one after
+another is a composition of ring maps, and the map's values are exactly that
+composition evaluated on each solved variable; since they mention no
+variable being replaced, one simultaneous substitution with the map gives
+the same polynomial.  MultiPoly is canonical (a dict of nonzero terms,
+printed sorted), so the recorded equations and substitutions, and every
+report made from them, are the same as those of the sequential replay.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from operator import add
 
 from .exact import UniPoly, _Record, binary_power
 
@@ -176,27 +189,55 @@ class MultiPoly:
 
     def substitute(self, name: str, replacement: "MultiPoly | RationalLike") -> "MultiPoly":
         """Replace one variable by a polynomial (or constant) and renormalize."""
-        if isinstance(replacement, (int, Fraction)):
-            replacement = MultiPoly.const(self.vars, replacement)
-        self._check(replacement)
-        i = self.vars.index(name)
-        if not any(e[i] for e in self.terms):
+        return self.substitute_all({name: replacement})
+
+    def substitute_all(self, mapping: Mapping[str, "MultiPoly | RationalLike"]
+                       ) -> "MultiPoly":
+        """Replace several variables at once, each by a polynomial (or
+        constant), and renormalize; self when none of them occurs.
+
+        The replacements are simultaneous: a variable of the mapping that
+        occurs in a replacement is not replaced again.  Terms are grouped by
+        their exponents on the replaced variables, and each group is
+        multiplied by one product of the replacements' powers, which are
+        computed once per call."""
+        vs = self.vars
+        occurs = [any(col) for col in zip(*self.terms)] or [False] * len(vs)
+        subs: list[tuple[int, MultiPoly]] = []
+        for name, r in mapping.items():
+            if isinstance(r, (int, Fraction)):
+                r = MultiPoly.const(vs, r)
+            self._check(r)
+            i = vs.index(name)
+            if occurs[i]:
+                subs.append((i, r))
+        if not subs:
             return self
-        powers: dict[int, MultiPoly] = {0: MultiPoly.const(self.vars, 1)}
-        maxp = max((e[i] for e in self.terms), default=0)
-        for p in range(1, maxp + 1):
-            powers[p] = powers[p - 1] * replacement
-        out: dict[Expo, Fraction] = {}
+        groups: dict[Expo, dict[Expo, Fraction]] = {}
         for expo, c in self.terms.items():
-            stripped = expo[:i] + (0,) + expo[i + 1:]
-            for ep, cp in powers[expo[i]].terms.items():
-                e = tuple(x + y for x, y in zip(stripped, ep))
-                s = out.get(e, 0) + c * cp
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly._trusted(self.vars, out)
+            stripped = list(expo)
+            for i, _ in subs:
+                stripped[i] = 0
+            groups.setdefault(tuple(expo[i] for i, _ in subs), {})[tuple(stripped)] = c
+        one = MultiPoly.const(vs, 1)
+        powers = [[one, r] for _, r in subs]    # powers[j][p] = r_j^p
+        out: dict[Expo, Fraction] = {}
+        for key, part in groups.items():
+            factor = one
+            for cached, p in zip(powers, key):
+                if p:
+                    while len(cached) <= p:
+                        cached.append(cached[-1] * cached[1])
+                    factor = cached[p] if factor is one else factor * cached[p]
+            for ea, ca in part.items():
+                for eb, cb in factor.terms.items():
+                    e = tuple(map(add, ea, eb))
+                    s = out.get(e, 0) + ca * cb
+                    if s:
+                        out[e] = s
+                    else:
+                        out.pop(e, None)
+        return MultiPoly._trusted(vs, out)
 
     def evaluate(self, assignments: Mapping[str, RationalLike]) -> Fraction:
         idx = {name: self.vars.index(name) for name in assignments}
@@ -313,40 +354,30 @@ class EliminationTrace(_Record):
         raise KeyError(name)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
-        """Substitute every solved variable, in recorded order."""
-        for step in self.steps:
-            p = p.substitute(step.variable, step.substitution)
-        return p
+        """Substitute every solved variable: one substitute_all with the
+        resolved map."""
+        return p.substitute_all(self.resolved_substitutions())
 
     def apply_param(self, p: UniPoly,
                     resolved: Mapping[str, MultiPoly] | None = None) -> UniPoly:
-        """apply() on every coefficient of a polynomial in z over MultiPoly.
-
-        A coefficient that is a single variable (every nonconstant
-        coefficient of the ODE's P) is read off resolved, which is
-        resolved_substitutions() and is computed here when not passed;
-        any other coefficient goes through apply()."""
+        """apply() on every coefficient of a polynomial in z over MultiPoly;
+        resolved is resolved_substitutions(), computed here when not
+        passed."""
         if resolved is None:
             resolved = self.resolved_substitutions()
-
-        def resolve(c: MultiPoly) -> MultiPoly:
-            if len(c.terms) == 1:
-                (expo, coeff), = c.terms.items()
-                if coeff == 1 and sum(expo) == 1:
-                    return resolved.get(c.vars[expo.index(1)], c)
-            return self.apply(c)
-
-        return p.map_coeffs(resolve)
+        return p.map_coeffs(lambda c: c.substitute_all(resolved))
 
     def resolved_substitutions(self) -> dict[str, MultiPoly]:
-        """Each solved variable expressed purely in the free variables."""
+        """Each solved variable expressed purely in the free variables, in
+        step order.
+
+        A step's substitution mentions only free variables and variables
+        solved at later steps, so walking the steps backwards resolves each
+        by one substitute_all with the map of the later ones."""
         out: dict[str, MultiPoly] = {}
-        for i, step in enumerate(self.steps):
-            expr = step.substitution
-            for later in self.steps[i + 1:]:
-                expr = expr.substitute(later.variable, later.substitution)
-            out[step.variable] = expr
-        return out
+        for step in reversed(self.steps):
+            out[step.variable] = step.substitution.substitute_all(out)
+        return {step.variable: out[step.variable] for step in self.steps}
 
     def evaluate(self, free_assignments: Mapping[str, RationalLike]) -> dict[str, Fraction]:
         """Concrete values for every variable given values of the free ones.
@@ -436,15 +467,24 @@ def sequential_linear_solve(system: Sequence[tuple[int, MultiPoly]],
     Equations that reduce to zero are dropped; an equation reducing to a
     nonzero constant raises InconsistentSystemError; if a full pass over the
     remaining equations solves nothing, NonLinearStepError carries the trace.
+
+    Each visit reduces its equation by one substitute_all with the resolved
+    map, which sends every solved variable to its expression in the unsolved
+    ones.  A new step x = e (e in the unsolved variables) is substituted
+    into the map's values before it is added, so the values never mention a
+    solved variable and the simultaneous substitution equals replaying the
+    steps in order (module docstring).  An equation left over keeps its
+    reduced form for the next pass.
     """
     trace = EliminationTrace(assumptions=tuple(assumptions))
     unsolved = set(unknowns)
+    resolved: dict[str, MultiPoly] = {}
     remaining = list(system)
     while remaining:
         progressed = False
         leftover: list[tuple[int, MultiPoly]] = []
         for label, eq in remaining:
-            raw = trace.apply(eq)
+            raw = eq.substitute_all(resolved)
             reduced, divided = _divide_assumptions(raw, assumptions)
             if reduced.is_zero:
                 progressed = True
@@ -453,12 +493,14 @@ def sequential_linear_solve(system: Sequence[tuple[int, MultiPoly]],
                 raise InconsistentSystemError(label, reduced.constant_value())
             pick = _pick_linear_unknown(reduced, unknowns, unsolved, assumptions)
             if pick is None:
-                leftover.append((label, eq))
+                leftover.append((label, raw))
                 continue
             name, expr = pick
             trace.steps.append(EliminationStep(
                 label=label, equation=raw, divided_by=divided,
                 variable=name, substitution=expr))
+            resolved = {v: e.substitute(name, expr) for v, e in resolved.items()}
+            resolved[name] = expr
             unsolved.discard(name)
             progressed = True
         if not progressed:

@@ -5,8 +5,10 @@ floats), never on the package's own types, so a test comparing library
 output against these functions exercises two unrelated code paths.  The
 exceptions are ratmap_substitute_power, the multiplied-out reference for
 FactoredBelyi.substitute_power, reference_verify, the multiplied-out
-reference for FactoredBelyi.verify, and replace_fields, which builds the
-altered documents the tests feed to both.
+reference for FactoredBelyi.verify, replace_fields, which builds the
+altered documents the tests feed to both, and substitute_by_accumulation
+and reference_linear_solve, the one-variable-at-a-time references for
+MultiPoly.substitute_all and sequential_linear_solve.
 """
 
 import math
@@ -14,8 +16,12 @@ from fractions import Fraction
 
 from fullerene_belyi.belyi import (DegreeImbalance, FactorNotSquarefree,
                                    FactoredBelyi, FactorsShareRoot,
-                                   IdentityFailed)
+                                   IdentityFailed, _show, _show_int)
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly, poly_gcd
+from fullerene_belyi.multipoly import (EliminationStep, EliminationTrace,
+                                       InconsistentSystemError, MultiPoly,
+                                       NonLinearStepError, _divide_assumptions,
+                                       _pick_linear_unknown)
 
 # A Gaussian rational is an (re, im) pair of Fractions.
 GZERO = (Fraction(0), Fraction(0))
@@ -193,18 +199,19 @@ def reference_verify(beta):
     by the exact Euclidean poly_gcd, the identity k*Z - Q = c*O by
     multiplying the factors out over Q(i), and the checks in their old
     order (the identity before the side sums).  Returns the passport or
-    raises the error verify raises, with the same message."""
+    raises the error verify raises, with the same message (polynomials and
+    integers shown as belyi's messages show them)."""
     all_factors = beta.zero_factors + beta.one_factors + beta.pole_factors
     for f, _ in all_factors:
         if not f.is_monic:
-            raise FactorNotSquarefree(f"factor {f} is not monic")
+            raise FactorNotSquarefree(f"factor {_show(f)} is not monic")
         if poly_gcd(f, f.derivative()).degree:
-            raise FactorNotSquarefree(f"factor {f} has a repeated root")
+            raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
     for i in range(len(all_factors)):
         for j in range(i + 1, len(all_factors)):
             a, b = all_factors[i][0], all_factors[j][0]
             if poly_gcd(a, b).degree:
-                raise FactorsShareRoot(f"factors {a} and {b} share a root")
+                raise FactorsShareRoot(f"factors {_show(a)} and {_show(b)} share a root")
 
     def product(factors):
         out = UniPoly.one()
@@ -221,7 +228,7 @@ def reference_verify(beta):
     if w.monic() != o_prod:
         raise IdentityFailed(
             "k*zeros - poles does not factor as declared: "
-            f"got {w.monic()}, declared {o_prod}")
+            f"got {_show(w.monic())}, declared {_show(o_prod)}")
 
     def side_sum(factors, side):
         total = sum(f.degree * e for f, e in factors)
@@ -230,8 +237,8 @@ def reference_verify(beta):
     n = side_sum(beta.zero_factors, "zero")
     for side, factors in (("one", beta.one_factors), ("pole", beta.pole_factors)):
         if side_sum(factors, side) != n:
-            raise DegreeImbalance(f"{side} side sums to {side_sum(factors, side)}, "
-                                  f"zero side to {n}")
+            raise DegreeImbalance(f"{side} side sums to {_show_int(side_sum(factors, side))}, "
+                                  f"zero side to {_show_int(n)}")
     dn, dd = z_prod.degree, q_prod.degree
     if dn != dd:
         expected = ("pole", dn - dd) if dn > dd else ("zero", dd - dn)
@@ -241,8 +248,8 @@ def reference_verify(beta):
         expected = ("none", 0)
     if expected != (beta.infinity_side, beta.infinity_order):
         raise DegreeImbalance(
-            f"infinity tagged {beta.infinity_side}^{beta.infinity_order}, "
-            f"degrees give {expected[0]}^{expected[1]}")
+            f"infinity tagged {beta.infinity_side}^{_show_int(beta.infinity_order)}, "
+            f"degrees give {expected[0]}^{_show_int(expected[1])}")
     return beta.passport()
 
 
@@ -255,3 +262,59 @@ def replace_fields(beta, **changes):
               "infinity_side": beta.infinity_side,
               "infinity_order": beta.infinity_order}
     return FactoredBelyi(**{**fields, **changes})
+
+
+def substitute_by_accumulation(p, name, replacement):
+    """MultiPoly.substitute for one variable as it was first written, kept
+    as the reference: one polynomial sum per term of p."""
+    if isinstance(replacement, (int, Fraction)):
+        replacement = MultiPoly.const(p.vars, replacement)
+    i = p.vars.index(name)
+    out = MultiPoly.zero(p.vars)
+    for expo, c in p.terms.items():
+        stripped = list(expo)
+        stripped[i] = 0
+        out = out + MultiPoly(p.vars, {tuple(stripped): c}) * replacement ** expo[i]
+    return out
+
+
+def reference_linear_solve(system, unknowns, assumptions=()):
+    """sequential_linear_solve as it was before the resolved map, the
+    reference for the one in the package: every visit replays the solved
+    steps on the original equation one after another, each by
+    substitute_by_accumulation.  Dividing out the assumptions and picking
+    the unknown are the package's own helpers, so the two differ only in
+    how an equation is reduced.  Returns the trace or raises the error the
+    package raises, with the same fields."""
+    trace = EliminationTrace(assumptions=tuple(assumptions))
+    unsolved = set(unknowns)
+    remaining = list(system)
+    while remaining:
+        progressed = False
+        leftover = []
+        for label, eq in remaining:
+            raw = eq
+            for step in trace.steps:
+                raw = substitute_by_accumulation(raw, step.variable, step.substitution)
+            reduced, divided = _divide_assumptions(raw, assumptions)
+            if reduced.is_zero:
+                progressed = True
+                continue
+            if reduced.is_constant:
+                raise InconsistentSystemError(label, reduced.constant_value())
+            pick = _pick_linear_unknown(reduced, unknowns, unsolved, assumptions)
+            if pick is None:
+                leftover.append((label, eq))
+                continue
+            name, expr = pick
+            trace.steps.append(EliminationStep(
+                label=label, equation=raw, divided_by=divided,
+                variable=name, substitution=expr))
+            unsolved.discard(name)
+            progressed = True
+        if not progressed:
+            trace.free_vars = tuple(v for v in unknowns if v in unsolved)
+            raise NonLinearStepError(trace, [label for label, _ in leftover])
+        remaining = leftover
+    trace.free_vars = tuple(v for v in unknowns if v in unsolved)
+    return trace

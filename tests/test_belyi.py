@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from fullerene_belyi import belyi, exact
-from fullerene_belyi.belyi import (BelyiVerificationError, DegreeImbalance,
+from fullerene_belyi.belyi import (BelyiFormatError, BelyiVerificationError,
+                                   DegreeImbalance,
                                    FactoredBelyi, FactorsShareRoot,
                                    FactorNotSquarefree, IdentityFailed,
                                    Passport, counting, face_vector,
@@ -162,6 +163,57 @@ def test_verify_rejects_shared_root():
         infinity_side="none", infinity_order=0)
     with pytest.raises(FactorsShareRoot):
         beta.verify()
+
+
+def test_messages_show_short_polynomials_and_size_long_ones():
+    short = UniPoly.from_terms({2: 1, 1: -2, 0: GaussRat.of(Fraction(1, 3), 1)})
+    assert belyi._show(short) == str(short) == "z^2 - 2*z + (1/3+1i)"
+    long_coefficient = UniPoly.from_terms({2: 1, 0: 7 ** 5000})
+    long_degree = UniPoly.from_terms({e: 1 for e in range(100)})
+    assert belyi._show(long_coefficient) == (
+        "<degree 2 polynomial, coefficients up to 14037 bits>")
+    assert belyi._show(long_degree) == "<degree 99 polynomial, coefficients up to 1 bits>"
+    assert belyi._show_int(10 ** 9) == "1000000000"
+    assert belyi._show_int(3 ** 1000) == "<1585-bit integer>"
+
+
+def test_verify_messages_of_long_factors_are_bounded():
+    z, one = UniPoly.x(), UniPoly.one()
+    huge = UniPoly.from_terms({0: 10 ** 3000})
+    square = (z + huge) * (z + huge)
+    shared = FactoredBelyi(k=GaussRat.of(1), zero_factors=((z - huge, 2),),
+                           one_factors=(((z - huge) * (z + one), 1),),
+                           pole_factors=((z, 2),), infinity_side="none",
+                           infinity_order=0)
+    cases = [(replace_fields(quotient6_by_hand(), zero_factors=((square, 3),)),
+              FactorNotSquarefree), (shared, FactorsShareRoot)]
+    for beta, error in cases:
+        with pytest.raises(error) as exc:
+            beta.verify()
+        assert len(str(exc.value)) <= 480
+        assert "polynomial, coefficients up to " in str(exc.value)
+        assert outcome(reference_verify, beta) == outcome(FactoredBelyi.verify, beta)
+    # a 3001-digit exponent: the side sums are named by their bit length
+    lopsided = FactoredBelyi(k=GaussRat.of(1), zero_factors=((z, 10 ** 3000),),
+                             one_factors=((z + one, 1),), pole_factors=((z - one, 1),),
+                             infinity_side="none", infinity_order=0)
+    with pytest.raises(DegreeImbalance, match="^one side sums to 1, zero side to "
+                                              "<9966-bit integer>$"):
+        lopsided.verify()
+
+
+def test_format_errors_quote_a_bounded_prefix():
+    lines = [f"zero 1 0 {'x' * 100000}", f"k {'9' * 5000}/7",
+             f"zero {'1' * 4301} 0 1"]
+    for line in lines:
+        with pytest.raises(BelyiFormatError) as exc:
+            FactoredBelyi.from_text(f"belyi v1\n{line}\n")
+        message = str(exc.value)
+        assert len(message) <= 400, message
+        assert message.startswith(f"bad belyi line {line[:60]!r}... ({len(line)} characters): ")
+    with pytest.raises(BelyiFormatError, match="^unknown infinity tag 'p+'... "
+                                               r"\(40000 characters\)$"):
+        FactoredBelyi.from_text("belyi v1\nk 1\ninfinity " + "p" * 40000 + " 1\n")
 
 
 def test_verify_rejects_wrong_infinity_order():

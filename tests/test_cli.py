@@ -195,6 +195,35 @@ def test_bad_input_exits_1_with_named_error(tmp_path, document, output, name):
     assert "Traceback" not in proc.stderr
 
 
+D6_DOCUMENT = ("belyi v1\nk 1/1728\ninfinity pole 5\nzero 3 5 10 1\n"
+               "one 1 125 22 1\none 2 -1 4 1\npole 1 0 1\n")
+
+
+@pytest.mark.parametrize("k, one, name", [
+    ("1/" + "7" * 4000, None, "IdentityFailed"),
+    ("7" * 5000, None, "BelyiFormatError"),
+    ("7" * 3000, "3" * 3000, "IdentityFailed"),
+], ids=["k-4000-digit-denominator", "k-over-the-int-limit", "k-and-one-3000-digits"])
+def test_oversized_documents_get_bounded_messages(capsys, tmp_path, k, one, name):
+    # the d6 document with k, and the first coefficient of the first one
+    # factor, made thousands of digits long
+    lines = D6_DOCUMENT.replace("k 1/1728", f"k {k}").splitlines()
+    if one is not None:
+        lines[4] = lines[4].replace("one 1 125 ", f"one 1 {one} ")
+    path = tmp_path / "oversized.belyi"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not out
+    assert err.startswith(f"error: {name}: ") and len(err.encode()) <= 512
+    if name == "BelyiFormatError":
+        assert err.endswith("a number of 5000 digits exceeds Python's "
+                            f"int-string limit of {sys.get_int_max_str_digits()} digits\n")
+    else:
+        assert "polynomial, coefficients up to " in err
+
+
 def test_output_to_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "--format", "json", "--output", str(path),

@@ -59,6 +59,31 @@ def test_ode_residual_vanishes_parametrically_for_family():
     assert ode_residual(trace.apply_param(p_sym)).is_zero
 
 
+@pytest.mark.parametrize("s", range(1, 13))
+def test_closed_form_system_is_the_residual_coefficients(s):
+    m = s + 6
+    p_sym, names = derive._symbolic_p(m)
+    residual = ode_residual(p_sym)
+    expected = [(d, residual.coefficient(d)) for d in range(residual.degree, -1, -1)]
+    got = derive._ode_system(m, names)
+    assert [d for d, _ in got] == [d for d, _ in expected]
+    assert got == expected
+    assert all(eq.vars == tuple(names) for _, eq in got)
+    # the top equation is the obstruction constant, dropped when it is 0
+    lead = ode_leading_coeff(s)
+    if lead:
+        assert got[0] == (2 * m - 4, MultiPoly.const(names, lead))
+    else:
+        assert got[0][0] < 2 * m - 4 and not got[0][1].is_zero
+
+
+def test_elimination_builds_no_residual(monkeypatch):
+    monkeypatch.setattr(derive, "ode_residual", None)
+    for s in (5, 6):
+        p_sym, trace = run_ode_elimination.__wrapped__(s)
+        assert trace.steps == run_ode_elimination(s)[1].steps
+
+
 # ---------------------------------------------------------------------------
 # V and M from P
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: Gaussian rationals, polynomials, rational maps."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -70,6 +71,16 @@ def test_gaussrat_rejects_tokens_outside_the_grammar_at_once(token):
     with pytest.raises(ValueError):
         GaussRat.from_token(token)
     assert time.perf_counter() - start < 1
+
+
+def test_token_parts_past_the_int_string_limit_name_their_digits():
+    limit = sys.get_int_max_str_digits()
+    assert exact._natural("9" * limit) == 10 ** limit - 1
+    assert GaussRat.from_token(f"-1/{'7' * limit}").re.denominator == int("7" * limit)
+    for token in ("9" * (limit + 1), f"1/{'7' * (limit + 1)}", f"1,-{'3' * (limit + 1)}"):
+        with pytest.raises(ValueError, match=f"^a number of {limit + 1} digits exceeds "
+                                             f"Python's int-string limit of {limit} digits$"):
+            GaussRat.from_token(token)
 
 
 def test_gaussrat_token_roundtrip(rng):

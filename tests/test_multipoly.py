@@ -9,6 +9,7 @@ from fullerene_belyi.exact import GaussRat, UniPoly
 from fullerene_belyi.multipoly import (InconsistentSystemError, MultiPoly,
                                        NonDivisibleError, NonLinearStepError,
                                        sequential_linear_solve)
+from oracles import reference_linear_solve, substitute_by_accumulation
 
 AB = ("a1", "a0", "b1", "b0")
 
@@ -87,51 +88,93 @@ def test_substitution_is_ring_homomorphism(rng):
         assert (p + q).substitute("y", r) == p.substitute("y", r) + q.substitute("y", r)
 
 
-def substitute_by_accumulation(p, name, replacement):
-    """The former MultiPoly.substitute, kept as the reference: one
-    polynomial sum per term of p."""
-    if isinstance(replacement, (int, Fraction)):
-        replacement = MultiPoly.const(p.vars, replacement)
-    i = p.vars.index(name)
-    out = MultiPoly.zero(p.vars)
-    for expo, c in p.terms.items():
-        stripped = list(expo)
-        stripped[i] = 0
-        out = out + MultiPoly(p.vars, {tuple(stripped): c}) * replacement ** expo[i]
-    return out
+def rand_mp(rng, names, terms, avoid=()):
+    """Up to `terms` random terms, free of the variables in avoid."""
+    return MultiPoly(names, {tuple(0 if n in avoid else rng.randint(0, 3) for n in names):
+                             Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                             for _ in range(terms)})
 
 
 def test_substitute_matches_accumulation_randomized(rng):
     names = ("x", "y", "w")
-
-    def rand_mp(terms):
-        return MultiPoly(names, {tuple(rng.randint(0, 3) for _ in names):
-                                 Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                                 for _ in range(terms)})
-
     for _ in range(200):
-        p = rand_mp(rng.randint(0, 8))
-        r = rand_mp(rng.randint(0, 3)) if rng.random() < 0.8 else rng.randint(-3, 3)
+        p = rand_mp(rng, names, rng.randint(0, 8))
+        r = (rand_mp(rng, names, rng.randint(0, 3)) if rng.random() < 0.8
+             else rng.randint(-3, 3))
         name = rng.choice(names)
         got = p.substitute(name, r)
         assert got == substitute_by_accumulation(p, name, r)
         assert all(isinstance(c, Fraction) and c for c in got.terms.values())
 
 
-def test_substitute_matches_accumulation_on_s6_elimination(monkeypatch):
-    checked = []
-    fast = MultiPoly.substitute
+def by_accumulation(p, mapping):
+    """substitute_all(mapping) one variable after another."""
+    for name, r in mapping.items():
+        p = substitute_by_accumulation(p, name, r)
+    return p
 
-    def both(self, name, replacement):
-        got = fast(self, name, replacement)
-        assert got == substitute_by_accumulation(self, name, replacement)
-        checked.append(name)
+
+def test_substitute_all_matches_sequential_accumulation_randomized(rng):
+    # when no replacement mentions a substituted variable, replacing them
+    # all at once is replacing them one after another, in any order
+    names = ("x", "y", "w", "u")
+    for _ in range(150):
+        p = rand_mp(rng, names, rng.randint(0, 8))
+        chosen = rng.sample(names, rng.randint(1, 3))
+        mapping = {name: rand_mp(rng, names, rng.randint(0, 3), avoid=chosen)
+                   if rng.random() < 0.8 else rng.randint(-3, 3)
+                   for name in chosen}
+        got = p.substitute_all(mapping)
+        assert got == by_accumulation(p, mapping)
+        assert got == by_accumulation(p, dict(reversed(mapping.items())))
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def test_substitute_all_is_simultaneous():
+    a1, a0, b1 = v("a1"), v("a0"), v("b1")
+    p = a1 * a1 + a0.scale(2) + c(1)
+    # a variable of the mapping inside a replacement is not replaced again
+    assert p.substitute_all({"a1": a0, "a0": a1}) == a0 * a0 + a1.scale(2) + c(1)
+    assert p.substitute_all({"a1": a1 + b1, "b1": 5}) == (a1 + b1) ** 2 + a0.scale(2) + c(1)
+    assert p.substitute_all({"a1": 2, "a0": Fraction(1, 2)}) == c(6)
+    assert p.substitute_all({}) is p and p.substitute_all({"b0": b1}) is p
+    with pytest.raises(ValueError):  # every replacement is checked
+        p.substitute_all({"a1": 1, "b0": MultiPoly.var(("x",), "x")})
+    with pytest.raises(ValueError):
+        p.substitute_all({"x": 1})
+
+
+def test_substitute_matches_accumulation_on_s6_elimination(monkeypatch):
+    """Every substitute_all the s = 6 elimination and its replay make equals
+    substituting its variables one at a time, and none of its replacements
+    mentions a variable it replaces.  The count follows the resolved map:
+    one call per equation visit, one per earlier map value at each new
+    step, one per step to resolve the trace, and one per coefficient (and
+    the ring's zero) of P in apply_param."""
+    family = derive._family()[0]
+    calls = []
+    fast = MultiPoly.substitute_all
+
+    def both(self, mapping):
+        got = fast(self, mapping)
+        for r in mapping.values():
+            assert not isinstance(r, MultiPoly) or all(
+                r.degree_in(name) == 0 for name in mapping)
+        assert got == by_accumulation(self, mapping)
+        calls.append(len(mapping))
         return got
 
-    monkeypatch.setattr(MultiPoly, "substitute", both)
-    p_sym, trace = derive.run_ode_elimination.__wrapped__(6)
-    assert trace.apply_param(p_sym) == derive._family()[0]
-    assert len(checked) > 100
+    monkeypatch.setattr(MultiPoly, "substitute_all", both)
+    p_sym, names = derive._symbolic_p(12)
+    system = derive._ode_system(12, names)
+    trace = sequential_linear_solve(system, names)
+    steps = len(trace.steps)
+    assert steps == 9 and len(system) == 17
+    # no equation is left over, so each is visited once
+    assert len(calls) == len(system) + steps * (steps - 1) // 2
+    del calls[:]
+    assert trace.apply_param(p_sym) == family
+    assert len(calls) == steps + len(p_sym.coeffs) + 1
 
 
 def test_substitute_absent_variable_returns_self():
@@ -341,3 +384,106 @@ def test_trace_report_shape():
     assert doc["free_variables"] == []
     assert doc["steps"][0]["variable"] == "y"
     assert doc["steps"][1]["substitution"] == "5"
+
+
+# ---------------------------------------------------------------------------
+# the solver against the one-variable-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+def trace_fields(trace):
+    return ([(s.label, s.equation, s.divided_by, s.variable, s.substitution)
+             for s in trace.steps], trace.assumptions, trace.free_vars)
+
+
+def solve_both(system, unknowns, assumptions=()):
+    """The package's trace, asserted equal field for field to the
+    reference's."""
+    got = sequential_linear_solve(system, unknowns, assumptions)
+    assert trace_fields(got) == trace_fields(
+        reference_linear_solve(system, unknowns, assumptions))
+    return got
+
+
+def quotient_system(names):
+    """The d6 ansatz A^3 - B^2*C - k*z = 0, with a1 - b1 declared nonzero."""
+    def quad(hi, lo):
+        return UniPoly.from_terms({2: MultiPoly.const(names, 1),
+                                   1: MultiPoly.var(names, hi),
+                                   0: MultiPoly.var(names, lo)})
+
+    S = (quad("a1", "a0") ** 3 - quad("b1", "b0") ** 2 * quad("c1", "c0")
+         - UniPoly.from_terms({1: MultiPoly.var(names, "k")}))
+    return ([(d, S.coefficient(d)) for d in range(S.degree, -1, -1)],
+            [MultiPoly.var(names, "a1") - MultiPoly.var(names, "b1")])
+
+
+@pytest.mark.parametrize("s", [5, 6])
+def test_solver_matches_reference_on_the_ode(s):
+    m = s + 6
+    p_sym, names = derive._symbolic_p(m)
+    trace = solve_both(derive._ode_system(m, names), names)
+    assert trace_fields(trace) == trace_fields(derive.run_ode_elimination(s)[1])
+
+
+@pytest.mark.parametrize("order", [
+    ["c1", "c0", "b1", "b0", "a1", "a0", "k"],  # d6_solve's own
+    ["c1", "c0", "b1", "a0", "b0", "a1", "k"],
+    ["c0", "c1", "b0", "b1", "a0", "a1", "k"],
+    ["k", "c1", "c0", "b1", "b0", "a1", "a0"]])
+def test_solver_matches_reference_on_the_quotient(order):
+    names = ("c1", "c0", "b1", "b0", "a1", "a0", "k")
+    system, assumptions = quotient_system(names)
+    trace = solve_both(system, order, assumptions)
+    if order[0] == "c1" and order[3] == "b0":
+        assert trace_fields(trace) == trace_fields(derive.d6_solve().trace)
+
+
+def synthetic_systems():
+    y2, x2 = MultiPoly.var(("y", "x"), "y"), MultiPoly.var(("y", "x"), "x")
+    one2 = MultiPoly.const(("y", "x"), 1)
+    t, u = MultiPoly.var(("u", "t"), "t"), MultiPoly.var(("u", "t"), "u")
+    w3, y3, x3 = (MultiPoly.var(("w", "y", "x"), n) for n in ("w", "y", "x"))
+    return {
+        "triangular": ([(2, y2 - x2 * x2), (1, x2 - one2.scale(3))], ("y", "x"), ()),
+        "assumption": ([(0, (t - u) * (u - MultiPoly.const(("u", "t"), 4)))],
+                       ("u", "t"), (t - u,)),
+        "chain": ([(3, w3 - (x3 * y3 + x3 * x3)), (2, y3 - x3.scale(7)),
+                   (1, x3 - MultiPoly.const(("w", "y", "x"), 2))], ("w", "y", "x"), ()),
+        # (x - 3)*(x*y - 2) is linear in neither unknown with a constant
+        # coefficient until x = 1 is solved: a leftover reduced again on the
+        # next pass, where x - 3 no longer divides it
+        "leftover": ([(2, (x2 - one2.scale(3)) * (x2 * y2 - one2.scale(2))),
+                      (1, x2 - one2)], ("y", "x"), (x2 - one2.scale(3),)),
+        "report": ([(1, y2 - x2), (0, x2 - one2.scale(5))], ("y", "x"), ()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(synthetic_systems()))
+def test_solver_matches_reference_on_synthetic_systems(name):
+    system, unknowns, assumptions = synthetic_systems()[name]
+    trace = solve_both(system, unknowns, assumptions)
+    for _, eq in system:
+        assert trace.apply(eq).is_zero
+
+
+def test_solver_errors_match_reference():
+    names = ("y", "x")
+    x, y = MultiPoly.var(names, "x"), MultiPoly.var(names, "y")
+    one = MultiPoly.const(names, 1)
+    nonlinear = [(2, x * y - one), (1, y - x * x), (0, x * x * x - y * y)]
+    inconsistent = [(2, y - x), (1, x - one), (0, y - one.scale(2))]
+    for system, error in ((nonlinear, NonLinearStepError),
+                          (inconsistent, InconsistentSystemError)):
+        with pytest.raises(error) as got:
+            sequential_linear_solve(system, names)
+        with pytest.raises(error) as want:
+            reference_linear_solve(system, names)
+        assert str(got.value) == str(want.value)
+        if error is NonLinearStepError:
+            assert got.value.stuck_labels == want.value.stuck_labels == [2, 0]
+            assert trace_fields(got.value.trace) == trace_fields(want.value.trace)
+            assert [s.variable for s in got.value.trace.steps] == ["y"]
+        else:
+            assert (got.value.label, got.value.value) == (0, Fraction(-1))
+            assert (want.value.label, want.value.value) == (0, Fraction(-1))
