@@ -151,12 +151,13 @@ _SHOWN_BITS = 200
 def _show(f: UniPoly) -> str:
     """f as a message shows it: str(f) when that is at most _SHOWN_CHARS
     characters, else its degree and the largest bit length of a numerator
-    or denominator of its coefficients.  A b-bit integer has fewer than
-    0.302*b + 1 decimal digits, so f is printed only when all its integers
-    are short, and no long integer is converted to decimal."""
-    bits = [x.bit_length() for c in f.coeffs for q in (c.re, c.im)
-            for x in (q.numerator, q.denominator)]
-    if sum(b * 302 // 1000 + 1 for b in bits) <= _SHOWN_CHARS:
+    or denominator of its coefficients.  str(f) prints every such integer
+    above 1, and a b-bit one with at least (b-1)*0.301 + 1 digits; when
+    those digits alone exceed _SHOWN_CHARS, so does str(f), and f is named
+    without converting a long integer to decimal."""
+    bits = [x.bit_length() for c in f.coeffs if not c.is_zero
+            for q in (c.re, c.im) if q for x in (q.numerator, q.denominator)]
+    if sum((b - 1) * 301 // 1000 + 1 for b in bits if b > 1) <= _SHOWN_CHARS:
         text = str(f)
         if len(text) <= _SHOWN_CHARS:
             return text

@@ -199,12 +199,29 @@ class GaussRat:
         raise ValueError(f"bad coefficient token: {_quote(token)}")
 
 
-def _quote(text: str, limit: int = 60) -> str:
-    """repr(text) for a message, cut to its first `limit` characters (and
-    its length named) when longer."""
-    if len(text) <= limit:
-        return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+# a message quotes at most this many characters of a line or token
+_QUOTED_CHARS = 60
+
+
+def _quote(value) -> str:
+    """repr(value) for a message, cut to its first _QUOTED_CHARS
+    characters (and its length named) when longer.  A string is cut before
+    its repr is taken."""
+    if isinstance(value, str):
+        if len(value) <= _QUOTED_CHARS:
+            return repr(value)
+        return f"{value[:_QUOTED_CHARS]!r}... ({len(value)} characters)"
+    text = repr(value)
+    if len(text) <= _QUOTED_CHARS:
+        return text
+    return f"{text[:_QUOTED_CHARS]}... ({len(text)} characters)"
+
+
+def _int_string_limit() -> int:
+    """Python's limit on the digits of an int parsed from a string; 0 when
+    there is none.  The limit came in 3.11 and 3.10.7; 0, as before it,
+    means none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def _natural(text: str) -> int:
@@ -213,8 +230,7 @@ def _natural(text: str) -> int:
     and for more digits than Python's int-string limit, named by count."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected ASCII digits, got {_quote(text)}")
-    # the limit came in 3.11 and 3.10.7; 0, as before it, means none
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    limit = _int_string_limit()
     if limit and len(text) > limit:
         raise ValueError(f"a number of {len(text)} digits exceeds Python's "
                          f"int-string limit of {limit} digits")

@@ -173,8 +173,27 @@ def test_messages_show_short_polynomials_and_size_long_ones():
     assert belyi._show(long_coefficient) == (
         "<degree 2 polynomial, coefficients up to 14037 bits>")
     assert belyi._show(long_degree) == "<degree 99 polynomial, coefficients up to 1 bits>"
+    # sparse and unit coefficients count as printed, not as dense entries
+    for sparse in (UniPoly.from_terms({50: 1}), UniPoly.from_terms({60: 1, 0: 1}),
+                   UniPoly.from_terms({200: GaussRat.of(0, -1), 3: 2})):
+        assert belyi._show(sparse) == str(sparse)
     assert belyi._show_int(10 ** 9) == "1000000000"
     assert belyi._show_int(3 ** 1000) == "<1585-bit integer>"
+
+
+def test_messages_show_a_polynomial_exactly_when_its_text_is_short(rng):
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            parts = [Fraction(rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 2, 40, 300))),
+                              1 + rng.getrandbits(rng.choice((0, 0, 8, 200))))
+                     for _ in range(2)]
+            terms[rng.choice((0, 1, 7, 50, 1000))] = GaussRat.of(*parts)
+        f = UniPoly.from_terms(terms)
+        if f.is_zero:
+            continue
+        text = str(f)
+        assert (belyi._show(f) == text) == (len(text) <= belyi._SHOWN_CHARS), text
 
 
 def test_verify_messages_of_long_factors_are_bounded():

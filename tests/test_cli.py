@@ -15,6 +15,7 @@ import pytest
 import fullerene_belyi
 from fullerene_belyi.belyi import MAX_PASSPORT_P6
 from fullerene_belyi.cli import (flat_pentagon_layout, main, render_svg)
+from fullerene_belyi.exact import _int_string_limit
 from fullerene_belyi.geometry import (FaceGeometryReport, Plane, SpherePoint,
                                       face_geometry)
 
@@ -205,6 +206,11 @@ D6_DOCUMENT = ("belyi v1\nk 1/1728\ninfinity pole 5\nzero 3 5 10 1\n"
     ("7" * 3000, "3" * 3000, "IdentityFailed"),
 ], ids=["k-4000-digit-denominator", "k-over-the-int-limit", "k-and-one-3000-digits"])
 def test_oversized_documents_get_bounded_messages(capsys, tmp_path, k, one, name):
+    limit = _int_string_limit()
+    digits = max(len(run) for run in re.findall("[0-9]+", f"{k} {one}"))
+    if (name == "BelyiFormatError") != (0 < limit < digits):
+        pytest.skip(f"a {digits}-digit number meets an int-string limit of "
+                    f"{limit or 'none'} differently from what the case expects")
     # the d6 document with k, and the first coefficient of the first one
     # factor, made thousands of digits long
     lines = D6_DOCUMENT.replace("k 1/1728", f"k {k}").splitlines()
@@ -219,7 +225,7 @@ def test_oversized_documents_get_bounded_messages(capsys, tmp_path, k, one, name
     assert err.startswith(f"error: {name}: ") and len(err.encode()) <= 512
     if name == "BelyiFormatError":
         assert err.endswith("a number of 5000 digits exceeds Python's "
-                            f"int-string limit of {sys.get_int_max_str_digits()} digits\n")
+                            f"int-string limit of {limit} digits\n")
     else:
         assert "polynomial, coefficients up to " in err
 

@@ -74,7 +74,9 @@ def test_gaussrat_rejects_tokens_outside_the_grammar_at_once(token):
 
 
 def test_token_parts_past_the_int_string_limit_name_their_digits():
-    limit = sys.get_int_max_str_digits()
+    limit = exact._int_string_limit()
+    if not limit:
+        pytest.skip("this Python parses ints from strings without a digit limit")
     assert exact._natural("9" * limit) == 10 ** limit - 1
     assert GaussRat.from_token(f"-1/{'7' * limit}").re.denominator == int("7" * limit)
     for token in ("9" * (limit + 1), f"1/{'7' * (limit + 1)}", f"1,-{'3' * (limit + 1)}"):

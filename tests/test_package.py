@@ -109,6 +109,9 @@ def test_factored_belyi_constructor_checks_its_fields():
     z = UniPoly.x()
     with pytest.raises(ValueError, match="unknown infinity tag"):
         FactoredBelyi(GaussRat.of(1), ((z, 1),), (), (), "sideways", 1)
+    for tag, shown in ((None, "None"), (7, "7"), ("x" * 100, "'xxx")):
+        with pytest.raises(ValueError, match=f"^unknown infinity tag {shown}"):
+            FactoredBelyi(GaussRat.of(1), ((z, 1),), (), (), tag, 1)
     with pytest.raises(ValueError, match="positive order"):
         FactoredBelyi(GaussRat.of(1), ((z, 1),), (), (), "pole", 0)
     with pytest.raises(ValueError, match="nonconstant"):
