@@ -25,8 +25,8 @@ _HOMES = {
                  "SpherePoint", "barrel_vertices", "face_geometry",
                  "inverse_stereographic", "plane_through", "poly_roots"),
     "moebius": ("INFINITY", "Moebius", "build_beta12", "build_beta60",
-                "build_beta72", "moebius_from_three_points",
-                "ratmap_compose_moebius", "schwarz_check", "schwarz_forms"),
+                "build_beta72", "moebius_from_three_points", "schwarz_check",
+                "schwarz_forms"),
     "multipoly": ("EliminationTrace", "MultiPoly", "sequential_linear_solve"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -121,7 +121,7 @@ def cmd_verify(target: str):
         source = f"preset {target}"
     else:
         if not os.path.exists(target):
-            raise KeyError(
+            raise FileNotFoundError(
                 f"{target!r} is neither a preset ({', '.join(PRESETS)}) "
                 "nor an existing file")
         with open(target, encoding="utf-8") as fh:

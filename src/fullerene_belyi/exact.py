@@ -189,8 +189,8 @@ class GaussRat:
     @staticmethod
     def from_token(token: str) -> "GaussRat":
         """Parse "a/b" or "a/b,c/d": each part an optional "-", ASCII
-        digits, and optionally "/" and ASCII digits.  Anything else raises
-        ValueError (ZeroDivisionError for a zero denominator)."""
+        digits, and optionally "/" and ASCII digits.  Anything else, a zero
+        denominator included, raises ValueError."""
         parts = token.split(",")
         if len(parts) == 1:
             return GaussRat(_rational(parts[0]), _FZERO)
@@ -238,10 +238,15 @@ def _natural(text: str) -> int:
 
 
 def _rational(text: str) -> Fraction:
-    """A token part "a" or "a/b": natural numbers, a with an optional "-"."""
+    """A token part "a" or "a/b": naturals, a with an optional "-", b > 0."""
     num, slash, den = text.partition("/")
     n = -_natural(num[1:]) if num.startswith("-") else _natural(num)
-    return Fraction(n, _natural(den)) if slash else Fraction(n)
+    if not slash:
+        return Fraction(n)
+    d = _natural(den)
+    if not d:
+        raise ValueError(f"zero denominator in {_quote(text)}")
+    return Fraction(n, d)
 
 
 # the slot setters, which skip the refusing __setattr__ (the hot path)

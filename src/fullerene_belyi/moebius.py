@@ -10,11 +10,11 @@ where mu1 carries (0, 1, inf) to (-11+2i, 0, -11-2i) and mu2 carries
 (0, inf, i) to (-1, 1, inf).  The presets never leave factored form: each
 step maps the monic squarefree factors of the previous function one by one
 (factored_compose_moebius here, FactoredBelyi.substitute_power in belyi),
-and the multiplied-out maps are read off the result.  Composition of a
-plain RationalMap (ratmap_compose_moebius) works on projective pairs
-(numerator, denominator) and is kept for user maps and as the tests'
-reference.  Schwarz's classical invariant triple is reproduced at the end
-as an independent cross-check of the degree-60 function.
+and the multiplied-out maps are read off the result.  The degree-6
+function itself comes factored from its elimination (derive.d6_solve), so
+no preset is ever multiplied out and split again.  Schwarz's classical
+invariant triple is reproduced at the end as an independent cross-check of
+the degree-60 function.
 """
 
 from __future__ import annotations
@@ -156,14 +156,6 @@ def _homogenized_substitution(p: UniPoly, m: Moebius, degree: int) -> UniPoly:
             continue
         out = out + (top_pow[i] * bot_pow[degree - i]).scale(coeff)
     return out
-
-
-def ratmap_compose_moebius(f: RationalMap, m: Moebius) -> RationalMap:
-    """f(m(z)), exact."""
-    e = max(f.num.degree, f.den.degree)
-    num = _homogenized_substitution(f.num, m, e)
-    den = _homogenized_substitution(f.den, m, e)
-    return RationalMap(f.k, num, den)
 
 
 def factored_compose_moebius(beta: FactoredBelyi, m: Moebius) -> FactoredBelyi:

@@ -3,8 +3,9 @@
 Everything here works on plain data (lists of Fraction pairs, Fractions,
 floats), never on the package's own types, so a test comparing library
 output against these functions exercises two unrelated code paths.  The
-exceptions are ratmap_substitute_power, the multiplied-out reference for
-FactoredBelyi.substitute_power, reference_verify, the multiplied-out
+exceptions are ratmap_substitute_power and ratmap_compose_moebius, the
+multiplied-out references for FactoredBelyi.substitute_power and
+moebius.factored_compose_moebius, reference_verify, the multiplied-out
 reference for FactoredBelyi.verify, replace_fields, which builds the
 altered documents the tests feed to both, and substitute_by_accumulation
 and reference_linear_solve, the one-variable-at-a-time references for
@@ -191,6 +192,19 @@ def ratmap_substitute_power(f, n):
     """f(z^n) for a RationalMap f, by substituting into num and den."""
     return RationalMap(f.k, f.num.substitute_power(n),
                        f.den.substitute_power(n))
+
+
+def ratmap_compose_moebius(f, m):
+    """f(m(z)) for a RationalMap f and a Moebius m = (az + b)/(cz + d), on
+    projective pairs: num and den each become sum p_i*(az + b)^i*(cz + d)^(e - i)
+    with e = deg f, the numerator of p(m(z)) over (cz + d)^e."""
+    top, bot = UniPoly([m.b, m.a]), UniPoly([m.d, m.c])
+
+    def homogenized(p):
+        return sum(((top ** i * bot ** (f.degree - i)).scale(c)
+                    for i, c in enumerate(p.coeffs)), UniPoly.zero())
+
+    return RationalMap(f.k, homogenized(f.num), homogenized(f.den))
 
 
 def reference_verify(beta):

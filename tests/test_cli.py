@@ -172,28 +172,33 @@ def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
     assert err.startswith("error: BelyiFormatError: ")
 
 
-@pytest.mark.parametrize("document, output, name", [
-    ("belyi v1\nk\nzero 1 0 1\npole 1 1 1\n", None, "BelyiFormatError"),
-    ("belyi v1\nk 1\ninfinity pole\n", None, "BelyiFormatError"),
-    ("belyi v1\nk 1/0\n", None, "BelyiFormatError"),
-    ("belyi v1\nk 1e9999999\nzero 1 0 1\npole 1 1 1\n", None, "BelyiFormatError"),
-    (None, "missing-dir/report.txt", "FileNotFoundError"),
+@pytest.mark.parametrize("document, argv, name, message", [
+    ("belyi v1\nk\nzero 1 0 1\npole 1 1 1\n", None, "BelyiFormatError", None),
+    ("belyi v1\nk 1\ninfinity pole\n", None, "BelyiFormatError", None),
+    ("belyi v1\nk 1/0\n", None, "BelyiFormatError",
+     "bad belyi line 'k 1/0': zero denominator in '1/0'"),
+    ("belyi v1\nk 1e9999999\nzero 1 0 1\npole 1 1 1\n", None,
+     "BelyiFormatError", None),
+    (None, ["--output", "missing-dir/report.txt", "passport", "0"],
+     "FileNotFoundError", None),
+    (None, ["verify", "D6"], "FileNotFoundError",
+     "'D6' is neither a preset (d6, d12, d60, d72) nor an existing file"),
 ], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "k-exponent-token",
-        "output-dir-missing"])
-def test_bad_input_exits_1_with_named_error(tmp_path, document, output, name):
-    if document is None:
-        argv = ["--output", str(tmp_path / output), "passport", "0"]
-    else:
-        path = tmp_path / "bad.belyi"
-        path.write_text(document, encoding="utf-8")
-        argv = ["verify", str(path)]
+        "output-dir-missing", "verify-no-such-preset-or-file"])
+def test_bad_input_exits_1_with_named_error(tmp_path, document, argv, name,
+                                             message):
+    if document is not None:
+        (tmp_path / "bad.belyi").write_text(document, encoding="utf-8")
+        argv = ["verify", "bad.belyi"]
     src = str(Path(fullerene_belyi.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-m", "fullerene_belyi.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 1 and not proc.stdout
     assert proc.stderr.startswith(f"error: {name}: ")
     assert "Traceback" not in proc.stderr
+    if message is not None:
+        assert proc.stderr == f"error: {name}: {message}\n"
 
 
 D6_DOCUMENT = ("belyi v1\nk 1/1728\ninfinity pole 5\nzero 3 5 10 1\n"

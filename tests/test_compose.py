@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fullerene_belyi import belyi, cli, exact, geometry, moebius
+from fullerene_belyi import belyi, cli, derive, exact, geometry, moebius
 from fullerene_belyi.belyi import (BelyiVerificationError, FactoredBelyi,
                                    Passport)
 from fullerene_belyi.derive import d6_solve
@@ -14,9 +14,9 @@ from fullerene_belyi.moebius import (INFINITY, Moebius, beta12_ratmap,
                                      build_beta12, build_beta60, build_beta72,
                                      factored_compose_moebius,
                                      moebius_from_three_points, mu1, mu2,
-                                     ratmap_compose_moebius, schwarz_check,
-                                     schwarz_forms)
-from oracles import ratmap_substitute_power, replace_fields
+                                     schwarz_check, schwarz_forms)
+from oracles import (ratmap_compose_moebius, ratmap_substitute_power,
+                     replace_fields)
 
 
 def rand_moebius(rng):
@@ -279,6 +279,23 @@ def test_factored_moebius_keeps_passport_and_matches_reference(rng, base,
             beta = got
 
 
+@pytest.mark.parametrize("base, order_at_zero", [("d60", 5), ("d72", 6)])
+def test_factored_moebius_keeps_passport_of_the_lifted_presets(rng, base,
+                                                               order_at_zero):
+    # no Yun reference at degree 60-72: verify certifies every result, and
+    # 0, a pole of both, is the target whose tag the first map is checked for
+    start = cli.load_preset(base)
+    passport = start.verify()
+    tags_at_zero = set()
+    for first in moebius_cases(rng, [GaussRat.of(0)]):
+        beta = factored_compose_moebius(start, first)
+        if first.apply(INFINITY) == GaussRat.of(0):
+            tags_at_zero.add((beta.infinity_side, beta.infinity_order))
+        assert beta.verify() == passport
+        assert factored_compose_moebius(beta, rand_moebius(rng)).verify() == passport
+    assert tags_at_zero == {("pole", order_at_zero)}
+
+
 def test_factored_moebius_moves_infinity_tags():
     d12 = build_beta12()
     # infinity onto the simple pole at 0, the double one-point at i, and a
@@ -296,33 +313,61 @@ def test_factored_moebius_moves_infinity_tags():
 
 
 @pytest.fixture
-def yun_degrees(monkeypatch):
-    """Degrees of every polynomial split by squarefree_decomposition, with
-    the preset caches emptied so each command builds from d6 again."""
-    degrees = []
+def cold_calls(monkeypatch):
+    """Runs a command as a fresh process would, every cache of the package
+    emptied first, and returns its calls of Yun's split, the exact gcd and
+    polynomial division by name."""
+    counts = {}
 
-    def spy(p):
-        degrees.append(p.degree)
-        return exact.squarefree_decomposition(p)
+    def counted(name, fn):
+        def spy(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return spy
 
-    monkeypatch.setattr(belyi, "squarefree_decomposition", spy)
-    caches = (moebius.build_beta12, moebius.build_beta60, moebius.build_beta72,
-              moebius.beta12_ratmap, moebius.beta60_ratmap,
-              moebius.beta72_ratmap, geometry.barrel_vertex_polynomial,
-              geometry.barrel_vertices, d6_solve)
-    for fn in caches:
-        fn.cache_clear()
-    return degrees
+    modules = (exact, belyi, derive, moebius, geometry, cli)
+    for name in ("squarefree_decomposition", "poly_gcd"):
+        original = getattr(exact, name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.setattr(UniPoly, "__divmod__",
+                        counted("divmod", UniPoly.__divmod__))
+    caches = [fn for module in modules for fn in vars(module).values()
+              if hasattr(fn, "cache_clear")]
+
+    def run(*argv):
+        for fn in caches:
+            fn.cache_clear()
+        counts.clear()
+        assert cli.main(list(argv)) == 0
+        return dict(counts)
+
+    return run
 
 
-def test_commands_split_nothing_above_degree_six(yun_degrees, capsys):
-    for argv in (["compose", "d12"], ["compose", "d60"], ["compose", "d72"],
-                 ["compose", "schwarz"], ["geometry", "barrel"],
-                 ["verify", "d72"]):
-        assert cli.main(argv) == 0
+def test_commands_split_nothing_above_degree_six(cold_calls, tmp_path, capsys):
+    # d6 comes factored from its elimination and the other presets from its
+    # factors: no command splits by Yun or takes a gcd, and only derive 5
+    # divides polynomials, for its k
+    d72, svg = str(tmp_path / "d72.belyi"), str(tmp_path / "face.svg")
+    commands = {
+        "passport 0": ("passport", "0"),
+        "derive 5": ("derive", "5"),
+        "derive 6": ("derive", "6"),
+        "verify d6": ("verify", "d6"),
+        "compose d12": ("compose", "d12"),
+        "compose d60": ("compose", "d60"),
+        "compose d72": ("compose", "d72", "--write", d72),
+        "verify file": ("verify", d72),
+        "verify d72": ("verify", "d72"),
+        "compose schwarz": ("compose", "schwarz"),
+        "geometry barrel": ("geometry", "barrel", "--svg", svg),
+    }
+    calls = {name: cold_calls(*argv) for name, argv in commands.items()}
     capsys.readouterr()
-    assert yun_degrees  # d6 itself is still split by Yun
-    assert max(yun_degrees) <= 6
+    for name, counts in calls.items():
+        assert set(counts) == ({"divmod"} if name == "derive 5" else set()), name
 
 
 def test_schwarz_check_compares_factored_forms():

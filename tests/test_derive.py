@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from fullerene_belyi import derive
+from fullerene_belyi.belyi import FactoredBelyi
 from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
                                     derive_case, family_k, family_k_formula,
                                     halphen_identity_failures,
                                     ode_leading_coeff, ode_residual,
                                     run_ode_elimination, vm_from_p)
-from fullerene_belyi.exact import GaussRat, UniPoly
+from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.multipoly import EliminationTrace, MultiPoly
 
 
@@ -500,6 +501,20 @@ def test_d6_factored_function():
     assert beta.k == GaussRat.of(Fraction(1, 1728))
     assert beta.zero_factors == ((UniPoly.from_terms({2: 1, 1: 10, 0: 5}), 3),)
     assert str(beta.verify()) == "(3^2 | 2^2 1^2 | 5^1 1^1)"
+
+
+def test_d6_factored_form_matches_the_split_quotient():
+    # the multiplied-out A^3/(k*z), split by Yun, is the reference for the
+    # factored form d6_solve builds from the elimination
+    values = d6_solve().values
+    A = UniPoly.from_terms({2: 1, 1: values["a1"], 0: values["a0"]})
+    z = UniPoly.x()
+    reference = FactoredBelyi.from_ratmap(
+        RationalMap(1, A ** 3, z.scale(GaussRat.of(values["k"]))))
+    beta = d6_solve().belyi
+    assert repr(beta) == repr(reference)  # field for field
+    assert beta.to_text() == reference.to_text()
+    assert beta == reference
 
 
 def test_d6_assumption_division_recorded():
