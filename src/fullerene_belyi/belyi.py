@@ -226,11 +226,11 @@ class FactoredBelyi(_Record, frozen=True):
     def from_ratmap(f: RationalMap) -> "FactoredBelyi":
         """Factor a rational map into Belyi shape via squarefree splitting.
 
-        The library's entry for maps given multiplied out and the tests'
-        reference; no command calls it.  The presets are built factored (d6
-        by derive.d6_solve, the rest by substitute_power and
-        moebius.factored_compose_moebius).  Factors of equal multiplicity
-        come out merged (their product is squarefree), as passports allow.
+        This is how the degree-6 function and maps given by users enter;
+        the composed presets are built factor by factor (substitute_power
+        and moebius.factored_compose_moebius), and tests hold them to this
+        reference.  Factors of equal multiplicity come out merged (their
+        product is squarefree); passports are insensitive to that.
         """
         w = f.one_numerator()
         if w.is_zero:

@@ -10,11 +10,10 @@ where mu1 carries (0, 1, inf) to (-11+2i, 0, -11-2i) and mu2 carries
 (0, inf, i) to (-1, 1, inf).  The presets never leave factored form: each
 step maps the monic squarefree factors of the previous function one by one
 (factored_compose_moebius here, FactoredBelyi.substitute_power in belyi),
-and the multiplied-out maps are read off the result.  The degree-6
-function itself comes factored from its elimination (derive.d6_solve), so
-no preset is ever multiplied out and split again.  Schwarz's classical
-invariant triple is reproduced at the end as an independent cross-check of
-the degree-60 function.
+and the multiplied-out maps are read off the result; no composed preset is
+multiplied out and split again.  Schwarz's classical invariant triple is
+reproduced at the end as an independent cross-check of the degree-60
+function.
 """
 
 from __future__ import annotations

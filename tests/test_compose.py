@@ -315,14 +315,16 @@ def test_factored_moebius_moves_infinity_tags():
 @pytest.fixture
 def cold_calls(monkeypatch):
     """Runs a command as a fresh process would, every cache of the package
-    emptied first, and returns its calls of Yun's split, the exact gcd and
-    polynomial division by name."""
-    counts = {}
+    but d6_solve's emptied first, and returns the degrees its calls of
+    Yun's split, the exact gcd and polynomial division took (-1 for zero),
+    by name.
+    d6_solve runs once, cold, up front; its own calls are under "d6"."""
+    calls = {}
 
     def counted(name, fn):
-        def spy(*args):
-            counts[name] = counts.get(name, 0) + 1
-            return fn(*args)
+        def spy(p, *args):
+            calls.setdefault(name, []).append(len(p.coeffs) - 1)
+            return fn(p, *args)
         return spy
 
     modules = (exact, belyi, derive, moebius, geometry, cli)
@@ -334,22 +336,27 @@ def cold_calls(monkeypatch):
     monkeypatch.setattr(UniPoly, "__divmod__",
                         counted("divmod", UniPoly.__divmod__))
     caches = [fn for module in modules for fn in vars(module).values()
-              if hasattr(fn, "cache_clear")]
+              if hasattr(fn, "cache_clear") and fn is not d6_solve]
+    d6_solve.cache_clear()
+    d6_solve()
 
     def run(*argv):
         for fn in caches:
             fn.cache_clear()
-        counts.clear()
+        calls.clear()
         assert cli.main(list(argv)) == 0
-        return dict(counts)
+        return dict(calls)
 
+    run.d6 = dict(calls)
     return run
 
 
 def test_commands_split_nothing_above_degree_six(cold_calls, tmp_path, capsys):
-    # d6 comes factored from its elimination and the other presets from its
-    # factors: no command splits by Yun or takes a gcd, and only derive 5
-    # divides polynomials, for its k
+    # d6 is the multiplied-out A^3/(k*z) split by Yun; the other presets come
+    # from its factors, so past d6_solve no command splits by Yun or takes a
+    # gcd, and only derive 5 divides polynomials, for its k
+    assert cold_calls.d6["squarefree_decomposition"]
+    assert max(max(degrees) for degrees in cold_calls.d6.values()) <= 6
     d72, svg = str(tmp_path / "d72.belyi"), str(tmp_path / "face.svg")
     commands = {
         "passport 0": ("passport", "0"),
@@ -366,8 +373,8 @@ def test_commands_split_nothing_above_degree_six(cold_calls, tmp_path, capsys):
     }
     calls = {name: cold_calls(*argv) for name, argv in commands.items()}
     capsys.readouterr()
-    for name, counts in calls.items():
-        assert set(counts) == ({"divmod"} if name == "derive 5" else set()), name
+    for name, degrees in calls.items():
+        assert set(degrees) == ({"divmod"} if name == "derive 5" else set()), name
 
 
 def test_schwarz_check_compares_factored_forms():

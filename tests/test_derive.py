@@ -12,7 +12,7 @@ from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
                                     halphen_identity_failures,
                                     ode_leading_coeff, ode_residual,
                                     run_ode_elimination, vm_from_p)
-from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
+from fullerene_belyi.exact import GaussRat, UniPoly
 from fullerene_belyi.multipoly import EliminationTrace, MultiPoly
 
 
@@ -503,18 +503,24 @@ def test_d6_factored_function():
     assert str(beta.verify()) == "(3^2 | 2^2 1^2 | 5^1 1^1)"
 
 
-def test_d6_factored_form_matches_the_split_quotient():
-    # the multiplied-out A^3/(k*z), split by Yun, is the reference for the
-    # factored form d6_solve builds from the elimination
+def test_d6_split_quotient_matches_the_ansatz_factors():
+    # the Yun split of A^3/(k*z) that d6_solve returns is, field for field,
+    # the factored form the ansatz A^3 - B^2*C = k*z names: zeros A^3, ones
+    # C*B^2, poles z and infinity of order 5
     values = d6_solve().values
-    A = UniPoly.from_terms({2: 1, 1: values["a1"], 0: values["a0"]})
-    z = UniPoly.x()
-    reference = FactoredBelyi.from_ratmap(
-        RationalMap(1, A ** 3, z.scale(GaussRat.of(values["k"]))))
+
+    def quadratic(hi, lo):
+        return UniPoly.from_terms({2: 1, 1: values[hi], 0: values[lo]})
+
+    ansatz = FactoredBelyi(GaussRat.of(values["k"]).inverse(),
+                           ((quadratic("a1", "a0"), 3),),
+                           ((quadratic("c1", "c0"), 1), (quadratic("b1", "b0"), 2)),
+                           ((UniPoly.x(), 1),), "pole", 5)
     beta = d6_solve().belyi
-    assert repr(beta) == repr(reference)  # field for field
-    assert beta.to_text() == reference.to_text()
-    assert beta == reference
+    assert repr(beta) == repr(ansatz)
+    assert beta.to_text() == ansatz.to_text()
+    assert beta == ansatz
+    assert ansatz.verify() == beta.verify()
 
 
 def test_d6_assumption_division_recorded():
