@@ -384,8 +384,9 @@ class FactoredBelyi(_Record, frozen=True):
 
     @staticmethod
     def from_text(text: str) -> "FactoredBelyi":
-        """Parse a belyi v1 document; any malformed line, or a document
-        that does not describe a factored function, raises BelyiFormatError."""
+        """Parse a belyi v1 document; any malformed line, a second k or
+        infinity line, or a document that does not describe a factored
+        function, raises BelyiFormatError."""
         k = None
         side_tag, order = "none", 0
         factors: dict[str, list[tuple[UniPoly, int]]] = {
@@ -393,9 +394,13 @@ class FactoredBelyi(_Record, frozen=True):
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != "belyi v1":
             raise BelyiFormatError("not a belyi v1 document")
+        seen = set()
         for ln in lines[1:]:
             fields = ln.split()
             try:
+                if fields[0] in ("k", "infinity") and fields[0] in seen:
+                    raise ValueError(f"a second {fields[0]} line")
+                seen.add(fields[0])
                 if fields[0] == "k" and len(fields) == 2:
                     k = GaussRat.from_token(fields[1])
                 elif fields[0] == "infinity" and len(fields) == 3:

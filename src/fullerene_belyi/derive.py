@@ -9,29 +9,36 @@ into a fourth-order ODE on the degree-m polynomial P:
 whose top coefficient for monic P is the constant (s-6)(s-5)(s+5)(s+6), with
 m = s + 6.  For s not in {5, 6} that constant is nonzero and no monic P
 exists.  For s = 5 sequential linear elimination of the indeterminate
-coefficients leaves a one-parameter family that normalizes to
-P = z^11 - 11z^6 - z, giving the icosahedral V, M and k = 1728.  For s = 6
+coefficients leaves a one-parameter family in a6 that normalizes (a6 = -11)
+to P = z^11 - 11z^6 - z, giving the icosahedral V, M and k = 1728.  For s = 6
 the elimination leaves the two-parameter family below, but V's z^22
 coefficient vanishes identically, so its degree falls short of the required
 10 + 2s and no dessin exists; the 22-atom fullerene is ruled out with it.
-The family still satisfies V^3 = M^2 + k*P^5 for a k(a9, a10) read off the
-top coefficients.  That identity is certified by the differential argument,
-without expanding V^3, M^2 or P^5.  The two Halphen identities
+
+Both families satisfy V^3 = M^2 + k*P^5, with k = -1728/11*a6 and a
+k(a9, a10), and both identities are certified the same way, by the
+differential argument, without expanding V^3, M^2 or P^5.  The two Halphen
+identities
     s*M = 3*V'*P - 5*V*P'    and    s*V^2 = 2*M'*P - 5*M*P'
 give, for D = V^3 - M^2,
     D'*P - 5*P'*D = V^2*(3*V'*P - 5*V*P') - M*(2*M'*P - 5*M*P')
                   = V^2*(s*M) - M*(s*V^2) = 0,
-so (D/P^5)' = 0 and D/P^5 is a constant of Q(a9, a10).  Since
-3 deg V = 2 deg M = 5 deg P, that constant is
-(lead V^3 - lead M^2)/lead P^5, which is k.
+so (D/P^5)' = 0 and D = c*P^5 for a c free of z.  P is monic, so c is the
+z^(5 deg P) coefficient of D, which is k.  With 3 deg V = 2 deg M >= 5 deg P
+it is convolved from the top 3 deg V - 5 deg P + 1 coefficients of V and M;
+for s = 6 that is lead(V)^3 - lead(M)^2.
 
-The family is weighted-homogeneous (z, a10, a9 weigh 1, 2, 3), so each of
-P, V, M and the Halphen identities is fixed by its value at z = 1.  V and M
-are computed, and each Halphen identity is certified, by one packed sum of
-exact (Kronecker substitution) over that value laid out with a9^e9 * a10^e10
-as digit e9 + span*e10.  The digit width is proven from the coefficients'
-1-norms ("Packed sums" in the exact module docstring), so every monomial
-owns one signed digit: the evaluation is exact and injective.
+Each family is weighted-homogeneous: z weighs 1 and a_i weighs deg P - i
+(a6 weighs 5; a10 and a9 weigh 2 and 3), because z -> t*z with
+a_i -> t^(deg P - i) * a_i multiplies P by t^(deg P), which keeps the ODE
+and scales V and M.  So each of P, V, M and the Halphen identities is fixed
+by its value at z = 1.  V and M are computed, and each Halphen identity is
+certified, by one packed sum of exact (Kronecker substitution) over that
+value, with the monomials of the free variables laid out in mixed radix: at
+weight w a variable of weight u has radix w // u + 1, so a9^e9 * a10^e10 is
+digit e9 + (w // 3 + 1)*e10.  The digit width is proven from the
+coefficients' 1-norms ("Packed sums" in the exact module docstring), so
+every monomial owns one signed digit: the evaluation is exact and injective.
 """
 
 from __future__ import annotations
@@ -39,7 +46,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import lcm
+from operator import mul
 
 from .belyi import FactoredBelyi
 from .exact import GaussRat, RationalMap, UniPoly, _packed_sum, _Record
@@ -205,11 +214,6 @@ def run_ode_elimination(s: int) -> tuple[UniPoly, EliminationTrace]:
     return p_sym, sequential_linear_solve(_ode_system(m, names), names)
 
 
-def _at_point(p_sym: UniPoly, values: dict[str, Fraction]) -> UniPoly:
-    """The symbolic P with every coefficient evaluated: a UniPoly over Q(i)."""
-    return p_sym.map_coeffs(lambda c: GaussRat.of(c.evaluate(values)))
-
-
 # the largest big-face degree derive_case takes
 MAX_S = 12
 
@@ -283,7 +287,7 @@ def derive_case(s: int) -> CaseReport:
             f"monic P of degree {m}; no solution exists")
         return report
 
-    p_sym, trace = run_ode_elimination(s)
+    trace = run_ode_elimination(s)[1]
     report.trace = trace
     report.free_vars = trace.free_vars
 
@@ -292,15 +296,10 @@ def derive_case(s: int) -> CaseReport:
         # P = z^11 - 11 z^6 - z (a6 = +11 is the same dessin under z -> -z)
         if trace.free_vars != ("a6",):
             raise AssertionError(f"unexpected free variables {trace.free_vars}")
-        assignment = {"a6": Fraction(-11)}
         report.normalization = {"a6": Fraction(-11)}
-        values = trace.evaluate(assignment)
-        P = _at_point(p_sym, values)
-        V, M = vm_from_p(P, s)
-        k = (V ** 3 - M ** 2).divide_exact(P ** 5)
-        if k.is_zero or k.degree != 0:
-            raise AssertionError("V^3 - M^2 is not a constant multiple of P^5")
-        report.P, report.V, report.M, report.k = P, V, M, k.coefficient(0)
+        report.P, report.V, report.M, report.k = _at_point(_family(5), report.normalization)
+        if report.k.is_zero:
+            raise AssertionError("k vanishes at the normalization")
         report.verdict = Verdict.SOLVED
         report.notes.append(
             "the elimination pins every coefficient up to rescaling, so this "
@@ -308,12 +307,9 @@ def derive_case(s: int) -> CaseReport:
         return report
 
     # s == 6: substitute the solved coefficients, keep a9/a10 free
-    p_fam, V, M = _family()
-    report.P, report.V, report.M = p_fam, V, M
-    report.family = dict(_family_substitutions())
-    v_top = V.coefficient(kdeg)
-    m_top = M.coefficient(ldeg)
-    if not v_top.is_zero:
+    report.P, report.V, report.M, report.k = _family(6)
+    report.family = dict(_family_substitutions(6))
+    if not report.V.coefficient(kdeg).is_zero:
         raise AssertionError("expected the top vertex coefficient to vanish")
     report.verdict = Verdict.NO_SOLUTION_DEGREE_DEFICIT
     report.notes.append(
@@ -321,107 +317,137 @@ def derive_case(s: int) -> CaseReport:
         "identically zero, so the family never satisfies the degree "
         "requirements and no dessin exists; this rules out the 22-atom "
         "fullerene with a single hexagon")
-    if m_top.is_zero:
+    if report.M.coefficient(ldeg).is_zero:
         report.notes.append(
             f"M shows the same deficit: its z^{ldeg} coefficient vanishes")
-    # the family still solves V^3 = M^2 + k*P^5 for a parameter-dependent k
-    k_formula = family_k_formula()
-    report.k = k_formula
     return report
 
 
 @cache
-def _family_substitutions() -> dict[str, MultiPoly]:
-    """Every solved coefficient of the s = 6 P in the free a9 and a10."""
-    return run_ode_elimination(6)[1].resolved_substitutions()
+def _family_substitutions(s: int) -> dict[str, MultiPoly]:
+    """Every solved coefficient of the s = 5 or s = 6 P in the free ones."""
+    return run_ode_elimination(s)[1].resolved_substitutions()
 
 
 @cache
-def _family() -> tuple[UniPoly, UniPoly, UniPoly]:
-    """(P, V, M) of the s = 6 family over MultiPoly, with a9 and a10 free."""
-    p_sym, trace = run_ode_elimination(6)
-    p_fam = trace.apply_param(p_sym, _family_substitutions())
-    V, M = _family_vm(p_fam, 6)
-    return p_fam, V, M
+def _family(s: int) -> tuple[UniPoly, UniPoly, UniPoly, MultiPoly]:
+    """(P, V, M, k) of the s = 5 or s = 6 family over MultiPoly, with
+    V^3 = M^2 + k*P^5 certified by _certify_family_identity.  P is monic, so
+    k is the z^(5 deg P) coefficient of V^3 - M^2."""
+    p_sym, trace = run_ode_elimination(s)
+    P = trace.apply_param(p_sym, _family_substitutions(s))
+    V, M = _family_vm(P, s)
+    k = _identity_constant(P, V, M)
+    _certify_family_identity(P, V, M, k)
+    return P, V, M, k
 
 
-# the integer form of a family polynomial at z = 1: {(e9, e10): integer}
-Form = dict[tuple[int, int], int]
+def _at_point(family: tuple[UniPoly, UniPoly, UniPoly, MultiPoly],
+              values: dict[str, Fraction]) -> tuple[UniPoly, UniPoly, UniPoly, GaussRat]:
+    """(P, V, M, k) of a _family with its free variables set to values, over
+    Q(i).  Evaluation is a ring map, so the certified identity holds there."""
+    P, V, M, k = family
+    return (*(f.map_coeffs(lambda c: GaussRat.of(c.evaluate(values))) for f in (P, V, M)),
+            GaussRat.of(k.evaluate(values)))
 
 
-def _integer_form(f: UniPoly, i9: int, i10: int) -> tuple[int, int, Form]:
-    """(weight, d, {(e9, e10): integer}) for d*f at z = 1, where d is the lcm
-    of f's coefficient denominators and i9, i10 index a9, a10.
+# the integer form of a family polynomial at z = 1:
+# {exponents of the free variables: integer}
+Form = dict[tuple[int, ...], int]
 
-    z^e * a9^e9 * a10^e10 weighs e + 3*e9 + 2*e10 (a_i weighs 12 - i, which
-    makes the ODE and so the family weighted-homogeneous).  Raises
-    AssertionError unless f is nonzero, every term has the same weight and
-    no other variable appears; then the weight fixes e, so setting z = 1
-    merges no two terms.
+
+def _free_variables(P: UniPoly) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """(names, indices, weights): the variable names of P's coefficients,
+    and the index in names and the weight of each free variable, one that
+    the coefficients use, heaviest first.  a_i weighs deg P - i (module
+    docstring)."""
+    names = P.leading().vars
+    used = {i for c in P.coeffs for expo in c.terms for i, e in enumerate(expo) if e}
+    free = sorted(((P.degree - int(names[i][1:]), i) for i in used), reverse=True)
+    return names, tuple(i for _, i in free), tuple(u for u, _ in free)
+
+
+def _integer_form(f: UniPoly, indices: tuple[int, ...],
+                  weights: tuple[int, ...]) -> tuple[int, int, Form]:
+    """(weight, d, form) for d*f at z = 1, where d is the lcm of f's
+    coefficient denominators and form maps the exponents of the free
+    variables (at indices, of weights) to integers.
+
+    z^e times a monomial of the free variables weighs e plus the
+    monomial's weight.  Raises AssertionError unless f is nonzero, every
+    term has the same weight and no other variable appears; then the weight
+    fixes e, so setting z = 1 merges no two terms.
     """
-    weights = set()
-    terms: dict[tuple[int, int], Fraction] = {}
+    term_weights = set()
+    terms: dict[tuple[int, ...], Fraction] = {}
     for e, coeff in enumerate(f.coeffs):
         for expo, c in coeff.terms.items():
-            e9, e10 = expo[i9], expo[i10]
-            if sum(expo) != e9 + e10:
-                raise AssertionError(f"term {expo} uses a variable other than a9, a10")
-            weights.add(e + 3 * e9 + 2 * e10)
-            terms[e9, e10] = c
-    if len(weights) != 1:
-        raise AssertionError(f"not weighted-homogeneous: term weights {sorted(weights)}")
+            key = tuple(map(expo.__getitem__, indices))
+            if sum(expo) != sum(key):
+                raise AssertionError(f"term {expo} uses a variable other than "
+                                     + ", ".join(coeff.vars[i] for i in indices))
+            term_weights.add(e + sum(map(mul, key, weights)))
+            terms[key] = c
+    if len(term_weights) != 1:
+        raise AssertionError(f"not weighted-homogeneous: term weights {sorted(term_weights)}")
     d = lcm(*(c.denominator for c in terms.values()))
-    return weights.pop(), d, {key: c.numerator * (d // c.denominator)
-                              for key, c in terms.items()}
+    return term_weights.pop(), d, {key: c.numerator * (d // c.denominator)
+                                   for key, c in terms.items()}
 
 
-def _derivative_form(w: int, f: Form) -> Form:
+def _derivative_form(w: int, f: Form, weights: tuple[int, ...]) -> Form:
     """The integer form of the z-derivative, at weight w - 1, from the
-    integer form f of weight w: a9^e9 * a10^e10 sits on z^(w - 3*e9 - 2*e10)
+    integer form f of weight w: a monomial of weight u sits on z^(w - u)
     and is multiplied by that exponent."""
-    return {(e9, e10): c * e for (e9, e10), c in f.items()
-            if (e := w - 3 * e9 - 2 * e10)}
+    return {key: c * e for key, c in f.items() if (e := w - sum(map(mul, key, weights)))}
 
 
-def _form_sum(terms: list[tuple[int, list[tuple[Form, int]]]], w: int) -> Form:
+def _form_sum(terms: list[tuple[int, list[tuple[Form, int]]]], w: int,
+              weights: tuple[int, ...]) -> Form:
     """The integer form of sum(c * prod(f^e)) over terms, a combination of
     integer forms of total weight w, from one exact._packed_sum.
 
-    Every form is laid out as a digit vector, a9^e9 * a10^e10 at position
-    e9 + span*e10: its value at a9 = x, a10 = x^span.  The weight caps the
-    a9-exponent of every monomial of every product at w // 3 < span, so the
-    layout is injective on them and each digit of the packed sum is the
-    combination's coefficient of the one monomial at its position.
+    Every form is laid out as a digit vector in mixed radix: a free
+    variable of weight u has radix w // u + 1, and a monomial sits at the
+    position whose digits are its exponents.  The weight caps that exponent
+    in every monomial of every product at w // u, so the layout is
+    injective on them and each digit of the packed sum is the
+    combination's coefficient of the one monomial at its position.  For
+    a9, a10 of weights 3, 2 the position is e9 + (w // 3 + 1)*e10.
     """
-    span = w // 3 + 1
+    # every exponent tuple in layout order, the first variable's fastest
+    keys = [key[::-1] for key in product(*(range(w // u + 1) for u in reversed(weights)))]
+    position = {key: pos for pos, key in enumerate(keys)}
 
     def digits(f: Form) -> tuple[list[int], tuple[()]]:
-        out = [0] * (max(e9 + span * e10 for e9, e10 in f) + 1)
-        for (e9, e10), c in f.items():
-            out[e9 + span * e10] = c
+        out = [0] * (max(map(position.__getitem__, f)) + 1)
+        for key, c in f.items():
+            out[position[key]] = c
         return out, ()
 
     packed = _packed_sum([((c, 0), [(digits(f), e) for f, e in fs]) for c, fs in terms],
-                         span * (w // 2 + 1))
-    return {(k % span, k // span): c for k, (c, _) in enumerate(packed) if c}
+                         len(keys))
+    return {keys[pos]: c for pos, (c, _) in enumerate(packed) if c}
 
 
 def _family_poly(f: Form, w: int, scale: Fraction, names: tuple[str, ...],
-                 i9: int, i10: int) -> UniPoly:
-    """scale times the weight-w polynomial with integer form f: the
-    coefficient of a9^e9 * a10^e10 sits on z^(w - 3*e9 - 2*e10)."""
+                 indices: tuple[int, ...], weights: tuple[int, ...]) -> UniPoly:
+    """scale times the weight-w polynomial with integer form f: a monomial
+    of weight u sits on z^(w - u)."""
     coeffs: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for (e9, e10), c in f.items():
+    for key, c in f.items():
         expo = [0] * len(names)
-        expo[i9], expo[i10] = e9, e10
-        coeffs.setdefault(w - 3 * e9 - 2 * e10, {})[tuple(expo)] = scale * c
+        for i, e in zip(indices, key):
+            expo[i] = e
+        coeffs.setdefault(w - sum(map(mul, key, weights)), {})[tuple(expo)] = scale * c
     return UniPoly.from_terms({e: MultiPoly._trusted(names, t)
                                for e, t in coeffs.items()})
 
 
 def _family_vm(P: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
-    """vm_from_p(P, s) for a weighted-homogeneous P over Q[a9, a10], from a
-    few big-integer products instead of MultiPoly ones.
+    """vm_from_p(P, s) for a weighted-homogeneous P over the polynomials in
+    its free variables, from a few big-integer products instead of
+    MultiPoly ones.
 
     With p the integer form d*P at z = 1 and p', p'', p''' those of d*P',
     d*P'', d*P''' (same d), V and M are the combinations
@@ -431,17 +457,30 @@ def _family_vm(P: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
     exact to the digit by the "Packed sums" bound of the exact module, and
     _family_poly puts every coefficient on the z-power its weight fixes.
     """
-    names = P.leading().vars
-    i9, i10 = names.index("a9"), names.index("a10")
-    w, d, p0 = _integer_form(P, i9, i10)
-    p1 = _derivative_form(w, p0)
-    p2 = _derivative_form(w - 1, p1)
-    p3 = _derivative_form(w - 2, p2)
-    v = _form_sum([(11, [(p1, 2)]), (-12, [(p0, 1), (p2, 1)])], 2 * w - 2)
+    names, indices, weights = _free_variables(P)
+    w, d, p0 = _integer_form(P, indices, weights)
+    p1 = _derivative_form(w, p0, weights)
+    p2 = _derivative_form(w - 1, p1, weights)
+    p3 = _derivative_form(w - 2, p2, weights)
+    v = _form_sum([(11, [(p1, 2)]), (-12, [(p0, 1), (p2, 1)])], 2 * w - 2, weights)
     m = _form_sum([(90, [(p0, 1), (p1, 1), (p2, 1)]), (-36, [(p0, 2), (p3, 1)]),
-                   (-55, [(p1, 3)])], 3 * w - 3)
-    return (_family_poly(v, 2 * w - 2, Fraction(25, 11 * s ** 2 * d ** 2), names, i9, i10),
-            _family_poly(m, 3 * w - 3, Fraction(25, 11 * s ** 3 * d ** 3), names, i9, i10))
+                   (-55, [(p1, 3)])], 3 * w - 3, weights)
+    return (_family_poly(v, 2 * w - 2, Fraction(25, 11 * s ** 2 * d ** 2), names, indices, weights),
+            _family_poly(m, 3 * w - 3, Fraction(25, 11 * s ** 3 * d ** 3), names, indices, weights))
+
+
+def _power_coefficient(f: UniPoly, e: int, n: int):
+    """The z^n coefficient of f^e, convolved from f's top e*deg f - n + 1
+    coefficients: no polynomial in z is multiplied."""
+    power = top = [f.coefficient(f.degree - j) for j in range(e * f.degree - n + 1)]
+    for _ in range(e - 1):
+        power = [sum(power[i] * top[j - i] for i in range(j + 1)) for j in range(len(top))]
+    return power[-1]
+
+
+def _identity_constant(P: UniPoly, V: UniPoly, M: UniPoly):
+    """The z^(5 deg P) coefficient of V^3 - M^2."""
+    return _power_coefficient(V, 3, 5 * P.degree) - _power_coefficient(M, 2, 5 * P.degree)
 
 
 def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
@@ -449,89 +488,81 @@ def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
     """Raise AssertionError unless V^3 = M^2 + k*P^5 holds exactly.
 
     The proof is the paper's differential argument, with s = deg P - 6:
-      sM    s*M = 3*V'*P - 5*V*P'       (weight 33)
-      sV2   s*V^2 = 2*M'*P - 5*M*P'     (weight 44)
+      sM    s*M = 3*V'*P - 5*V*P'
+      sV2   s*V^2 = 2*M'*P - 5*M*P'
     For D = V^3 - M^2 these give
       D'*P - 5*P'*D = V^2*(3*V'*P - 5*V*P') - M*(2*M'*P - 5*M*P')
                     = V^2*(s*M) - M*(s*V^2) = 0,
-    so (D/P^5)' = (D'*P - 5*P'*D)/P^6 = 0 and D = c*P^5 for a c in
-    Q(a9, a10) free of z.  When 3 deg V = 2 deg M = 5 deg P, comparing the
-    z^(5 deg P) coefficients gives c*lead(P)^5 = lead(V)^3 - lead(M)^2,
-    and that is checked for c = k in MultiPoly.
+    so (D/P^5)' = (D'*P - 5*P'*D)/P^6 = 0 and D = c*P^5 for a c free of z.
+    P is checked monic, so c is the z^(5 deg P) coefficient of D, and that
+    is checked to be k in MultiPoly.  It is convolved from the top
+    3 deg V - 5 deg P + 1 coefficients of V and of M, once
+    3 deg V = 2 deg M >= 5 deg P is checked; for s = 6 it is
+    lead(V)^3 - lead(M)^2.
 
     Each of sM and sV2 is certified by one _form_sum of its
     denominator-cleared integer form at z = 1, which is injective: every
-    term's weight is checked (so both identities are weighted-homogeneous
-    and z = 1 merges no terms), and the digit width comes from the proven
-    bound of "Packed sums" in the exact module docstring.
+    term's weight is checked (a_i weighs deg P - i, so both identities are
+    weighted-homogeneous and z = 1 merges no terms), and the digit width
+    comes from the proven bound of "Packed sums" in the exact module
+    docstring.
     """
-    names = P.leading().vars
-    i9, i10 = names.index("a9"), names.index("a10")
+    if not 3 * V.degree == 2 * M.degree >= 5 * P.degree:
+        raise AssertionError("V^3 and M^2 do not share a degree at or above that of P^5")
+    names, indices, weights = _free_variables(P)
     (wv, dv, v), (wm, dm, m), (wp, dp, p), (wk, _, _) = (
-        _integer_form(f, i9, i10) for f in (V, M, P, UniPoly.from_terms({0: k})))
+        _integer_form(f, indices, weights) for f in (V, M, P, UniPoly.from_terms({0: k})))
     if not (wm == wv + wp - 1 and 2 * wv == wm + wp - 1 and 3 * wv == 5 * wp + wk):
         raise AssertionError(
             f"weights {wv}, {wm}, {wp}, {wk} of V, M, P, k do not balance")
-    if not 3 * V.degree == 2 * M.degree == 5 * P.degree:
-        raise AssertionError("V^3, M^2 and P^5 do not share a degree")
     s = P.degree - 6
-    v1, m1, p1 = (_derivative_form(*f) for f in ((wv, v), (wm, m), (wp, p)))
+    v1, m1, p1 = (_derivative_form(w, f, weights) for w, f in ((wv, v), (wm, m), (wp, p)))
     # s*M = 3*V'*P - 5*V*P' and s*V^2 = 2*M'*P - 5*M*P', denominators cleared
     if _form_sum([(s * dv * dp, [(m, 1)]), (-3 * dm, [(v1, 1), (p, 1)]),
-                  (5 * dm, [(v, 1), (p1, 1)])], wm):
+                  (5 * dm, [(v, 1), (p1, 1)])], wm, weights):
         raise AssertionError("family does not satisfy s*M = 3*V'*P - 5*V*P'")
     if _form_sum([(s * dm * dp, [(v, 2)]), (-2 * dv * dv, [(m1, 1), (p, 1)]),
-                  (5 * dv * dv, [(m, 1), (p1, 1)])], 2 * wv):
+                  (5 * dv * dv, [(m, 1), (p1, 1)])], 2 * wv, weights):
         raise AssertionError("family does not satisfy s*V^2 = 2*M'*P - 5*M*P'")
-    if k * P.leading() ** 5 != V.leading() ** 3 - M.leading() ** 2:
+    if P.leading() != MultiPoly.const(names, 1):
+        raise AssertionError("P is not monic")
+    if k != _identity_constant(P, V, M):
         raise AssertionError(
-            "family does not satisfy V^3 = M^2 + k*P^5: k is not "
-            "(lead V^3 - lead M^2)/lead P^5")
+            "family does not satisfy V^3 = M^2 + k*P^5: k is not the "
+            "z^(5 deg P) coefficient of V^3 - M^2")
 
 
-@cache
 def family_k_formula() -> MultiPoly:
     """k(a9, a10) with V^3 = M^2 + k*P^5 for the s = 6 family.
 
-    k is read off the top coefficients, (lead V^3 - lead M^2) / lead P^5,
-    and _certify_family_identity proves the identity by the differential
+    k is the z^60 coefficient of V^3 - M^2, here lead(V)^3 - lead(M)^2, and
+    _certify_family_identity proves the identity by the differential
     argument: the two Halphen identities
       s*M = 3*V'*P - 5*V*P'   and   s*V^2 = 2*M'*P - 5*M*P'
     give (V^3 - M^2)'*P - 5*P'*(V^3 - M^2) = V^2*(s*M) - M*(s*V^2) = 0, so
     (V^3 - M^2)/P^5 has zero z-derivative and is a constant of Q(a9, a10);
-    with 3 deg V = 2 deg M = 5 deg P that constant is the ratio of top
-    coefficients, which is k.  Each Halphen identity is certified by one
-    exact packed sum (_form_sum), never expanding V^3, M^2 or P^5.  That
-    evaluation is a proof, not a sample: the checked weighted homogeneity
-    and the proven digit bound make it injective on the identity's
-    monomials.
+    P is monic, so that constant is the z^60 coefficient, which is k.  Each
+    Halphen identity is certified by one exact packed sum (_form_sum),
+    never expanding V^3, M^2 or P^5.  That evaluation is a proof, not a
+    sample: the checked weighted homogeneity and the proven digit bound
+    make it injective on the identity's monomials.
     """
-    P, V, M = _family()
-    k = (V.leading() ** 3 - M.leading() ** 2).divide_exact(P.leading() ** 5)
-    _certify_family_identity(P, V, M, k)
-    return k
+    return _family(6)[3]
 
 
 def family_k(a9: Fraction | int, a10: Fraction | int
              ) -> tuple[UniPoly, UniPoly, UniPoly, GaussRat]:
-    """Concrete member of the s = 6 family: (P, V, M, k) with
-    V^3 = M^2 + k*P^5 verified exactly.
+    """Concrete member of the s = 6 family: (P, V, M, k) over Q(i).
 
-    a10 = 0 is the icosahedral solution with a vertex sent to infinity;
-    a9 = 0 puts an edge midpoint there instead.
+    It is the certified family of family_k_formula evaluated at (a9, a10),
+    so V^3 = M^2 + k*P^5 holds exactly; nothing is expanded again.  a10 = 0
+    is the icosahedral solution with a vertex sent to infinity; a9 = 0 puts
+    an edge midpoint there instead.
     """
     a9, a10 = Fraction(a9), Fraction(a10)
     if a9 == 0 and a10 == 0:
         raise ValueError("(a9, a10) = (0, 0) degenerates to a monomial")
-    p_sym, trace = run_ode_elimination(6)
-    values = trace.evaluate({"a9": a9, "a10": a10})
-    P = _at_point(p_sym, values)
-    V, M = vm_from_p(P, 6)
-    k = GaussRat.of(family_k_formula().evaluate({"a9": a9, "a10": a10}))
-    residual = V ** 3 - (M ** 2 + (P ** 5).scale(k))
-    if not residual.is_zero:
-        raise AssertionError("family identity V^3 = M^2 + k*P^5 failed")
-    return P, V, M, k
+    return _at_point(_family(6), {"a9": a9, "a10": a10})
 
 
 # ---------------------------------------------------------------------------

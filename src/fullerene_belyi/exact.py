@@ -590,9 +590,6 @@ class UniPoly:
                 rem[i - dd + j] = rem[i - dd + j] - f * oc
         return UniPoly(q, ZERO), UniPoly(rem, ZERO)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
@@ -852,12 +849,6 @@ class RationalMap:
     def one_numerator(self) -> UniPoly:
         """Numerator of self - 1 over the common denominator: k*num - den."""
         return self.num.scale(self.k) - self.den
-
-    def evaluate(self, x: Scalarish) -> GaussRat:
-        return self.k * self.num.evaluate(x) / self.den.evaluate(x)
-
-    def eval_complex(self, z: complex) -> complex:
-        return complex(self.k) * self.num.eval_complex(z) / self.den.eval_complex(z)
 
     def __str__(self) -> str:
         return f"({self.k}) * ({self.num}) / ({self.den})"

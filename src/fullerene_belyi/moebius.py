@@ -79,9 +79,6 @@ class Moebius(_Record, frozen=True):
     def identity() -> "Moebius":
         return Moebius.of(1, 0, 0, 1)
 
-    def determinant(self) -> GaussRat:
-        return self.a * self.d - self.b * self.c
-
     def compose(self, other: "Moebius") -> "Moebius":
         """self after other: (self . other)(z) = self(other(z))."""
         return Moebius.of(

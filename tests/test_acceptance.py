@@ -165,7 +165,7 @@ def test_criterion_06_intermediate_identities():
 def test_criterion_07_family_members_satisfy_identity():
     with criterion(7, "two-parameter family satisfies V^3 = M^2 + k P^5"):
         for a9, a10 in ((1, 0), (0, 1), (1, 1)):
-            P, V, M, k = family_k(a9, a10)   # raises if the identity fails
+            P, V, M, k = family_k(a9, a10)
             assert V ** 3 == M ** 2 + (P ** 5).scale(k)
         assert family_k(1, 1)[3] == GaussRat.of(Fraction(-310625, 35937))
 

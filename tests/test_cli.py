@@ -179,12 +179,20 @@ def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
      "bad belyi line 'k 1/0': zero denominator in '1/0'"),
     ("belyi v1\nk 1e9999999\nzero 1 0 1\npole 1 1 1\n", None,
      "BelyiFormatError", None),
+    # the d6 document with a stray k and infinity line in front of its own
+    ("belyi v1\nk 99\ninfinity zero 3\nk 1/1728\ninfinity pole 5\nzero 3 5 10 1\n"
+     "one 1 125 22 1\none 2 -1 4 1\npole 1 0 1\n", None, "BelyiFormatError",
+     "bad belyi line 'k 1/1728': a second k line"),
+    ("belyi v1\ninfinity zero 3\nk 1/1728\ninfinity pole 5\nzero 3 5 10 1\n"
+     "one 1 125 22 1\none 2 -1 4 1\npole 1 0 1\n", None, "BelyiFormatError",
+     "bad belyi line 'infinity pole 5': a second infinity line"),
     (None, ["--output", "missing-dir/report.txt", "passport", "0"],
      "FileNotFoundError", None),
     (None, ["verify", "D6"], "FileNotFoundError",
      "'D6' is neither a preset (d6, d12, d60, d72) nor an existing file"),
 ], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "k-exponent-token",
-        "output-dir-missing", "verify-no-such-preset-or-file"])
+        "second-k-line", "second-infinity-line", "output-dir-missing",
+        "verify-no-such-preset-or-file"])
 def test_bad_input_exits_1_with_named_error(tmp_path, document, argv, name,
                                              message):
     if document is not None:

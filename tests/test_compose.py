@@ -353,8 +353,8 @@ def cold_calls(monkeypatch):
 
 def test_commands_split_nothing_above_degree_six(cold_calls, tmp_path, capsys):
     # d6 is the multiplied-out A^3/(k*z) split by Yun; the other presets come
-    # from its factors, so past d6_solve no command splits by Yun or takes a
-    # gcd, and only derive 5 divides polynomials, for its k
+    # from its factors, so past d6_solve no command splits by Yun, takes a
+    # gcd or divides polynomials
     assert cold_calls.d6["squarefree_decomposition"]
     assert max(max(degrees) for degrees in cold_calls.d6.values()) <= 6
     d72, svg = str(tmp_path / "d72.belyi"), str(tmp_path / "face.svg")
@@ -374,7 +374,7 @@ def test_commands_split_nothing_above_degree_six(cold_calls, tmp_path, capsys):
     calls = {name: cold_calls(*argv) for name, argv in commands.items()}
     capsys.readouterr()
     for name, degrees in calls.items():
-        assert set(degrees) == ({"divmod"} if name == "derive 5" else set()), name
+        assert degrees == {}, name
 
 
 def test_schwarz_check_compares_factored_forms():

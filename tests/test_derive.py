@@ -113,25 +113,36 @@ def test_vm_from_p_parametric_leading_terms():
     assert M.coefficient(29) == (a10 * a10).scale(Fraction(-2500, 363))
 
 
-def test_family_vm_matches_schoolbook_reference():
-    P, V, M = derive._family()
-    assert (V, M) == vm_from_p(P, 6)
+@pytest.mark.parametrize("s", [5, 6])
+def test_family_vm_matches_schoolbook_reference(s):
+    P, V, M, _ = derive._family(s)
+    assert (V, M) == vm_from_p(P, s)
 
 
 # (e9, e10) of the monomials a9^e9 * a10^e10 * z^(12 - 3*e9 - 2*e10) below z^12
 WEIGHT_12 = [(e9, e10) for e9 in range(5) for e10 in range(7)
              if 0 < 3 * e9 + 2 * e10 <= 12]
+# (e6,) of the monomials a6^e6 * z^(11 - 5*e6) below z^11
+WEIGHT_11 = [(1,), (2,)]
 
 
-def _weighted_p(names, coefficients):
-    """z^12 + sum c * a9^e9 * a10^e10 * z^(12 - 3*e9 - 2*e10)."""
-    i9, i10 = names.index("a9"), names.index("a10")
-    terms = {12: {(0,) * len(names): Fraction(1)}}
-    for (e9, e10), c in coefficients.items():
+def _weighted_p(names, coefficients, free=("a9", "a10"), m=12):
+    """z^m + sum c * prod(a_i^e_i) * z^(m - sum (m - i)*e_i) over the free
+    a_i, each of weight m - i."""
+    terms = {m: {(0,) * len(names): Fraction(1)}}
+    for key, c in coefficients.items():
         expo = [0] * len(names)
-        expo[i9], expo[i10] = e9, e10
-        terms.setdefault(12 - 3 * e9 - 2 * e10, {})[tuple(expo)] = c
+        for name, e in zip(free, key):
+            expo[names.index(name)] = e
+        weight = sum((m - int(name[1:])) * e for name, e in zip(free, key))
+        terms.setdefault(m - weight, {})[tuple(expo)] = c
     return UniPoly.from_terms({e: MultiPoly(names, t) for e, t in terms.items()})
+
+
+def _random_coefficients(rng, keys):
+    return {key: Fraction(rng.choice((-1, 1)) * (rng.getrandbits(rng.randint(1, 200)) or 1),
+                          rng.choice((1, 1, 3, 44, 605, 2 ** 61 - 1)))
+            for key in rng.sample(keys, rng.randint(1, len(keys)))}
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -139,15 +150,14 @@ def test_family_vm_on_random_weighted_p(seed):
     # dense and sparse P with up to 200-bit numerators, so that the packed
     # digits of V and M come close to the 1-norm bound that sets beta
     rng = random.Random(seed)
-    picked = rng.sample(WEIGHT_12, rng.randint(1, len(WEIGHT_12)))
-    coefficients = {
-        key: Fraction(rng.choice((-1, 1)) * (rng.getrandbits(rng.randint(1, 200)) or 1),
-                      rng.choice((1, 1, 3, 44, 605, 2 ** 61 - 1)))
-        for key in picked}
     names = ("a10", "a9") if seed % 2 else ("a9", "x", "a10")
-    P = _weighted_p(names, coefficients)
+    P = _weighted_p(names, _random_coefficients(rng, WEIGHT_12))
     for s in (5, 6):
         assert derive._family_vm(P, s) == vm_from_p(P, s)
+    # the s = 5 family's shape: weight 11, one free a6 of weight 5
+    names = ("a6",) if seed % 2 else ("a9", "a6", "a1")
+    P = _weighted_p(names, _random_coefficients(rng, WEIGHT_11), ("a6",), 11)
+    assert derive._family_vm(P, 5) == vm_from_p(P, 5)
 
 
 @pytest.mark.parametrize("keys", [[(4, 0)], [(0, 6)], [(2, 3)],
@@ -294,13 +304,15 @@ def test_derive_case_6_family_and_degree_deficit():
     assert family_k_formula() == expected_k
 
 
-def test_family_identity_full_expansion_reference():
+@pytest.mark.parametrize("s", [5, 6])
+def test_family_identity_full_expansion_reference(s):
     # the term-by-term MultiPoly expansion that the certificate replaced
-    P, V, M = derive._family()
-    k = family_k_formula()
+    P, V, M, k = derive._family(s)
     diff = V ** 3 - M ** 2
     assert (diff - P ** 5 * k).is_zero
-    assert diff.coefficient(60) == k
+    assert diff.coefficient(5 * P.degree) == k
+    # for s = 5 the tops of V^3 and M^2 cancel above z^55
+    assert diff.degree == 5 * P.degree
 
 
 def _bump_term(coeff, pick):
@@ -315,19 +327,29 @@ def _with_coefficient(f, power, fn):
     return UniPoly(coeffs, f.ring_zero)
 
 
-def _mutated_family(case):
-    """(P, V, M, k) with one change, and the rejection message it must hit.
-    The parameter weight of a z^e coefficient falls as e rises, so the
-    top z-degree coefficient has the lowest weight, the bottom the highest."""
-    P, V, M = derive._family()
-    pvmk = {"P": P, "V": V, "M": M, "k": family_k_formula()}
+# the free variables of each family, heaviest first
+FREE = {5: ("a6",), 6: ("a9", "a10")}
+
+
+def _mutated_family(s, case):
+    """(P, V, M, k) of the s family with one change, and the rejection
+    message it must hit.  The parameter weight of a z^e coefficient falls
+    as e rises, so the top z-degree coefficient has the lowest weight, the
+    bottom the highest."""
+    P, V, M, k = derive._family(s)
+    pvmk = {"P": P, "V": V, "M": M, "k": k}
     target, change = case.split(":")
     if target == "VM":
         # (2V, 2M) still solves the linear s*M = 3*V'*P - 5*V*P', but not
         # s*V^2 = 2*M'*P - 5*M*P'
-        return P, V * 2, M * 2, pvmk["k"], r"does not satisfy s\*V\^2"
+        return P, V * 2, M * 2, k, r"does not satisfy s\*V\^2"
+    if target == "PVMk":
+        # (2P, 4V, 8M, 2k) satisfies both Halphen identities and
+        # V^3 = M^2 + k*P^5, but the z^(5 deg P) coefficient of 64(V^3 - M^2)
+        # is 64k, not 2k: reading k off it needs P monic
+        return P * 2, V * 4, M * 8, k * 2, "P is not monic"
     f = pvmk[target]
-    names = pvmk["k"].vars
+    names = k.vars
     if change == "negated":
         # (-M)^2 = M^2, and -V still solves s*V^2 = 2*M'*P - 5*M*P', but
         # s*M = 3*V'*P - 5*V*P' pins both signs
@@ -337,13 +359,13 @@ def _mutated_family(case):
         pvmk[target] = f * 2
         message = "does not satisfy"
     elif change == "degree":
-        # a constant times z^22 weighs 22 like every term of V, but
-        # 3 * 22 != 5 * deg P = 60
+        # with a constant times z^22, 3 deg V = 66 != 2 deg M = 60
         pvmk[target] = f + UniPoly.from_terms({22: MultiPoly.const(names, 1)})
         message = "do not share a degree"
     elif change == "homogeneous-wrong-weight":
-        # k * a10 is homogeneous of weight 8, but 3 w(V) = 5 w(P) + 6
-        pvmk[target] = f * MultiPoly.var(names, "a10")
+        # k * a10 is homogeneous of weight 8, but 3 w(V) = 5 w(P) + 6; for
+        # s = 5, k * a6 weighs 10, not 60 - 55
+        pvmk[target] = f * MultiPoly.var(names, FREE[s][-1])
         message = "do not balance"
     elif target == "k":
         pvmk["k"] = _bump_term(f, {"first": min, "last": max}[change])
@@ -354,16 +376,17 @@ def _mutated_family(case):
         pvmk[target] = _with_coefficient(f, power, lambda c: _bump_term(c, min))
         message = "does not satisfy"
     elif change == "wrong-weight":
-        # a9 * z^0 weighs 3; every term of V weighs 22
-        a9 = MultiPoly.var(names, "a9")
-        pvmk[target] = _with_coefficient(f, 0, lambda c: c + a9)
+        # a9 * z^0 weighs 3 and every term of V weighs 22; for s = 5,
+        # a6 * z^0 weighs 5 and V weighs 20
+        a = MultiPoly.var(names, FREE[s][0])
+        pvmk[target] = _with_coefficient(f, 0, lambda c: c + a)
         message = "not weighted-homogeneous"
     else:
-        # a8 * z^18 would weigh 22 with a8 at weight 12 - 8, but the family
-        # has no a8 left, so any exponent on it is rejected
+        # a8 * z^18 would weigh 22 with a8 at weight 12 - 8, but neither
+        # family has a8 left, so any exponent on it is rejected
         a8 = MultiPoly.var(names, "a8")
         pvmk[target] = _with_coefficient(f, 18, lambda c: c + a8)
-        message = "other than a9, a10"
+        message = "other than " + ", ".join(FREE[s])
     return pvmk["P"], pvmk["V"], pvmk["M"], pvmk["k"], message
 
 
@@ -372,16 +395,17 @@ def _mutated_family(case):
     for change in ("lowest-weight", "highest-weight")
 ] + ["k:first", "k:last", "k:homogeneous-wrong-weight", "V:wrong-weight",
       "V:third-variable", "M:negated", "V:negated", "V:doubled", "V:degree",
-      "VM:doubled"])
-def test_family_certificate_rejects_mutation(case):
-    P, V, M, k, message = _mutated_family(case)
+      "VM:doubled", "PVMk:scaled"])
+@pytest.mark.parametrize("s", [5, 6])
+def test_family_certificate_rejects_mutation(s, case):
+    P, V, M, k, message = _mutated_family(s, case)
     with pytest.raises(AssertionError, match=message):
         derive._certify_family_identity(P, V, M, k)
 
 
-def test_family_certificate_accepts_family():
-    P, V, M = derive._family()
-    derive._certify_family_identity(P, V, M, family_k_formula())
+@pytest.mark.parametrize("s", [5, 6])
+def test_family_certificate_accepts_family(s):
+    derive._certify_family_identity(*derive._family(s))
 
 
 def test_family_computed_once_for_report_and_k(monkeypatch):
@@ -390,19 +414,33 @@ def test_family_computed_once_for_report_and_k(monkeypatch):
         original = getattr(derive, name)
         monkeypatch.setattr(derive, name, lambda p, s, f=original, seen=seen:
                             seen.append(s) or f(p, s))
-    # past the (cached) elimination, derive 6 multiplies no polynomials in
-    # z: V, M and the certificate come from packed integers
-    run_ode_elimination(6)
+    # past the (cached) elimination, derive 5 and derive 6 multiply no
+    # polynomials in z: V, M and the certificate come from packed integers,
+    # k from a convolution of top coefficients
+    for s in (5, 6):
+        run_ode_elimination(s)
     products = []
     multiply = UniPoly.__mul__
     monkeypatch.setattr(UniPoly, "__mul__", lambda f, g: products.append(
         (f, g)) or multiply(f, g))
     derive._family.cache_clear()
-    family_k_formula.cache_clear()
+    report5 = derive_case(5)
     report = derive_case(6)
     assert family_k_formula() == report.k
-    assert calls == {"_family_vm": [6], "vm_from_p": []}
+    assert family_k(1, 1)[3] == GaussRat.of(report.k.evaluate({"a9": 1, "a10": 1}))
+    assert report5.k == GaussRat.of(1728)
+    assert calls == {"_family_vm": [5, 6], "vm_from_p": []}
     assert products == []
+
+
+def test_derive_case_5_checks_its_family(monkeypatch):
+    P, V, M, k = derive._family(5)
+    monkeypatch.setattr(derive, "_family", lambda s: (P, V, M, k - k))
+    with pytest.raises(AssertionError, match="k vanishes"):
+        derive_case(5)
+    monkeypatch.setattr(derive, "run_ode_elimination", lambda s: run_ode_elimination(6))
+    with pytest.raises(AssertionError, match="unexpected free variables"):
+        derive_case(5)
 
 
 def test_derive_case_6_resolves_the_substitutions_once(monkeypatch):
@@ -412,8 +450,7 @@ def test_derive_case_6_resolves_the_substitutions_once(monkeypatch):
     resolve = EliminationTrace.resolved_substitutions
     monkeypatch.setattr(EliminationTrace, "resolved_substitutions",
                         lambda trace: calls.append(trace) or resolve(trace))
-    for cached in (run_ode_elimination, derive._family_substitutions,
-                   derive._family, family_k_formula):
+    for cached in (run_ode_elimination, derive._family_substitutions, derive._family):
         cached.cache_clear()
     report = derive_case(6)
     assert len(calls) == 1
@@ -456,7 +493,11 @@ def test_family_k_at_three_points():
     P1, V1, M1, k1 = family_k(0, 1)
     assert M1.degree == 29
     # an uglier rational point for good measure
-    family_k(Fraction(2, 3), Fraction(-5, 7))
+    P2, V2, M2, k2 = family_k(Fraction(2, 3), Fraction(-5, 7))
+    # the identity the family's certificate proves holds at every point
+    for P, V, M, k in ((P, V, M, k), (P0, V0, M0, k0), (P1, V1, M1, k1),
+                       (P2, V2, M2, k2)):
+        assert V ** 3 == M ** 2 + (P ** 5).scale(k)
 
 
 def test_family_k_rejects_origin():

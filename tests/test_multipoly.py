@@ -151,7 +151,7 @@ def test_substitute_matches_accumulation_on_s6_elimination(monkeypatch):
     one call per equation visit, one per earlier map value at each new
     step, one per step to resolve the trace, and one per coefficient (and
     the ring's zero) of P in apply_param."""
-    family = derive._family()[0]
+    family = derive._family(6)[0]
     calls = []
     fast = MultiPoly.substitute_all
 
