@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .exact import (GaussRat, RationalMap, UniPoly, _cleared_identity,
+from .exact import (GaussRat, RationalMap, UniPoly, _cleared, _cleared_identity,
                     _coprime_given, _natural, _quote, _Record, _reduce_mod_p,
                     _squarefree_given, squarefree_decomposition)
 
@@ -308,31 +308,43 @@ class FactoredBelyi(_Record, frozen=True):
 
         Checks, in this order: every factor monic and squarefree; all
         factors pairwise coprime; the three side degrees balance, including
-        the infinity contribution; the identity k*Z - Q = c*O for the
-        declared one-side product O (c a nonzero scalar); and the infinity
-        tag against the degrees of Z, Q and k*Z - Q.
+        the infinity contribution; the fibres over 0, 1 and infinity hold
+        enough points; the identity k*Z - Q = c*O for the declared one-side
+        product O (c a nonzero scalar); and the infinity tag against the
+        degrees of Z, Q and k*Z - Q.
 
-        Everything runs on integers.  Each factor is reduced modulo the
-        prime ideal J = (p, i - r) once; its squarefreeness (the reduction
-        against its derivative in F_p) and its coprimality with every other
-        factor are certified on those reductions, with the exact poly_gcd
-        where the certificate is inconclusive (exact module docstring).
-        The identity is checked cross-multiplied in Z[i]: with every
-        factor f cleared to g_f/d_f, k = kappa/d_k, G_Z = prod g_f^e and
-        D_Z = prod d_f^e (likewise for Q and O), k*Z - Q is
-        W/(d_k*D_Z*D_Q) for W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and
-        k*Z - Q = c*O with O = G_O/D_O monic holds iff W != 0,
+        Everything runs on integers, and every certificate reads one
+        cleared form per factor: f as g_f/d_f with g_f in Z[i][z] and d_f
+        the lcm of its denominators (exact._cleared), made once, and k as
+        kappa/d_k.  Each g_f is reduced modulo the prime ideal
+        J = (p, i - r) once; the squarefreeness of f (the reduction against
+        its derivative in F_p) and its coprimality with every other factor
+        are certified on those reductions, with the exact poly_gcd where
+        the certificate is inconclusive (exact module docstring).  The
+        identity is checked cross-multiplied in Z[i] on the same forms:
+        with G_Z = prod g_f^e and D_Z = prod d_f^e (likewise for Q and O),
+        k*Z - Q is W/(d_k*D_Z*D_Q) for W = kappa*G_Z*D_Q - d_k*D_Z*G_Q,
+        and k*Z - Q = c*O with O = G_O/D_O monic holds iff W != 0,
         deg W = deg O and D_O*W = lead(W)*G_O coefficient by coefficient.
         W and G_O are one packed sum each ("Packed sums" in the exact
-        module docstring).  The side sums come before the products, so an
-        unbalanced document costs nothing of its degree.
+        module docstring).
+
+        No product is taken before two bounds that cost nothing of the
+        degree n.  The side sums come first, so an unbalanced document is
+        rejected at once.  Then Riemann-Hurwitz: a degree-n map (n >= 1)
+        has total ramification 2n - 2, so its fibres over 0, 1 and
+        infinity hold at least 3n - (2n - 2) = n + 2 points.  Once the
+        factors are squarefree and coprime and the sums balance, the
+        declared roots (plus infinity when tagged) are exactly those fibres
+        if the identity holds, so with fewer than n + 2 of them it cannot.
         """
-        all_factors = (self.zero_factors + self.one_factors + self.pole_factors)
-        reductions = []
-        for f, _ in all_factors:
+        all_factors = self.zero_factors + self.one_factors + self.pole_factors
+        forms, reductions = [], []
+        for f, e in all_factors:
             if not f.is_monic:
                 raise FactorNotSquarefree(f"factor {_show(f)} is not monic")
-            reductions.append(_reduce_mod_p(f))
+            forms.append((_cleared(f.coeffs), e))
+            reductions.append(_reduce_mod_p(forms[-1][0]))
             if not _squarefree_given(f, reductions[-1]):
                 raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
         for i in range(len(all_factors)):
@@ -348,9 +360,17 @@ class FactoredBelyi(_Record, frozen=True):
                 raise DegreeImbalance(
                     f"{side} side sums to {_show_int(self._side_sum(factors, side))}, "
                     f"zero side to {_show_int(n)}")
+        points = (sum(f.degree for f, _ in all_factors)
+                  + (self.infinity_side != "none"))
+        if n >= 1 and points < n + 2:
+            raise IdentityFailed(
+                f"k*zeros - poles cannot factor as declared: {points} points "
+                f"over 0, 1 and infinity, a degree-{_show_int(n)} map has at "
+                f"least {_show_int(n + 2)} (Riemann-Hurwitz)")
 
-        deg_w, mismatch = _cleared_identity(self.k, self.zero_factors,
-                                            self.pole_factors, self.one_factors)
+        nz, no = len(self.zero_factors), len(self.one_factors)
+        deg_w, mismatch = _cleared_identity(_cleared((self.k,)), forms[:nz],
+                                            forms[nz + no:], forms[nz:nz + no])
         if deg_w is None:
             raise IdentityFailed("k*zeros - poles collapsed to zero")
         if mismatch:

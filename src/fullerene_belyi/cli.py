@@ -192,9 +192,10 @@ def cmd_compose(what: str, write_path: str | None = None):
                           schwarz_check, schwarz_forms)
     if what == "schwarz":
         phi12, phi20, phi30 = schwarz_forms()
-        ok = schwarz_check()
-        if not ok:
-            raise BelyiVerificationError("Schwarz invariant identity failed")
+        # schwarz_check raises when the identity fails
+        if not schwarz_check():
+            raise BelyiVerificationError(
+                "the degree-60 function after z -> -z differs from the Schwarz triple")
         doc = {
             "command": "compose",
             "target": "schwarz",

@@ -614,8 +614,7 @@ def d6_solve() -> D6Report:
     num = concrete("a1", "a0") ** 3
     den = UniPoly.x().scale(k)
     beta = FactoredBelyi.from_ratmap(RationalMap(1, num, den))
-    # sanity: the derived one-side must be the B^2 * C the ansatz promised
-    expected_one = concrete("b1", "b0") ** 2 * concrete("c1", "c0")
-    if beta.to_ratmap().one_numerator().scale(beta.k.inverse()) != expected_one:
+    # sanity: the derived one-side must be the C * B^2 the ansatz promised
+    if beta.one_factors != ((concrete("c1", "c0"), 1), (concrete("b1", "b0"), 2)):
         raise AssertionError("one-side factorization drifted from the ansatz")
     return D6Report(belyi=beta, trace=trace, values=values)

@@ -43,36 +43,40 @@ MultiPoly coefficient ring.
 
 Coprimality (a certificate modulo one fixed prime).  Let p = _P, a prime
 with p = 1 (mod 4), r = _R with r^2 = -1 (mod p), and J the prime ideal
-(p, i - r) of Z[i]; Z[i]/J is the field F_p, with i mapped to r.  Suppose
-no denominator of a or b is divisible by p, so both lie in R[z] for the
-local ring R = Z[i]_J, and lead(a) is a unit of R (its reduction is
-nonzero).  If a and b had a common factor over Q(i), they would have a
-monic irreducible one, g.  R is a discrete valuation ring, hence
-integrally closed, and g divides the monic a/lead(a) in R[z], so g lies in
-R[z] (Gauss's lemma).  Dividing by the monic g stays in R[z], so g divides
-a and b in R[z], and its reduction, monic of the same degree, divides the
-reductions of both.  Hence a constant gcd of the reductions in F_p[z]
-proves a and b coprime.  coprime() returns True on that certificate and
-otherwise (a denominator divisible by p, lead(a) vanishing mod J, or a
-nonconstant gcd mod J: an unlucky prime or a true common factor) returns
-the answer of the exact Euclidean poly_gcd.  No point is sampled and no
-answer is probabilistic.  Reduction mod J is a ring map that commutes with
-d/dz, and p' has no denominator that p lacks, so is_squarefree reduces p
-once and runs the certificate on that reduction and its derivative in
-F_p[z].
+(p, i - r) of Z[i]; Z[i]/J is the field F_p, with i mapped to r.  Every
+certificate reads the cleared form (d, re, im) of a polynomial (_cleared):
+A = d*a = re + i*im lies in Z[i][z] and has the roots of a, so a and b are
+coprime iff A and B are.  _reduce_mod_p maps A to F_p[z].  Suppose lead(A)
+is a unit of the local ring R = Z[i]_J (its reduction is nonzero).  If A
+and B had a common factor over Q(i), they would have a monic irreducible
+one, g.  R is a discrete valuation ring, hence integrally closed, and g
+divides the monic A/lead(A) in R[z], so g lies in R[z] (Gauss's lemma).
+Dividing by the monic g stays in R[z], so g divides A and B in R[z], and
+its reduction, monic of the same degree, divides the reductions of both.
+Hence a constant gcd of the reductions in F_p[z] proves a and b coprime.
+A denominator of a divisible by p needs no clause of its own: p then
+divides d, and for a monic a, lead(A) = d vanishes mod J, which the
+certificate already treats as inconclusive.  coprime() returns True on the
+certificate and otherwise (lead(A) vanishing mod J, or a nonconstant gcd
+mod J: an unlucky prime or a true common factor) returns the answer of the
+exact Euclidean poly_gcd.  No point is sampled and no answer is
+probabilistic.  Reduction mod J is a ring map that commutes with d/dz, and
+A' = d*a', so is_squarefree reduces A once and runs the certificate on
+that reduction and its derivative in F_p[z].
 
 The identity of a factored Belyi function (products of powers in Z[i]).
 _cleared_identity, which FactoredBelyi.verify calls, proves k*Z - Q = c*O
 for Z, Q and O products of powers f^e of monic factors, without a
-Fraction.  Every factor is cleared once to g_f/d_f, with g_f in Z[i][z]
-and d_f the lcm of its denominators, and k = kappa/d_k.  With
-G_Z = prod g_f^e and D_Z = prod d_f^e (likewise for Q and O),
-k*Z - Q = W/(d_k*D_Z*D_Q) for W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and since
-O = G_O/D_O is monic, the identity holds iff W != 0, deg W = deg O and
-D_O*W = lead(W)*G_O coefficient by coefficient.  W is the packed sum of
-its two terms and G_O that of its one, so no product is expanded over
-Q(i).  Only when the check fails are W/lead(W) and O rebuilt over Q(i), to
-name the two sides that differ.
+Fraction.  It reads the cleared forms verify made for the certificates:
+every factor is g_f/d_f, with g_f in Z[i][z] and d_f the lcm of its
+denominators, and k = kappa/d_k.  With G_Z = prod g_f^e and
+D_Z = prod d_f^e (likewise for Q and O), k*Z - Q = W/(d_k*D_Z*D_Q) for
+W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and since O = G_O/D_O is monic, the
+identity holds iff W != 0, deg W = deg O and D_O*W = lead(W)*G_O
+coefficient by coefficient.  W is the packed sum of its two terms and
+G_O that of its one, so no product is expanded over Q(i).  Only when the
+check fails are W/lead(W) and O rebuilt over Q(i), to name the two sides
+that differ.
 """
 
 from __future__ import annotations
@@ -275,7 +279,10 @@ def binary_power(base, n: int, one, mul=operator.mul):
     return one if result is None else result
 
 
-def _cleared(coeffs: Sequence[GaussRat]) -> tuple[int, list[int], list[int]]:
+Cleared = tuple[int, list[int], list[int]]  # (d, re, im)
+
+
+def _cleared(coeffs: Sequence[GaussRat]) -> Cleared:
     """(d, re, im) with coeffs[k] = (re[k] + im[k]*i) / d and d the lcm of
     every denominator."""
     d = math.lcm(*[c.re.denominator for c in coeffs],
@@ -338,21 +345,20 @@ def _packed_sum(terms, n: int) -> list[GaussInt]:
                     _unpack(total_im, n, width) if total_im else [0] * n))
 
 
-def _cleared_identity(k: GaussRat, zeros, poles, ones
+def _cleared_identity(k: Cleared, zeros, poles, ones
                       ) -> tuple[int | None, tuple[UniPoly, UniPoly] | None]:
     """Check the identity k*Z - Q = c*O of a factored Belyi function in
-    Z[i] (see the module docstring); zeros, poles and ones are its
-    (factor, exponent) pairs.  Returns (deg W, None) when it holds,
-    (None, None) when W, and so k*Z - Q, is zero, and otherwise
-    (deg W, (got, declared)): the two monic sides that differ,
-    W/lead(W) and O.  Only a failing check builds a UniPoly."""
-    dk, (kr,), (ki,) = _cleared((k,))
-    sides = []
-    for factors in (zeros, poles, ones):
-        cleared = [(_cleared(f.coeffs), e) for f, e in factors]
-        sides.append(([((re, im), e) for (_, re, im), e in cleared],
-                      math.prod(d ** e for (d, _, _), e in cleared),
-                      sum((len(re) - 1) * e for (_, re, _), e in cleared)))
+    Z[i] (see the module docstring).  k is the cleared form of the scalar,
+    and zeros, poles and ones are the (cleared form, exponent) pairs of
+    its factors.  Returns (deg W, None) when it holds, (None, None) when
+    W, and so k*Z - Q, is zero, and otherwise (deg W, (got, declared)):
+    the two monic sides that differ, W/lead(W) and O.  Only a failing
+    check builds a UniPoly."""
+    dk, (kr,), (ki,) = k
+    sides = [([((re, im), e) for (_, re, im), e in factors],
+              math.prod(d ** e for (d, _, _), e in factors),
+              sum((len(re) - 1) * e for (_, re, _), e in factors))
+             for factors in (zeros, poles, ones)]
     (gz, dz, degz), (gq, dq, degq), (go, do, dego) = sides
     w = _packed_sum([((kr * dq, ki * dq), gz), ((-dk * dz, 0), gq)],
                     max(degz, degq) + 1)
@@ -606,12 +612,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
-
     # -- serialization / display ---------------------------------------
 
     def to_tokens(self) -> list[str]:
@@ -683,28 +683,21 @@ _P = (1 << 61) - 259
 _R = pow(2, (_P - 1) // 4, _P)
 
 
-def _reduce_mod_p(f: UniPoly) -> list[int] | None:
-    """f modulo the prime ideal (_P, i - _R) of Z[i], as coefficients in
-    F_p (p = _P) lowest first without trailing zeros; None when some
-    denominator is divisible by _P, where the certificate does not apply."""
-    inverses: dict[int, int] = {}
-    out = []
-    for c in f.coeffs:
-        v = 0
-        for part, unit in ((c.re, 1), (c.im, _R)):
-            if not part:
-                continue
-            d = part.denominator
-            inv = inverses.get(d)
-            if inv is None:
-                if d % _P == 0:
-                    return None
-                inv = inverses[d] = pow(d, -1, _P)
-            v += part.numerator * inv * unit
-        out.append(v % _P)
+def _reduce_mod_p(cleared: Cleared) -> list[int]:
+    """d*f = re + im*i, given as the cleared form (d, re, im) of f, modulo
+    the prime ideal (_P, i - _R) of Z[i]: coefficients in F_p (p = _P)
+    lowest first without trailing zeros.  When _P divides d, the leading
+    coefficient d of a monic f vanishes here."""
+    _, re, im = cleared
+    out = [(x + _R * y) % _P for x, y in zip(re, im)]
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def _reduction(f: UniPoly) -> list[int]:
+    """The reduction of f's cleared form."""
+    return _reduce_mod_p(_cleared(f.coeffs))
 
 
 def _constant_gcd_mod_p(a: list[int], b: list[int]) -> bool:
@@ -737,15 +730,15 @@ def _derivative_mod_p(r: list[int]) -> list[int]:
     return out
 
 
-def _proves_coprime(a: UniPoly, ra: list[int] | None, rb: list[int] | None) -> bool:
-    """True when ra = _reduce_mod_p(a) and rb, the reduction of b, prove a
-    and b coprime; False means only that the certificate is inconclusive."""
-    return (bool(ra) and rb is not None and len(ra) == len(a.coeffs)
+def _proves_coprime(a: UniPoly, ra: list[int], rb: list[int]) -> bool:
+    """True when ra, the reduction of a's cleared form, and rb, that of
+    b's, prove a and b coprime; False means only that the certificate is
+    inconclusive."""
+    return (bool(ra) and len(ra) == len(a.coeffs)
             and _constant_gcd_mod_p(ra, rb))
 
 
-def _coprime_given(a: UniPoly, ra: list[int] | None,
-                   b: UniPoly, rb: list[int] | None) -> bool:
+def _coprime_given(a: UniPoly, ra: list[int], b: UniPoly, rb: list[int]) -> bool:
     """coprime(a, b) with the reductions ra of a and rb of b made already."""
     return _proves_coprime(a, ra, rb) or poly_gcd(a, b).degree == 0
 
@@ -755,17 +748,18 @@ def coprime(a: UniPoly, b: UniPoly) -> bool:
 
     Certified modulo one fixed prime when that is conclusive (see the
     module docstring), otherwise decided by poly_gcd.  The certificate
-    needs lead(a) to survive the reduction, so pass the polynomial with
-    the unit leading coefficient first."""
-    return _coprime_given(a, _reduce_mod_p(a), b, _reduce_mod_p(b))
+    needs the leading coefficient of a's cleared form to survive the
+    reduction, so pass the polynomial with the unit leading coefficient
+    first."""
+    return _coprime_given(a, _reduction(a), b, _reduction(b))
 
 
-def _squarefree_given(p: UniPoly, rp: list[int] | None) -> bool:
-    """is_squarefree(p) for a nonconstant p, given rp = _reduce_mod_p(p).
-    The reduction of p' is the derivative of rp in F_p[z], and p' has no
-    denominator that p lacks, so the coprimality certificate for p and p'
-    runs on rp alone."""
-    return (_proves_coprime(p, rp, rp and _derivative_mod_p(rp))
+def _squarefree_given(p: UniPoly, rp: list[int]) -> bool:
+    """is_squarefree(p) for a nonconstant p, given rp, the reduction of
+    p's cleared form d*p.  The reduction of (d*p)' = d*p' is the
+    derivative of rp in F_p[z], so the coprimality certificate for p and
+    p' runs on rp alone."""
+    return (_proves_coprime(p, rp, _derivative_mod_p(rp))
             or poly_gcd(p, p.derivative()).degree == 0)
 
 
@@ -773,7 +767,7 @@ def is_squarefree(p: UniPoly) -> bool:
     """True iff gcd(p, p') is constant."""
     if p.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    return p.degree == 0 or _squarefree_given(p, _reduce_mod_p(p))
+    return p.degree == 0 or _squarefree_given(p, _reduction(p))
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -821,7 +815,7 @@ class RationalMap:
         den = den.monic()
         # the monic num leads, so the certificate applies; poly_gcd
         # runs only when it is inconclusive or the two share a root
-        if not _proves_coprime(num, _reduce_mod_p(num), _reduce_mod_p(den)):
+        if not _proves_coprime(num, _reduction(num), _reduction(den)):
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num.divide_exact(g)

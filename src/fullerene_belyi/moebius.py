@@ -13,7 +13,7 @@ step maps the monic squarefree factors of the previous function one by one
 and the multiplied-out maps are read off the result; no composed preset is
 multiplied out and split again.  Schwarz's classical invariant triple is
 reproduced at the end as an independent cross-check of the degree-60
-function.
+function, its identity certified by FactoredBelyi.verify.
 """
 
 from __future__ import annotations
@@ -136,21 +136,19 @@ def moebius_from_three_points(sources, targets) -> Moebius:
     return back.inverse().compose(fwd)
 
 
-def _homogenized_substitution(p: UniPoly, m: Moebius, degree: int) -> UniPoly:
-    """sum p_i * (a z + b)^i * (c z + d)^(degree - i): the numerator of
-    p((az+b)/(cz+d)) over (cz+d)^degree."""
+def _homogenized_substitution(p: UniPoly, m: Moebius) -> UniPoly:
+    """sum p_i * (a z + b)^i * (c z + d)^(n - i) for n = deg p: the
+    numerator of p((az+b)/(cz+d)) over (cz+d)^n.  Homogeneous Horner,
+    out = out * (az + b) + p_i * (cz + d)^(n - i) from i = n down, keeps one
+    running power of cz + d."""
     top = UniPoly([m.b, m.a])
     bot = UniPoly([m.d, m.c])
-    top_pow = [UniPoly.one()]
-    bot_pow = [UniPoly.one()]
-    for _ in range(degree):
-        top_pow.append(top_pow[-1] * top)
-        bot_pow.append(bot_pow[-1] * bot)
-    out = UniPoly.zero()
-    for i, coeff in enumerate(p.coeffs):
-        if coeff.is_zero:
-            continue
-        out = out + (top_pow[i] * bot_pow[degree - i]).scale(coeff)
+    out, power = UniPoly.constant(p.leading()), UniPoly.one()
+    for coeff in reversed(p.coeffs[:-1]):
+        power = power * bot
+        out = out * top
+        if not coeff.is_zero:
+            out = out + power.scale(coeff)
     return out
 
 
@@ -177,7 +175,7 @@ def factored_compose_moebius(beta: FactoredBelyi, m: Moebius) -> FactoredBelyi:
                           ("pole", beta.pole_factors)):
         out = []
         for f, e in factors:
-            h = _homogenized_substitution(f, m, f.degree)
+            h = _homogenized_substitution(f, m)
             if h.degree < f.degree:
                 new_side, new_order = name, e
             if name != "one":
@@ -267,20 +265,23 @@ def schwarz_forms() -> tuple[UniPoly, UniPoly, UniPoly]:
     return phi12, phi20, phi30
 
 
-def schwarz_check(phi30_override: UniPoly | None = None) -> bool:
-    """phi20^3 - phi30^2 = 1728 * phi12^5 exactly, and the degree-60 preset
-    equals phi20^3/(1728*phi12^5) after z -> -z.  The second check compares
-    factored forms: by the identity, beta - 1 = phi30^2/(1728*phi12^5), and
-    the degrees 60 over 55 put a pole of order 5 at infinity.  The override
-    lets tests demonstrate that a perturbed phi30 breaks the identity."""
+def schwarz_check() -> bool:
+    """Certify phi20^3 - phi30^2 = 1728 * phi12^5, then compare the triple
+    with the degree-60 preset after z -> -z.
+
+    The triple is the factored function beta = phi20^3/(1728*phi12^5),
+    with a pole of order 5 at infinity and beta - 1 declared as a scalar
+    multiple of phi30^2, and verify() certifies it: a failing identity
+    raises IdentityFailed.  verify proves k*Z - Q = c*O, and the scalar is
+    pinned by leading terms: deg phi12^5 = 55 < 60, so c = k, and with
+    phi20 and phi30 monic (verify requires it) k*Z - Q = k*O reads
+    phi20^3 - 1728*phi12^5 = phi30^2.  The flipped beta60 is
+    beta12(-z) lifted by z -> z^5: the same factored form, composed at a
+    fifth of the degree.  Returns whether it equals the triple."""
     phi12, phi20, phi30 = schwarz_forms()
-    if phi30_override is not None:
-        phi30 = phi30_override
-    if phi20 ** 3 - phi30 ** 2 != (phi12 ** 5).scale(1728):
-        return False
-    flipped = factored_compose_moebius(build_beta60(), Moebius.of(-1, 0, 0, 1))
-    k = (binary_power(phi20.leading(), 3, ONE)
-         / binary_power(phi12.leading(), 5, ONE) / 1728)
-    schwarz = FactoredBelyi(k, ((phi20.monic(), 3),), ((phi30.monic(), 2),),
+    k = 1 / (1728 * binary_power(phi12.leading(), 5, ONE))
+    schwarz = FactoredBelyi(k, ((phi20, 3),), ((phi30, 2),),
                             ((phi12.monic(), 5),), "pole", 5)
-    return flipped == schwarz
+    schwarz.verify()
+    flipped = factored_compose_moebius(build_beta12(), Moebius.of(-1, 0, 0, 1))
+    return flipped.substitute_power(5) == schwarz

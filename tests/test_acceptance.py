@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from fullerene_belyi.belyi import face_vector
+from fullerene_belyi import moebius
+from fullerene_belyi.belyi import BelyiVerificationError, face_vector
 from fullerene_belyi.derive import (Verdict, d6_solve, derive_case, family_k,
                                     halphen_identity_failures,
                                     run_ode_elimination, ode_residual)
@@ -146,7 +147,7 @@ def test_criterion_04_composition_pipeline():
         assert str(build_beta72().verify()) == "(3^24 | 2^36 | 5^12 6^2)"
 
 
-def test_criterion_05_schwarz_identity_with_regression_guard():
+def test_criterion_05_schwarz_identity_with_regression_guard(monkeypatch):
     with criterion(5, "Schwarz invariant identity and misprint guard"):
         assert schwarz_check()
         phi12, phi20, phi30 = schwarz_forms()
@@ -154,7 +155,11 @@ def test_criterion_05_schwarz_identity_with_regression_guard():
         mutated = UniPoly.from_terms(
             {0: 1, 5: -522, 10: -1005, 20: -1005, 25: 522, 30: 1})
         assert phi20 ** 3 - mutated ** 2 != (phi12 ** 5).scale(1728)
-        assert not schwarz_check(phi30_override=mutated)
+        # verify certifies the identity: the misprinted triple is refused
+        monkeypatch.setattr(moebius, "schwarz_forms",
+                            lambda: (phi12, phi20, mutated))
+        with pytest.raises(BelyiVerificationError):
+            schwarz_check()
 
 
 def test_criterion_06_intermediate_identities():

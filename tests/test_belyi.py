@@ -417,6 +417,10 @@ def agreement_cases():
     cases["deg-W-above-O"] = FactoredBelyi(
         GaussRat.of(1), ((zero, 3),), ((z, 1),),
         ((zero ** 3 - z * z - z, 1),), "one", 2)
+    # balanced sums on 3 points at degree 40, where a map has at least 42
+    # (Riemann-Hurwitz): the exponent bomb's shape, small enough to expand
+    cases["few-points/e40"] = FactoredBelyi.from_text(
+        "belyi v1\nk 1\nzero 40 0 1\npole 40 1 1\none 40 2 1\n")
     return cases
 
 
@@ -425,9 +429,17 @@ CASES = agreement_cases()
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_verify_agrees_with_reference(name):
-    got = assert_agrees(CASES[name])
+    if name.startswith("few-points"):
+        # the point count refuses before any product; the reference,
+        # which expands the sides, names them instead
+        got = outcome(FactoredBelyi.verify, CASES[name])
+        assert got[0] == outcome(reference_verify, CASES[name])[0]
+        assert got[1].endswith("(Riemann-Hurwitz)")
+    else:
+        got = assert_agrees(CASES[name])
     expect = {"/k": "IdentityFailed", "repeated": "FactorsShareRoot",
-              "collapsed": "IdentityFailed", "deg-W-above-O": "IdentityFailed"}
+              "collapsed": "IdentityFailed", "deg-W-above-O": "IdentityFailed",
+              "few-points": "IdentityFailed"}
     tag = next((t for t in expect if t in name), None)
     if tag is None:
         assert isinstance(got, Passport) and got.is_balanced
@@ -441,7 +453,12 @@ def test_agreement_cases_cover_real_gaussian_and_fallback():
                    + beta.pole_factors for c in f.coeffs)
 
     assert not gaussian(CASES["d6"]) and gaussian(CASES["d6/h1"])
-    assert exact._reduce_mod_p(CASES["d6/shift-1/p"].zero_factors[0][0]) is None
+    # p divides the cleared form's d, so the monic factor's leading
+    # coefficient d vanishes mod p and its certificates fall back to the gcd
+    f = CASES["d6/shift-1/p"].zero_factors[0][0]
+    cleared = exact._cleared(f.coeffs)
+    assert cleared[0] % exact._P == 0
+    assert len(exact._reduce_mod_p(cleared)) < len(f.coeffs)
 
 
 def power_family(c: GaussRat, e: int, flipped: bool) -> FactoredBelyi:
@@ -503,21 +520,38 @@ def test_exponent_bomb_is_rejected_before_any_product():
 
 
 def test_verify_reduces_each_factor_once(monkeypatch):
+    """One cleared form per factor and one for k: the certificates and the
+    identity read the same forms."""
     calls = []
-    reduce = exact._reduce_mod_p
+    cleared = exact._cleared
 
-    def counted(f):
-        calls.append(f)
-        return reduce(f)
+    def counted(coeffs):
+        calls.append(coeffs)
+        return cleared(coeffs)
 
-    monkeypatch.setattr(exact, "_reduce_mod_p", counted)
-    monkeypatch.setattr(belyi, "_reduce_mod_p", counted)
+    monkeypatch.setattr(exact, "_cleared", counted)
+    monkeypatch.setattr(belyi, "_cleared", counted)
     for name in ("d72", "d72/h9", "d60/h3"):
         calls.clear()
         beta = CASES[name]
         beta.verify()
         factors = beta.zero_factors + beta.one_factors + beta.pole_factors
-        assert len(factors) >= 3 and len(calls) == len(factors)
+        assert len(factors) >= 3 and len(calls) == len(factors) + 1
+
+
+def test_too_few_points_are_refused_before_any_product(monkeypatch):
+    """Degree 2 on 3 points over 0, 1 and infinity: Riemann-Hurwitz asks
+    for 4, so verify refuses before the packed sums of the identity."""
+    def no_product(*args):
+        raise AssertionError("the identity's packed sum was reached")
+
+    monkeypatch.setattr(exact, "_packed_sum", no_product)
+    beta = FactoredBelyi.from_text(
+        "belyi v1\nk 1\nzero 2 0 1\npole 2 1 1\none 2 2 1\n")
+    with pytest.raises(IdentityFailed, match=(
+            "^k\\*zeros - poles cannot factor as declared: 3 points over 0, 1 "
+            "and infinity, a degree-2 map has at least 4 \\(Riemann-Hurwitz\\)$")):
+        beta.verify()
 
 
 def test_verify_builds_no_fraction_polynomial_on_accept(monkeypatch):

@@ -186,12 +186,19 @@ def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
     ("belyi v1\ninfinity zero 3\nk 1/1728\ninfinity pole 5\nzero 3 5 10 1\n"
      "one 1 125 22 1\none 2 -1 4 1\npole 1 0 1\n", None, "BelyiFormatError",
      "bad belyi line 'infinity pole 5': a second infinity line"),
+    # 60 bytes whose sides balance: the packed width would grow with the
+    # exponent, and the point count refuses it before any product
+    ("belyi v1\nk 1\nzero 100000 0 1\npole 100000 1 1\none 100000 2 1\n",
+     None, "IdentityFailed",
+     "k*zeros - poles cannot factor as declared: 3 points over 0, 1 and "
+     "infinity, a degree-100000 map has at least 100002 (Riemann-Hurwitz)"),
     (None, ["--output", "missing-dir/report.txt", "passport", "0"],
      "FileNotFoundError", None),
     (None, ["verify", "D6"], "FileNotFoundError",
      "'D6' is neither a preset (d6, d12, d60, d72) nor an existing file"),
 ], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "k-exponent-token",
-        "second-k-line", "second-infinity-line", "output-dir-missing",
+        "second-k-line", "second-infinity-line", "exponent-bomb",
+        "output-dir-missing",
         "verify-no-such-preset-or-file"])
 def test_bad_input_exits_1_with_named_error(tmp_path, document, argv, name,
                                              message):

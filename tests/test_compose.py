@@ -386,6 +386,27 @@ def test_schwarz_check_compares_factored_forms():
     assert flipped.one_factors == ((phi30, 2),)
     assert flipped.pole_factors == ((phi12.monic(), 5),)
     assert flipped.verify() == Passport.of([3] * 20, [2] * 30, [5] * 12)
+    # schwarz_check flips at degree 12 and lifts: the same factored form
+    flipped12 = factored_compose_moebius(build_beta12(), Moebius.of(-1, 0, 0, 1))
+    assert flipped12.substitute_power(5) == flipped
+
+
+def test_schwarz_check_certifies_by_verify_without_powers(monkeypatch):
+    build_beta12()  # d6_solve's ansatz raises A to the third power
+    verified = []
+    verify = FactoredBelyi.verify
+
+    def counted(self):
+        verified.append(self.degree)
+        return verify(self)
+
+    def no_power(self, n):
+        raise AssertionError("UniPoly.__pow__ called")
+
+    monkeypatch.setattr(FactoredBelyi, "verify", counted)
+    monkeypatch.setattr(UniPoly, "__pow__", no_power)
+    assert schwarz_check()
+    assert verified == [60]
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +424,20 @@ def test_schwarz_forms_shape():
     assert phi20 ** 3 - phi30 ** 2 == (phi12 ** 5).scale(1728)
 
 
-def test_schwarz_misprint_regression():
-    # 1005 in place of 10005 (a known book misprint) must break the identity
-    bad = UniPoly.from_terms(
-        {0: 1, 5: -522, 10: -1005, 20: -1005, 25: 522, 30: 1})
-    assert not schwarz_check(phi30_override=bad)
-    bad_one = UniPoly.from_terms(
-        {0: 1, 5: -522, 10: -1005, 20: -10005, 25: 522, 30: 1})
-    assert not schwarz_check(phi30_override=bad_one)
+def test_schwarz_misprint_regression(monkeypatch, capsys):
+    # 1005 in place of 10005 (a known book misprint) must break the
+    # identity, in both places and in one
+    phi12, phi20, _ = schwarz_forms()
+    for z20 in (-1005, -10005):
+        bad = UniPoly.from_terms(
+            {0: 1, 5: -522, 10: -1005, 20: z20, 25: 522, 30: 1})
+        monkeypatch.setattr(moebius, "schwarz_forms", lambda: (phi12, phi20, bad))
+        with pytest.raises(BelyiVerificationError):
+            schwarz_check()
+        assert cli.main(["compose", "schwarz"]) == 1
+        assert capsys.readouterr().err.startswith("error: IdentityFailed: ")
+        misprinted = FactoredBelyi(
+            GaussRat.of(Fraction(-1, 1728)), ((phi20, 3),), ((bad, 2),),
+            ((phi12.monic(), 5),), "pole", 5)
+        with pytest.raises(BelyiVerificationError):
+            misprinted.verify()

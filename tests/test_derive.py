@@ -12,7 +12,7 @@ from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
                                     halphen_identity_failures,
                                     ode_leading_coeff, ode_residual,
                                     run_ode_elimination, vm_from_p)
-from fullerene_belyi.exact import GaussRat, UniPoly
+from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.multipoly import EliminationTrace, MultiPoly
 
 
@@ -562,6 +562,30 @@ def test_d6_split_quotient_matches_the_ansatz_factors():
     assert beta.to_text() == ansatz.to_text()
     assert beta == ansatz
     assert ansatz.verify() == beta.verify()
+
+
+def test_d6_checks_its_ansatz_on_the_factors(monkeypatch):
+    """d6_solve compares the split's one side with the ansatz's C*B^2
+    factor by factor: it multiplies nothing out to check it, and the one
+    numerator is formed once, by from_ratmap's split."""
+    numerators = []
+    one_numerator = RationalMap.one_numerator
+
+    def counted(self):
+        numerators.append(self)
+        return one_numerator(self)
+
+    def no_ratmap(self):
+        raise AssertionError("to_ratmap called")
+
+    monkeypatch.setattr(RationalMap, "one_numerator", counted)
+    monkeypatch.setattr(FactoredBelyi, "to_ratmap", no_ratmap)
+    d6_solve.cache_clear()
+    try:
+        d6_solve()
+    finally:
+        d6_solve.cache_clear()
+    assert len(numerators) == 1
 
 
 def test_d6_assumption_division_recorded():

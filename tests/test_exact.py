@@ -433,12 +433,16 @@ def test_coprime_prime_in_a_denominator_falls_back(gcd_calls):
     root = UniPoly.constant(Fraction(1, exact._P))
     a = z - root
     assert coprime(a, z + UniPoly.one())
+    assert len(gcd_calls) == 1
+    # a's cleared form p*z - 1 reduces to the constant -1, and z + 1 leads
+    # with a unit: certified without the gcd
     assert coprime(z + UniPoly.one(), a)
+    assert len(gcd_calls) == 1
     assert not coprime(a, a * (z + UniPoly.one()))
     assert not coprime((z + UniPoly.one()) * a, a)
     gauss = UniPoly((GaussRat.of(1, Fraction(2, exact._P)), 1))
     assert not coprime(gauss * z, gauss)
-    assert len(gcd_calls) == 5
+    assert len(gcd_calls) == 4
 
 
 def test_coprime_leading_coefficient_divisible_by_prime(gcd_calls):
@@ -468,6 +472,24 @@ def test_coprime_agrees_with_gcd_randomized(rng):
         if count % 2:
             p, q = p * g, q * g
         assert coprime(p, q) == (poly_gcd(p, q).degree == 0)
+    # the prime in a denominator: 1/p or i/p added to a random coefficient
+    # of p, q or g (a coefficient stays nonzero, its other parts integers)
+    count = 0
+    while count < 60:
+        polys = [rand_poly(rng, 4, span=4) for _ in range(3)]
+        if any(f.is_zero for f in polys):
+            continue
+        count += 1
+        which = rng.randrange(3)
+        cs = list(polys[which].coeffs)
+        j = rng.randrange(len(cs))
+        cs[j] = cs[j] + rng.choice((exact.ONE, exact.I)) * Fraction(1, exact._P)
+        polys[which] = UniPoly(cs)
+        p, q, g = polys
+        if count % 2:
+            p, q = p * g, q * g
+        assert coprime(p, q) == (poly_gcd(p, q).degree == 0)
+        assert coprime(q, p) == coprime(p, q)
 
 
 def test_is_squarefree_non_monic(gcd_calls):
@@ -491,8 +513,12 @@ def test_is_squarefree_differentiates_the_reduction(gcd_calls, monkeypatch, rng)
         if p.is_zero or p.degree < 2:
             continue
         count += 1
-        assert exact._derivative_mod_p(exact._reduce_mod_p(p)) == (
-            exact._reduce_mod_p(p.derivative()))
+        d, re, im = exact._cleared(p.coeffs)
+        # the reduction of d*p', which is cleared already
+        scaled = exact._cleared(p.derivative().scale(d).coeffs)
+        assert scaled[0] == 1
+        assert exact._derivative_mod_p(exact._reduce_mod_p((d, re, im))) == (
+            exact._reduce_mod_p(scaled))
         assert is_squarefree(p) == (poly_gcd(p, p.derivative()).degree == 0)
     del gcd_calls[:]
     monkeypatch.setattr(UniPoly, "derivative", None)  # never built on this path
@@ -512,11 +538,16 @@ def test_cleared_identity_names_the_monic_sides_only_on_failure():
     pole_side = zero_side.scale(k) - one_side.scale(k - 1)  # monic
     zeros, poles = ((zero_side, 1),), ((pole_side, 1),)
     ones = ((z - one * 3, 1), (z + one.scale(h), 1))
-    assert exact._cleared_identity(k, zeros, poles, ones) == (2, None)
-    assert exact._cleared_identity(GaussRat.of(1), zeros, zeros, ones) == (
-        None, None)
+
+    def identity(k, *sides):
+        return exact._cleared_identity(
+            exact._cleared((k,)),
+            *[[(exact._cleared(f.coeffs), e) for f, e in side] for side in sides])
+
+    assert identity(k, zeros, poles, ones) == (2, None)
+    assert identity(GaussRat.of(1), zeros, zeros, ones) == (None, None)
     wrong = ((z - one * 3, 1), (z + one * 2, 1))
-    assert exact._cleared_identity(k, zeros, poles, wrong) == (
+    assert identity(k, zeros, poles, wrong) == (
         2, (one_side, (z - one * 3) * (z + one * 2)))
 
 
