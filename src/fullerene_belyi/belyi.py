@@ -306,71 +306,127 @@ class FactoredBelyi(_Record, frozen=True):
     def verify(self) -> Passport:
         """Certify the factored data and return the passport.
 
-        Checks, in this order: every factor monic and squarefree; all
-        factors pairwise coprime; the three side degrees balance, including
-        the infinity contribution; the fibres over 0, 1 and infinity hold
-        enough points; the identity k*Z - Q = c*O for the declared one-side
-        product O (c a nonzero scalar); and the infinity tag against the
-        degrees of Z, Q and k*Z - Q.
+        The full path checks, in this order: every factor monic and
+        squarefree; all factors pairwise coprime; the three side degrees
+        balance, including the infinity contribution; the fibres over 0, 1
+        and infinity hold enough points; and the identity k*Z - Q = c*O
+        for the declared one-side product O (c a nonzero scalar).
 
         Everything runs on integers, and every certificate reads one
         cleared form per factor: f as g_f/d_f with g_f in Z[i][z] and d_f
         the lcm of its denominators (exact._cleared), made once, and k as
         kappa/d_k.  Each g_f is reduced modulo the prime ideal
-        J = (p, i - r) once; the squarefreeness of f (the reduction against
-        its derivative in F_p) and its coprimality with every other factor
-        are certified on those reductions, with the exact poly_gcd where
-        the certificate is inconclusive (exact module docstring).  The
-        identity is checked cross-multiplied in Z[i] on the same forms:
-        with G_Z = prod g_f^e and D_Z = prod d_f^e (likewise for Q and O),
-        k*Z - Q is W/(d_k*D_Z*D_Q) for W = kappa*G_Z*D_Q - d_k*D_Z*G_Q,
-        and k*Z - Q = c*O with O = G_O/D_O monic holds iff W != 0,
-        deg W = deg O and D_O*W = lead(W)*G_O coefficient by coefficient.
-        W and G_O are one packed sum each ("Packed sums" in the exact
-        module docstring).
+        J = (p, i - r) once; the squarefreeness of f (the
+        reduction against its derivative in F_p) and its coprimality with
+        every other factor are certified on those reductions, with the
+        exact poly_gcd where the certificate is inconclusive (exact module
+        docstring).  The identity is checked cross-multiplied in Z[i] on
+        the same forms: with G_Z = prod g_f^e and D_Z = prod d_f^e
+        (likewise for Q and O), k*Z - Q is W/(d_k*D_Z*D_Q) for
+        W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and k*Z - Q = c*O with
+        O = G_O/D_O monic holds iff W != 0, deg W = deg O and
+        D_O*W = lead(W)*G_O coefficient by coefficient.  W and G_O are one
+        packed sum each ("Packed sums" in the exact module docstring).
 
         No product is taken before two bounds that cost nothing of the
         degree n.  The side sums come first, so an unbalanced document is
         rejected at once.  Then Riemann-Hurwitz: a degree-n map (n >= 1)
         has total ramification 2n - 2, so its fibres over 0, 1 and
-        infinity hold at least 3n - (2n - 2) = n + 2 points.  Once the
-        factors are squarefree and coprime and the sums balance, the
-        declared roots (plus infinity when tagged) are exactly those fibres
-        if the identity holds, so with fewer than n + 2 of them it cannot.
+        infinity hold A >= 3n - (2n - 2) = n + 2 distinct points.  The
+        declared count D is the sum of the factors' degrees, each counted
+        once, plus one for a tagged infinity; by (4) below, A <= D once
+        the identity holds, so with D < n + 2 it cannot.
+
+        The short path.  A document is tight when every factor is monic,
+        the sides balance at n >= 1, k != 0 and D = n + 2.  For a tight
+        document verify checks the identity and then only the coprimality
+        of each zero factor with each pole factor (Z and Q coprime); when
+        both hold, that proves everything else.  Let beta = k*Z/Q:
+        (1) Z and Q coprime, k != 0 and the balanced sums give
+            deg beta = n, whatever the infinity tag: the larger of deg Z
+            and deg Q is n.
+        (2) A root shared by O and Z, or by O and Q, would be a root of
+            both Z and Q, through k*Z - Q = c*O (k and c nonzero).  So the
+            three sides are disjoint.
+        (3) The side sums and the identity fix the order at infinity to
+            the tag: a zero or pole tag of order o is deg Q - deg Z = o or
+            deg Z - deg Q = o; a one tag has deg O = n - o < n, so
+            beta - 1 = c*O/Q vanishes to order o there (and k = 1); an
+            untagged infinity has deg O = n, so beta(inf) = k = 1 + c is
+            none of 0, 1 and infinity.  So infinity lies in the fibres
+            exactly when it is tagged, with the tagged order, and the
+            infinity tag needs no check of its own.
+        (4) The distinct finite points of the fibres are the distinct
+            roots of Z, O and Q, disjoint by the zero-pole pairs and (2),
+            and infinity is one of them iff tagged (3).  So A <= D, with
+            equality iff each side's product of factors, exponents
+            dropped, is squarefree.  Riemann-Hurwitz gives A >= n + 2 = D,
+            so every factor is squarefree and same-side factors are
+            coprime.
+        Each guard is needed: without k != 0 or Z and Q coprime, (2)
+        fails, and with D > n + 2 a repeated root fits in the count.
+
+        Any other document, or a tight one that fails the identity or a
+        zero-pole pair, takes the full path, which reuses the identity and
+        the pair results the short path made, so it raises what the full
+        path alone would.
         """
         all_factors = self.zero_factors + self.one_factors + self.pole_factors
-        forms, reductions = [], []
-        for f, e in all_factors:
+        nz, no = len(self.zero_factors), len(self.one_factors)
+        poles = range(nz + no, len(all_factors))
+        n = self.degree
+        sums = [(side, self._side_sum(factors, side))
+                for side, factors in (("one", self.one_factors),
+                                      ("pole", self.pole_factors))]
+        points = (sum(f.degree for f, _ in all_factors)
+                  + (self.infinity_side != "none"))
+        forms = [(_cleared(f.coeffs), e) for f, e in all_factors]
+        reductions = [_reduce_mod_p(form) for form, _ in forms]
+        coprime: dict[tuple[int, int], bool] = {}
+
+        def pair_coprime(i: int, j: int) -> bool:
+            if (i, j) not in coprime:
+                coprime[i, j] = _coprime_given(all_factors[i][0], reductions[i],
+                                               all_factors[j][0], reductions[j])
+            return coprime[i, j]
+
+        def identity():
+            return _cleared_identity(_cleared((self.k,)), forms[:nz],
+                                     forms[nz + no:], forms[nz:nz + no])
+
+        held = None
+        if (n >= 1 and points == n + 2 and not self.k.is_zero
+                and all(total == n for _, total in sums)
+                and all(f.is_monic for f, _ in all_factors)):
+            held = identity()
+            if (held[0] is not None and held[1] is None
+                    and all(pair_coprime(i, j) for i in range(nz) for j in poles)):
+                return self.passport()
+
+        for i, (f, _) in enumerate(all_factors):
             if not f.is_monic:
                 raise FactorNotSquarefree(f"factor {_show(f)} is not monic")
-            forms.append((_cleared(f.coeffs), e))
-            reductions.append(_reduce_mod_p(forms[-1][0]))
-            if not _squarefree_given(f, reductions[-1]):
+            if not _squarefree_given(f, reductions[i]):
                 raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
         for i in range(len(all_factors)):
             for j in range(i + 1, len(all_factors)):
-                a, b = all_factors[i][0], all_factors[j][0]
-                if not _coprime_given(a, reductions[i], b, reductions[j]):
+                if not pair_coprime(i, j):
                     raise FactorsShareRoot(
-                        f"factors {_show(a)} and {_show(b)} share a root")
+                        f"factors {_show(all_factors[i][0])} and "
+                        f"{_show(all_factors[j][0])} share a root")
 
-        n = self.degree
-        for side, factors in (("one", self.one_factors), ("pole", self.pole_factors)):
-            if self._side_sum(factors, side) != n:
+        for side, total in sums:
+            if total != n:
                 raise DegreeImbalance(
-                    f"{side} side sums to {_show_int(self._side_sum(factors, side))}, "
+                    f"{side} side sums to {_show_int(total)}, "
                     f"zero side to {_show_int(n)}")
-        points = (sum(f.degree for f, _ in all_factors)
-                  + (self.infinity_side != "none"))
         if n >= 1 and points < n + 2:
             raise IdentityFailed(
                 f"k*zeros - poles cannot factor as declared: {points} points "
                 f"over 0, 1 and infinity, a degree-{_show_int(n)} map has at "
                 f"least {_show_int(n + 2)} (Riemann-Hurwitz)")
 
-        nz, no = len(self.zero_factors), len(self.one_factors)
-        deg_w, mismatch = _cleared_identity(_cleared((self.k,)), forms[:nz],
-                                            forms[nz + no:], forms[nz:nz + no])
+        deg_w, mismatch = held or identity()
         if deg_w is None:
             raise IdentityFailed("k*zeros - poles collapsed to zero")
         if mismatch:
@@ -378,15 +434,7 @@ class FactoredBelyi(_Record, frozen=True):
             raise IdentityFailed(
                 "k*zeros - poles does not factor as declared: "
                 f"got {_show(got)}, declared {_show(declared)}")
-
-        # infinity order must match what the numerator/denominator degrees say
-        expected_side, expected_order = _infinity_from_degrees(
-            self.k, _degree_of(self.zero_factors),
-            _degree_of(self.pole_factors), deg_w)
-        if (expected_side, expected_order) != (self.infinity_side, self.infinity_order):
-            raise DegreeImbalance(
-                f"infinity tagged {self.infinity_side}^{_show_int(self.infinity_order)}, "
-                f"degrees give {expected_side}^{_show_int(expected_order)}")
+        # (3) of the docstring: the tag is the order the degrees give
         return self.passport()
 
     # -- serialization -------------------------------------------------------

@@ -21,8 +21,8 @@ import math
 import os
 import sys
 
-from .belyi import (BelyiVerificationError, FactoredBelyi, face_vector,
-                    counting, fullerene_passport)
+from .belyi import (BelyiFormatError, BelyiVerificationError, FactoredBelyi,
+                    face_vector, counting, fullerene_passport)
 from .derive import Verdict, d6_solve, derive_case
 
 # moebius, geometry and json are imported by the commands that use them,
@@ -124,8 +124,14 @@ def cmd_verify(target: str):
             raise FileNotFoundError(
                 f"{target!r} is neither a preset ({', '.join(PRESETS)}) "
                 "nor an existing file")
-        with open(target, encoding="utf-8") as fh:
-            beta = FactoredBelyi.from_text(fh.read())
+        with open(target, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BelyiFormatError(f"not a UTF-8 document: {exc.reason} at "
+                                   f"byte offset {exc.start}") from exc
+        beta = FactoredBelyi.from_text(text)
         source = target
     passport = beta.verify()
     doc = {

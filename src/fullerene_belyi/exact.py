@@ -228,16 +228,22 @@ def _int_string_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
+# Python refuses an int-string limit between 0 (none) and this many
+# digits, so no shorter token can exceed it; 3.10 lacks the field
+_INT_STRING_THRESHOLD = getattr(sys.int_info, "str_digits_check_threshold", 640)
+
+
 def _natural(text: str) -> int:
     """The value of a nonempty string of ASCII digits; ValueError for
     anything else (a sign, a space, "_", an exponent, a non-ASCII digit),
     and for more digits than Python's int-string limit, named by count."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected ASCII digits, got {_quote(text)}")
-    limit = _int_string_limit()
-    if limit and len(text) > limit:
-        raise ValueError(f"a number of {len(text)} digits exceeds Python's "
-                         f"int-string limit of {limit} digits")
+    if len(text) > _INT_STRING_THRESHOLD:
+        limit = _int_string_limit()
+        if limit and len(text) > limit:
+            raise ValueError(f"a number of {len(text)} digits exceeds Python's "
+                             f"int-string limit of {limit} digits")
     return int(text)
 
 

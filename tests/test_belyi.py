@@ -14,6 +14,7 @@ from fullerene_belyi.belyi import (BelyiFormatError, BelyiVerificationError,
                                    fullerene_passport, main_equation_residual)
 from fullerene_belyi.cli import PRESETS, load_preset
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
+from fullerene_belyi.moebius import schwarz_forms
 from oracles import (eval_pairs, gadd, gmul, gneg, poly_pairs,
                      ratmap_substitute_power, reference_verify,
                      replace_fields)
@@ -537,6 +538,92 @@ def test_verify_reduces_each_factor_once(monkeypatch):
         beta.verify()
         factors = beta.zero_factors + beta.one_factors + beta.pole_factors
         assert len(factors) >= 3 and len(calls) == len(factors) + 1
+
+
+def declared_points(beta):
+    """Each factor's degree once, plus one for a tagged infinity."""
+    return (sum(f.degree for f, _ in beta.zero_factors + beta.one_factors
+                + beta.pole_factors) + (beta.infinity_side != "none"))
+
+
+@pytest.mark.parametrize("text, name, tight", [
+    # z^2 with a shared root lifted: the identity holds, Z and Q share z
+    ("k 1\ninfinity pole 2\nzero 4 0 1\none 1 -1 0 1\none 2 0 1\n"
+     "pole 2 0 1\n", "FactorsShareRoot", True),
+    # k = 0: -Q = -O holds, and Z is empty
+    ("k 0\ninfinity zero 1\none 1 0 1\npole 1 0 1\n", "FactorsShareRoot", True),
+    # z^2 with its zero side declared as one factor z^2: 5 points, not 4
+    ("k 1\ninfinity pole 2\nzero 1 0 0 1\none 1 -1 0 1\n",
+     "FactorNotSquarefree", False),
+], ids=["shared-root", "k-zero", "repeated-root"])
+def test_a_true_identity_on_n_plus_2_points_needs_every_guard(text, name, tight):
+    """Each document satisfies k*Z - Q = c*O; the point count proves the
+    factor checks only with k != 0, Z and Q coprime and exactly n + 2
+    points, and each of these breaks one of the three."""
+    beta = FactoredBelyi.from_text("belyi v1\n" + text)
+    assert (declared_points(beta) == beta.degree + 2) == tight
+    assert assert_agrees(beta)[0] == name
+
+
+class CertificateSpy:
+    """Records the calls verify makes to its squarefree, coprimality and
+    identity certificates, and passes each through."""
+
+    def __init__(self, monkeypatch):
+        self.squarefree, self.coprime, self.identity = [], [], []
+        for name, calls in (("_squarefree_given", self.squarefree),
+                            ("_coprime_given", self.coprime),
+                            ("_cleared_identity", self.identity)):
+            def spy(*args, _calls=calls, _real=getattr(belyi, name)):
+                _calls.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(belyi, name, spy)
+
+    def clear(self):
+        for calls in (self.squarefree, self.coprime, self.identity):
+            calls.clear()
+
+
+def schwarz_form() -> FactoredBelyi:
+    """phi20^3 / (1728*phi12^5), as schwarz_check builds it."""
+    phi12, phi20, phi30 = schwarz_forms()
+    k = 1 / (1728 * exact.binary_power(phi12.leading(), 5, exact.ONE))
+    return FactoredBelyi(k, ((phi20, 3),), ((phi30, 2),),
+                         ((phi12.monic(), 5),), "pole", 5)
+
+
+def test_tight_documents_skip_the_squarefree_and_same_side_certificates(monkeypatch):
+    """On n + 2 points the identity and the zero-pole pairs prove the
+    rest: no squarefree certificate runs, and coprimality only on each
+    zero factor against each pole factor, once."""
+    names = [*PRESETS, *(f"{p}/h{h}" for p in PRESETS for h in HEIGHTS),
+             "d6/shift-1/p", "d12/shift-1/p"]
+    betas = {name: CASES[name] for name in names}
+    betas["schwarz"] = schwarz_form()
+    spy = CertificateSpy(monkeypatch)
+    for name, beta in betas.items():
+        spy.clear()
+        assert declared_points(beta) == beta.degree + 2, name
+        assert beta.verify() == reference_verify(beta)
+        pairs = [(a, b) for a, _ in beta.zero_factors for b, _ in beta.pole_factors]
+        assert spy.squarefree == [] and len(spy.identity) == 1
+        assert [(a, b) for a, _, b, _ in spy.coprime] == pairs
+
+
+@pytest.mark.parametrize("name", ["d6/k+1", "d6/k-1", "d12/h3/k+1", "d72/h1/k-1"])
+def test_a_tight_document_failing_the_identity_runs_it_once(monkeypatch, name):
+    """The full path reuses the identity the short path computed, and
+    raises what the reference raises."""
+    beta = CASES[name]
+    assert declared_points(beta) == beta.degree + 2
+    spy = CertificateSpy(monkeypatch)
+    assert assert_agrees(beta)[0] == "IdentityFailed"
+    assert len(spy.identity) == 1
+    # the full path ran: every factor's squarefree certificate and every pair
+    factors = len(beta.zero_factors + beta.one_factors + beta.pole_factors)
+    assert len(spy.squarefree) == factors
+    assert len(spy.coprime) == factors * (factors - 1) // 2
 
 
 def test_too_few_points_are_refused_before_any_product(monkeypatch):

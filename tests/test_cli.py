@@ -192,18 +192,23 @@ def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
      None, "IdentityFailed",
      "k*zeros - poles cannot factor as declared: 3 points over 0, 1 and "
      "infinity, a degree-100000 map has at least 100002 (Riemann-Hurwitz)"),
+    (b"belyi v1\nk 1\xff\n", None, "BelyiFormatError",
+     "not a UTF-8 document: invalid start byte at byte offset 12"),
     (None, ["--output", "missing-dir/report.txt", "passport", "0"],
      "FileNotFoundError", None),
     (None, ["verify", "D6"], "FileNotFoundError",
      "'D6' is neither a preset (d6, d12, d60, d72) nor an existing file"),
 ], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "k-exponent-token",
         "second-k-line", "second-infinity-line", "exponent-bomb",
-        "output-dir-missing",
+        "not-utf-8", "output-dir-missing",
         "verify-no-such-preset-or-file"])
 def test_bad_input_exits_1_with_named_error(tmp_path, document, argv, name,
                                              message):
     if document is not None:
-        (tmp_path / "bad.belyi").write_text(document, encoding="utf-8")
+        if isinstance(document, bytes):
+            (tmp_path / "bad.belyi").write_bytes(document)
+        else:
+            (tmp_path / "bad.belyi").write_text(document, encoding="utf-8")
         argv = ["verify", "bad.belyi"]
     src = str(Path(fullerene_belyi.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
