@@ -13,12 +13,10 @@ import sys
 # and a name's module is imported the first time the name is asked for
 _HOMES = {
     "belyi": ("BelyiFormatError", "FactoredBelyi", "FullereneParams",
-              "Passport", "counting", "face_vector", "fullerene_passport",
-              "main_equation_residual"),
+              "Passport", "counting", "face_vector", "fullerene_passport"),
     "derive": ("CaseReport", "Verdict", "case_degrees", "d6_solve",
                "derive_case", "family_k", "family_k_formula",
-               "halphen_identity_failures", "ode_leading_coeff",
-               "ode_residual", "vm_from_p"),
+               "ode_leading_coeff", "vm_from_p"),
     "exact": ("GaussRat", "RationalMap", "UniPoly", "coprime",
               "is_squarefree", "poly_gcd", "squarefree_decomposition"),
     "geometry": ("BarrelVertices", "FaceGeometryReport", "Plane",

@@ -12,7 +12,6 @@ here comes from a known spherical graph.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 
 from .exact import (GaussRat, RationalMap, UniPoly, _cleared, _cleared_identity,
@@ -131,15 +130,6 @@ def counting(p6: int) -> tuple[int, int, int]:
     unknowns = 1 + (20 + 2 * p6) + 12 + p6 + (31 + 3 * p6)
     equations = 1 + 2 * (30 + 3 * p6)
     return unknowns, equations, unknowns - equations
-
-
-def main_equation_residual(k: GaussRat | Fraction | int, V: UniPoly, P: UniPoly,
-                           H: UniPoly, M: UniPoly) -> UniPoly:
-    """k*(V^3 - M^2) - P^5*H^6; identically zero exactly when (V, P, H, M, k)
-    define a fullerene Belyi function beta = k*V^3/(P^5*H^6) with
-    beta - 1 = k*M^2/(P^5*H^6)."""
-    k = GaussRat.coerce(k)
-    return (V ** 3 - M ** 2).scale(k) - P ** 5 * H ** 6
 
 
 # a message shows a polynomial of at most this many characters, and an
@@ -309,8 +299,9 @@ class FactoredBelyi(_Record, frozen=True):
         The full path checks, in this order: every factor monic and
         squarefree; all factors pairwise coprime; the three side degrees
         balance, including the infinity contribution; the fibres over 0, 1
-        and infinity hold enough points; and the identity k*Z - Q = c*O
-        for the declared one-side product O (c a nonzero scalar).
+        and infinity hold enough points; the identity k*Z - Q = c*O for
+        the declared one-side product O (c a nonzero scalar); and last,
+        that the degree n is at least 1, since a constant is no Belyi map.
 
         Everything runs on integers, and every certificate reads one
         cleared form per factor: f as g_f/d_f with g_f in Z[i][z] and d_f
@@ -434,6 +425,9 @@ class FactoredBelyi(_Record, frozen=True):
             raise IdentityFailed(
                 "k*zeros - poles does not factor as declared: "
                 f"got {_show(got)}, declared {_show(declared)}")
+        if n < 1:
+            raise DegreeImbalance("every side sums to 0: a Belyi map has "
+                                  "degree at least 1")
         # (3) of the docstring: the tag is the order the degrees give
         return self.passport()
 

@@ -81,15 +81,6 @@ def ode_leading_coeff(s: int) -> int:
     return value
 
 
-def ode_residual(p: UniPoly) -> UniPoly:
-    """22*P*P'''' + 45*P''^2 - 66*P'*P'''."""
-    d1 = p.derivative()
-    d2 = d1.derivative()
-    d3 = d2.derivative()
-    d4 = d3.derivative()
-    return (p * d4) * 22 + (d2 * d2) * 45 - (d1 * d3) * 66
-
-
 def vm_from_p(p: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
     """V = (25/(11 s^2)) * (-12*P*P'' + 11*P'^2) and
     M = (25/(11 s^3)) * (90*P*P'*P'' - 36*P^2*P''' - 55*P'^3)."""
@@ -100,58 +91,6 @@ def vm_from_p(p: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
     m = ((p * d1 * d2) * 90 - (p * p * d3) * 36 - (d1 * d1 * d1) * 55
          ).scale(Fraction(25, 11 * s ** 3))
     return v, m
-
-
-# ---------------------------------------------------------------------------
-# Halphen-style intermediate identities
-# ---------------------------------------------------------------------------
-
-
-def halphen_identity_failures(P: UniPoly, V: UniPoly, M: UniPoly,
-                              s: int) -> list[str]:
-    """Names of the intermediate identities that fail on (P, V, M, s).
-
-    The chain, with R := -190*P''/11:
-      sM     s*M = 3*V'*P - 5*V*P'
-      sV2    s*V^2 = 2*M'*P - 5*M*P'
-      ODE-1  V^2*(3*V'*P - 5*V*P') = M*(2*M'*P - 5*M*P')
-      ODE-2  s^2*V^2 = 6*V''*P^2 - 19*V'*P'*P - 10*V*P*P'' + 25*V*P'^2
-      VR     V*R = 6*V''*P - 19*V'*P'
-      PR     P*R = s^2*V + 10*P*P'' - 25*P'^2
-      ODE-4  7*P'*R' - 6*P*R'' - 370*P'*P''' + 60*P*P'''' + R^2
-               - 16*P''*R - 240*P''^2 = 0
-    """
-    failures = []
-    p1 = P.derivative()
-    p2 = p1.derivative()
-    p3 = p2.derivative()
-    p4 = p3.derivative()
-    v1 = V.derivative()
-    v2 = v1.derivative()
-    m1 = M.derivative()
-    lhs_sm = v1 * P * 3 - V * p1 * 5
-    if lhs_sm != M * s:
-        failures.append("sM")
-    rhs_sv2 = m1 * P * 2 - M * p1 * 5
-    if rhs_sv2 != V * V * s:
-        failures.append("sV2")
-    if V * V * lhs_sm != M * rhs_sv2:
-        failures.append("ODE-1")
-    if (V * V * (s * s) !=
-            v2 * P * P * 6 - v1 * p1 * P * 19 - V * P * p2 * 10 + V * p1 * p1 * 25):
-        failures.append("ODE-2")
-    r = p2.scale(Fraction(-190, 11))
-    if V * r != v2 * P * 6 - v1 * p1 * 19:
-        failures.append("VR")
-    if P * r != V * (s * s) + P * p2 * 10 - p1 * p1 * 25:
-        failures.append("PR")
-    r1 = r.derivative()
-    r2 = r1.derivative()
-    ode4 = (p1 * r1 * 7 - P * r2 * 6 - p1 * p3 * 370 + P * p4 * 60
-            + r * r - p2 * r * 16 - p2 * p2 * 240)
-    if not ode4.is_zero:
-        failures.append("ODE-4")
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +109,8 @@ def _symbolic_p(m: int) -> tuple[UniPoly, list[str]]:
 
 
 def _ode_system(m: int, names: list[str]) -> list[tuple[int, MultiPoly]]:
-    """(d, z^d coefficient) pairs of ode_residual(P) for the symbolic P of
+    """(d, z^d coefficient) pairs of the ODE residual
+    R = 22*P*P'''' + 45*P''^2 - 66*P'*P''' for the symbolic P of
     _symbolic_p(m), whose unknowns are names, from the closed form.
 
     With P = sum a_i z^i, a_m = 1 and a_(m-1) = 0, the z^d coefficient of
@@ -180,8 +120,8 @@ def _ode_system(m: int, names: list[str]) -> list[tuple[int, MultiPoly]]:
     a_i z^i times the z^(j-4) term of P'''', a_i i(i-1) z^(i-2) times the
     z^(j-2) term of P'' and a_i i z^(i-1) times the z^(j-3) term of P'''.
     Degrees run from 2m - 4 down to 0 and the leading zero equations are
-    dropped, so the list is [(d, ode_residual(P).coefficient(d)) for d from
-    its degree down to 0], built without multiplying over MultiPoly.
+    dropped, so the list is [(d, R.coefficient(d)) for d from deg R down
+    to 0], built without multiplying over MultiPoly.
     """
     vs = tuple(names)
     system = []

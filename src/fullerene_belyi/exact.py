@@ -555,13 +555,6 @@ class UniPoly:
         evaluation); the result lives in fn's target ring."""
         return UniPoly([fn(c) for c in self.coeffs], fn(self.ring_zero))
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner(z)), by Horner over polynomials."""
-        result = UniPoly((), self.ring_zero)
-        for c in reversed(self.coeffs):
-            result = result * inner + UniPoly((c,), self.ring_zero)
-        return result
-
     def substitute_power(self, n: int) -> "UniPoly":
         """self(z^n) without the general composition loop."""
         if n < 1:
@@ -601,9 +594,6 @@ class UniPoly:
             for j, oc in enumerate(other.coeffs):
                 rem[i - dd + j] = rem[i - dd + j] - f * oc
         return UniPoly(q, ZERO), UniPoly(rem, ZERO)
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
 
     def divide_exact(self, other: "UniPoly") -> "UniPoly":
         q, r = divmod(self, other)
@@ -677,7 +667,7 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         raise ValueError("gcd(0, 0) is undefined")
     a, b = p, q
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, divmod(a, b)[1]
         if not b.is_zero:
             b = b.monic()
     return a.monic()

@@ -6,13 +6,14 @@ stored.  A polynomial in z whose coefficients are MultiPolys (an
 indeterminate-coefficient polynomial such as z^m + a_{m-1} z^{m-1} + ...)
 is an exact.UniPoly over this ring.
 
-The elimination engine walks a list of equations (by convention the
-z-coefficients of some identity, highest degree first), substitutes
-everything solved so far, divides out factors that the caller has declared
-nonzero, and solves each surviving equation for the highest-priority
-unknown in which it is linear with an invertible coefficient.  The full
-history is kept in an EliminationTrace so that runs are replayable and
-reportable.
+The elimination engine makes one pass over a list of equations (by
+convention the z-coefficients of some identity, highest degree first).  It
+reduces each equation by everything solved so far, divides out factors that
+the caller has declared nonzero, drops it if it is zero, and otherwise
+solves it for the first unsolved unknown, in priority order, whose
+coefficient in it is a nonzero constant.  An equation with no such unknown
+stops the pass.  The full history is kept in an EliminationTrace so that
+runs are replayable and reportable.
 
 Substitution is simultaneous (MultiPoly.substitute_all), and the engine
 keeps a resolved map: each solved variable sent to its expression in the
@@ -187,10 +188,6 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         return binary_power(self, n, MultiPoly.const(self.vars, 1))
 
-    def substitute(self, name: str, replacement: "MultiPoly | RationalLike") -> "MultiPoly":
-        """Replace one variable by a polynomial (or constant) and renormalize."""
-        return self.substitute_all({name: replacement})
-
     def substitute_all(self, mapping: Mapping[str, "MultiPoly | RationalLike"]
                        ) -> "MultiPoly":
         """Replace several variables at once, each by a polynomial (or
@@ -309,10 +306,10 @@ class MultiPoly:
 
 
 class NonLinearStepError(RuntimeError):
-    """No remaining equation is linear in any unsolved unknown.
+    """An equation has no unsolved unknown with a constant coefficient.
 
-    Carries the partial trace and the offending equation labels so the
-    failure can be inspected.
+    Carries the trace up to that equation and the equation's label (in a
+    one-element list) so the failure can be inspected.
     """
 
     def __init__(self, trace: "EliminationTrace", stuck_labels: list[int]):
@@ -426,29 +423,15 @@ def _divide_assumptions(eq: MultiPoly, assumptions: Sequence[MultiPoly]
 
 
 def _pick_linear_unknown(eq: MultiPoly, unknowns: Sequence[str],
-                         unsolved: set[str], assumptions: Sequence[MultiPoly],
-                         ) -> tuple[str, MultiPoly] | None:
-    """First unknown (in priority order) with degree one and an invertible
-    coefficient; returns (name, substitution expression)."""
+                         unsolved: set[str]) -> tuple[str, MultiPoly] | None:
+    """First unsolved unknown (in priority order) of degree one whose
+    coefficient is a constant; returns (name, substitution expression)."""
     for name in unknowns:
-        if name not in unsolved:
-            continue
-        if eq.degree_in(name) != 1:
-            continue
-        c1 = eq.coefficient_in(name, 1)
-        c0 = eq.coefficient_in(name, 0)
-        if c1.is_constant:
-            return name, c0.scale(Fraction(-1) / c1.constant_value())
-        # nonconstant coefficient: invertible only when it is a constant
-        # times registered-nonzero factors, and it must divide the rest
-        # exactly so the substitution stays polynomial
-        stripped, _ = _divide_assumptions(c1, assumptions)
-        if not stripped.is_constant:
-            continue
-        try:
-            return name, -c0.divide_exact(c1)
-        except NonDivisibleError:
-            continue
+        if name in unsolved and eq.degree_in(name) == 1:
+            c1 = eq.coefficient_in(name, 1)
+            if c1.is_constant:
+                return name, eq.coefficient_in(name, 0).scale(
+                    Fraction(-1) / c1.constant_value())
     return None
 
 
@@ -456,7 +439,7 @@ def sequential_linear_solve(system: Sequence[tuple[int, MultiPoly]],
                             unknowns: Sequence[str],
                             assumptions: Sequence[MultiPoly] = (),
                             ) -> EliminationTrace:
-    """Solve a triangular-by-luck polynomial system one linear step at a time.
+    """Solve a polynomial system in one pass, one linear step per equation.
 
     system      -- (z-degree label, equation) pairs, highest degree first.
     unknowns    -- variable names in solving priority (first wins when an
@@ -464,48 +447,48 @@ def sequential_linear_solve(system: Sequence[tuple[int, MultiPoly]],
     assumptions -- factors declared nonzero; they are divided out of every
                    reduced equation to maximal power and recorded.
 
-    Equations that reduce to zero are dropped; an equation reducing to a
-    nonzero constant raises InconsistentSystemError; if a full pass over the
-    remaining equations solves nothing, NonLinearStepError carries the trace.
+    Each equation, in the order given, is reduced by one substitute_all
+    with the resolved map, which sends every solved variable to its
+    expression in the unsolved ones, and divided by the assumptions.  An
+    equation that reduces to zero is dropped, and one that reduces to a
+    nonzero constant raises InconsistentSystemError.  Any other is solved
+    for the first unsolved unknown, in priority order, whose coefficient
+    in it is a constant; when there is none, NonLinearStepError carries
+    the trace so far and the equation's label.
 
-    Each visit reduces its equation by one substitute_all with the resolved
-    map, which sends every solved variable to its expression in the unsolved
-    ones.  A new step x = e (e in the unsolved variables) is substituted
-    into the map's values before it is added, so the values never mention a
-    solved variable and the simultaneous substitution equals replaying the
-    steps in order (module docstring).  An equation left over keeps its
-    reduced form for the next pass.
+    Only a constant pivot is taken, and that loses nothing a pivot made
+    of declared factors would give.  In an equation c1*x + c0, c1 is free
+    of x, so a declared factor f dividing c1 is free of x too (a nonzero
+    multiple of an f that involves x involves x).  If c1 divided c0, f
+    would divide the equation, which has already been divided by f as far
+    as it goes; so a pivot that divides its rest has no declared factor,
+    and it is invertible only when it is a constant.
+
+    A new step x = e (e in the unsolved variables) is substituted into the
+    map's values before it is added, so the values never mention a solved
+    variable and the simultaneous substitution equals replaying the steps
+    in order (module docstring).
     """
     trace = EliminationTrace(assumptions=tuple(assumptions))
     unsolved = set(unknowns)
     resolved: dict[str, MultiPoly] = {}
-    remaining = list(system)
-    while remaining:
-        progressed = False
-        leftover: list[tuple[int, MultiPoly]] = []
-        for label, eq in remaining:
-            raw = eq.substitute_all(resolved)
-            reduced, divided = _divide_assumptions(raw, assumptions)
-            if reduced.is_zero:
-                progressed = True
-                continue
-            if reduced.is_constant:
-                raise InconsistentSystemError(label, reduced.constant_value())
-            pick = _pick_linear_unknown(reduced, unknowns, unsolved, assumptions)
-            if pick is None:
-                leftover.append((label, raw))
-                continue
-            name, expr = pick
-            trace.steps.append(EliminationStep(
-                label=label, equation=raw, divided_by=divided,
-                variable=name, substitution=expr))
-            resolved = {v: e.substitute(name, expr) for v, e in resolved.items()}
-            resolved[name] = expr
-            unsolved.discard(name)
-            progressed = True
-        if not progressed:
+    for label, eq in system:
+        raw = eq.substitute_all(resolved)
+        reduced, divided = _divide_assumptions(raw, assumptions)
+        if reduced.is_zero:
+            continue
+        if reduced.is_constant:
+            raise InconsistentSystemError(label, reduced.constant_value())
+        pick = _pick_linear_unknown(reduced, unknowns, unsolved)
+        if pick is None:
             trace.free_vars = tuple(v for v in unknowns if v in unsolved)
-            raise NonLinearStepError(trace, [label for label, _ in leftover])
-        remaining = leftover
+            raise NonLinearStepError(trace, [label])
+        name, expr = pick
+        trace.steps.append(EliminationStep(
+            label=label, equation=raw, divided_by=divided,
+            variable=name, substitution=expr))
+        resolved = {v: e.substitute_all({name: expr}) for v, e in resolved.items()}
+        resolved[name] = expr
+        unsolved.discard(name)
     trace.free_vars = tuple(v for v in unknowns if v in unsolved)
     return trace

@@ -7,9 +7,12 @@ exceptions are ratmap_substitute_power and ratmap_compose_moebius, the
 multiplied-out references for FactoredBelyi.substitute_power and
 moebius.factored_compose_moebius, reference_verify, the multiplied-out
 reference for FactoredBelyi.verify, replace_fields, which builds the
-altered documents the tests feed to both, and substitute_by_accumulation
+altered documents the tests feed to both, substitute_by_accumulation
 and reference_linear_solve, the one-variable-at-a-time references for
-MultiPoly.substitute_all and sequential_linear_solve.
+MultiPoly.substitute_all and sequential_linear_solve, and the
+multiplied-out references on UniPoly that the package certifies without
+expanding: compose, ode_residual, halphen_identity_failures and
+main_equation_residual.
 """
 
 import math
@@ -264,6 +267,9 @@ def reference_verify(beta):
         raise DegreeImbalance(
             f"infinity tagged {beta.infinity_side}^{_show_int(beta.infinity_order)}, "
             f"degrees give {expected[0]}^{_show_int(expected[1])}")
+    if n < 1:
+        raise DegreeImbalance("every side sums to 0: a Belyi map has "
+                              "degree at least 1")
     return beta.passport()
 
 
@@ -294,41 +300,103 @@ def substitute_by_accumulation(p, name, replacement):
 
 def reference_linear_solve(system, unknowns, assumptions=()):
     """sequential_linear_solve as it was before the resolved map, the
-    reference for the one in the package: every visit replays the solved
-    steps on the original equation one after another, each by
-    substitute_by_accumulation.  Dividing out the assumptions and picking
-    the unknown are the package's own helpers, so the two differ only in
-    how an equation is reduced.  Returns the trace or raises the error the
-    package raises, with the same fields."""
+    reference for the one in the package: in one pass, every equation
+    replays the solved steps on the original equation one after another,
+    each by substitute_by_accumulation.  Dividing out the assumptions and
+    picking the unknown are the package's own helpers, so the two differ
+    only in how an equation is reduced.  Returns the trace or raises the
+    error the package raises, with the same fields."""
     trace = EliminationTrace(assumptions=tuple(assumptions))
     unsolved = set(unknowns)
-    remaining = list(system)
-    while remaining:
-        progressed = False
-        leftover = []
-        for label, eq in remaining:
-            raw = eq
-            for step in trace.steps:
-                raw = substitute_by_accumulation(raw, step.variable, step.substitution)
-            reduced, divided = _divide_assumptions(raw, assumptions)
-            if reduced.is_zero:
-                progressed = True
-                continue
-            if reduced.is_constant:
-                raise InconsistentSystemError(label, reduced.constant_value())
-            pick = _pick_linear_unknown(reduced, unknowns, unsolved, assumptions)
-            if pick is None:
-                leftover.append((label, eq))
-                continue
-            name, expr = pick
-            trace.steps.append(EliminationStep(
-                label=label, equation=raw, divided_by=divided,
-                variable=name, substitution=expr))
-            unsolved.discard(name)
-            progressed = True
-        if not progressed:
+    for label, eq in system:
+        raw = eq
+        for step in trace.steps:
+            raw = substitute_by_accumulation(raw, step.variable, step.substitution)
+        reduced, divided = _divide_assumptions(raw, assumptions)
+        if reduced.is_zero:
+            continue
+        if reduced.is_constant:
+            raise InconsistentSystemError(label, reduced.constant_value())
+        pick = _pick_linear_unknown(reduced, unknowns, unsolved)
+        if pick is None:
             trace.free_vars = tuple(v for v in unknowns if v in unsolved)
-            raise NonLinearStepError(trace, [label for label, _ in leftover])
-        remaining = leftover
+            raise NonLinearStepError(trace, [label])
+        name, expr = pick
+        trace.steps.append(EliminationStep(
+            label=label, equation=raw, divided_by=divided,
+            variable=name, substitution=expr))
+        unsolved.discard(name)
     trace.free_vars = tuple(v for v in unknowns if v in unsolved)
     return trace
+
+
+def compose(p, inner):
+    """p(inner(z)) for UniPolys p and inner, by Horner over polynomials."""
+    result = UniPoly((), p.ring_zero)
+    for c in reversed(p.coeffs):
+        result = result * inner + UniPoly((c,), p.ring_zero)
+    return result
+
+
+def ode_residual(p):
+    """22*P*P'''' + 45*P''^2 - 66*P'*P''' multiplied out, the reference
+    for derive._ode_system, which builds its coefficients in closed form."""
+    d1 = p.derivative()
+    d2 = d1.derivative()
+    d3 = d2.derivative()
+    d4 = d3.derivative()
+    return (p * d4) * 22 + (d2 * d2) * 45 - (d1 * d3) * 66
+
+
+def halphen_identity_failures(P, V, M, s):
+    """Names of the intermediate identities that fail on (P, V, M, s), each
+    checked multiplied out; derive certifies the first two by packed sums.
+
+    The chain, with R := -190*P''/11:
+      sM     s*M = 3*V'*P - 5*V*P'
+      sV2    s*V^2 = 2*M'*P - 5*M*P'
+      ODE-1  V^2*(3*V'*P - 5*V*P') = M*(2*M'*P - 5*M*P')
+      ODE-2  s^2*V^2 = 6*V''*P^2 - 19*V'*P'*P - 10*V*P*P'' + 25*V*P'^2
+      VR     V*R = 6*V''*P - 19*V'*P'
+      PR     P*R = s^2*V + 10*P*P'' - 25*P'^2
+      ODE-4  7*P'*R' - 6*P*R'' - 370*P'*P''' + 60*P*P'''' + R^2
+               - 16*P''*R - 240*P''^2 = 0
+    """
+    failures = []
+    p1 = P.derivative()
+    p2 = p1.derivative()
+    p3 = p2.derivative()
+    p4 = p3.derivative()
+    v1 = V.derivative()
+    v2 = v1.derivative()
+    m1 = M.derivative()
+    lhs_sm = v1 * P * 3 - V * p1 * 5
+    if lhs_sm != M * s:
+        failures.append("sM")
+    rhs_sv2 = m1 * P * 2 - M * p1 * 5
+    if rhs_sv2 != V * V * s:
+        failures.append("sV2")
+    if V * V * lhs_sm != M * rhs_sv2:
+        failures.append("ODE-1")
+    if (V * V * (s * s) !=
+            v2 * P * P * 6 - v1 * p1 * P * 19 - V * P * p2 * 10 + V * p1 * p1 * 25):
+        failures.append("ODE-2")
+    r = p2.scale(Fraction(-190, 11))
+    if V * r != v2 * P * 6 - v1 * p1 * 19:
+        failures.append("VR")
+    if P * r != V * (s * s) + P * p2 * 10 - p1 * p1 * 25:
+        failures.append("PR")
+    r1 = r.derivative()
+    r2 = r1.derivative()
+    ode4 = (p1 * r1 * 7 - P * r2 * 6 - p1 * p3 * 370 + P * p4 * 60
+            + r * r - p2 * r * 16 - p2 * p2 * 240)
+    if not ode4.is_zero:
+        failures.append("ODE-4")
+    return failures
+
+
+def main_equation_residual(k, V, P, H, M):
+    """k*(V^3 - M^2) - P^5*H^6 multiplied out; identically zero exactly
+    when (V, P, H, M, k) define a fullerene Belyi function
+    beta = k*V^3/(P^5*H^6) with beta - 1 = k*M^2/(P^5*H^6)."""
+    return (V ** 3 - M ** 2).scale(GaussRat.coerce(k)) - P ** 5 * H ** 6

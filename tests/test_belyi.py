@@ -11,11 +11,12 @@ from fullerene_belyi.belyi import (BelyiFormatError, BelyiVerificationError,
                                    FactoredBelyi, FactorsShareRoot,
                                    FactorNotSquarefree, IdentityFailed,
                                    Passport, counting, face_vector,
-                                   fullerene_passport, main_equation_residual)
+                                   fullerene_passport)
 from fullerene_belyi.cli import PRESETS, load_preset
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.moebius import schwarz_forms
-from oracles import (eval_pairs, gadd, gmul, gneg, poly_pairs,
+from oracles import (compose, eval_pairs, gadd, gmul, gneg,
+                     main_equation_residual, poly_pairs,
                      ratmap_substitute_power, reference_verify,
                      replace_fields)
 
@@ -371,7 +372,7 @@ def conjugate(beta: FactoredBelyi, a: GaussRat, b: GaussRat) -> FactoredBelyi:
     inner = UniPoly((b, a))
 
     def side(factors):
-        return tuple((f.compose(inner).monic(), e) for f, e in factors)
+        return tuple((compose(f, inner).monic(), e) for f, e in factors)
 
     shift = (sum(f.degree * e for f, e in beta.zero_factors)
              - sum(f.degree * e for f, e in beta.pole_factors))
@@ -407,6 +408,10 @@ def agreement_cases():
             beta, **{side: getattr(beta, side) + ((beta.zero_factors[0][0], 1),)})
     # no factor at all and k = 1: k*Z - Q = 1 - 1 collapses to zero
     cases["collapsed"] = FactoredBelyi(GaussRat.of(1), (), (), (), "none", 0)
+    # no factor and k != 1: the identity holds (c = k - 1), but a constant
+    # is no Belyi map
+    for k in (2, 0):
+        cases[f"constant/k{k}"] = FactoredBelyi.from_text(f"belyi v1\nk {k}\n")
     # denominators divisible by the certificate prime: the exact fallback
     for name in ("d6", "d12"):
         cases[f"{name}/shift-1/p"] = conjugate(
@@ -438,7 +443,8 @@ def test_verify_agrees_with_reference(name):
         assert got[1].endswith("(Riemann-Hurwitz)")
     else:
         got = assert_agrees(CASES[name])
-    expect = {"/k": "IdentityFailed", "repeated": "FactorsShareRoot",
+    expect = {"constant": "DegreeImbalance", "/k": "IdentityFailed",
+              "repeated": "FactorsShareRoot",
               "collapsed": "IdentityFailed", "deg-W-above-O": "IdentityFailed",
               "few-points": "IdentityFailed"}
     tag = next((t for t in expect if t in name), None)

@@ -194,13 +194,17 @@ def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
      "infinity, a degree-100000 map has at least 100002 (Riemann-Hurwitz)"),
     (b"belyi v1\nk 1\xff\n", None, "BelyiFormatError",
      "not a UTF-8 document: invalid start byte at byte offset 12"),
+    # no factor: k*Z - Q = 2 - 1 is the declared empty product, but the
+    # map is the constant 2
+    ("belyi v1\nk 2\n", None, "DegreeImbalance",
+     "every side sums to 0: a Belyi map has degree at least 1"),
     (None, ["--output", "missing-dir/report.txt", "passport", "0"],
      "FileNotFoundError", None),
     (None, ["verify", "D6"], "FileNotFoundError",
      "'D6' is neither a preset (d6, d12, d60, d72) nor an existing file"),
 ], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "k-exponent-token",
         "second-k-line", "second-infinity-line", "exponent-bomb",
-        "not-utf-8", "output-dir-missing",
+        "not-utf-8", "constant", "output-dir-missing",
         "verify-no-such-preset-or-file"])
 def test_bad_input_exits_1_with_named_error(tmp_path, document, argv, name,
                                              message):

@@ -9,11 +9,12 @@ from fullerene_belyi import derive
 from fullerene_belyi.belyi import FactoredBelyi
 from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
                                     derive_case, family_k, family_k_formula,
-                                    halphen_identity_failures,
-                                    ode_leading_coeff, ode_residual,
-                                    run_ode_elimination, vm_from_p)
+                                    ode_leading_coeff, run_ode_elimination,
+                                    vm_from_p)
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.multipoly import EliminationTrace, MultiPoly
+from oracles import (halphen_identity_failures, main_equation_residual,
+                     ode_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +80,21 @@ def test_closed_form_system_is_the_residual_coefficients(s):
 
 
 def test_elimination_builds_no_residual(monkeypatch):
-    monkeypatch.setattr(derive, "ode_residual", None)
+    # the eliminated system is _ode_system's closed form, which equals the
+    # coefficients of the multiplied-out residual
+    built = []
+    closed_form = derive._ode_system
+
+    def recorded(m, names):
+        built.append(closed_form(m, names))
+        return built[-1]
+
+    monkeypatch.setattr(derive, "_ode_system", recorded)
     for s in (5, 6):
         p_sym, trace = run_ode_elimination.__wrapped__(s)
+        residual = ode_residual(p_sym)
+        assert built.pop() == [(d, residual.coefficient(d))
+                               for d in range(residual.degree, -1, -1)]
         assert trace.steps == run_ode_elimination(s)[1].steps
 
 
@@ -235,12 +248,9 @@ def test_derive_case_5_reproduces_icosahedral(icosahedral_data):
 
 
 def test_derive_case_5_output_satisfies_all_certifications():
-    from fullerene_belyi.belyi import main_equation_residual
-    from fullerene_belyi.exact import UniPoly as UP
-
     report = derive_case(5)
     assert main_equation_residual(
-        Fraction(1, 1728), report.V, report.P, UP.one(), report.M).is_zero
+        Fraction(1, 1728), report.V, report.P, UniPoly.one(), report.M).is_zero
     assert not halphen_identity_failures(report.P, report.V, report.M, 5)
 
 

@@ -35,14 +35,14 @@ def test_product_of_conjugates():
 def test_substitute_annihilates():
     a1, b1 = v("a1"), v("b1")
     eq = a1.scale(2) - b1.scale(5)
-    assert eq.substitute("b1", a1.scale(Fraction(2, 5))).is_zero
+    assert eq.substitute_all({"b1": a1.scale(Fraction(2, 5))}).is_zero
 
 
 def test_substitute_constant():
     names = ("a6", "a1")
     a6 = MultiPoly.var(names, "a6")
     expr = (a6 * a6).scale(Fraction(-1, 121))
-    assert expr.substitute("a6", 11) == MultiPoly.const(names, -1)
+    assert expr.substitute_all({"a6": 11}) == MultiPoly.const(names, -1)
     assert expr.evaluate({"a6": 11}) == Fraction(-1)
 
 
@@ -82,10 +82,11 @@ def test_substitution_is_ring_homomorphism(rng):
 
     for _ in range(150):
         p, q, r = rand_mp(), rand_mp(), rand_mp()
-        lhs = (p * q).substitute("y", r)
-        rhs = p.substitute("y", r) * q.substitute("y", r)
+        y = {"y": r}
+        lhs = (p * q).substitute_all(y)
+        rhs = p.substitute_all(y) * q.substitute_all(y)
         assert lhs == rhs
-        assert (p + q).substitute("y", r) == p.substitute("y", r) + q.substitute("y", r)
+        assert (p + q).substitute_all(y) == p.substitute_all(y) + q.substitute_all(y)
 
 
 def rand_mp(rng, names, terms, avoid=()):
@@ -102,7 +103,7 @@ def test_substitute_matches_accumulation_randomized(rng):
         r = (rand_mp(rng, names, rng.randint(0, 3)) if rng.random() < 0.8
              else rng.randint(-3, 3))
         name = rng.choice(names)
-        got = p.substitute(name, r)
+        got = p.substitute_all({name: r})
         assert got == substitute_by_accumulation(p, name, r)
         assert all(isinstance(c, Fraction) and c for c in got.terms.values())
 
@@ -170,7 +171,7 @@ def test_substitute_matches_accumulation_on_s6_elimination(monkeypatch):
     trace = sequential_linear_solve(system, names)
     steps = len(trace.steps)
     assert steps == 9 and len(system) == 17
-    # no equation is left over, so each is visited once
+    # one pass: each equation is visited once
     assert len(calls) == len(system) + steps * (steps - 1) // 2
     del calls[:]
     assert trace.apply_param(p_sym) == family
@@ -180,10 +181,10 @@ def test_substitute_matches_accumulation_on_s6_elimination(monkeypatch):
 def test_substitute_absent_variable_returns_self():
     a1, b1 = v("a1"), v("b1")
     p = a1 * a1 + c(3)
-    assert p.substitute("b1", b1 + c(1)) is p
-    assert p.substitute("b0", 5) is p
+    assert p.substitute_all({"b1": b1 + c(1)}) is p
+    assert p.substitute_all({"b0": 5}) is p
     with pytest.raises(ValueError):  # the variable sets are still checked
-        p.substitute("b1", MultiPoly.var(("x",), "x"))
+        p.substitute_all({"b1": MultiPoly.var(("x",), "x")})
 
 
 def test_apply_param_matches_apply_on_every_coefficient():
@@ -301,7 +302,7 @@ def test_quotient_ansatz_z5_coefficient_dies_with_c_elimination():
     c1_solution = MultiPoly.var(names, "a1") * 3 - MultiPoly.var(names, "b1") * 2
     assert S.coefficient(6).is_zero
     assert not S.coefficient(5).is_zero
-    assert S.coefficient(5).substitute("c1", c1_solution).is_zero
+    assert S.coefficient(5).substitute_all({"c1": c1_solution}).is_zero
 
 
 def test_unipoly_over_multipoly_evaluates_coeffs():
@@ -450,11 +451,6 @@ def synthetic_systems():
                        ("u", "t"), (t - u,)),
         "chain": ([(3, w3 - (x3 * y3 + x3 * x3)), (2, y3 - x3.scale(7)),
                    (1, x3 - MultiPoly.const(("w", "y", "x"), 2))], ("w", "y", "x"), ()),
-        # (x - 3)*(x*y - 2) is linear in neither unknown with a constant
-        # coefficient until x = 1 is solved: a leftover reduced again on the
-        # next pass, where x - 3 no longer divides it
-        "leftover": ([(2, (x2 - one2.scale(3)) * (x2 * y2 - one2.scale(2))),
-                      (1, x2 - one2)], ("y", "x"), (x2 - one2.scale(3),)),
         "report": ([(1, y2 - x2), (0, x2 - one2.scale(5))], ("y", "x"), ()),
     }
 
@@ -471,19 +467,45 @@ def test_solver_errors_match_reference():
     names = ("y", "x")
     x, y = MultiPoly.var(names, "x"), MultiPoly.var(names, "y")
     one = MultiPoly.const(names, 1)
-    nonlinear = [(2, x * y - one), (1, y - x * x), (0, x * x * x - y * y)]
-    inconsistent = [(2, y - x), (1, x - one), (0, y - one.scale(2))]
-    for system, error in ((nonlinear, NonLinearStepError),
-                          (inconsistent, InconsistentSystemError)):
-        with pytest.raises(error) as got:
-            sequential_linear_solve(system, names)
-        with pytest.raises(error) as want:
-            reference_linear_solve(system, names)
+    # neither x*y - 1 nor, once x - 3 is divided out, x*y - 2 has a
+    # constant pivot: the pass stops at it, though the equations after it
+    # would have solved y or x
+    nonlinear = [
+        ([(2, x * y - one), (1, y - x * x), (0, x * x * x - y * y)], ()),
+        ([(2, (x - one.scale(3)) * (x * y - one.scale(2))), (1, x - one)],
+         (x - one.scale(3),))]
+    for system, assumptions in nonlinear:
+        with pytest.raises(NonLinearStepError) as got:
+            sequential_linear_solve(system, names, assumptions)
+        with pytest.raises(NonLinearStepError) as want:
+            reference_linear_solve(system, names, assumptions)
         assert str(got.value) == str(want.value)
-        if error is NonLinearStepError:
-            assert got.value.stuck_labels == want.value.stuck_labels == [2, 0]
-            assert trace_fields(got.value.trace) == trace_fields(want.value.trace)
-            assert [s.variable for s in got.value.trace.steps] == ["y"]
-        else:
-            assert (got.value.label, got.value.value) == (0, Fraction(-1))
-            assert (want.value.label, want.value.value) == (0, Fraction(-1))
+        assert got.value.stuck_labels == want.value.stuck_labels == [2]
+        assert trace_fields(got.value.trace) == trace_fields(want.value.trace)
+        assert got.value.trace.steps == [] and got.value.trace.free_vars == names
+    inconsistent = [(2, y - x), (1, x - one), (0, y - one.scale(2))]
+    with pytest.raises(InconsistentSystemError) as got:
+        sequential_linear_solve(inconsistent, names)
+    with pytest.raises(InconsistentSystemError) as want:
+        reference_linear_solve(inconsistent, names)
+    assert str(got.value) == str(want.value)
+    assert (got.value.label, got.value.value) == (0, Fraction(-1))
+    assert (want.value.label, want.value.value) == (0, Fraction(-1))
+
+
+def test_every_pipeline_step_has_a_constant_pivot():
+    """Each recorded equation of the s = 5, s = 6 and d6 eliminations,
+    divided by its recorded factors, is pivot*x + rest with a nonzero
+    constant pivot, and the recorded substitution is -rest/pivot."""
+    traces = [derive.run_ode_elimination(5)[1], derive.run_ode_elimination(6)[1],
+              derive.d6_solve().trace]
+    assert [len(t.steps) for t in traces] == [9, 9, 6]
+    for step in (step for trace in traces for step in trace.steps):
+        eq = step.equation
+        for factor, power in step.divided_by:
+            eq = eq.divide_exact(factor ** power)
+        pivot = eq.coefficient_in(step.variable, 1)
+        rest = eq.coefficient_in(step.variable, 0)
+        assert eq == pivot * MultiPoly.var(eq.vars, step.variable) + rest
+        assert pivot.is_constant and not pivot.is_zero
+        assert step.substitution == rest.scale(-1 / pivot.constant_value())
