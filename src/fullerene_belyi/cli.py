@@ -22,7 +22,7 @@ import os
 import sys
 
 from .belyi import (BelyiFormatError, BelyiVerificationError, FactoredBelyi,
-                    face_vector, counting, fullerene_passport)
+                    _product, face_vector, counting, fullerene_passport)
 from .derive import Verdict, d6_solve, derive_case
 
 # moebius, geometry and json are imported by the commands that use them,
@@ -194,8 +194,7 @@ def cmd_derive(s: int):
 
 
 def cmd_compose(what: str, write_path: str | None = None):
-    from .moebius import (beta12_ratmap, beta60_ratmap, beta72_ratmap,
-                          schwarz_check, schwarz_forms)
+    from .moebius import schwarz_check, schwarz_forms
     if what == "schwarz":
         phi12, phi20, phi30 = schwarz_forms()
         # schwarz_check raises when the identity fails
@@ -219,26 +218,27 @@ def cmd_compose(what: str, write_path: str | None = None):
             "degree-60 function after z -> -z equals phi20^3/(1728 phi12^5): ok",
         ]
         return doc, lines
-    ratmaps = {"d12": beta12_ratmap, "d60": beta60_ratmap, "d72": beta72_ratmap}
-    if what not in ratmaps:
+    if what not in ("d12", "d60", "d72"):
         raise KeyError(what)
-    f = ratmaps[what]()
     beta = load_preset(what)
     passport = beta.verify()
+    # verify proved the factors monic and the zeros coprime to the poles,
+    # so k * num/den is the map in lowest terms, of degree beta.degree
+    num, den = _product(beta.zero_factors), _product(beta.pole_factors)
     doc = {
         "command": "compose",
         "target": what,
-        "k": f.k.to_token(),
-        "numerator": f.num.to_tokens(),
-        "denominator": f.den.to_tokens(),
-        "degree": f.degree,
+        "k": beta.k.to_token(),
+        "numerator": num.to_tokens(),
+        "denominator": den.to_tokens(),
+        "degree": beta.degree,
         "passport": str(passport),
     }
     lines = [
-        f"{what}: degree {f.degree}",
-        f"k   = {f.k}",
-        f"num = {f.num}",
-        f"den = {f.den}",
+        f"{what}: degree {beta.degree}",
+        f"k   = {beta.k}",
+        f"num = {num}",
+        f"den = {den}",
         f"passport: {passport}",
     ]
     if write_path:

@@ -71,14 +71,10 @@ def case_degrees(s: int) -> tuple[int, int, int, int]:
 
 def ode_leading_coeff(s: int) -> int:
     """(s-6)(s-5)(s+5)(s+6): the z^(8+2s) coefficient of the ODE residual
-    for monic P.  Cross-checked against the m-form with m = s+6."""
+    for monic P, m(m-1)(m-11)(m-12) with m = s+6."""
     if s < 1:
         raise ValueError("s must be positive")
-    value = (s - 6) * (s - 5) * (s + 5) * (s + 6)
-    m = s + 6
-    alt = m * (m - 1) * (m - 11) * (m - 12)
-    assert value == alt, "degree bookkeeping broke"
-    return value
+    return (s - 6) * (s - 5) * (s + 5) * (s + 6)
 
 
 def vm_from_p(p: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
@@ -248,7 +244,7 @@ def derive_case(s: int) -> CaseReport:
 
     # s == 6: substitute the solved coefficients, keep a9/a10 free
     report.P, report.V, report.M, report.k = _family(6)
-    report.family = dict(_family_substitutions(6))
+    report.family = dict(trace.resolved)
     if not report.V.coefficient(kdeg).is_zero:
         raise AssertionError("expected the top vertex coefficient to vanish")
     report.verdict = Verdict.NO_SOLUTION_DEGREE_DEFICIT
@@ -264,22 +260,14 @@ def derive_case(s: int) -> CaseReport:
 
 
 @cache
-def _family_substitutions(s: int) -> dict[str, MultiPoly]:
-    """Every solved coefficient of the s = 5 or s = 6 P in the free ones."""
-    return run_ode_elimination(s)[1].resolved_substitutions()
-
-
-@cache
 def _family(s: int) -> tuple[UniPoly, UniPoly, UniPoly, MultiPoly]:
     """(P, V, M, k) of the s = 5 or s = 6 family over MultiPoly, with
-    V^3 = M^2 + k*P^5 certified by _certify_family_identity.  P is monic, so
-    k is the z^(5 deg P) coefficient of V^3 - M^2."""
+    V^3 = M^2 + k*P^5 certified by _certify_family_identity, which returns
+    k: P is monic, so k is the z^(5 deg P) coefficient of V^3 - M^2."""
     p_sym, trace = run_ode_elimination(s)
-    P = trace.apply_param(p_sym, _family_substitutions(s))
+    P = trace.apply_param(p_sym)
     V, M = _family_vm(P, s)
-    k = _identity_constant(P, V, M)
-    _certify_family_identity(P, V, M, k)
-    return P, V, M, k
+    return P, V, M, _certify_family_identity(P, V, M)
 
 
 def _at_point(family: tuple[UniPoly, UniPoly, UniPoly, MultiPoly],
@@ -423,9 +411,9 @@ def _identity_constant(P: UniPoly, V: UniPoly, M: UniPoly):
     return _power_coefficient(V, 3, 5 * P.degree) - _power_coefficient(M, 2, 5 * P.degree)
 
 
-def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
-                             k: MultiPoly) -> None:
-    """Raise AssertionError unless V^3 = M^2 + k*P^5 holds exactly.
+def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly) -> MultiPoly:
+    """The k with V^3 = M^2 + k*P^5, proved exactly; AssertionError when
+    the identity cannot be proved.
 
     The proof is the paper's differential argument, with s = deg P - 6:
       sM    s*M = 3*V'*P - 5*V*P'
@@ -435,8 +423,8 @@ def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
                     = V^2*(s*M) - M*(s*V^2) = 0,
     so (D/P^5)' = (D'*P - 5*P'*D)/P^6 = 0 and D = c*P^5 for a c free of z.
     P is checked monic, so c is the z^(5 deg P) coefficient of D, and that
-    is checked to be k in MultiPoly.  It is convolved from the top
-    3 deg V - 5 deg P + 1 coefficients of V and of M, once
+    coefficient is returned as k (_identity_constant).  It is convolved
+    from the top 3 deg V - 5 deg P + 1 coefficients of V and of M, once
     3 deg V = 2 deg M >= 5 deg P is checked; for s = 6 it is
     lead(V)^3 - lead(M)^2.
 
@@ -450,11 +438,10 @@ def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
     if not 3 * V.degree == 2 * M.degree >= 5 * P.degree:
         raise AssertionError("V^3 and M^2 do not share a degree at or above that of P^5")
     names, indices, weights = _free_variables(P)
-    (wv, dv, v), (wm, dm, m), (wp, dp, p), (wk, _, _) = (
-        _integer_form(f, indices, weights) for f in (V, M, P, UniPoly.from_terms({0: k})))
-    if not (wm == wv + wp - 1 and 2 * wv == wm + wp - 1 and 3 * wv == 5 * wp + wk):
-        raise AssertionError(
-            f"weights {wv}, {wm}, {wp}, {wk} of V, M, P, k do not balance")
+    (wv, dv, v), (wm, dm, m), (wp, dp, p) = (
+        _integer_form(f, indices, weights) for f in (V, M, P))
+    if not (wm == wv + wp - 1 and 2 * wv == wm + wp - 1):
+        raise AssertionError(f"weights {wv}, {wm}, {wp} of V, M, P do not balance")
     s = P.degree - 6
     v1, m1, p1 = (_derivative_form(w, f, weights) for w, f in ((wv, v), (wm, m), (wp, p)))
     # s*M = 3*V'*P - 5*V*P' and s*V^2 = 2*M'*P - 5*M*P', denominators cleared
@@ -466,10 +453,7 @@ def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly,
         raise AssertionError("family does not satisfy s*V^2 = 2*M'*P - 5*M*P'")
     if P.leading() != MultiPoly.const(names, 1):
         raise AssertionError("P is not monic")
-    if k != _identity_constant(P, V, M):
-        raise AssertionError(
-            "family does not satisfy V^3 = M^2 + k*P^5: k is not the "
-            "z^(5 deg P) coefficient of V^3 - M^2")
+    return _identity_constant(P, V, M)
 
 
 def family_k_formula() -> MultiPoly:

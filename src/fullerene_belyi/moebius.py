@@ -7,13 +7,17 @@ The unfolding chain is
     beta72 = beta12(z^6),
 
 where mu1 carries (0, 1, inf) to (-11+2i, 0, -11-2i) and mu2 carries
-(0, inf, i) to (-1, 1, inf).  The presets never leave factored form: each
-step maps the monic squarefree factors of the previous function one by one
+(0, inf, i) to (-1, 1, inf).  A map given by three points and their images
+comes from one formula, the homogeneous cross-ratio, whichever of the points
+is infinity.  The presets never leave factored form: each step maps the
+monic squarefree factors of the previous function one by one
 (factored_compose_moebius here, FactoredBelyi.substitute_power in belyi),
-and the multiplied-out maps are read off the result; no composed preset is
-multiplied out and split again.  Schwarz's classical invariant triple is
-reproduced at the end as an independent cross-check of the degree-60
-function, its identity certified by FactoredBelyi.verify.
+and the multiplied-out maps are read off the result (the compose command
+multiplies the verified factors of each side; beta12/60/72_ratmap wrap the
+same products in a RationalMap); no composed preset is multiplied out and
+split again.  Schwarz's classical invariant triple is reproduced at the end
+as an independent cross-check of the degree-60 function, its identity
+certified by FactoredBelyi.verify.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import cache
 
 from .belyi import FactoredBelyi, merge_by_exponent
 from .derive import d6_solve
-from .exact import (ONE, GaussRat, RationalMap, UniPoly, Scalarish,
+from .exact import (ONE, ZERO, GaussRat, RationalMap, UniPoly, Scalarish,
                     _Record, binary_power)
 
 
@@ -106,26 +110,17 @@ class Moebius(_Record, frozen=True):
 
 
 def _to_zero_one_inf(z1, z2, z3) -> Moebius:
-    """The unique map sending (z1, z2, z3) to (0, 1, inf)."""
-    pts = [_pt(z) for z in (z1, z2, z3)]
-    inf_count = sum(isinstance(p, _Infinity) for p in pts)
-    if inf_count > 1:
+    """The unique map sending (z1, z2, z3) to (0, 1, inf): the cross-ratio
+    z -> [z, z1][z2, z3] / ([z, z3][z2, z1]) in homogeneous coordinates,
+    a point (x : y) being z = (z : 1) or infinity = (1 : 0), and
+    [p, q] = x_p*y_q - y_p*x_q, which is 0 exactly when p and q coincide."""
+    (x1, y1), (x2, y2), (x3, y3) = (
+        (ONE, ZERO) if isinstance(p, _Infinity) else (p, ONE)
+        for p in map(_pt, (z1, z2, z3)))
+    d23, d21, d13 = x2 * y3 - y2 * x3, x2 * y1 - y2 * x1, x1 * y3 - y1 * x3
+    if d23.is_zero or d21.is_zero or d13.is_zero:
         raise ValueError("source points must be pairwise distinct")
-    if inf_count == 0:
-        a, b, c = pts
-        for x, y in ((a, b), (b, c), (a, c)):
-            if x == y:
-                raise ValueError("source points must be pairwise distinct")
-        # z -> (z - a)(b - c) / ((z - c)(b - a))
-        return Moebius.of(b - c, (b - c) * (-a), b - a, (b - a) * (-c))
-    if isinstance(pts[0], _Infinity):
-        b, c = pts[1], pts[2]
-        return Moebius.of(GaussRat.of(0), -(b - c), GaussRat.of(-1), c)
-    if isinstance(pts[1], _Infinity):
-        a, c = pts[0], pts[2]
-        return Moebius.of(GaussRat.of(1), -a, GaussRat.of(1), -c)
-    a, b = pts[0], pts[1]
-    return Moebius.of(GaussRat.of(1), -a, GaussRat.of(0), b - a)
+    return Moebius.of(y1 * d23, -x1 * d23, y3 * d21, -x3 * d21)
 
 
 def moebius_from_three_points(sources, targets) -> Moebius:

@@ -26,6 +26,9 @@ variable being replaced, one simultaneous substitution with the map gives
 the same polynomial.  MultiPoly is canonical (a dict of nonzero terms,
 printed sorted), so the recorded equations and substitutions, and every
 report made from them, are the same as those of the sequential replay.
+The trace keeps the map (EliminationTrace.resolved), also when the pass
+stops, so applying or evaluating a solution reads it and nothing resolves
+the steps a second time.
 """
 
 from __future__ import annotations
@@ -340,9 +343,14 @@ class EliminationStep(_Record, frozen=True):
 
 
 class EliminationTrace(_Record):
+    """The steps of one elimination, the factors it divided by, the
+    unknowns left free, and resolved: each solved variable, in step order,
+    written in the free variables (the eliminator's map)."""
+
     steps: list[EliminationStep] = list
     assumptions: tuple[MultiPoly, ...] = ()
     free_vars: tuple[str, ...] = ()
+    resolved: dict[str, MultiPoly] = dict
 
     def substitution_for(self, name: str) -> MultiPoly:
         for step in self.steps:
@@ -353,39 +361,17 @@ class EliminationTrace(_Record):
     def apply(self, p: MultiPoly) -> MultiPoly:
         """Substitute every solved variable: one substitute_all with the
         resolved map."""
-        return p.substitute_all(self.resolved_substitutions())
+        return p.substitute_all(self.resolved)
 
-    def apply_param(self, p: UniPoly,
-                    resolved: Mapping[str, MultiPoly] | None = None) -> UniPoly:
-        """apply() on every coefficient of a polynomial in z over MultiPoly;
-        resolved is resolved_substitutions(), computed here when not
-        passed."""
-        if resolved is None:
-            resolved = self.resolved_substitutions()
-        return p.map_coeffs(lambda c: c.substitute_all(resolved))
-
-    def resolved_substitutions(self) -> dict[str, MultiPoly]:
-        """Each solved variable expressed purely in the free variables, in
-        step order.
-
-        A step's substitution mentions only free variables and variables
-        solved at later steps, so walking the steps backwards resolves each
-        by one substitute_all with the map of the later ones."""
-        out: dict[str, MultiPoly] = {}
-        for step in reversed(self.steps):
-            out[step.variable] = step.substitution.substitute_all(out)
-        return {step.variable: out[step.variable] for step in self.steps}
+    def apply_param(self, p: UniPoly) -> UniPoly:
+        """apply() on every coefficient of a polynomial in z over MultiPoly."""
+        return p.map_coeffs(self.apply)
 
     def evaluate(self, free_assignments: Mapping[str, RationalLike]) -> dict[str, Fraction]:
-        """Concrete values for every variable given values of the free ones.
-
-        Steps are evaluated in reverse order: a step's expression only
-        mentions free variables and variables solved at later steps.
-        """
-        values: dict[str, Fraction] = {
-            name: Fraction(v) for name, v in free_assignments.items()}
-        for step in reversed(self.steps):
-            values[step.variable] = step.substitution.evaluate(values)
+        """Concrete values for every variable given values of the free
+        ones: the free ones, then the solved ones in step order."""
+        values = {name: Fraction(v) for name, v in free_assignments.items()}
+        values.update({name: e.evaluate(values) for name, e in self.resolved.items()})
         return values
 
     def to_report(self) -> dict:
@@ -467,11 +453,11 @@ def sequential_linear_solve(system: Sequence[tuple[int, MultiPoly]],
     A new step x = e (e in the unsolved variables) is substituted into the
     map's values before it is added, so the values never mention a solved
     variable and the simultaneous substitution equals replaying the steps
-    in order (module docstring).
+    in order (module docstring).  The map is the trace's resolved field.
     """
     trace = EliminationTrace(assumptions=tuple(assumptions))
     unsolved = set(unknowns)
-    resolved: dict[str, MultiPoly] = {}
+    resolved = trace.resolved
     for label, eq in system:
         raw = eq.substitute_all(resolved)
         reduced, divided = _divide_assumptions(raw, assumptions)
@@ -487,7 +473,8 @@ def sequential_linear_solve(system: Sequence[tuple[int, MultiPoly]],
         trace.steps.append(EliminationStep(
             label=label, equation=raw, divided_by=divided,
             variable=name, substitution=expr))
-        resolved = {v: e.substitute_all({name: expr}) for v, e in resolved.items()}
+        for v, e in resolved.items():
+            resolved[v] = e.substitute_all({name: expr})
         resolved[name] = expr
         unsolved.discard(name)
     trace.free_vars = tuple(v for v in unknowns if v in unsolved)

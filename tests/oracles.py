@@ -9,7 +9,8 @@ moebius.factored_compose_moebius, reference_verify, the multiplied-out
 reference for FactoredBelyi.verify, replace_fields, which builds the
 altered documents the tests feed to both, substitute_by_accumulation
 and reference_linear_solve, the one-variable-at-a-time references for
-MultiPoly.substitute_all and sequential_linear_solve, and the
+MultiPoly.substitute_all and sequential_linear_solve, resolve_backward,
+the reference for the resolved map an EliminationTrace keeps, and the
 multiplied-out references on UniPoly that the package certifies without
 expanding: compose, ode_residual, halphen_identity_failures and
 main_equation_residual.
@@ -328,6 +329,22 @@ def reference_linear_solve(system, unknowns, assumptions=()):
         unsolved.discard(name)
     trace.free_vars = tuple(v for v in unknowns if v in unsolved)
     return trace
+
+
+def resolve_backward(trace):
+    """The solved variables of trace, each written in the free variables,
+    in step order, rebuilt from trace.steps alone: the reference for
+    trace.resolved, which the eliminator keeps as it goes.  A step's
+    substitution mentions only variables unsolved at that step, and those
+    solved later are resolved first, so walking the steps backwards
+    resolves each by substituting the later ones one at a time."""
+    out = {}
+    for step in reversed(trace.steps):
+        expr = step.substitution
+        for name, value in out.items():
+            expr = substitute_by_accumulation(expr, name, value)
+        out[step.variable] = expr
+    return {step.variable: out[step.variable] for step in trace.steps}
 
 
 def compose(p, inner):

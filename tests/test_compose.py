@@ -61,6 +61,43 @@ def test_three_point_rejects_coincident():
         moebius_from_three_points((0, 0, 1), (0, 1, INFINITY))
 
 
+# three distinct finite points, and a fourth to repeat
+THREE = (GaussRat.of(5), GaussRat.of(-3, 1), GaussRat.of(0, 7))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 2), (0, 2)])
+@pytest.mark.parametrize("repeated, other", [
+    (GaussRat.of(2, -1), None), (GaussRat.of(2, -1), INFINITY),
+    (INFINITY, None)])
+def test_three_point_rejects_each_coincident_pair(pair, repeated, other):
+    """Each pair of positions, repeating a finite point or infinity; a
+    finite repeat is also tried with infinity in the third position."""
+    pts = list(THREE)
+    for i in range(3):
+        if i in pair:
+            pts[i] = repeated
+        elif other is not None:
+            pts[i] = other
+    for sources, targets in ((pts, (0, 1, INFINITY)), ((0, 1, INFINITY), pts)):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            moebius_from_three_points(sources, targets)
+
+
+@pytest.mark.parametrize("source_inf", [None, 0, 1, 2])
+@pytest.mark.parametrize("target_inf", [None, 0, 1, 2])
+def test_three_point_sends_each_point_home(source_inf, target_inf):
+    """The one cross-ratio formula, with infinity in any position on
+    either side or on neither."""
+    sources, targets = list(THREE), [GaussRat.of(1, 1), GaussRat.of(-2), GaussRat.of(4, -3)]
+    if source_inf is not None:
+        sources[source_inf] = INFINITY
+    if target_inf is not None:
+        targets[target_inf] = INFINITY
+    m = moebius_from_three_points(sources, targets)
+    for point, image in zip(sources, targets):
+        assert m.apply(point) == image
+
+
 def test_three_point_random_correspondence(rng):
     for _ in range(40):
         pts = set()
@@ -200,6 +237,35 @@ def test_factored_builders_match_from_ratmap(build, ratmap):
     reference = FactoredBelyi.from_ratmap(ratmap())
     assert build().to_text() == reference.to_text()
     assert build() == reference
+
+
+@pytest.mark.parametrize("what, ratmap", [
+    ("d12", beta12_ratmap), ("d60", beta60_ratmap), ("d72", beta72_ratmap)])
+def test_compose_prints_the_pinned_ratmap(what, ratmap, monkeypatch):
+    """compose prints k, num, den and the degree from the verified factored
+    form, and they are the RationalMap the beta*_ratmap wrappers build;
+    compose itself builds no RationalMap."""
+    f = ratmap()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compose built a RationalMap")
+
+    for name in ("beta12_ratmap", "beta60_ratmap", "beta72_ratmap"):
+        monkeypatch.setattr(moebius, name, refuse)
+    for module in (exact, belyi, moebius):
+        monkeypatch.setattr(module, "RationalMap", refuse)
+    monkeypatch.setattr(FactoredBelyi, "to_ratmap", refuse)
+    doc, lines = cli.cmd_compose(what)
+    assert (doc["k"], doc["numerator"], doc["denominator"], doc["degree"]) == (
+        f.k.to_token(), f.num.to_tokens(), f.den.to_tokens(), f.degree)
+    assert lines[:4] == [f"{what}: degree {f.degree}", f"k   = {f.k}",
+                         f"num = {f.num}", f"den = {f.den}"]
+
+
+@pytest.mark.parametrize("what", ["d6", "d24", "Schwarz", ""])
+def test_compose_refuses_other_targets(what):
+    with pytest.raises(KeyError):
+        cli.cmd_compose(what)
 
 
 def test_beta12_built_factored_matches_projective_pipeline():

@@ -12,9 +12,9 @@ from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
                                     ode_leading_coeff, run_ode_elimination,
                                     vm_from_p)
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
-from fullerene_belyi.multipoly import EliminationTrace, MultiPoly
+from fullerene_belyi.multipoly import MultiPoly
 from oracles import (halphen_identity_failures, main_equation_residual,
-                     ode_residual)
+                     ode_residual, resolve_backward)
 
 
 # ---------------------------------------------------------------------------
@@ -342,80 +342,81 @@ FREE = {5: ("a6",), 6: ("a9", "a10")}
 
 
 def _mutated_family(s, case):
-    """(P, V, M, k) of the s family with one change, and the rejection
+    """(P, V, M) of the s family with one change, and the rejection
     message it must hit.  The parameter weight of a z^e coefficient falls
     as e rises, so the top z-degree coefficient has the lowest weight, the
     bottom the highest."""
-    P, V, M, k = derive._family(s)
-    pvmk = {"P": P, "V": V, "M": M, "k": k}
+    P, V, M, _ = derive._family(s)
+    pvm = {"P": P, "V": V, "M": M}
     target, change = case.split(":")
     if target == "VM":
         # (2V, 2M) still solves the linear s*M = 3*V'*P - 5*V*P', but not
         # s*V^2 = 2*M'*P - 5*M*P'
-        return P, V * 2, M * 2, k, r"does not satisfy s\*V\^2"
-    if target == "PVMk":
-        # (2P, 4V, 8M, 2k) satisfies both Halphen identities and
-        # V^3 = M^2 + k*P^5, but the z^(5 deg P) coefficient of 64(V^3 - M^2)
-        # is 64k, not 2k: reading k off it needs P monic
-        return P * 2, V * 4, M * 8, k * 2, "P is not monic"
-    f = pvmk[target]
-    names = k.vars
+        return P, V * 2, M * 2, r"does not satisfy s\*V\^2"
+    if target == "PVM":
+        # (2P, 4V, 8M) satisfies both Halphen identities and
+        # V^3 = M^2 + 2k*P^5, but the z^(5 deg P) coefficient of
+        # 64(V^3 - M^2) is 64k, not 2k: reading k off it needs P monic
+        return P * 2, V * 4, M * 8, "P is not monic"
+    f = pvm[target]
+    names = P.leading().vars
     if change == "negated":
         # (-M)^2 = M^2, and -V still solves s*V^2 = 2*M'*P - 5*M*P', but
         # s*M = 3*V'*P - 5*V*P' pins both signs
-        pvmk[target] = -f
+        pvm[target] = -f
         message = r"does not satisfy s\*M ="
     elif change == "doubled":
-        pvmk[target] = f * 2
+        pvm[target] = f * 2
         message = "does not satisfy"
     elif change == "degree":
         # with a constant times z^22, 3 deg V = 66 != 2 deg M = 60
-        pvmk[target] = f + UniPoly.from_terms({22: MultiPoly.const(names, 1)})
+        pvm[target] = f + UniPoly.from_terms({22: MultiPoly.const(names, 1)})
         message = "do not share a degree"
     elif change == "homogeneous-wrong-weight":
-        # k * a10 is homogeneous of weight 8, but 3 w(V) = 5 w(P) + 6; for
-        # s = 5, k * a6 weighs 10, not 60 - 55
-        pvmk[target] = f * MultiPoly.var(names, FREE[s][-1])
+        # V * a10 is homogeneous, of weight 24 instead of 22, and
+        # w(M) = w(V) + w(P) - 1 fails; for s = 5, V * a6 weighs 25, not 20
+        pvm[target] = f.map_coeffs(lambda c: c * MultiPoly.var(names, FREE[s][-1]))
         message = "do not balance"
-    elif target == "k":
-        pvmk["k"] = _bump_term(f, {"first": min, "last": max}[change])
-        message = "does not satisfy"
     elif change in ("lowest-weight", "highest-weight"):
         power = (f.degree if change == "lowest-weight" else
                  min(e for e, c in enumerate(f.coeffs) if not c.is_zero))
-        pvmk[target] = _with_coefficient(f, power, lambda c: _bump_term(c, min))
+        pvm[target] = _with_coefficient(f, power, lambda c: _bump_term(c, min))
         message = "does not satisfy"
     elif change == "wrong-weight":
         # a9 * z^0 weighs 3 and every term of V weighs 22; for s = 5,
         # a6 * z^0 weighs 5 and V weighs 20
         a = MultiPoly.var(names, FREE[s][0])
-        pvmk[target] = _with_coefficient(f, 0, lambda c: c + a)
+        pvm[target] = _with_coefficient(f, 0, lambda c: c + a)
         message = "not weighted-homogeneous"
     else:
         # a8 * z^18 would weigh 22 with a8 at weight 12 - 8, but neither
         # family has a8 left, so any exponent on it is rejected
         a8 = MultiPoly.var(names, "a8")
-        pvmk[target] = _with_coefficient(f, 18, lambda c: c + a8)
+        pvm[target] = _with_coefficient(f, 18, lambda c: c + a8)
         message = "other than " + ", ".join(FREE[s])
-    return pvmk["P"], pvmk["V"], pvmk["M"], pvmk["k"], message
+    return pvm["P"], pvm["V"], pvm["M"], message
 
 
 @pytest.mark.parametrize("case", [
     f"{target}:{change}" for target in "VMP"
     for change in ("lowest-weight", "highest-weight")
-] + ["k:first", "k:last", "k:homogeneous-wrong-weight", "V:wrong-weight",
-      "V:third-variable", "M:negated", "V:negated", "V:doubled", "V:degree",
-      "VM:doubled", "PVMk:scaled"])
+] + ["V:homogeneous-wrong-weight", "V:wrong-weight", "V:third-variable", "M:negated", "V:negated",
+      "V:doubled", "V:degree", "VM:doubled", "PVM:scaled"])
 @pytest.mark.parametrize("s", [5, 6])
 def test_family_certificate_rejects_mutation(s, case):
-    P, V, M, k, message = _mutated_family(s, case)
+    P, V, M, message = _mutated_family(s, case)
     with pytest.raises(AssertionError, match=message):
-        derive._certify_family_identity(P, V, M, k)
+        derive._certify_family_identity(P, V, M)
 
 
-@pytest.mark.parametrize("s", [5, 6])
-def test_family_certificate_accepts_family(s):
-    derive._certify_family_identity(*derive._family(s))
+@pytest.mark.parametrize("s, k", [
+    (5, "-1728/11*a6"), (6, "-125000/35937*a10^3 - 625/121*a9^2")], ids=["5", "6"])
+def test_family_certificate_accepts_family(s, k):
+    """The certificate returns k, the k that _family reports."""
+    P, V, M, family_k = derive._family(s)
+    certified = derive._certify_family_identity(P, V, M)
+    assert certified == family_k
+    assert str(certified) == k
 
 
 def test_family_computed_once_for_report_and_k(monkeypatch):
@@ -424,6 +425,10 @@ def test_family_computed_once_for_report_and_k(monkeypatch):
         original = getattr(derive, name)
         monkeypatch.setattr(derive, name, lambda p, s, f=original, seen=seen:
                             seen.append(s) or f(p, s))
+    constants = []
+    identity_constant = derive._identity_constant
+    monkeypatch.setattr(derive, "_identity_constant", lambda P, V, M: constants.append(
+        P.degree - 6) or identity_constant(P, V, M))
     # past the (cached) elimination, derive 5 and derive 6 multiply no
     # polynomials in z: V, M and the certificate come from packed integers,
     # k from a convolution of top coefficients
@@ -440,6 +445,8 @@ def test_family_computed_once_for_report_and_k(monkeypatch):
     assert family_k(1, 1)[3] == GaussRat.of(report.k.evaluate({"a9": 1, "a10": 1}))
     assert report5.k == GaussRat.of(1728)
     assert calls == {"_family_vm": [5, 6], "vm_from_p": []}
+    # k is convolved once per family, by the certificate that returns it
+    assert constants == [5, 6]
     assert products == []
 
 
@@ -453,20 +460,15 @@ def test_derive_case_5_checks_its_family(monkeypatch):
         derive_case(5)
 
 
-def test_derive_case_6_resolves_the_substitutions_once(monkeypatch):
-    """derive 6 reports the family and reads P's coefficients off one
-    resolved_substitutions() call."""
-    calls = []
-    resolve = EliminationTrace.resolved_substitutions
-    monkeypatch.setattr(EliminationTrace, "resolved_substitutions",
-                        lambda trace: calls.append(trace) or resolve(trace))
-    for cached in (run_ode_elimination, derive._family_substitutions, derive._family):
-        cached.cache_clear()
+def test_derive_case_6_reports_the_solvers_resolved_map():
+    """derive 6 reports the map the eliminator kept, in step order, equal to
+    resolving the steps backwards, and P's coefficients are read off it."""
     report = derive_case(6)
-    assert len(calls) == 1
-    assert report.family == resolve(report.trace)
     p_sym, trace = run_ode_elimination(6)
-    assert report.P == trace.apply_param(p_sym, report.family)
+    assert report.trace is trace
+    assert report.family == trace.resolved == resolve_backward(trace)
+    assert list(report.family) == [step.variable for step in trace.steps]
+    assert report.P == trace.apply_param(p_sym)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 8])

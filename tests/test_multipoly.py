@@ -9,7 +9,8 @@ from fullerene_belyi.exact import GaussRat, UniPoly
 from fullerene_belyi.multipoly import (InconsistentSystemError, MultiPoly,
                                        NonDivisibleError, NonLinearStepError,
                                        sequential_linear_solve)
-from oracles import reference_linear_solve, substitute_by_accumulation
+from oracles import (reference_linear_solve, resolve_backward,
+                     substitute_by_accumulation)
 
 AB = ("a1", "a0", "b1", "b0")
 
@@ -149,9 +150,9 @@ def test_substitute_matches_accumulation_on_s6_elimination(monkeypatch):
     """Every substitute_all the s = 6 elimination and its replay make equals
     substituting its variables one at a time, and none of its replacements
     mentions a variable it replaces.  The count follows the resolved map:
-    one call per equation visit, one per earlier map value at each new
-    step, one per step to resolve the trace, and one per coefficient (and
-    the ring's zero) of P in apply_param."""
+    one call per equation visit and one per earlier map value at each new
+    step; the trace keeps the map, so apply_param makes one per
+    coefficient (and the ring's zero) of P and none to resolve it."""
     family = derive._family(6)[0]
     calls = []
     fast = MultiPoly.substitute_all
@@ -175,7 +176,7 @@ def test_substitute_matches_accumulation_on_s6_elimination(monkeypatch):
     assert len(calls) == len(system) + steps * (steps - 1) // 2
     del calls[:]
     assert trace.apply_param(p_sym) == family
-    assert len(calls) == steps + len(p_sym.coeffs) + 1
+    assert len(calls) == len(p_sym.coeffs) + 1
 
 
 def test_substitute_absent_variable_returns_self():
@@ -509,3 +510,53 @@ def test_every_pipeline_step_has_a_constant_pivot():
         assert eq == pivot * MultiPoly.var(eq.vars, step.variable) + rest
         assert pivot.is_constant and not pivot.is_zero
         assert step.substitution == rest.scale(-1 / pivot.constant_value())
+
+
+# ---------------------------------------------------------------------------
+# the resolved map the trace keeps
+# ---------------------------------------------------------------------------
+
+
+def trace_named(name):
+    """One of the pipeline's three traces, the trace of a synthetic system,
+    or the partial trace of a NonLinearStepError (y = x^2 solved, then
+    stuck)."""
+    if name in ("s5", "s6"):
+        return derive.run_ode_elimination(int(name[1]))[1]
+    if name == "d6":
+        return derive.d6_solve().trace
+    if name == "partial":
+        names = ("y", "x")
+        x, y = MultiPoly.var(names, "x"), MultiPoly.var(names, "y")
+        with pytest.raises(NonLinearStepError) as err:
+            sequential_linear_solve([(1, y - x * x), (0, x * x * x - y * y)], names)
+        return err.value.trace
+    system, unknowns, assumptions = synthetic_systems()[name]
+    return sequential_linear_solve(system, unknowns, assumptions)
+
+
+@pytest.mark.parametrize("name", ["s5", "s6", "d6", "partial", *sorted(synthetic_systems())])
+def test_trace_resolved_matches_backward_resolution(name):
+    """trace.resolved is the backward resolution of the steps, in step
+    order, and mentions only the free variables."""
+    trace = trace_named(name)
+    reference = resolve_backward(trace)
+    assert list(trace.resolved.items()) == list(reference.items())
+    assert list(trace.resolved) == [step.variable for step in trace.steps]
+    assert all(e.degree_in(solved) == 0
+               for e in trace.resolved.values() for solved in trace.resolved)
+    if name == "partial":
+        x = MultiPoly.var(("y", "x"), "x")
+        assert trace.free_vars == ("x",) and trace.resolved == {"y": x * x}
+
+
+def test_trace_evaluate_reads_the_resolved_map():
+    """evaluate() gives the free values, then each solved value in step
+    order; the d6 values land on the printed quotient function."""
+    trace = derive.d6_solve().trace
+    values = trace.evaluate({"a1": 10})
+    assert list(values) == ["a1", *trace.resolved]
+    assert {name: values[name] for name in ("a0", "b1", "b0", "c1", "c0", "k")} == {
+        "a0": 5, "b1": 4, "b0": -1, "c1": 22, "c0": 125, "k": 1728}
+    with pytest.raises(ValueError, match="no value for variable a1"):
+        trace.evaluate({})
