@@ -316,8 +316,13 @@ class FactoredBelyi(_Record, frozen=True):
         (likewise for Q and O), k*Z - Q is W/(d_k*D_Z*D_Q) for
         W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and k*Z - Q = c*O with
         O = G_O/D_O monic holds iff W != 0, deg W = deg O and
-        D_O*W = lead(W)*G_O coefficient by coefficient.  W and G_O are one
-        packed sum each ("Packed sums" in the exact module docstring).
+        D_O*W = lead(W)*G_O coefficient by coefficient.  The test runs on
+        W' = W/g, g the gcd of the parts of kappa*D_Q and d_k*D_Z: W' is
+        integral, W' != 0 iff W != 0 and deg W' = deg W, and
+        D_O*W' = lead(W')*G_O iff D_O*W = lead(W)*G_O, while a failure
+        names W'/lead(W') = W/lead(W).  W' and G_O are one packed sum each
+        ("Packed sums" in the exact module docstring), W' at the width its
+        products need rather than one inflated by the shared denominators.
 
         No product is taken before two bounds that cost nothing of the
         degree n.  The side sums come first, so an unbalanced document is
@@ -454,7 +459,7 @@ class FactoredBelyi(_Record, frozen=True):
         factors: dict[str, list[tuple[UniPoly, int]]] = {
             "zero": [], "one": [], "pole": []}
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "belyi v1":
+        if not lines or lines[0].split() != ["belyi", "v1"]:
             raise BelyiFormatError("not a belyi v1 document")
         seen = set()
         for ln in lines[1:]:

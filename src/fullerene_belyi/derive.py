@@ -47,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .belyi import FactoredBelyi
@@ -358,6 +358,16 @@ def _form_sum(terms: list[tuple[int, list[tuple[Form, int]]]], w: int,
     return {keys[pos]: c for pos, (c, _) in enumerate(packed) if c}
 
 
+def _primitive(terms: list[tuple[int, list[tuple[Form, int]]]]
+               ) -> list[tuple[int, list[tuple[Form, int]]]]:
+    """terms with their scalars divided by their gcd g (g >= 1 while one
+    scalar is nonzero).  The sum is then 1/g times the original, so it is
+    zero iff the original is, and _form_sum packs it at the width its
+    products need rather than one inflated by the cleared denominators."""
+    g = gcd(*(c for c, _ in terms))
+    return [(c // g, fs) for c, fs in terms]
+
+
 def _family_poly(f: Form, w: int, scale: Fraction, names: tuple[str, ...],
                  indices: tuple[int, ...], weights: tuple[int, ...]) -> UniPoly:
     """scale times the weight-w polynomial with integer form f: a monomial
@@ -433,7 +443,11 @@ def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly) -> MultiPoly:
     term's weight is checked (a_i weighs deg P - i, so both identities are
     weighted-homogeneous and z = 1 merges no terms), and the digit width
     comes from the proven bound of "Packed sums" in the exact module
-    docstring.
+    docstring.  Clearing denominators cross-multiplies them into the term
+    scalars, which then share most of their bits, so each sum is packed
+    with its scalars divided by their gcd g (_primitive).  That sum is the
+    original times 1/g, an integer combination of the same products, and it
+    is zero iff the original is: the test is the same, at a narrower width.
     """
     if not 3 * V.degree == 2 * M.degree >= 5 * P.degree:
         raise AssertionError("V^3 and M^2 do not share a degree at or above that of P^5")
@@ -445,11 +459,11 @@ def _certify_family_identity(P: UniPoly, V: UniPoly, M: UniPoly) -> MultiPoly:
     s = P.degree - 6
     v1, m1, p1 = (_derivative_form(w, f, weights) for w, f in ((wv, v), (wm, m), (wp, p)))
     # s*M = 3*V'*P - 5*V*P' and s*V^2 = 2*M'*P - 5*M*P', denominators cleared
-    if _form_sum([(s * dv * dp, [(m, 1)]), (-3 * dm, [(v1, 1), (p, 1)]),
-                  (5 * dm, [(v, 1), (p1, 1)])], wm, weights):
+    if _form_sum(_primitive([(s * dv * dp, [(m, 1)]), (-3 * dm, [(v1, 1), (p, 1)]),
+                             (5 * dm, [(v, 1), (p1, 1)])]), wm, weights):
         raise AssertionError("family does not satisfy s*M = 3*V'*P - 5*V*P'")
-    if _form_sum([(s * dm * dp, [(v, 2)]), (-2 * dv * dv, [(m1, 1), (p, 1)]),
-                  (5 * dv * dv, [(m, 1), (p1, 1)])], 2 * wv, weights):
+    if _form_sum(_primitive([(s * dm * dp, [(v, 2)]), (-2 * dv * dv, [(m1, 1), (p, 1)]),
+                             (5 * dv * dv, [(m, 1), (p1, 1)])]), 2 * wv, weights):
         raise AssertionError("family does not satisfy s*V^2 = 2*M'*P - 5*M*P'")
     if P.leading() != MultiPoly.const(names, 1):
         raise AssertionError("P is not monic")

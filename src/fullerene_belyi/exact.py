@@ -73,10 +73,17 @@ denominators, and k = kappa/d_k.  With G_Z = prod g_f^e and
 D_Z = prod d_f^e (likewise for Q and O), k*Z - Q = W/(d_k*D_Z*D_Q) for
 W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and since O = G_O/D_O is monic, the
 identity holds iff W != 0, deg W = deg O and D_O*W = lead(W)*G_O
-coefficient by coefficient.  W is the packed sum of its two terms and
-G_O that of its one, so no product is expanded over Q(i).  Only when the
-check fails are W/lead(W) and O rebuilt over Q(i), to name the two sides
-that differ.
+coefficient by coefficient.  The denominator products share most of
+their bits, so the check runs on W' = W/g instead, for
+g = gcd(Re(kappa)*D_Q, Im(kappa)*D_Q, d_k*D_Z) >= 1 (d_k*D_Z > 0).  W' is
+W with both term scalars divided by g, so it lies in Z[i][z], and:
+  W' != 0 iff W != 0, and deg W' = deg W;
+  lead(W') = lead(W)/g, so D_O*W' = lead(W')*G_O iff D_O*W = lead(W)*G_O;
+  W'/lead(W') = W/lead(W), so a failure names the same sides.
+W' is the packed sum of its two terms and G_O that of its one, so no
+product is expanded over Q(i), and the packing width follows the smaller
+scalars.  Only when the check fails are W'/lead(W') and O rebuilt over
+Q(i), to name the two sides that differ.
 """
 
 from __future__ import annotations
@@ -366,7 +373,10 @@ def _cleared_identity(k: Cleared, zeros, poles, ones
               sum((len(re) - 1) * e for (_, re, _), e in factors))
              for factors in (zeros, poles, ones)]
     (gz, dz, degz), (gq, dq, degq), (go, do, dego) = sides
-    w = _packed_sum([((kr * dq, ki * dq), gz), ((-dk * dz, 0), gq)],
+    # W' = W/g (module docstring): the same test, packed at the width the
+    # products need
+    g = math.gcd(kr * dq, ki * dq, dk * dz)
+    w = _packed_sum([((kr * dq // g, ki * dq // g), gz), ((-dk * dz // g, 0), gq)],
                     max(degz, degq) + 1)
     while w and w[-1] == (0, 0):
         w.pop()
@@ -374,10 +384,10 @@ def _cleared_identity(k: Cleared, zeros, poles, ones
         return None, None
     g_o = _packed_sum([((1, 0), go)], dego + 1)
     # the one-side scalar is lead(W) / (d_k*D_Z*D_Q); only the monic part
-    # is declared, so compare W / lead(W) with G_O / D_O
+    # is declared, so compare W' / lead(W') = W / lead(W) with G_O / D_O
     lead = w[-1]
-    if len(w) == len(g_o) and all(_gauss_mul(lead, g) == (do * x, do * y)
-                                  for (x, y), g in zip(w, g_o)):
+    if len(w) == len(g_o) and all(_gauss_mul(lead, o) == (do * x, do * y)
+                                  for (x, y), o in zip(w, g_o)):
         return len(w) - 1, None
     # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2
     lr, li = lead

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from fullerene_belyi import exact
 from fullerene_belyi.exact import UniPoly
 
 
@@ -22,3 +23,17 @@ def icosahedral_data():
 @pytest.fixture
 def rng():
     return random.Random(20240501)
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The digit widths, in bits, that _packed_sum unpacks at."""
+    seen = []
+    unpack = exact._unpack
+
+    def spy(x, n, width):
+        seen.append(8 * width)
+        return unpack(x, n, width)
+
+    monkeypatch.setattr(exact, "_unpack", spy)
+    return seen

@@ -13,7 +13,8 @@ MultiPoly.substitute_all and sequential_linear_solve, resolve_backward,
 the reference for the resolved map an EliminationTrace keeps, and the
 multiplied-out references on UniPoly that the package certifies without
 expanding: compose, ode_residual, halphen_identity_failures and
-main_equation_residual.
+main_equation_residual.  packed_width_bits restates the digit width that
+exact._packed_sum proves for a list of terms.
 """
 
 import math
@@ -42,6 +43,16 @@ def gmul(a, b):
 
 def gneg(a):
     return (-a[0], -a[1])
+
+
+def packed_width_bits(terms):
+    """The digit width, in bits, of exact._packed_sum on terms
+    [((cr, ci), [((re, im), e), ...]), ...]: the bit length of
+    sum(||c||_1 * prod(||f||_1^e)), plus a sign bit, in whole bytes."""
+    bound = sum((abs(cr) + abs(ci)) * math.prod(
+        (sum(map(abs, re)) + sum(map(abs, im))) ** e for (re, im), e in factors)
+        for (cr, ci), factors in terms)
+    return 8 * ((bound.bit_length() + 8) // 8)
 
 
 def poly_pairs(p):

@@ -1,5 +1,6 @@
 """Passports, the factored-form identity, and fullerene bookkeeping."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from fullerene_belyi.cli import PRESETS, load_preset
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.moebius import schwarz_forms
 from oracles import (compose, eval_pairs, gadd, gmul, gneg,
-                     main_equation_residual, poly_pairs,
+                     main_equation_residual, packed_width_bits, poly_pairs,
                      ratmap_substitute_power, reference_verify,
                      replace_fields)
 
@@ -235,6 +236,22 @@ def test_format_errors_quote_a_bounded_prefix():
     with pytest.raises(BelyiFormatError, match="^unknown infinity tag 'p+'... "
                                                r"\(40000 characters\)$"):
         FactoredBelyi.from_text("belyi v1\nk 1\ninfinity " + "p" * 40000 + " 1\n")
+
+
+@pytest.mark.parametrize("header", ["belyi  v1", "belyi\tv1", "  belyi v1 \t",
+                                    "\tbelyi \t v1  "],
+                         ids=["two-spaces", "tab", "surrounding-blanks", "mixed"])
+def test_header_is_split_like_every_other_line(header):
+    text = load_preset("d72").to_text()
+    assert FactoredBelyi.from_text(text.replace("belyi v1", header, 1)) == (
+        FactoredBelyi.from_text(text))
+
+
+@pytest.mark.parametrize("header", ["belyi", "belyi v2", "belyiv1", "belyi v1 v1",
+                                    "v1 belyi", "k 1"])
+def test_other_headers_are_refused(header):
+    with pytest.raises(BelyiFormatError, match="^not a belyi v1 document$"):
+        FactoredBelyi.from_text(f"{header}\nk 1\n")
 
 
 def test_verify_rejects_wrong_infinity_order():
@@ -544,6 +561,58 @@ def test_verify_reduces_each_factor_once(monkeypatch):
         beta.verify()
         factors = beta.zero_factors + beta.one_factors + beta.pole_factors
         assert len(factors) >= 3 and len(calls) == len(factors) + 1
+
+
+@pytest.fixture
+def packed_terms(monkeypatch):
+    """The term lists exact._packed_sum is called with."""
+    seen = []
+    packed_sum = exact._packed_sum
+
+    def spy(terms, n):
+        seen.append(terms)
+        return packed_sum(terms, n)
+
+    monkeypatch.setattr(exact, "_packed_sum", spy)
+    return seen
+
+
+def unreduced_w_scalars(beta):
+    """The term scalars kappa*D_Q and -d_k*D_Z of
+    W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, before any common factor is taken out."""
+    dk, (kr,), (ki,) = exact._cleared((beta.k,))
+
+    def denominator(factors):
+        return math.prod(exact._cleared(f.coeffs)[0] ** e for f, e in factors)
+
+    dz, dq = denominator(beta.zero_factors), denominator(beta.pole_factors)
+    return [(kr * dq, ki * dq), (-dk * dz, 0)]
+
+
+@pytest.mark.parametrize("name", ["d60/h3", "d60/h9", "d72/h3", "d72/h9"])
+def test_identity_packs_w_with_coprime_scalars(packed_terms, name):
+    """verify packs W' = W/g: both scalars of W divided by their gcd g,
+    which on these conjugates has over 100 bits."""
+    beta = CASES[name]
+    beta.verify()
+    w = packed_terms[0]  # the identity is the first product verify takes
+    scalars = [c for c, _ in w]
+    assert len(w) == 2 and math.gcd(*(x for c in scalars for x in c)) == 1
+    unreduced = unreduced_w_scalars(beta)
+    g = math.gcd(*(x for c in unreduced for x in c))
+    assert g.bit_length() > 100
+    assert scalars == [(x // g, y // g) for x, y in unreduced]
+
+
+def test_identity_unpacks_w_at_the_reduced_width(packed_terms, widths):
+    """On the d72 h9 conjugate W' is unpacked at the width its own bound
+    proves, at least 100 bits narrower than the bound on W."""
+    CASES["d72/h9"].verify()
+    w = packed_terms[0]
+    unreduced = [(c, factors) for c, (_, factors)
+                 in zip(unreduced_w_scalars(CASES["d72/h9"]), w)]
+    assert widths[:2] == [packed_width_bits(w)] * 2
+    assert packed_width_bits(unreduced) - packed_width_bits(w) >= 100
 
 
 def declared_points(beta):

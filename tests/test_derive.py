@@ -1,5 +1,6 @@
 """The one-big-face derivations and the 6-edge quotient elimination."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.multipoly import MultiPoly
 from oracles import (halphen_identity_failures, main_equation_residual,
-                     ode_residual, resolve_backward)
+                     ode_residual, packed_width_bits, resolve_backward)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +418,31 @@ def test_family_certificate_accepts_family(s, k):
     certified = derive._certify_family_identity(P, V, M)
     assert certified == family_k
     assert str(certified) == k
+
+
+@pytest.mark.parametrize("s", [5, 6])
+def test_halphen_sums_pack_with_coprime_scalars(monkeypatch, widths, s):
+    """Each Halphen sum is packed with its cleared scalars divided by their
+    gcd, at the width that proves, narrower than the unreduced one."""
+    P, V, M, _ = derive._family(s)
+    del widths[:]  # V and M, when _family is first called
+    seen = []
+    packed_sum = derive._packed_sum
+    monkeypatch.setattr(derive, "_packed_sum", lambda terms, n: seen.append(
+        terms) or packed_sum(terms, n))
+    derive._certify_family_identity(P, V, M)
+    _, indices, weights = derive._free_variables(P)
+    (_, dv, _), (_, dm, _), (_, dp, _) = (
+        derive._integer_form(f, indices, weights) for f in (V, M, P))
+    # s*M = 3*V'*P - 5*V*P' and s*V^2 = 2*M'*P - 5*M*P', as cleared
+    unreduced = [[s * dv * dp, -3 * dm, 5 * dm], [s * dm * dp, -2 * dv * dv, 5 * dv * dv]]
+    assert len(seen) == len(widths) == 2
+    for terms, scalars, bits in zip(seen, unreduced, widths):
+        g = math.gcd(*scalars)
+        assert [c for c, _ in terms] == [(c // g, 0) for c in scalars]
+        assert math.gcd(*(c for (c, _), _ in terms)) == 1
+        assert bits == packed_width_bits(terms) < packed_width_bits(
+            [((c, 0), factors) for c, (_, factors) in zip(scalars, terms)])
 
 
 def test_family_computed_once_for_report_and_k(monkeypatch):

@@ -206,20 +206,6 @@ def test_kronecker_constant_times_polynomial(rng):
         assert_matches_schoolbook(UniPoly.constant(c), p)
 
 
-@pytest.fixture
-def widths(monkeypatch):
-    """The digit widths, in bits, that _packed_sum unpacks at."""
-    seen = []
-    unpack = exact._unpack
-
-    def spy(x, n, width):
-        seen.append(8 * width)
-        return unpack(x, n, width)
-
-    monkeypatch.setattr(exact, "_unpack", spy)
-    return seen
-
-
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("unit", [(1, 0), (0, 1), (1, 1)], ids=str)
 @pytest.mark.parametrize("x, y, bits", [
