@@ -194,6 +194,8 @@ def cmd_derive(s: int):
 
 
 def cmd_compose(what: str, write_path: str | None = None):
+    if write_path and what == "schwarz":
+        raise ValueError("--write applies to the d12/d60/d72 targets")
     from .moebius import schwarz_check, schwarz_forms
     if what == "schwarz":
         phi12, phi20, phi30 = schwarz_forms()
@@ -401,51 +403,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("facevector", help="face vector of the p6-hexagon fullerene")
     p.add_argument("p6", type=int)
+    p.set_defaults(run=lambda a: cmd_facevector(a.p6))
 
     p = sub.add_parser("passport", help="branching passport of the fullerene")
     p.add_argument("p6", type=int)
+    p.set_defaults(run=lambda a: cmd_passport(a.p6))
 
     p = sub.add_parser("verify", help="certify a factored Belyi function")
     p.add_argument("target", help="preset name (d6, d12, d60, d72) or file path")
+    p.set_defaults(run=lambda a: cmd_verify(a.target))
 
     p = sub.add_parser("derive", help="one-big-face derivation for face degree s")
     p.add_argument("s", type=int)
+    p.set_defaults(run=lambda a: cmd_derive(a.s))
 
     p = sub.add_parser("compose", help="build a composed preset or check Schwarz")
     p.add_argument("target", choices=("d12", "d60", "d72", "schwarz"))
     p.add_argument("--write", metavar="PATH",
                    help="also write the factored form to a belyi v1 file")
+    p.set_defaults(run=lambda a: cmd_compose(a.target, a.write))
 
     p = sub.add_parser("geometry", help="metric report of the barrel pentagon")
     p.add_argument("target", choices=("barrel",))
     p.add_argument("--svg", metavar="PATH", help="also write the flat-face SVG")
+    p.set_defaults(run=lambda a: cmd_geometry(a.svg))
 
     return parser
-
-
-def run(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    if args.subcommand == "facevector":
-        return cmd_facevector(args.p6)
-    if args.subcommand == "passport":
-        return cmd_passport(args.p6)
-    if args.subcommand == "verify":
-        return cmd_verify(args.target)
-    if args.subcommand == "derive":
-        return cmd_derive(args.s)
-    if args.subcommand == "compose":
-        if args.write and args.target == "schwarz":
-            raise ValueError("--write applies to the d12/d60/d72 targets")
-        return cmd_compose(args.target, args.write)
-    if args.subcommand == "geometry":
-        return cmd_geometry(args.svg)
-    raise AssertionError("unreachable")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, lines = run(args)
+        doc, lines = args.run(args)
         if args.format == "json":
             import json
             text = json.dumps(_round_floats(doc), indent=2) + "\n"

@@ -4,23 +4,24 @@ pentagonal face.
 
 The barrel vertex polynomial is v(z) = q(z^6) with q the quartic zero
 factor of the degree-12 function.  barrel_vertices reads q off v exactly,
-finds its four roots numerically, certifies each one real and simple by an
-exact sign change of q, and places the 24 vertices as sixth roots of them;
-the ring structure is a consequence, not a numerical observation.
+checks exactly that q is w^4 + s w^3 + c w^2 - s w + 1 with s > 0,
+c + 2 > 0 and s^2 > 4(c + 2), which proves its four roots real and simple,
+takes them in closed form from the factorization that shape gives, and
+places the 24 vertices as sixth roots of them; the ring structure and the
+reciprocal pairing are consequences, not numerical observations.
 
-poly_roots is the general root finder: Aberth-Ehrlich simultaneous
-iteration followed by Newton polishing; every returned root satisfies
-|p(root)| <= tol * scale(root) where scale(z) = sum |c_i| |z|^i is the
-evaluation-magnitude norm of the polynomial at the root (the natural
-backward-error yardstick).  Ordering is by (modulus, argument), so runs are
-deterministic.
+poly_roots is a general root finder, which the barrel does not use:
+Aberth-Ehrlich simultaneous iteration followed by Newton polishing; every
+returned root satisfies |p(root)| <= tol * scale(root) where
+scale(z) = sum |c_i| |z|^i is the evaluation-magnitude norm of the
+polynomial at the root (the natural backward-error yardstick).  Ordering
+is by (modulus, argument), so runs are deterministic.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import cache
 
 from .exact import UniPoly, _Record, is_squarefree
@@ -189,13 +190,22 @@ def barrel_vertex_polynomial() -> UniPoly:
 def barrel_vertices() -> BarrelVertices:
     """The 24 vertices, placed from the quartic q with v(z) = q(z^6).
 
-    q's roots come from poly_roots and are then certified exactly: q has
-    real coefficients and changes sign, in Fraction arithmetic, across
-    disjoint brackets [x - d, x + d] with d = 2^-40 * max(1, |x|), one per
-    root.  deg q disjoint sign changes prove every root real and simple.
-    Sorted by |w|, the roots must have signs (+, +, -, -).  The sixth roots
-    of w > 0 lie at arguments k*pi/3 and those of w < 0 at pi/6 + k*pi/3,
-    all at radius |w|^(1/6), so the ring structure follows from q.  Any
+    q must read, compared exactly on its coefficients,
+    q(w) = w^4 + s w^3 + c w^2 - s w + 1 with s > 0, c + 2 > 0 and
+    s^2 > 4(c + 2).  Then t^2 - s t + (c + 2) has two distinct roots, of
+    positive sum and product, so 0 < b1 < b2, and since b1 + b2 = s and
+    b1 b2 - 2 = c, q = (w^2 + b1 w - 1)(w^2 + b2 w - 1).  (The barrel has
+    s = 228, c = 494 and b = 114 -+ 50 sqrt 5.)  Each factor
+    w^2 + b w - 1 has the real roots x = 2/(b + sqrt(b^2 + 4)) in (0, 1)
+    and -1/x, and x falls as b grows.  The factors share no root: their
+    difference is (b2 - b1) w, so a common root would be 0, and q(0) = 1.
+    So q's four roots are real and simple, and by modulus they read
+    x2 < x1 < 1/x1 < 1/x2 with signs (+, +, -, -).  The sixth roots of
+    w > 0 lie at arguments k*pi/3 and those of w < 0 at pi/6 + k*pi/3, all
+    at radius |w|^(1/6), so the ring offsets and the pairing
+    r1*r4 = r2*r3 = 1 follow from q.  b2 is taken as
+    (s + sqrt(s^2 - 4(c + 2)))/2 and b1 as (c + 2)/b2, and each x in the
+    form above, so no difference of near-equal floats is formed.  Any
     failed check raises GeometryError."""
     v = barrel_vertex_polynomial()
     q = UniPoly(v.coeffs[::6])
@@ -203,26 +213,20 @@ def barrel_vertices() -> BarrelVertices:
         raise GeometryError("vertex polynomial is not a polynomial in z^6")
     if any(c.im for c in q.coeffs):
         raise GeometryError("vertex polynomial has non-real coefficients")
-    roots = []  # (x, lo, hi) by ascending x
-    for x in sorted(z.real for z in poly_roots(q)):
-        delta = Fraction(max(1.0, abs(x))) / 2 ** 40
-        lo, hi = Fraction(x) - delta, Fraction(x) + delta
-        if q.evaluate(lo).re * q.evaluate(hi).re >= 0:
-            raise GeometryError(
-                f"quartic in z^6 has no certified real root near {x!r}")
-        if roots and roots[-1][2] >= lo:
-            raise GeometryError("root brackets of the quartic in z^6 overlap")
-        roots.append((x, lo, hi))
-    roots.sort(key=lambda t: abs(t[0]))
-    signs = [1 if lo > 0 else -1 if hi < 0 else 0 for _, lo, hi in roots]
-    if signs != [1, 1, -1, -1]:
+    s, c = q.coefficient(3).re, q.coefficient(2).re
+    if q != UniPoly.from_terms({4: 1, 3: s, 2: c, 1: -s, 0: 1}):
         raise GeometryError(
-            f"quartic roots by modulus have signs {signs}, not [1, 1, -1, -1]")
+            "quartic in z^6 is not of the form w^4 + s w^3 + c w^2 - s w + 1")
+    if not (s > 0 and c + 2 > 0 and s * s > 4 * (c + 2)):
+        raise GeometryError("quartic in z^6 needs s > 0, c + 2 > 0 and "
+                            f"s^2 > 4(c + 2), has s = {s}, c = {c}")
 
-    radii = tuple(abs(x) ** (1.0 / 6.0) for x, _, _ in roots)
+    b2 = (s + math.sqrt(s * s - 4 * (c + 2))) / 2
+    x2, x1 = (2 / (b + math.sqrt(b * b + 4)) for b in (b2, (c + 2) / b2))
+    radii = tuple(w ** (1.0 / 6.0) for w in (x2, x1, 1 / x1, 1 / x2))
     points = {}
-    for ring, (r, sign) in enumerate(zip(radii, signs)):
-        offset = 0.0 if sign > 0 else math.pi / 6.0
+    for ring, r in enumerate(radii):
+        offset = 0.0 if ring < 2 else math.pi / 6.0
         for k in range(6):
             points[f"A{6 * ring + k + 1}"] = cmath.rect(
                 r, offset + math.pi * k / 3.0)
@@ -340,6 +344,9 @@ def face_geometry(labels: tuple[str, ...] = PENTAGON_CYCLE) -> FaceGeometryRepor
     vertex rings of the barrel."""
     if len(labels) != 5:
         raise GeometryError("a pentagonal face needs exactly five labels")
+    if len(set(labels)) != 5:
+        raise GeometryError(
+            f"a pentagonal face needs five distinct labels, got {labels}")
     verts = barrel_vertices()
     try:
         pts = {lab: inverse_stereographic(verts[lab]) for lab in labels}

@@ -74,12 +74,27 @@ def fresh_barrel():
     geometry.barrel_vertices.cache_clear()
 
 
+SHAPE = r"not of the form w\^4 \+ s w\^3 \+ c w\^2 - s w \+ 1"
+ROOTS = r"needs s > 0, c \+ 2 > 0 and s\^2 > 4\(c \+ 2\)"
+
+
 @pytest.mark.parametrize("terms, message", [
     ({24: 1, 18: 228, 12: 494, 7: 1, 6: -228, 0: 1}, "polynomial in z\\^6"),
     ({24: 1, 0: GaussRat.of(0, 1)}, "non-real"),
-    ({24: 1, 18: 228, 12: 494, 6: -228, 0: 100000}, "no certified real root"),
-    ({24: 1, 18: -228, 12: 494, 6: 228, 0: 1}, "signs"),
-], ids=["not-in-z6", "non-real", "complex-pair", "flipped-signs"])
+    ({24: 1, 18: 228, 12: 494, 6: -228, 0: 100000}, SHAPE),
+    ({24: 1, 18: -228, 12: 494, 6: 228, 0: 1}, ROOTS),
+    ({24: 1, 18: 228, 12: 494, 6: -228, 0: 2}, SHAPE),
+    ({24: 1, 18: 228, 12: 494, 6: -227, 0: 1}, SHAPE),
+    ({24: 2, 18: 228, 12: 494, 6: -228, 0: 1}, SHAPE),
+    ({18: 1, 12: 228, 6: 494, 0: 1}, SHAPE),
+    ({24: 1, 12: 494, 0: 1}, ROOTS),
+    ({24: 1, 18: 228, 12: -10, 6: -228, 0: 1}, ROOTS),
+    # (w^2 + 2w - 1)^2: s^2 = 4(c + 2), a double pair of roots
+    ({24: 1, 18: 4, 12: 2, 6: -4, 0: 1}, ROOTS),
+    ({24: 1, 18: 1, 6: -1, 0: 1}, ROOTS),
+], ids=["not-in-z6", "non-real", "complex-pair", "flipped-signs",
+        "constant-not-one", "c1-not-minus-c3", "not-monic", "cubic",
+        "s-zero", "c-plus-2-negative", "square", "complex-roots"])
 def test_barrel_vertices_reject_mutated_polynomial(monkeypatch, fresh_barrel,
                                                    terms, message):
     monkeypatch.setattr(geometry, "barrel_vertex_polynomial",
@@ -88,30 +103,16 @@ def test_barrel_vertices_reject_mutated_polynomial(monkeypatch, fresh_barrel,
         barrel_vertices()
 
 
-def test_barrel_vertices_reject_overlapping_brackets(monkeypatch,
-                                                     fresh_barrel):
-    # a root reported twice gives two sign changes around one root, so
-    # four sign changes would no longer prove four real roots
-    def twice(p):
-        roots = poly_roots(p)
-        return [roots[0], *roots[:3]]
+def test_barrel_vertices_need_no_root_finder(monkeypatch, fresh_barrel):
+    # q's roots come in closed form from its shape, so the vertices are
+    # placed without the general root finder
+    def refuse(*args, **kwargs):
+        raise AssertionError("poly_roots called")
 
-    monkeypatch.setattr(geometry, "poly_roots", twice)
-    with pytest.raises(GeometryError, match="overlap"):
-        barrel_vertices()
-
-
-def test_barrel_vertices_find_roots_of_the_quartic_only(monkeypatch,
-                                                        fresh_barrel):
-    degrees = []
-
-    def spy(p, *args):
-        degrees.append(p.degree)
-        return poly_roots(p, *args)
-
-    monkeypatch.setattr(geometry, "poly_roots", spy)
-    barrel_vertices()
-    assert degrees == [4]
+    monkeypatch.setattr(geometry, "poly_roots", refuse)
+    radii = barrel_vertices().radii
+    assert radii == pytest.approx((0.405238, 0.853679, 1.171401, 2.467686),
+                                  abs=1e-6)
 
 
 def test_barrel_vertices_on_real_axis():
@@ -121,12 +122,15 @@ def test_barrel_vertices_on_real_axis():
 
 
 def test_barrel_radii_against_quartic_oracle():
-    want = [abs(w) ** (1.0 / 6.0)
-            for w in sorted(quartic_oracle_roots(), key=abs)]
+    # the bisection oracle and the general root finder, both independent
+    # of the closed form
+    q = UniPoly.from_terms({4: 1, 3: 228, 2: 494, 1: -228, 0: 1})
     got = barrel_vertices().radii
     assert len(got) == 4
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-12
+    for roots in (quartic_oracle_roots(), poly_roots(q)):
+        want = [abs(w) ** (1.0 / 6.0) for w in sorted(roots, key=abs)]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12
 
 
 def test_barrel_ring_radii():
@@ -261,6 +265,13 @@ def test_face_planes_and_dihedral():
 def test_face_geometry_unknown_label():
     with pytest.raises(GeometryError):
         face_geometry(("A1", "A7", "A13", "A8", "B9"))
+
+
+@pytest.mark.parametrize("labels", [("A1", "A1", "A7", "A13", "A8"),
+                                    ("A1", "A7", "A13", "A8", "A1")])
+def test_face_geometry_repeated_label(labels):
+    with pytest.raises(GeometryError, match="five distinct labels"):
+        face_geometry(labels)
 
 
 def test_face_geometry_deterministic():
