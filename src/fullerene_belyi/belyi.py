@@ -15,8 +15,8 @@ from __future__ import annotations
 from functools import reduce
 
 from .exact import (GaussRat, RationalMap, UniPoly, _cleared, _cleared_identity,
-                    _coprime_given, _natural, _quote, _Record, _reduce_mod_p,
-                    _squarefree_given, squarefree_decomposition)
+                    _coprime_given, _form_of, _length, _natural, _quote, _Record,
+                    _reduce_mod_p, _squarefree_given, squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
 
@@ -160,7 +160,7 @@ def _show_int(n: int) -> str:
 
 
 def _degree_of(factors: Factors) -> int:
-    return sum(f.degree * e for f, e in factors)
+    return sum((_length(f) - 1) * e for f, e in factors)
 
 
 def _product(factors: Factors) -> UniPoly:
@@ -179,7 +179,7 @@ def merge_by_exponent(factors) -> Factors:
 def _normalize_factors(factors) -> Factors:
     out = []
     for f, e in factors:
-        if not isinstance(f, UniPoly) or f.is_zero or f.degree < 1:
+        if not isinstance(f, UniPoly) or _length(f) < 2:
             raise ValueError("factors must be nonconstant polynomials")
         if e < 1:
             raise ValueError("factor exponents must be positive")
@@ -281,7 +281,7 @@ class FactoredBelyi(_Record, frozen=True):
     def _parts(self, factors: Factors, side: str) -> list[int]:
         parts: list[int] = []
         for f, e in factors:
-            parts.extend([e] * f.degree)
+            parts.extend([e] * (_length(f) - 1))
         if self.infinity_side == side:
             parts.append(self.infinity_order)
         return parts
@@ -294,19 +294,26 @@ class FactoredBelyi(_Record, frozen=True):
     # -- certification ------------------------------------------------------
 
     def verify(self) -> Passport:
-        """Certify the factored data and return the passport.
+        """Certify that the factored data is a Belyi map, and return the
+        passport.
 
         The full path checks, in this order: every factor monic and
         squarefree; all factors pairwise coprime; the three side degrees
         balance, including the infinity contribution; the fibres over 0, 1
-        and infinity hold enough points; the identity k*Z - Q = c*O for
-        the declared one-side product O (c a nonzero scalar); and last,
-        that the degree n is at least 1, since a constant is no Belyi map.
+        and infinity hold exactly the n + 2 points of a Belyi map; the
+        identity k*Z - Q = c*O for the declared one-side product O (c a
+        nonzero scalar); and last, that the degree n is at least 1, since a
+        constant is no Belyi map.
 
         Everything runs on integers, and every certificate reads one
         cleared form per factor: f as g_f/d_f with g_f in Z[i][z] and d_f
-        the lcm of its denominators (exact._cleared), made once, and k as
-        kappa/d_k.  Each g_f is reduced modulo the prime ideal
+        the lcm of its denominators (exact._cleared), and k as kappa/d_k.
+        A factor from_text parsed holds its form from the token digits; any
+        other gets it on first use and keeps it (exact._form_of).  Degrees
+        and monicity are read from the forms too, so on the accept path a
+        parsed factor builds no GaussRat coefficient: only a message
+        (_show) and the exact poly_gcd fallback read them.  Each g_f is
+        reduced modulo the prime ideal
         J = (p, i - r) once; the squarefreeness of f (the
         reduction against its derivative in F_p) and its coprimality with
         every other factor are certified on those reductions, with the
@@ -328,10 +335,16 @@ class FactoredBelyi(_Record, frozen=True):
         degree n.  The side sums come first, so an unbalanced document is
         rejected at once.  Then Riemann-Hurwitz: a degree-n map (n >= 1)
         has total ramification 2n - 2, so its fibres over 0, 1 and
-        infinity hold A >= 3n - (2n - 2) = n + 2 distinct points.  The
-        declared count D is the sum of the factors' degrees, each counted
-        once, plus one for a tagged infinity; by (4) below, A <= D once
-        the identity holds, so with D < n + 2 it cannot.
+        infinity hold A >= 3n - (2n - 2) = n + 2 distinct points, with
+        equality iff every critical value lies in {0, 1, infinity}, that
+        is, iff the map is Belyi.  The declared count D is the sum of the
+        factors' degrees, each counted once, plus one for a tagged
+        infinity; by (4) below, A <= D once the identity holds, so with
+        D < n + 2 it cannot.  On the full path the factors are squarefree
+        and pairwise coprime by then, so once the identity holds A = D,
+        and D > n + 2 leaves a critical value outside {0, 1, infinity}:
+        such a document is refused too (IdentityFailed), before the
+        identity.
 
         The short path.  A document is tight when every factor is monic,
         the sides balance at n >= 1, k != 0 and D = n + 2.  For a tight
@@ -370,13 +383,15 @@ class FactoredBelyi(_Record, frozen=True):
         all_factors = self.zero_factors + self.one_factors + self.pole_factors
         nz, no = len(self.zero_factors), len(self.one_factors)
         poles = range(nz + no, len(all_factors))
+        forms = [(_form_of(f), e) for f, e in all_factors]
+        # a factor is monic iff the last digits of its form are (d, 0)
+        monic = [re[-1] == d and not im[-1] for (d, re, im), _ in forms]
         n = self.degree
         sums = [(side, self._side_sum(factors, side))
                 for side, factors in (("one", self.one_factors),
                                       ("pole", self.pole_factors))]
-        points = (sum(f.degree for f, _ in all_factors)
+        points = (sum(_length(f) - 1 for f, _ in all_factors)
                   + (self.infinity_side != "none"))
-        forms = [(_cleared(f.coeffs), e) for f, e in all_factors]
         reductions = [_reduce_mod_p(form) for form, _ in forms]
         coprime: dict[tuple[int, int], bool] = {}
 
@@ -393,14 +408,14 @@ class FactoredBelyi(_Record, frozen=True):
         held = None
         if (n >= 1 and points == n + 2 and not self.k.is_zero
                 and all(total == n for _, total in sums)
-                and all(f.is_monic for f, _ in all_factors)):
+                and all(monic)):
             held = identity()
             if (held[0] is not None and held[1] is None
                     and all(pair_coprime(i, j) for i in range(nz) for j in poles)):
                 return self.passport()
 
         for i, (f, _) in enumerate(all_factors):
-            if not f.is_monic:
+            if not monic[i]:
                 raise FactorNotSquarefree(f"factor {_show(f)} is not monic")
             if not _squarefree_given(f, reductions[i]):
                 raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
@@ -421,6 +436,12 @@ class FactoredBelyi(_Record, frozen=True):
                 f"k*zeros - poles cannot factor as declared: {points} points "
                 f"over 0, 1 and infinity, a degree-{_show_int(n)} map has at "
                 f"least {_show_int(n + 2)} (Riemann-Hurwitz)")
+        if n >= 1 and points > n + 2:
+            raise IdentityFailed(
+                f"not a Belyi map: {points} points over 0, 1 and infinity, a "
+                f"degree-{_show_int(n)} Belyi map has exactly {_show_int(n + 2)}, "
+                "so beta would have a critical value outside 0, 1 and infinity "
+                "(Riemann-Hurwitz)")
 
         deg_w, mismatch = held or identity()
         if deg_w is None:

@@ -17,6 +17,11 @@ Three layers live here:
 
 Polynomials serialize as lists of coefficient tokens "a/b" (rational) or
 "a/b,c/d" (real,imag), lowest index first; see README for the format note.
+UniPoly.from_tokens parses them straight to the cleared form the
+certificates below read: each part is reduced to a coprime (n, d) on the
+token digits (_ratio, the one grammar GaussRat.from_token also reads), d
+is the lcm of those denominators, and the GaussRat coefficients are built
+from the form only when something reads them.
 
 Three integer kernels do the heavy work of certification.
 
@@ -44,7 +49,8 @@ MultiPoly coefficient ring.
 Coprimality (a certificate modulo one fixed prime).  Let p = _P, a prime
 with p = 1 (mod 4), r = _R with r^2 = -1 (mod p), and J the prime ideal
 (p, i - r) of Z[i]; Z[i]/J is the field F_p, with i mapped to r.  Every
-certificate reads the cleared form (d, re, im) of a polynomial (_cleared):
+certificate reads the cleared form (d, re, im) of a polynomial (_cleared),
+made once per polynomial and kept in it (_form_of), or made at parse time:
 A = d*a = re + i*im lies in Z[i][z] and has the roots of a, so a and b are
 coprime iff A and B are.  _reduce_mod_p maps A to F_p[z].  Suppose lead(A)
 is a unit of the local ring R = Z[i]_J (its reduction is nonzero).  If A
@@ -67,7 +73,7 @@ that reduction and its derivative in F_p[z].
 The identity of a factored Belyi function (products of powers in Z[i]).
 _cleared_identity, which FactoredBelyi.verify calls, proves k*Z - Q = c*O
 for Z, Q and O products of powers f^e of monic factors, without a
-Fraction.  It reads the cleared forms verify made for the certificates:
+Fraction.  It reads the cleared forms the certificates read:
 every factor is g_f/d_f, with g_f in Z[i][z] and d_f the lcm of its
 denominators, and k = kappa/d_k.  With G_Z = prod g_f^e and
 D_Z = prod d_f^e (likewise for Q and O), k*Z - Q = W/(d_k*D_Z*D_Q) for
@@ -202,12 +208,8 @@ class GaussRat:
         """Parse "a/b" or "a/b,c/d": each part an optional "-", ASCII
         digits, and optionally "/" and ASCII digits.  Anything else, a zero
         denominator included, raises ValueError."""
-        parts = token.split(",")
-        if len(parts) == 1:
-            return GaussRat(_rational(parts[0]), _FZERO)
-        if len(parts) == 2:
-            return GaussRat(_rational(parts[0]), _rational(parts[1]))
-        raise ValueError(f"bad coefficient token: {_quote(token)}")
+        (a, b), (c, d) = _token_ratios(token)
+        return GaussRat(Fraction(a, b), Fraction(c, d) if c else _FZERO)
 
 
 # a message quotes at most this many characters of a line or token
@@ -254,16 +256,29 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-def _rational(text: str) -> Fraction:
-    """A token part "a" or "a/b": naturals, a with an optional "-", b > 0."""
+def _ratio(text: str) -> tuple[int, int]:
+    """A token part "a" or "a/b" (naturals, a with an optional "-", b > 0)
+    as the coprime pair (n, d) with d > 0 and n/d its value."""
     num, slash, den = text.partition("/")
     n = -_natural(num[1:]) if num.startswith("-") else _natural(num)
     if not slash:
-        return Fraction(n)
+        return n, 1
     d = _natural(den)
     if not d:
         raise ValueError(f"zero denominator in {_quote(text)}")
-    return Fraction(n, d)
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _token_ratios(token: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The coprime pairs (_ratio) of a token's real and imaginary parts:
+    the grammar of GaussRat.from_token, which UniPoly.from_tokens shares."""
+    parts = token.split(",")
+    if len(parts) == 1:
+        return _ratio(parts[0]), (0, 1)
+    if len(parts) == 2:
+        return _ratio(parts[0]), _ratio(parts[1])
+    raise ValueError(f"bad coefficient token: {_quote(token)}")
 
 
 # the slot setters, which skip the refusing __setattr__ (the hot path)
@@ -415,9 +430,14 @@ class UniPoly:
     coeffs[i] is the coefficient of z^i; the tuple never ends in a zero.
     The zero polynomial is the empty tuple and deliberately has no degree.
     Instances are immutable, and hashable when their coefficients are.
+
+    A polynomial over Q(i) keeps its cleared form (_cleared) in the private
+    _form slot once it is known (_form_of).  from_tokens fills that slot
+    and leaves coeffs unset; the coefficients are then built from the form
+    on first use (__getattr__).
     """
 
-    __slots__ = ("coeffs", "ring_zero")
+    __slots__ = ("coeffs", "ring_zero", "_form")
 
     def __init__(self, coeffs: Iterable = (), ring_zero=None):
         cs = [GaussRat.coerce(c) if isinstance(c, (int, Fraction)) else c
@@ -426,11 +446,23 @@ class UniPoly:
             ring_zero = _zero_of(cs[0]) if cs else ZERO
         while cs and cs[-1].is_zero:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "ring_zero", ring_zero)
+        _set_coeffs(self, tuple(cs))
+        _set_ring_zero(self, ring_zero)
+        _set_form(self, None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("UniPoly is immutable")
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the coefficients of a polynomial
+        # from_tokens made, which hold its cleared form (d, re, im)
+        if name != "coeffs":
+            raise AttributeError(f"'UniPoly' object has no attribute {name!r}")
+        d, re, im = self._form
+        coeffs = tuple(GaussRat(Fraction(x, d), Fraction(y, d) if y else _FZERO)
+                       for x, y in zip(re, im))
+        _set_coeffs(self, coeffs)
+        return coeffs
 
     # -- constructors -------------------------------------------------
 
@@ -625,7 +657,18 @@ class UniPoly:
 
     @staticmethod
     def from_tokens(tokens: Sequence[str]) -> "UniPoly":
-        return UniPoly([GaussRat.from_token(t) for t in tokens])
+        """The polynomial with these coefficient tokens, lowest power first
+        (GaussRat.from_token's grammar), parsed straight to its cleared
+        form: d is the lcm of the reduced denominators."""
+        parts = [_token_ratios(t) for t in tokens]
+        while parts and not (parts[-1][0][0] or parts[-1][1][0]):
+            parts.pop()
+        d = math.lcm(*{q for pair in parts for _, q in pair})
+        p = object.__new__(UniPoly)
+        _set_ring_zero(p, ZERO)
+        _set_form(p, (d, [n * (d // q) for (n, q), _ in parts],
+                      [n * (d // q) for _, (n, q) in parts]))
+        return p
 
     def __str__(self) -> str:
         """Over Q(i): z^2 - 3/2*z + (1+2i).  Over a parameter ring every
@@ -650,6 +693,29 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
+
+
+# the slot setters, which skip the refusing __setattr__
+_set_coeffs = UniPoly.coeffs.__set__
+_set_ring_zero = UniPoly.ring_zero.__set__
+_set_form = UniPoly._form.__set__
+
+
+def _form_of(f: UniPoly) -> Cleared:
+    """f's cleared form, from its _form slot: filled by from_tokens, or
+    computed from the coefficients on first use and kept there."""
+    form = f._form
+    if form is None:
+        form = _cleared(f.coeffs)
+        _set_form(f, form)
+    return form
+
+
+def _length(f: UniPoly) -> int:
+    """len(f.coeffs), read from the cleared form when f holds one, so that
+    a parsed polynomial builds no coefficient for its degree."""
+    form = f._form
+    return len(f.coeffs) if form is None else len(form[1])
 
 
 def _scalar_term(c: GaussRat, mono: str) -> str:
@@ -703,7 +769,7 @@ def _reduce_mod_p(cleared: Cleared) -> list[int]:
 
 def _reduction(f: UniPoly) -> list[int]:
     """The reduction of f's cleared form."""
-    return _reduce_mod_p(_cleared(f.coeffs))
+    return _reduce_mod_p(_form_of(f))
 
 
 def _constant_gcd_mod_p(a: list[int], b: list[int]) -> bool:
@@ -740,7 +806,7 @@ def _proves_coprime(a: UniPoly, ra: list[int], rb: list[int]) -> bool:
     """True when ra, the reduction of a's cleared form, and rb, that of
     b's, prove a and b coprime; False means only that the certificate is
     inconclusive."""
-    return (bool(ra) and len(ra) == len(a.coeffs)
+    return (bool(ra) and len(ra) == _length(a)
             and _constant_gcd_mod_p(ra, rb))
 
 

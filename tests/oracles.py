@@ -241,6 +241,18 @@ def reference_verify(beta):
             a, b = all_factors[i][0], all_factors[j][0]
             if poly_gcd(a, b).degree:
                 raise FactorsShareRoot(f"factors {_show(a)} and {_show(b)} share a root")
+    # with squarefree, pairwise coprime factors the declared points are
+    # distinct, and a degree-n Belyi map has exactly n + 2 of them
+    degree = (sum(f.degree * e for f, e in beta.zero_factors)
+              + (beta.infinity_order if beta.infinity_side == "zero" else 0))
+    points = (sum(f.degree for f, _ in all_factors)
+              + (beta.infinity_side != "none"))
+    if degree >= 1 and points > degree + 2:
+        raise IdentityFailed(
+            f"not a Belyi map: {points} points over 0, 1 and infinity, a "
+            f"degree-{_show_int(degree)} Belyi map has exactly "
+            f"{_show_int(degree + 2)}, so beta would have a critical value "
+            "outside 0, 1 and infinity (Riemann-Hurwitz)")
 
     def product(factors):
         out = UniPoly.one()

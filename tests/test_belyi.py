@@ -469,6 +469,10 @@ def test_verify_agrees_with_reference(name):
         assert isinstance(got, Passport) and got.is_balanced
     else:
         assert got[0] == expect[tag]
+    if tag == "deg-W-above-O":
+        # 6 points at degree 3: refused before the identity is reached
+        assert got[1].startswith("not a Belyi map: 6 points over 0, 1 and "
+                                 "infinity, a degree-3 Belyi map has exactly 5")
 
 
 def test_agreement_cases_cover_real_gaussian_and_fallback():
@@ -543,9 +547,15 @@ def test_exponent_bomb_is_rejected_before_any_product():
     assert peak < 1 << 20
 
 
-def test_verify_reduces_each_factor_once(monkeypatch):
-    """One cleared form per factor and one for k: the certificates and the
-    identity read the same forms."""
+PARSED_ACCEPTS = ("d6", "d72", "d72/h9", "d60/h3", "d12/h1")
+
+
+@pytest.mark.parametrize("name", [*PARSED_ACCEPTS, "d6/shift-1/p"])
+def test_verify_of_a_parsed_document_clears_no_factor(monkeypatch, name):
+    """from_text parses each factor straight to its cleared form, and the
+    certificates and the identity read those forms: verify clears only k,
+    also where the certificates fall back to the exact gcd."""
+    passport = CASES[name].verify()
     calls = []
     cleared = exact._cleared
 
@@ -555,12 +565,32 @@ def test_verify_reduces_each_factor_once(monkeypatch):
 
     monkeypatch.setattr(exact, "_cleared", counted)
     monkeypatch.setattr(belyi, "_cleared", counted)
-    for name in ("d72", "d72/h9", "d60/h3"):
-        calls.clear()
-        beta = CASES[name]
-        beta.verify()
-        factors = beta.zero_factors + beta.one_factors + beta.pole_factors
-        assert len(factors) >= 3 and len(calls) == len(factors) + 1
+    beta = FactoredBelyi.from_text(CASES[name].to_text())
+    assert beta.verify() == passport
+    assert calls == [(beta.k,)]
+
+
+@pytest.mark.parametrize("name", PARSED_ACCEPTS)
+def test_a_parsed_document_is_accepted_building_no_coefficient(monkeypatch, name):
+    """from_text and verify construct one GaussRat, k, on the accept
+    path: no factor's coefficients are built and no polynomial is made.
+    (Where a certificate is inconclusive, as on d6/shift-1/p, the exact gcd
+    that decides it reads the coefficients.)"""
+    text = CASES[name].to_text()
+    built = []
+    for cls in (UniPoly, GaussRat):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _cls=cls, **kwargs):
+            built.append(_cls.__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    beta = FactoredBelyi.from_text(text)
+    passport = beta.verify()
+    assert built == ["GaussRat"]
+    monkeypatch.undo()
+    assert passport == CASES[name].verify() and beta == CASES[name]
 
 
 @pytest.fixture
@@ -714,6 +744,25 @@ def test_too_few_points_are_refused_before_any_product(monkeypatch):
             "^k\\*zeros - poles cannot factor as declared: 3 points over 0, 1 "
             "and infinity, a degree-2 map has at least 4 \\(Riemann-Hurwitz\\)$")):
         beta.verify()
+
+
+NOT_BELYI = ("belyi v1\nk -1/2\ninfinity pole 2\nzero 1 0 1\nzero 1 -3 1\n"
+             "one 1 2 -3 1\n")
+
+
+def test_verify_refuses_more_than_n_plus_2_points():
+    """beta = -z(z - 3)/2 satisfies the identity with squarefree, coprime
+    factors, but its critical point 3/2 has the value 9/8: 5 points over
+    0, 1 and infinity, where a degree-2 Belyi map has 4."""
+    beta = FactoredBelyi.from_text(NOT_BELYI)
+    f = beta.to_ratmap()
+    assert f.num.derivative().evaluate(Fraction(3, 2)).is_zero
+    assert f.k * f.num.evaluate(Fraction(3, 2)) == GaussRat.of(Fraction(9, 8))
+    assert declared_points(beta) == beta.degree + 3
+    assert assert_agrees(beta) == (
+        "IdentityFailed", "not a Belyi map: 5 points over 0, 1 and infinity, a "
+        "degree-2 Belyi map has exactly 4, so beta would have a critical value "
+        "outside 0, 1 and infinity (Riemann-Hurwitz)")
 
 
 def test_verify_builds_no_fraction_polynomial_on_accept(monkeypatch):

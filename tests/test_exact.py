@@ -65,11 +65,15 @@ def test_gaussrat_field_axioms_randomized(rng):
 
 @pytest.mark.parametrize("token", [
     "1e5", "1.5", "1_000", " 7 ", "\u0663", "1e9999999", "+1", "1/-2", "-",
-    "1/", "/2", "1,2,3", "1,", "0x10"])
+    "1/", "/2", "1,2,3", "1,", "0x10", "", "1/0", "-0/00", "2,3/0", "--1"])
 def test_gaussrat_rejects_tokens_outside_the_grammar_at_once(token):
     start = time.perf_counter()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as want:
         GaussRat.from_token(token)
+    # from_tokens reads the same grammar and refuses with the same message
+    with pytest.raises(ValueError) as got:
+        UniPoly.from_tokens(["1", token, "0"])
+    assert str(got.value) == str(want.value)
     assert time.perf_counter() - start < 1
 
 
@@ -79,10 +83,13 @@ def test_token_parts_past_the_int_string_limit_name_their_digits():
         pytest.skip("this Python parses ints from strings without a digit limit")
     assert exact._natural("9" * limit) == 10 ** limit - 1
     assert GaussRat.from_token(f"-1/{'7' * limit}").re.denominator == int("7" * limit)
+    message = (f"^a number of {limit + 1} digits exceeds Python's int-string "
+               f"limit of {limit} digits$")
     for token in ("9" * (limit + 1), f"1/{'7' * (limit + 1)}", f"1,-{'3' * (limit + 1)}"):
-        with pytest.raises(ValueError, match=f"^a number of {limit + 1} digits exceeds "
-                                             f"Python's int-string limit of {limit} digits$"):
+        with pytest.raises(ValueError, match=message):
             GaussRat.from_token(token)
+        with pytest.raises(ValueError, match=message):
+            UniPoly.from_tokens(["1", token])
 
 
 def test_gaussrat_token_roundtrip(rng):
@@ -595,6 +602,62 @@ def test_ratmap_substitute_power_degree_scales(rng):
         f = RationalMap(1, UniPoly.from_terms({3: 1, 0: 2}),
                         UniPoly.from_terms({2: 1, 1: 1}))
         assert ratmap_substitute_power(f, n).degree == 3 * n
+
+
+def test_from_tokens_matches_the_coefficient_parse():
+    """from_tokens parses straight to the cleared form, over the reduced
+    denominators and without trailing zeros; the polynomial it gives is
+    the one GaussRat.from_token's coefficients make."""
+    if st is None:
+        pytest.skip("hypothesis is not installed")
+
+    def part(sign, pad, n, den, m):
+        # n*m/(den*m): unreduced whenever m > 1, and "-0" for n = 0
+        return f"{sign}{pad}{n * m}" + ("" if den is None else f"/{pad}{den * m}")
+
+    parts = st.builds(part, st.sampled_from(["", "-"]), st.sampled_from(["", "0", "00"]),
+                      st.integers(0, 10 ** 30), st.none() | st.integers(1, 1 << 40),
+                      st.integers(1, 12))
+    token = parts | st.builds(lambda a, b: f"{a},{b}", parts, parts)
+    trailing = st.lists(st.sampled_from(["0", "-0", "00/7", "0,0", "-0/2,-000"]),
+                        max_size=3)
+    tokens = st.builds(lambda ts, zs: ts + zs, st.lists(token, max_size=10), trailing)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens)
+    def check(tokens):
+        want = UniPoly([GaussRat.from_token(t) for t in tokens])
+        got = UniPoly.from_tokens(tokens)
+        # the form and the length are read before any coefficient is built
+        assert got._form == exact._cleared(want.coeffs)
+        assert exact._length(got) == len(want.coeffs)
+        assert got.coeffs == want.coeffs and got == want
+        assert hash(got) == hash(want) and str(got) == str(want)
+        assert got.to_tokens() == want.to_tokens()
+        if want:
+            assert got.degree == want.degree and got.is_monic == want.is_monic
+        else:
+            assert got.is_zero
+
+    check()
+
+
+def test_a_cleared_form_is_kept_once_computed(monkeypatch):
+    """_form_of clears a polynomial's coefficients once; a parsed one
+    holds its form from the start and builds its coefficients on first
+    read."""
+    calls = []
+    cleared = exact._cleared
+    monkeypatch.setattr(exact, "_cleared",
+                        lambda coeffs: calls.append(coeffs) or cleared(coeffs))
+    p = UniPoly((Fraction(1, 2), GaussRat.of(Fraction(2, 3), 1), 1))
+    assert exact._form_of(p) == (6, [3, 4, 6], [0, 6, 0]) and len(calls) == 1
+    assert exact._form_of(p) is exact._form_of(p) and len(calls) == 1
+    parsed = UniPoly.from_tokens(["1/2", "4/6,1", "1"])
+    assert exact._form_of(parsed) == exact._form_of(p) and len(calls) == 1
+    assert parsed.coeffs == p.coeffs and parsed.coeffs is parsed.coeffs
+    with pytest.raises(AttributeError, match="has no attribute 'other'"):
+        parsed.other
 
 
 def test_token_roundtrip_poly(rng):
