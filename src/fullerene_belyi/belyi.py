@@ -12,7 +12,7 @@ here comes from a known spherical graph.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 
 from .exact import (GaussRat, RationalMap, UniPoly, _cleared, _cleared_identity,
                     _coprime_given, _form_of, _length, _natural, _quote, _Record,
@@ -181,6 +181,8 @@ def _normalize_factors(factors) -> Factors:
     for f, e in factors:
         if not isinstance(f, UniPoly) or _length(f) < 2:
             raise ValueError("factors must be nonconstant polynomials")
+        if not f.is_monic:
+            raise ValueError(f"factor {_show(f)} is not monic")
         if e < 1:
             raise ValueError("factor exponents must be positive")
         out.append((f, int(e)))
@@ -189,8 +191,11 @@ def _normalize_factors(factors) -> Factors:
 
 class FactoredBelyi(_Record, frozen=True):
     """beta = k * prod(zero_factors) / prod(pole_factors), with
-    beta - 1 vanishing exactly on prod(one_factors); all factors monic
-    and squarefree, infinity tagged with its critical class and order."""
+    beta - 1 vanishing exactly on prod(one_factors), and infinity tagged
+    with its critical class and order.  Every factor is a nonconstant
+    monic polynomial with a positive exponent: construction refuses any
+    other (ValueError, which from_text names as a BelyiFormatError).
+    verify() certifies that the factors are squarefree and the rest."""
 
     k: GaussRat
     zero_factors: Factors
@@ -297,13 +302,16 @@ class FactoredBelyi(_Record, frozen=True):
         """Certify that the factored data is a Belyi map, and return the
         passport.
 
-        The full path checks, in this order: every factor monic and
+        verify has one accept: a tight document (below) whose identity
+        and zero-pole pairs hold.  Every other document goes on to the
+        checks that name its fault, in this order: every factor
         squarefree; all factors pairwise coprime; the three side degrees
         balance, including the infinity contribution; the fibres over 0, 1
         and infinity hold exactly the n + 2 points of a Belyi map; the
         identity k*Z - Q = c*O for the declared one-side product O (c a
         nonzero scalar); and last, that the degree n is at least 1, since a
-        constant is no Belyi map.
+        constant is no Belyi map.  The factors are monic by construction,
+        so nothing here checks that.
 
         Everything runs on integers, and every certificate reads one
         cleared form per factor: f as g_f/d_f with g_f in Z[i][z] and d_f
@@ -332,25 +340,32 @@ class FactoredBelyi(_Record, frozen=True):
         products need rather than one inflated by the shared denominators.
 
         No product is taken before two bounds that cost nothing of the
-        degree n.  The side sums come first, so an unbalanced document is
-        rejected at once.  Then Riemann-Hurwitz: a degree-n map (n >= 1)
-        has total ramification 2n - 2, so its fibres over 0, 1 and
-        infinity hold A >= 3n - (2n - 2) = n + 2 distinct points, with
+        degree n: the side sums, and Riemann-Hurwitz.  A degree-n map
+        (n >= 1) has total ramification 2n - 2, so its fibres over 0, 1
+        and infinity hold A >= 3n - (2n - 2) = n + 2 distinct points, with
         equality iff every critical value lies in {0, 1, infinity}, that
         is, iff the map is Belyi.  The declared count D is the sum of the
         factors' degrees, each counted once, plus one for a tagged
         infinity; by (4) below, A <= D once the identity holds, so with
-        D < n + 2 it cannot.  On the full path the factors are squarefree
-        and pairwise coprime by then, so once the identity holds A = D,
-        and D > n + 2 leaves a critical value outside {0, 1, infinity}:
-        such a document is refused too (IdentityFailed), before the
-        identity.
+        D < n + 2 it cannot.  When the fault is named, the factors are
+        squarefree and pairwise coprime by the time the count is checked,
+        so once the identity holds A = D, and D > n + 2 leaves a critical
+        value outside {0, 1, infinity}: such a document is refused too
+        (IdentityFailed), before the identity.  The two bounds do not come
+        first, though: the squarefree and pair certificates run before
+        them, and those are quadratic in a factor's degree (the F_p
+        Euclid), so an unbalanced document with one large factor pays for
+        them before DegreeImbalance names it.  The order stays because a
+        document with a factor repeated on two sides is unbalanced too, and
+        the benchmark's certify corpus expects FactorsShareRoot for it
+        (ROADMAP items 4 and 6).  An exponent bomb, whose factors are
+        small, is still refused before any product.
 
-        The short path.  A document is tight when every factor is monic,
-        the sides balance at n >= 1, k != 0 and D = n + 2.  For a tight
-        document verify checks the identity and then only the coprimality
-        of each zero factor with each pole factor (Z and Q coprime); when
-        both hold, that proves everything else.  Let beta = k*Z/Q:
+        The accept.  A document is tight when its sides balance at
+        n >= 1, k != 0 and D = n + 2.  For a tight document verify checks
+        the identity and then only the coprimality of each zero factor
+        with each pole factor (Z and Q coprime); when both hold, that
+        proves everything else.  Let beta = k*Z/Q:
         (1) Z and Q coprime, k != 0 and the balanced sums give
             deg beta = n, whatever the infinity tag: the larger of deg Z
             and deg Q is n.
@@ -375,17 +390,22 @@ class FactoredBelyi(_Record, frozen=True):
         Each guard is needed: without k != 0 or Z and Q coprime, (2)
         fails, and with D > n + 2 a repeated root fits in the count.
 
-        Any other document, or a tight one that fails the identity or a
-        zero-pole pair, takes the full path, which reuses the identity and
-        the pair results the short path made, so it raises what the full
-        path alone would.
+        The identity and the pair results are computed once (cached), so
+        a tight document that fails the identity or a zero-pole pair raises
+        what the checks that name a fault alone would.  No document gets
+        past those checks with n >= 1: it has squarefree, pairwise coprime
+        factors, balanced sides, D = n + 2 and a true identity, so it is
+        tight, and would have been accepted, unless k = 0.  And k = 0
+        cannot balance: the identity then reads -Q = c*O, so the monic
+        products Q and O of pairwise coprime factors are equal, hence both
+        empty, and the one and pole sides sum to the infinity order on at
+        most one of them and to 0 on the other, not both to n.  So the
+        last check is reached only at n = 0.
         """
         all_factors = self.zero_factors + self.one_factors + self.pole_factors
         nz, no = len(self.zero_factors), len(self.one_factors)
         poles = range(nz + no, len(all_factors))
         forms = [(_form_of(f), e) for f, e in all_factors]
-        # a factor is monic iff the last digits of its form are (d, 0)
-        monic = [re[-1] == d and not im[-1] for (d, re, im), _ in forms]
         n = self.degree
         sums = [(side, self._side_sum(factors, side))
                 for side, factors in (("one", self.one_factors),
@@ -393,30 +413,25 @@ class FactoredBelyi(_Record, frozen=True):
         points = (sum(_length(f) - 1 for f, _ in all_factors)
                   + (self.infinity_side != "none"))
         reductions = [_reduce_mod_p(form) for form, _ in forms]
-        coprime: dict[tuple[int, int], bool] = {}
 
+        @cache
         def pair_coprime(i: int, j: int) -> bool:
-            if (i, j) not in coprime:
-                coprime[i, j] = _coprime_given(all_factors[i][0], reductions[i],
-                                               all_factors[j][0], reductions[j])
-            return coprime[i, j]
+            return _coprime_given(all_factors[i][0], reductions[i],
+                                  all_factors[j][0], reductions[j])
 
+        @cache
         def identity():
             return _cleared_identity(_cleared((self.k,)), forms[:nz],
                                      forms[nz + no:], forms[nz:nz + no])
 
-        held = None
         if (n >= 1 and points == n + 2 and not self.k.is_zero
                 and all(total == n for _, total in sums)
-                and all(monic)):
-            held = identity()
-            if (held[0] is not None and held[1] is None
-                    and all(pair_coprime(i, j) for i in range(nz) for j in poles)):
-                return self.passport()
+                and identity() is None
+                and all(pair_coprime(i, j) for i in range(nz) for j in poles)):
+            # (3) of the docstring: the tag is the order the degrees give
+            return self.passport()
 
         for i, (f, _) in enumerate(all_factors):
-            if not monic[i]:
-                raise FactorNotSquarefree(f"factor {_show(f)} is not monic")
             if not _squarefree_given(f, reductions[i]):
                 raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
         for i in range(len(all_factors)):
@@ -442,20 +457,16 @@ class FactoredBelyi(_Record, frozen=True):
                 f"degree-{_show_int(n)} Belyi map has exactly {_show_int(n + 2)}, "
                 "so beta would have a critical value outside 0, 1 and infinity "
                 "(Riemann-Hurwitz)")
-
-        deg_w, mismatch = held or identity()
-        if deg_w is None:
-            raise IdentityFailed("k*zeros - poles collapsed to zero")
+        mismatch = identity()
         if mismatch:
             got, declared = mismatch
+            if got is None:
+                raise IdentityFailed("k*zeros - poles collapsed to zero")
             raise IdentityFailed(
                 "k*zeros - poles does not factor as declared: "
                 f"got {_show(got)}, declared {_show(declared)}")
-        if n < 1:
-            raise DegreeImbalance("every side sums to 0: a Belyi map has "
-                                  "degree at least 1")
-        # (3) of the docstring: the tag is the order the degrees give
-        return self.passport()
+        raise DegreeImbalance("every side sums to 0: a Belyi map has "
+                              "degree at least 1")
 
     # -- serialization -------------------------------------------------------
 

@@ -374,14 +374,14 @@ def _packed_sum(terms, n: int) -> list[GaussInt]:
 
 
 def _cleared_identity(k: Cleared, zeros, poles, ones
-                      ) -> tuple[int | None, tuple[UniPoly, UniPoly] | None]:
+                      ) -> tuple[UniPoly | None, UniPoly | None] | None:
     """Check the identity k*Z - Q = c*O of a factored Belyi function in
     Z[i] (see the module docstring).  k is the cleared form of the scalar,
     and zeros, poles and ones are the (cleared form, exponent) pairs of
-    its factors.  Returns (deg W, None) when it holds, (None, None) when
-    W, and so k*Z - Q, is zero, and otherwise (deg W, (got, declared)):
-    the two monic sides that differ, W/lead(W) and O.  Only a failing
-    check builds a UniPoly."""
+    its factors.  Returns None when it holds, (None, None) when W, and so
+    k*Z - Q, is zero, and otherwise (got, declared): the two monic sides
+    that differ, W/lead(W) and O.  Only a failing check builds a
+    UniPoly."""
     dk, (kr,), (ki,) = k
     sides = [([((re, im), e) for (_, re, im), e in factors],
               math.prod(d ** e for (d, _, _), e in factors),
@@ -403,14 +403,14 @@ def _cleared_identity(k: Cleared, zeros, poles, ones
     lead = w[-1]
     if len(w) == len(g_o) and all(_gauss_mul(lead, o) == (do * x, do * y)
                                   for (x, y), o in zip(w, g_o)):
-        return len(w) - 1, None
+        return None
     # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2
     lr, li = lead
     norm = lr * lr + li * li
     got = UniPoly([GaussRat(Fraction(x * lr + y * li, norm),
                             Fraction(y * lr - x * li, norm)) for x, y in w])
     declared = UniPoly([GaussRat(Fraction(x, do), Fraction(y, do)) for x, y in g_o])
-    return len(w) - 1, (got, declared)
+    return got, declared
 
 
 def _zero_of(c):
@@ -521,7 +521,13 @@ class UniPoly:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == ONE
+        """Read from the cleared form when the polynomial holds one, so
+        that a parsed factor builds no coefficient for it: monic iff the
+        last digits of (d, re, im) are (d, 0)."""
+        if self._form is None:
+            return bool(self.coeffs) and self.coeffs[-1] == ONE
+        d, re, im = self._form
+        return bool(re) and re[-1] == d and not im[-1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs

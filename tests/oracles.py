@@ -6,9 +6,11 @@ output against these functions exercises two unrelated code paths.  The
 exceptions are ratmap_substitute_power and ratmap_compose_moebius, the
 multiplied-out references for FactoredBelyi.substitute_power and
 moebius.factored_compose_moebius, reference_verify, the multiplied-out
-reference for FactoredBelyi.verify, replace_fields, which builds the
-altered documents the tests feed to both, substitute_by_accumulation
-and reference_linear_solve, the one-variable-at-a-time references for
+reference for FactoredBelyi.verify, declared_points, side_sum and
+is_tight, which restate the point count, the side sums and the one kind
+of document verify accepts, replace_fields, which builds the altered
+documents the tests feed to both, substitute_by_accumulation and
+reference_linear_solve, the one-variable-at-a-time references for
 MultiPoly.substitute_all and sequential_linear_solve, resolve_backward,
 the reference for the resolved map an EliminationTrace keeps, and the
 multiplied-out references on UniPoly that the package certifies without
@@ -222,6 +224,29 @@ def ratmap_compose_moebius(f, m):
     return RationalMap(f.k, homogenized(f.num), homogenized(f.den))
 
 
+def declared_points(beta):
+    """Each factor's degree once, plus one for a tagged infinity."""
+    return (sum(f.degree for f, _ in beta.zero_factors + beta.one_factors
+                + beta.pole_factors) + (beta.infinity_side != "none"))
+
+
+def side_sum(beta, factors, side):
+    """The degrees of one side's factors times their exponents, plus the
+    order at infinity when infinity is tagged with that side."""
+    total = sum(f.degree * e for f, e in factors)
+    return total + (beta.infinity_order if beta.infinity_side == side else 0)
+
+
+def is_tight(beta):
+    """The documents FactoredBelyi.verify can accept: sides balanced at a
+    degree n >= 1, k != 0, and exactly n + 2 declared points."""
+    n = side_sum(beta, beta.zero_factors, "zero")
+    return (n >= 1 and not beta.k.is_zero
+            and side_sum(beta, beta.one_factors, "one") == n
+            and side_sum(beta, beta.pole_factors, "pole") == n
+            and declared_points(beta) == n + 2)
+
+
 def reference_verify(beta):
     """FactoredBelyi.verify as it was before the integer certificate, the
     reference for the one in the package: squarefreeness and coprimality
@@ -232,8 +257,6 @@ def reference_verify(beta):
     integers shown as belyi's messages show them)."""
     all_factors = beta.zero_factors + beta.one_factors + beta.pole_factors
     for f, _ in all_factors:
-        if not f.is_monic:
-            raise FactorNotSquarefree(f"factor {_show(f)} is not monic")
         if poly_gcd(f, f.derivative()).degree:
             raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
     for i in range(len(all_factors)):
@@ -243,10 +266,7 @@ def reference_verify(beta):
                 raise FactorsShareRoot(f"factors {_show(a)} and {_show(b)} share a root")
     # with squarefree, pairwise coprime factors the declared points are
     # distinct, and a degree-n Belyi map has exactly n + 2 of them
-    degree = (sum(f.degree * e for f, e in beta.zero_factors)
-              + (beta.infinity_order if beta.infinity_side == "zero" else 0))
-    points = (sum(f.degree for f, _ in all_factors)
-              + (beta.infinity_side != "none"))
+    degree, points = side_sum(beta, beta.zero_factors, "zero"), declared_points(beta)
     if degree >= 1 and points > degree + 2:
         raise IdentityFailed(
             f"not a Belyi map: {points} points over 0, 1 and infinity, a "
@@ -271,14 +291,11 @@ def reference_verify(beta):
             "k*zeros - poles does not factor as declared: "
             f"got {_show(w.monic())}, declared {_show(o_prod)}")
 
-    def side_sum(factors, side):
-        total = sum(f.degree * e for f, e in factors)
-        return total + (beta.infinity_order if beta.infinity_side == side else 0)
-
-    n = side_sum(beta.zero_factors, "zero")
+    n = side_sum(beta, beta.zero_factors, "zero")
     for side, factors in (("one", beta.one_factors), ("pole", beta.pole_factors)):
-        if side_sum(factors, side) != n:
-            raise DegreeImbalance(f"{side} side sums to {_show_int(side_sum(factors, side))}, "
+        if side_sum(beta, factors, side) != n:
+            raise DegreeImbalance(f"{side} side sums to "
+                                  f"{_show_int(side_sum(beta, factors, side))}, "
                                   f"zero side to {_show_int(n)}")
     dn, dd = z_prod.degree, q_prod.degree
     if dn != dd:

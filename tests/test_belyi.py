@@ -16,9 +16,9 @@ from fullerene_belyi.belyi import (BelyiFormatError, BelyiVerificationError,
 from fullerene_belyi.cli import PRESETS, load_preset
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.moebius import schwarz_forms
-from oracles import (compose, eval_pairs, gadd, gmul, gneg,
-                     main_equation_residual, packed_width_bits, poly_pairs,
-                     ratmap_substitute_power, reference_verify,
+from oracles import (compose, declared_points, eval_pairs, gadd, gmul, gneg,
+                     is_tight, main_equation_residual, packed_width_bits,
+                     poly_pairs, ratmap_substitute_power, reference_verify,
                      replace_fields)
 
 
@@ -166,6 +166,33 @@ def test_verify_rejects_shared_root():
         infinity_side="none", infinity_order=0)
     with pytest.raises(FactorsShareRoot):
         beta.verify()
+
+
+@pytest.mark.parametrize("body, shown", [
+    ("infinity pole 1\nzero 1 0 2\none 1 -1 2\n", "2*z"),
+    ("infinity pole 1\nzero 1 0 0,1\none 1 -1 1\n", "1i*z"),
+    ("zero 1 0 1\none 1 -1 1\npole 1 1 1/2\n", "1/2*z + 1"),
+], ids=["real", "gaussian", "pole-side"])
+def test_a_non_monic_factor_is_a_format_error(body, shown):
+    """A non-monic factor is refused as the document is parsed, not by
+    verify: 2*z is squarefree, so FactorNotSquarefree would misname it."""
+    with pytest.raises(BelyiFormatError) as exc:
+        FactoredBelyi.from_text(f"belyi v1\nk 1\n{body}")
+    assert str(exc.value) == f"factor {shown} is not monic"
+
+
+@pytest.mark.parametrize("side", ["zero_factors", "one_factors", "pole_factors"])
+@pytest.mark.parametrize("lead, shown", [(GaussRat.of(2), "2*z - 1"),
+                                         (GaussRat.of(0, 1), "1i*z - 1")],
+                         ids=["real", "gaussian"])
+def test_a_factor_built_in_memory_must_be_monic(side, lead, shown):
+    fields = {"k": GaussRat.of(1), "zero_factors": (), "one_factors": (),
+              "pole_factors": (), "infinity_side": "none", "infinity_order": 0,
+              side: ((UniPoly([-1, lead]), 1),)}
+    with pytest.raises(ValueError) as exc:
+        FactoredBelyi(**fields)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"factor {shown} is not monic"
 
 
 def test_messages_show_short_polynomials_and_size_long_ones():
@@ -378,8 +405,11 @@ def outcome(check, beta):
 
 
 def assert_agrees(beta):
+    """verify and the reference give the same outcome, and verify accepts
+    only a tight document."""
     got = outcome(FactoredBelyi.verify, beta)
     assert got == outcome(reference_verify, beta)
+    assert not isinstance(got, Passport) or is_tight(beta)
     return got
 
 
@@ -643,12 +673,6 @@ def test_identity_unpacks_w_at_the_reduced_width(packed_terms, widths):
                  in zip(unreduced_w_scalars(CASES["d72/h9"]), w)]
     assert widths[:2] == [packed_width_bits(w)] * 2
     assert packed_width_bits(unreduced) - packed_width_bits(w) >= 100
-
-
-def declared_points(beta):
-    """Each factor's degree once, plus one for a tagged infinity."""
-    return (sum(f.degree for f, _ in beta.zero_factors + beta.one_factors
-                + beta.pole_factors) + (beta.infinity_side != "none"))
 
 
 @pytest.mark.parametrize("text, name, tight", [

@@ -199,6 +199,9 @@ def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
      "not a Belyi map: 5 points over 0, 1 and infinity, a degree-2 Belyi map "
      "has exactly 4, so beta would have a critical value outside 0, 1 and "
      "infinity (Riemann-Hurwitz)"),
+    # 2*z is squarefree but not monic: refused as the document is parsed
+    ("belyi v1\nk 1\ninfinity pole 1\nzero 1 0 2\none 1 -1 2\n", None,
+     "BelyiFormatError", "factor 2*z is not monic"),
     (b"belyi v1\nk 1\xff\n", None, "BelyiFormatError",
      "not a UTF-8 document: invalid start byte at byte offset 12"),
     # no factor: k*Z - Q = 2 - 1 is the declared empty product, but the
@@ -211,7 +214,7 @@ def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
      "'D6' is neither a preset (d6, d12, d60, d72) nor an existing file"),
 ], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "k-exponent-token",
         "second-k-line", "second-infinity-line", "exponent-bomb",
-        "not-a-belyi-map", "not-utf-8", "constant", "output-dir-missing",
+        "not-a-belyi-map", "not-monic", "not-utf-8", "constant", "output-dir-missing",
         "verify-no-such-preset-or-file"])
 def test_bad_input_exits_1_with_named_error(tmp_path, document, argv, name,
                                              message):

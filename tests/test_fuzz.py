@@ -1,8 +1,8 @@
 """Fuzzing the two entry points of untrusted input: belyi v1 documents and
 command lines.
 
-Every mutated preset document either verifies or raises BelyiFormatError or
-BelyiVerificationError, and every command line ends in exit status 0 or 1,
+Every mutated preset document either verifies, and is then tight, or raises
+BelyiFormatError or BelyiVerificationError, and every command line ends in exit status 0 or 1,
 or in argparse's SystemExit 0 (--help) or 2; nothing else escapes.  Each
 example is held to WALL_S of wall time.  The runs are derandomized, so the
 same examples run every time."""
@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from fullerene_belyi import cli  # noqa: E402
 from fullerene_belyi.belyi import (BelyiFormatError,  # noqa: E402
                                    BelyiVerificationError, FactoredBelyi)
+from oracles import is_tight  # noqa: E402
 
 # the wall-time bound of one example, in seconds
 WALL_S = 2.0
@@ -79,9 +80,12 @@ def mutated_documents(draw):
 def test_mutated_preset_documents_verify_or_name_their_fault(text):
     start = time.perf_counter()
     try:
-        FactoredBelyi.from_text(text).verify()
+        beta = FactoredBelyi.from_text(text)
+        beta.verify()
     except (BelyiFormatError, BelyiVerificationError):
         pass
+    else:
+        assert is_tight(beta)
     assert time.perf_counter() - start < WALL_S
 
 
