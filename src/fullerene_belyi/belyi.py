@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from functools import cache, reduce
 
-from .exact import (GaussRat, RationalMap, UniPoly, _cleared, _cleared_identity,
-                    _coprime_given, _form_of, _length, _natural, _quote, _Record,
-                    _reduce_mod_p, _squarefree_given, squarefree_decomposition)
+from .exact import (GaussRat, RationalMap, UniPoly, _cleared_identity, _natural,
+                    _quote, _Record, coprime, is_squarefree,
+                    squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
 
@@ -159,10 +159,6 @@ def _show_int(n: int) -> str:
     return str(n) if n.bit_length() <= _SHOWN_BITS else f"<{n.bit_length()}-bit integer>"
 
 
-def _degree_of(factors: Factors) -> int:
-    return sum((_length(f) - 1) * e for f, e in factors)
-
-
 def _product(factors: Factors) -> UniPoly:
     return reduce(lambda acc, fe: acc * fe[0] ** fe[1], factors, UniPoly.one())
 
@@ -179,7 +175,7 @@ def merge_by_exponent(factors) -> Factors:
 def _normalize_factors(factors) -> Factors:
     out = []
     for f, e in factors:
-        if not isinstance(f, UniPoly) or _length(f) < 2:
+        if not isinstance(f, UniPoly) or f.is_zero or f.degree == 0:
             raise ValueError("factors must be nonconstant polynomials")
         if not f.is_monic:
             raise ValueError(f"factor {_show(f)} is not monic")
@@ -273,28 +269,26 @@ class FactoredBelyi(_Record, frozen=True):
 
     # -- structure ---------------------------------------------------------
 
-    def _side_sum(self, factors: Factors, side: str) -> int:
-        total = _degree_of(factors)
-        if self.infinity_side == side:
-            total += self.infinity_order
-        return total
+    def _fibres(self) -> list[list[int]]:
+        """The declared parts over 0, 1 and infinity: each root of a factor
+        gives the factor's exponent, and the tagged side also gets the
+        order at infinity."""
+        fibres = []
+        for side, factors in (("zero", self.zero_factors),
+                              ("one", self.one_factors),
+                              ("pole", self.pole_factors)):
+            parts = [e for f, e in factors for _ in range(f.degree)]
+            if self.infinity_side == side:
+                parts.append(self.infinity_order)
+            fibres.append(parts)
+        return fibres
 
     @property
     def degree(self) -> int:
-        return self._side_sum(self.zero_factors, "zero")
-
-    def _parts(self, factors: Factors, side: str) -> list[int]:
-        parts: list[int] = []
-        for f, e in factors:
-            parts.extend([e] * (_length(f) - 1))
-        if self.infinity_side == side:
-            parts.append(self.infinity_order)
-        return parts
+        return sum(self._fibres()[0])
 
     def passport(self) -> Passport:
-        return Passport.of(self._parts(self.zero_factors, "zero"),
-                           self._parts(self.one_factors, "one"),
-                           self._parts(self.pole_factors, "pole"))
+        return Passport.of(*self._fibres())
 
     # -- certification ------------------------------------------------------
 
@@ -313,21 +307,26 @@ class FactoredBelyi(_Record, frozen=True):
         constant is no Belyi map.  The factors are monic by construction,
         so nothing here checks that.
 
-        Everything runs on integers, and every certificate reads one
-        cleared form per factor: f as g_f/d_f with g_f in Z[i][z] and d_f
-        the lcm of its denominators (exact._cleared), and k as kappa/d_k.
-        A factor from_text parsed holds its form from the token digits; any
-        other gets it on first use and keeps it (exact._form_of).  Degrees
-        and monicity are read from the forms too, so on the accept path a
-        parsed factor builds no GaussRat coefficient: only a message
-        (_show) and the exact poly_gcd fallback read them.  Each g_f is
-        reduced modulo the prime ideal
-        J = (p, i - r) once; the squarefreeness of f (the
-        reduction against its derivative in F_p) and its coprimality with
-        every other factor are certified on those reductions, with the
-        exact poly_gcd where the certificate is inconclusive (exact module
-        docstring).  The identity is checked cross-multiplied in Z[i] on
-        the same forms: with G_Z = prod g_f^e and D_Z = prod d_f^e
+        Everything runs on integers, and verify asks exact only about
+        polynomials: coprime(f, g), is_squarefree(f), the identity
+        (exact._cleared_identity on k and the (factor, exponent) pairs)
+        and f.degree.  How a factor is stored stays inside exact.  Every
+        certificate there reads one cleared form per factor: f as g_f/d_f
+        with g_f in Z[i][z] and d_f the lcm of its denominators, and k as
+        kappa/d_k.  A factor from_text parsed holds its form from the
+        token digits; any other gets it on first use and keeps it
+        (exact._form_of).  Degrees and monicity are read from the forms
+        too, so on the accept path a parsed factor builds no GaussRat
+        coefficient: only a message (_show) and the exact poly_gcd
+        fallback read them.  Each g_f is reduced modulo the prime ideal
+        J = (p, i - r) on first use and keeps that reduction
+        (exact._reduction), so it is reduced at most once however many
+        pairs it is in; the squarefreeness of f (the reduction against its
+        derivative in F_p) and its coprimality with every other factor are
+        certified on those reductions, with the exact poly_gcd where the
+        certificate is inconclusive (exact module docstring).  The
+        identity is checked cross-multiplied in Z[i] on the same forms:
+        with G_Z = prod g_f^e and D_Z = prod d_f^e
         (likewise for Q and O), k*Z - Q is W/(d_k*D_Z*D_Q) for
         W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and k*Z - Q = c*O with
         O = G_O/D_O monic holds iff W != 0, deg W = deg O and
@@ -346,7 +345,9 @@ class FactoredBelyi(_Record, frozen=True):
         equality iff every critical value lies in {0, 1, infinity}, that
         is, iff the map is Belyi.  The declared count D is the sum of the
         factors' degrees, each counted once, plus one for a tagged
-        infinity; by (4) below, A <= D once the identity holds, so with
+        infinity: the number of declared parts over 0, 1 and infinity,
+        the same parts that give n, the side sums and the passport
+        (_fibres); by (4) below, A <= D once the identity holds, so with
         D < n + 2 it cannot.  When the fault is named, the factors are
         squarefree and pairwise coprime by the time the count is checked,
         so once the identity holds A = D, and D > n + 2 leaves a critical
@@ -403,36 +404,31 @@ class FactoredBelyi(_Record, frozen=True):
         last check is reached only at n = 0.
         """
         all_factors = self.zero_factors + self.one_factors + self.pole_factors
-        nz, no = len(self.zero_factors), len(self.one_factors)
-        poles = range(nz + no, len(all_factors))
-        forms = [(_form_of(f), e) for f, e in all_factors]
-        n = self.degree
-        sums = [(side, self._side_sum(factors, side))
-                for side, factors in (("one", self.one_factors),
-                                      ("pole", self.pole_factors))]
-        points = (sum(_length(f) - 1 for f, _ in all_factors)
-                  + (self.infinity_side != "none"))
-        reductions = [_reduce_mod_p(form) for form, _ in forms]
+        nz = len(self.zero_factors)
+        poles = range(len(all_factors) - len(self.pole_factors), len(all_factors))
+        fibres = self._fibres()
+        n = sum(fibres[0])
+        sums = [("one", sum(fibres[1])), ("pole", sum(fibres[2]))]
+        points = sum(map(len, fibres))
 
         @cache
         def pair_coprime(i: int, j: int) -> bool:
-            return _coprime_given(all_factors[i][0], reductions[i],
-                                  all_factors[j][0], reductions[j])
+            return coprime(all_factors[i][0], all_factors[j][0])
 
         @cache
         def identity():
-            return _cleared_identity(_cleared((self.k,)), forms[:nz],
-                                     forms[nz + no:], forms[nz:nz + no])
+            return _cleared_identity(self.k, self.zero_factors,
+                                     self.pole_factors, self.one_factors)
 
         if (n >= 1 and points == n + 2 and not self.k.is_zero
                 and all(total == n for _, total in sums)
                 and identity() is None
                 and all(pair_coprime(i, j) for i in range(nz) for j in poles)):
             # (3) of the docstring: the tag is the order the degrees give
-            return self.passport()
+            return Passport.of(*fibres)
 
-        for i, (f, _) in enumerate(all_factors):
-            if not _squarefree_given(f, reductions[i]):
+        for f, _ in all_factors:
+            if not is_squarefree(f):
                 raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
         for i in range(len(all_factors)):
             for j in range(i + 1, len(all_factors)):

@@ -52,7 +52,9 @@ with p = 1 (mod 4), r = _R with r^2 = -1 (mod p), and J the prime ideal
 certificate reads the cleared form (d, re, im) of a polynomial (_cleared),
 made once per polynomial and kept in it (_form_of), or made at parse time:
 A = d*a = re + i*im lies in Z[i][z] and has the roots of a, so a and b are
-coprime iff A and B are.  _reduce_mod_p maps A to F_p[z].  Suppose lead(A)
+coprime iff A and B are.  _reduce_mod_p maps A to F_p[z], and the
+polynomial keeps that reduction as it keeps its form (_reduction), so a
+factor paired with many others is reduced once.  Suppose lead(A)
 is a unit of the local ring R = Z[i]_J (its reduction is nonzero).  If A
 and B had a common factor over Q(i), they would have a monic irreducible
 one, g.  R is a discrete valuation ring, hence integrally closed, and g
@@ -67,13 +69,16 @@ certificate and otherwise (lead(A) vanishing mod J, or a nonconstant gcd
 mod J: an unlucky prime or a true common factor) returns the answer of the
 exact Euclidean poly_gcd.  No point is sampled and no answer is
 probabilistic.  Reduction mod J is a ring map that commutes with d/dz, and
-A' = d*a', so is_squarefree reduces A once and runs the certificate on
-that reduction and its derivative in F_p[z].
+A' = d*a', so is_squarefree runs the certificate on A's reduction and its
+derivative in F_p[z].  The certificates take polynomials: coprime(a, b)
+and is_squarefree(p) make or read the forms and reductions themselves, so
+no caller handles either.
 
 The identity of a factored Belyi function (products of powers in Z[i]).
 _cleared_identity, which FactoredBelyi.verify calls, proves k*Z - Q = c*O
 for Z, Q and O products of powers f^e of monic factors, without a
-Fraction.  It reads the cleared forms the certificates read:
+Fraction.  It takes k and the (factor, exponent) pairs, and reads the
+cleared forms the certificates read:
 every factor is g_f/d_f, with g_f in Z[i][z] and d_f the lcm of its
 denominators, and k = kappa/d_k.  With G_Z = prod g_f^e and
 D_Z = prod d_f^e (likewise for Q and O), k*Z - Q = W/(d_k*D_Z*D_Q) for
@@ -373,20 +378,21 @@ def _packed_sum(terms, n: int) -> list[GaussInt]:
                     _unpack(total_im, n, width) if total_im else [0] * n))
 
 
-def _cleared_identity(k: Cleared, zeros, poles, ones
+def _cleared_identity(k: GaussRat, zeros, poles, ones
                       ) -> tuple[UniPoly | None, UniPoly | None] | None:
     """Check the identity k*Z - Q = c*O of a factored Belyi function in
-    Z[i] (see the module docstring).  k is the cleared form of the scalar,
-    and zeros, poles and ones are the (cleared form, exponent) pairs of
-    its factors.  Returns None when it holds, (None, None) when W, and so
-    k*Z - Q, is zero, and otherwise (got, declared): the two monic sides
-    that differ, W/lead(W) and O.  Only a failing check builds a
-    UniPoly."""
-    dk, (kr,), (ki,) = k
-    sides = [([((re, im), e) for (_, re, im), e in factors],
-              math.prod(d ** e for (d, _, _), e in factors),
-              sum((len(re) - 1) * e for (_, re, _), e in factors))
-             for factors in (zeros, poles, ones)]
+    Z[i] (see the module docstring).  zeros, poles and ones are the
+    (monic factor, exponent) pairs of its sides; k and every factor are
+    read through their cleared forms (_form_of).  Returns None when it
+    holds, (None, None) when W, and so k*Z - Q, is zero, and otherwise
+    (got, declared): the two monic sides that differ, W/lead(W) and O.
+    Only a failing check builds a UniPoly."""
+    dk, (kr,), (ki,) = _cleared((k,))
+    sides = [([((re, im), e) for (_, re, im), e in forms],
+              math.prod(d ** e for (d, _, _), e in forms),
+              sum((len(re) - 1) * e for (_, re, _), e in forms))
+             for forms in ([(_form_of(f), e) for f, e in factors]
+                           for factors in (zeros, poles, ones))]
     (gz, dz, degz), (gq, dq, degq), (go, do, dego) = sides
     # W' = W/g (module docstring): the same test, packed at the width the
     # products need
@@ -432,12 +438,14 @@ class UniPoly:
     Instances are immutable, and hashable when their coefficients are.
 
     A polynomial over Q(i) keeps its cleared form (_cleared) in the private
-    _form slot once it is known (_form_of).  from_tokens fills that slot
-    and leaves coeffs unset; the coefficients are then built from the form
-    on first use (__getattr__).
+    _form slot once it is known (_form_of), and that form's reduction
+    modulo the certificate prime in _mod_p once it is made (_reduction).
+    from_tokens fills _form and leaves coeffs unset; the coefficients are
+    then built from the form on first use (__getattr__), and is_zero and
+    degree read the form's length, so they build none.
     """
 
-    __slots__ = ("coeffs", "ring_zero", "_form")
+    __slots__ = ("coeffs", "ring_zero", "_form", "_mod_p")
 
     def __init__(self, coeffs: Iterable = (), ring_zero=None):
         cs = [GaussRat.coerce(c) if isinstance(c, (int, Fraction)) else c
@@ -449,6 +457,7 @@ class UniPoly:
         _set_coeffs(self, tuple(cs))
         _set_ring_zero(self, ring_zero)
         _set_form(self, None)
+        _set_mod_p(self, None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("UniPoly is immutable")
@@ -501,13 +510,14 @@ class UniPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not _length(self)
 
     @property
     def degree(self) -> int:
-        if not self.coeffs:
+        length = _length(self)
+        if not length:
             raise ValueError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
+        return length - 1
 
     def coefficient(self, power: int):
         if 0 <= power < len(self.coeffs):
@@ -674,6 +684,7 @@ class UniPoly:
         _set_ring_zero(p, ZERO)
         _set_form(p, (d, [n * (d // q) for (n, q), _ in parts],
                       [n * (d // q) for _, (n, q) in parts]))
+        _set_mod_p(p, None)
         return p
 
     def __str__(self) -> str:
@@ -705,6 +716,7 @@ class UniPoly:
 _set_coeffs = UniPoly.coeffs.__set__
 _set_ring_zero = UniPoly.ring_zero.__set__
 _set_form = UniPoly._form.__set__
+_set_mod_p = UniPoly._mod_p.__set__
 
 
 def _form_of(f: UniPoly) -> Cleared:
@@ -774,8 +786,13 @@ def _reduce_mod_p(cleared: Cleared) -> list[int]:
 
 
 def _reduction(f: UniPoly) -> list[int]:
-    """The reduction of f's cleared form."""
-    return _reduce_mod_p(_form_of(f))
+    """The reduction of f's cleared form, from its _mod_p slot: made on
+    first use and kept there, as _form_of keeps the form."""
+    reduction = f._mod_p
+    if reduction is None:
+        reduction = _reduce_mod_p(_form_of(f))
+        _set_mod_p(f, reduction)
+    return reduction
 
 
 def _constant_gcd_mod_p(a: list[int], b: list[int]) -> bool:
@@ -808,44 +825,38 @@ def _derivative_mod_p(r: list[int]) -> list[int]:
     return out
 
 
-def _proves_coprime(a: UniPoly, ra: list[int], rb: list[int]) -> bool:
-    """True when ra, the reduction of a's cleared form, and rb, that of
-    b's, prove a and b coprime; False means only that the certificate is
-    inconclusive."""
+def _proves_coprime(a: UniPoly, rb: list[int]) -> bool:
+    """True when a's reduction (_reduction) and rb, the reduction of b's
+    cleared form, prove a and b coprime; False means only that the
+    certificate is inconclusive."""
+    ra = _reduction(a)
     return (bool(ra) and len(ra) == _length(a)
             and _constant_gcd_mod_p(ra, rb))
-
-
-def _coprime_given(a: UniPoly, ra: list[int], b: UniPoly, rb: list[int]) -> bool:
-    """coprime(a, b) with the reductions ra of a and rb of b made already."""
-    return _proves_coprime(a, ra, rb) or poly_gcd(a, b).degree == 0
 
 
 def coprime(a: UniPoly, b: UniPoly) -> bool:
     """True iff a and b have no common root, i.e. gcd(a, b) is constant.
 
     Certified modulo one fixed prime when that is conclusive (see the
-    module docstring), otherwise decided by poly_gcd.  The certificate
-    needs the leading coefficient of a's cleared form to survive the
-    reduction, so pass the polynomial with the unit leading coefficient
-    first."""
-    return _coprime_given(a, _reduction(a), b, _reduction(b))
-
-
-def _squarefree_given(p: UniPoly, rp: list[int]) -> bool:
-    """is_squarefree(p) for a nonconstant p, given rp, the reduction of
-    p's cleared form d*p.  The reduction of (d*p)' = d*p' is the
-    derivative of rp in F_p[z], so the coprimality certificate for p and
-    p' runs on rp alone."""
-    return (_proves_coprime(p, rp, _derivative_mod_p(rp))
-            or poly_gcd(p, p.derivative()).degree == 0)
+    module docstring), otherwise decided by poly_gcd.  Each polynomial is
+    reduced once and keeps its reduction (_reduction), so pairing one
+    factor with many reduces it once.  The certificate needs the leading
+    coefficient of a's cleared form to survive the reduction, so pass the
+    polynomial with the unit leading coefficient first."""
+    return _proves_coprime(a, _reduction(b)) or poly_gcd(a, b).degree == 0
 
 
 def is_squarefree(p: UniPoly) -> bool:
-    """True iff gcd(p, p') is constant."""
+    """True iff gcd(p, p') is constant.
+
+    The reduction of (d*p)' = d*p' is the derivative of p's kept
+    reduction in F_p[z], so the coprimality certificate for p and p'
+    reduces nothing more; poly_gcd decides when it is inconclusive."""
     if p.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    return p.degree == 0 or _squarefree_given(p, _reduction(p))
+    return (p.degree == 0
+            or _proves_coprime(p, _derivative_mod_p(_reduction(p)))
+            or poly_gcd(p, p.derivative()).degree == 0)
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -893,7 +904,7 @@ class RationalMap:
         den = den.monic()
         # the monic num leads, so the certificate applies; poly_gcd
         # runs only when it is inconclusive or the two share a root
-        if not _proves_coprime(num, _reduction(num), _reduction(den)):
+        if not _proves_coprime(num, _reduction(den)):
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num.divide_exact(g)

@@ -16,7 +16,9 @@ the reference for the resolved map an EliminationTrace keeps, and the
 multiplied-out references on UniPoly that the package certifies without
 expanding: compose, ode_residual, halphen_identity_failures and
 main_equation_residual.  packed_width_bits restates the digit width that
-exact._packed_sum proves for a list of terms.
+exact._packed_sum proves for a list of terms.  two_point_map and power_map
+build genuine Belyi maps with known passports in factored form, for the
+tests that feed them to verify and to its oracles.
 """
 
 import math
@@ -312,6 +314,32 @@ def reference_verify(beta):
         raise DegreeImbalance("every side sums to 0: a Belyi map has "
                               "degree at least 1")
     return beta.passport()
+
+
+def two_point_map(a, b):
+    """beta = c*z^a*(1 - z)^b with c = (a + b)^(a + b)/(a^a*b^b), a Belyi
+    map of degree n = a + b with passport (a b | 2 1^(n-2) | n), in
+    factored form: its zero side is z^a*(z - 1)^b with k = (-1)^b*c, and
+    its one side is (z - a/n)^2 times the cofactor that exact division
+    leaves, which is constant for a = b = 1 (beta = 4z(1 - z),
+    beta - 1 = -(2z - 1)^2)."""
+    n = a + b
+    k = GaussRat.of((-1) ** b * Fraction(n ** n, a ** a * b ** b))
+    z, one = UniPoly.x(), UniPoly.one()
+    zeros = ((z, a), (z - one, b))
+    double = z - one * Fraction(a, n)
+    ones = ((z ** a * (z - one) ** b).scale(k) - one).monic()
+    cofactor = ones.divide_exact(double * double)
+    one_factors = ((double, 2),) + (((cofactor, 1),) if cofactor.degree else ())
+    return FactoredBelyi(k, zeros, one_factors, (), "pole", n)
+
+
+def power_map(n):
+    """z^n in factored form, passport (n | 1^n | n): beta - 1 = z^n - 1 is
+    squarefree, and infinity is a pole of order n."""
+    z, one = UniPoly.x(), UniPoly.one()
+    return FactoredBelyi(GaussRat.of(1), ((z, n),), ((z ** n - one, 1),), (),
+                         "pole", n)
 
 
 def replace_fields(beta, **changes):

@@ -594,10 +594,43 @@ def test_verify_of_a_parsed_document_clears_no_factor(monkeypatch, name):
         return cleared(coeffs)
 
     monkeypatch.setattr(exact, "_cleared", counted)
-    monkeypatch.setattr(belyi, "_cleared", counted)
     beta = FactoredBelyi.from_text(CASES[name].to_text())
     assert beta.verify() == passport
     assert calls == [(beta.k,)]
+
+
+@pytest.mark.parametrize("name", [*PARSED_ACCEPTS, "d12", "d60/h9", "d6/shift-1/p",
+                                  "d12/h3/k+1", "d12/h9/repeated-one_factors"])
+def test_verify_reduces_each_factor_at_most_once(monkeypatch, name):
+    """A factor keeps its reduction modulo J once it is made
+    (exact._reduction): on the tight path a zero factor is in a pair with
+    each pole factor, and on the path that names a fault each factor's
+    squarefree certificate and every pair read it, yet verify reduces each
+    factor's cleared form at most once."""
+    beta = FactoredBelyi.from_text(CASES[name].to_text())
+    forms = [f._form for f, _ in beta.zero_factors + beta.one_factors
+             + beta.pole_factors]
+    reduced = []
+    reduce_mod_p = exact._reduce_mod_p
+    monkeypatch.setattr(exact, "_reduce_mod_p",
+                        lambda form: reduced.append(form) or reduce_mod_p(form))
+    assert outcome(FactoredBelyi.verify, beta) == outcome(reference_verify, beta)
+    assert reduced and all(any(form is f for f in forms) for form in reduced)
+    assert len({id(form) for form in reduced}) == len(reduced)
+
+
+@pytest.mark.parametrize("name", ["d12/h3/k+1", "d72/h1/k-1"])
+def test_the_fault_path_builds_no_factor_coefficient(name):
+    """is_squarefree and coprime read a parsed factor's degree and
+    reduction off its cleared form, so a document that fails only its
+    identity builds no factor's coefficients: the message builds the two
+    sides it names."""
+    beta = FactoredBelyi.from_text(CASES[name].to_text())
+    with pytest.raises(IdentityFailed, match="does not factor as declared"):
+        beta.verify()
+    for f, _ in beta.zero_factors + beta.one_factors + beta.pole_factors:
+        with pytest.raises(AttributeError):
+            UniPoly.coeffs.__get__(f, UniPoly)  # the slot, unset
 
 
 @pytest.mark.parametrize("name", PARSED_ACCEPTS)
@@ -700,8 +733,8 @@ class CertificateSpy:
 
     def __init__(self, monkeypatch):
         self.squarefree, self.coprime, self.identity = [], [], []
-        for name, calls in (("_squarefree_given", self.squarefree),
-                            ("_coprime_given", self.coprime),
+        for name, calls in (("is_squarefree", self.squarefree),
+                            ("coprime", self.coprime),
                             ("_cleared_identity", self.identity)):
             def spy(*args, _calls=calls, _real=getattr(belyi, name)):
                 _calls.append(args)
@@ -737,7 +770,7 @@ def test_tight_documents_skip_the_squarefree_and_same_side_certificates(monkeypa
         assert beta.verify() == reference_verify(beta)
         pairs = [(a, b) for a, _ in beta.zero_factors for b, _ in beta.pole_factors]
         assert spy.squarefree == [] and len(spy.identity) == 1
-        assert [(a, b) for a, _, b, _ in spy.coprime] == pairs
+        assert spy.coprime == pairs
 
 
 @pytest.mark.parametrize("name", ["d6/k+1", "d6/k-1", "d12/h3/k+1", "d72/h1/k-1"])

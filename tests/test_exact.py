@@ -532,11 +532,7 @@ def test_cleared_identity_names_the_monic_sides_only_on_failure():
     zeros, poles = ((zero_side, 1),), ((pole_side, 1),)
     ones = ((z - one * 3, 1), (z + one.scale(h), 1))
 
-    def identity(k, *sides):
-        return exact._cleared_identity(
-            exact._cleared((k,)),
-            *[[(exact._cleared(f.coeffs), e) for f, e in side] for side in sides])
-
+    identity = exact._cleared_identity
     assert identity(k, zeros, poles, ones) is None
     assert identity(GaussRat.of(1), zeros, zeros, ones) == (None, None)
     wrong = ((z - one * 3, 1), (z + one * 2, 1))

@@ -3,9 +3,11 @@ command lines.
 
 Every mutated preset document either verifies, and is then tight, or raises
 BelyiFormatError or BelyiVerificationError, and every command line ends in exit status 0 or 1,
-or in argparse's SystemExit 0 (--help) or 2; nothing else escapes.  Each
-example is held to WALL_S of wall time.  The runs are derandomized, so the
-same examples run every time."""
+or in argparse's SystemExit 0 (--help) or 2; nothing else escapes.  Token
+mutations mostly break the grammar, so a second strategy mutates within
+it: those documents all parse and reach verify, whose verdict must be the
+reference's.  Each example is held to WALL_S of wall time.  The runs are
+derandomized, so the same examples run every time."""
 
 import contextlib
 import io
@@ -21,8 +23,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fullerene_belyi import cli  # noqa: E402
 from fullerene_belyi.belyi import (BelyiFormatError,  # noqa: E402
-                                   BelyiVerificationError, FactoredBelyi)
-from oracles import is_tight  # noqa: E402
+                                   BelyiVerificationError, DegreeImbalance,
+                                   FactoredBelyi, IdentityFailed, Passport)
+from fullerene_belyi.exact import GaussRat  # noqa: E402
+from oracles import is_tight, reference_verify, side_sum  # noqa: E402
 
 # the wall-time bound of one example, in seconds
 WALL_S = 2.0
@@ -87,6 +91,75 @@ def test_mutated_preset_documents_verify_or_name_their_fault(text):
     else:
         assert is_tight(beta)
     assert time.perf_counter() - start < WALL_S
+
+
+SIDES = ("zero", "one", "pole")
+
+
+@st.composite
+def grammatical_documents(draw):
+    """A preset's text after one to three mutations that keep it a belyi
+    v1 document with monic factors, so that from_text accepts it: change
+    one digit of a factor's coefficient other than the leading 1, change a
+    factor's exponent by +-1 (never to 0), move a factor line to another
+    side, negate k, or drop a factor line."""
+    lines = [list(line) for line in preset_lines(draw(st.sampled_from(cli.PRESETS)))]
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [line for line in lines if line[0] in SIDES]
+        op = draw(st.sampled_from(("digit", "exponent", "move", "negate k", "drop")))
+        if op == "negate k" or not factors:
+            k = next(line for line in lines if line[0] == "k")
+            k[1] = (-GaussRat.from_token(k[1])).to_token()
+            continue
+        line = draw(st.sampled_from(factors))
+        if op == "digit":
+            at = draw(st.integers(2, len(line) - 2))
+            numerator = line[at].partition("/")[0]
+            j = draw(st.sampled_from([j for j, ch in enumerate(numerator) if ch.isdigit()]))
+            digit = draw(st.sampled_from([d for d in "0123456789" if d != numerator[j]]))
+            line[at] = line[at][:j] + digit + line[at][j + 1:]
+        elif op == "exponent":
+            e = int(line[1])
+            line[1] = str(e + 1 if e == 1 or draw(st.booleans()) else e - 1)
+        elif op == "move":
+            line[0] = draw(st.sampled_from([side for side in SIDES if side != line[0]]))
+        else:
+            lines.remove(line)
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def verdict(check, beta):
+    """The passport, or the class of the BelyiVerificationError raised."""
+    try:
+        return check(beta)
+    except BelyiVerificationError as exc:
+        return type(exc)
+
+
+@FUZZ
+@given(grammatical_documents())
+def test_grammatical_mutations_reach_verify_and_agree_with_the_reference(text):
+    """Each document parses, and verify accepts it exactly when the
+    reference does, with the same passport and only when it is tight, or
+    raises the reference's class.  The one difference is the documented
+    order: verify checks the side sums before the point count and the
+    identity, and the reference after them, so an unbalanced document the
+    reference refuses with IdentityFailed is a DegreeImbalance to verify
+    (test_verify_checks_side_sums_before_the_identity in test_belyi)."""
+    start = time.perf_counter()
+    beta = FactoredBelyi.from_text(text)
+    got = verdict(FactoredBelyi.verify, beta)
+    assert time.perf_counter() - start < WALL_S
+    want = verdict(reference_verify, beta)
+    n = side_sum(beta, beta.zero_factors, "zero")
+    balanced = all(side_sum(beta, getattr(beta, f"{side}_factors"), side) == n
+                   for side in ("one", "pole"))
+    if isinstance(want, Passport):
+        assert got == want and is_tight(beta)
+    elif want is IdentityFailed and not balanced:
+        assert got is DegreeImbalance
+    else:
+        assert got is want
 
 
 @pytest.fixture(scope="module")

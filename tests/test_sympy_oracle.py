@@ -6,8 +6,9 @@ over QQ_I with its own arithmetic, and the answer must agree with
 FactoredBelyi.verify.  sympy's own factorization of the multiplied-out
 numerator, denominator and k*num - den over Q(i) must give the passport
 verify returns.  And the critical points sympy finds must have their
-values in 0, 1 and infinity exactly when verify accepts.  Skipped when
-sympy is not installed.
+values in 0, 1 and infinity exactly when verify accepts: on the presets,
+their affine conjugates, two-point maps and a map that is not Belyi.
+Skipped when sympy is not installed.
 """
 
 import pytest
@@ -15,6 +16,9 @@ import pytest
 from fullerene_belyi.belyi import (BelyiVerificationError, FactoredBelyi,
                                    FactorsShareRoot, Passport)
 from fullerene_belyi.cli import PRESETS, load_preset
+from fullerene_belyi.exact import GaussRat
+from fullerene_belyi.moebius import Moebius, factored_compose_moebius
+from oracles import two_point_map
 
 sympy = pytest.importorskip("sympy")
 
@@ -121,3 +125,28 @@ def test_verify_accepts_exactly_when_the_critical_values_are_0_1_infinity(name):
     except BelyiVerificationError:
         accepted = False
     assert accepted == critical_values_in_the_fibres(beta) == (name != "not-belyi")
+
+
+# the affine conjugates beta(a*z + b) of d6 and d12, with a and b of heights
+# 1 and 3 (both parts +-h), and two-point maps c*z^a*(1 - z)^b
+SHIFTS = {1: (GaussRat.of(1, 1), GaussRat.of(-1, 1)),
+          3: (GaussRat.of(3, -3), GaussRat.of(3, 3))}
+MORE_MAPS = {
+    **{f"{name}/h{h}": (name, a, b) for name in ("d6", "d12")
+       for h, (a, b) in SHIFTS.items()},
+    **{f"two-point/{a},{b}": (a, b) for a, b in ((1, 1), (2, 3), (5, 2), (4, 4))}}
+
+
+@pytest.mark.parametrize("name", MORE_MAPS)
+def test_verify_accepts_the_conjugates_and_two_point_maps_as_belyi(name):
+    """The same oracle on maps that are Belyi by construction: infinity is
+    a pole of each (an affine map keeps its tag), and verify accepts."""
+    spec = MORE_MAPS[name]
+    if name.startswith("two-point"):
+        beta = two_point_map(*spec)
+    else:
+        preset, a, b = spec
+        beta = factored_compose_moebius(load_preset(preset), Moebius.of(a, b, 0, 1))
+    assert beta.infinity_side == "pole"
+    beta.verify()
+    assert critical_values_in_the_fibres(beta)
