@@ -59,7 +59,6 @@ class Verdict(Enum):
     SOLVED = "Solved"
     NO_SOLUTION_LEADING_COEFF = "NoSolutionLeadingCoeff"
     NO_SOLUTION_DEGREE_DEFICIT = "NoSolutionDegreeDeficit"
-    FAMILY = "Family"
 
 
 def case_degrees(s: int) -> tuple[int, int, int, int]:
@@ -521,29 +520,32 @@ def d6_solve() -> D6Report:
 
     The ansatz with the order-5 pole at infinity and the simple pole at 0
     leaves S = (z^2+a1*z+a0)^3 - (z^2+b1*z+b0)^2*(z^2+c1*z+c0) - k*z = 0.
-    Coprimality of the square-bracket factors forces b1 != a1, which enters
-    the elimination as a declared-nonzero factor; the scaling freedom is
-    spent on a1 = 10.
+    Coprimality of the square-bracket factors forces b1 != a1, so the
+    ansatz is written in t = a1 - b1, B = z^2 + (a1 - t)*z + b0, and t
+    enters the elimination as a declared-nonzero unknown: each equation is
+    divided by the highest power of t that divides it.  The scaling
+    freedom is spent on a1 = 10, and values reports b1 = a1 - t in place
+    of t.
     """
-    names = ["c1", "c0", "b1", "b0", "a1", "a0", "k"]
+    names = ["c1", "c0", "t", "b0", "a1", "a0", "k"]
 
     def v(name: str) -> MultiPoly:
         return MultiPoly.var(names, name)
 
-    def quad(hi: str, lo: str) -> UniPoly:
-        return UniPoly.from_terms({2: MultiPoly.const(names, 1), 1: v(hi), 0: v(lo)})
+    def quad(hi: MultiPoly, lo: str) -> UniPoly:
+        return UniPoly.from_terms({2: MultiPoly.const(names, 1), 1: hi, 0: v(lo)})
 
-    A = quad("a1", "a0")
-    B = quad("b1", "b0")
-    C = quad("c1", "c0")
+    A = quad(v("a1"), "a0")
+    B = quad(v("a1") - v("t"), "b0")
+    C = quad(v("c1"), "c0")
     S = A * A * A - B * B * C - UniPoly.from_terms({1: v("k")})
     system = [(d, S.coefficient(d)) for d in range(S.degree, -1, -1)]
-    assumption = v("a1") - v("b1")
-    trace = sequential_linear_solve(system, names, assumptions=[assumption])
+    trace = sequential_linear_solve(system, names, assumptions=["t"])
     if trace.free_vars != ("a1",):
         raise AssertionError(f"unexpected free variables {trace.free_vars}")
 
     values = trace.evaluate({"a1": Fraction(10)})
+    values["b1"] = values["a1"] - values.pop("t")
     k = GaussRat.of(values["k"])
 
     def concrete(hi: str, lo: str) -> UniPoly:

@@ -131,15 +131,17 @@ def moebius_from_three_points(sources, targets) -> Moebius:
     return back.inverse().compose(fwd)
 
 
-def _homogenized_substitution(p: UniPoly, m: Moebius) -> UniPoly:
-    """sum p_i * (a z + b)^i * (c z + d)^(n - i) for n = deg p: the
-    numerator of p((az+b)/(cz+d)) over (cz+d)^n.  Homogeneous Horner,
-    out = out * (az + b) + p_i * (cz + d)^(n - i) from i = n down, keeps one
-    running power of cz + d."""
+def _homogenized_substitution(p: tuple[GaussRat, ...], m: Moebius) -> UniPoly:
+    """sum p_i * (a z + b)^i * (c z + d)^(n - i) for n = len(p) - 1: the
+    pull-back by m of the binary form sum p_i x^i y^(n - i), whose top
+    coefficient may be 0 (the form y is the point at infinity).  For a
+    polynomial's coefficients it is the numerator of p((az+b)/(cz+d)) over
+    (cz+d)^n.  Homogeneous Horner, out = out * (az + b) + p_i * (cz + d)^(n - i)
+    from i = n down, keeps one running power of cz + d."""
     top = UniPoly([m.b, m.a])
     bot = UniPoly([m.d, m.c])
-    out, power = UniPoly.constant(p.leading()), UniPoly.one()
-    for coeff in reversed(p.coeffs[:-1]):
+    out, power = UniPoly.constant(p[-1]), UniPoly.one()
+    for coeff in reversed(p[:-1]):
         power = power * bot
         out = out * top
         if not coeff.is_zero:
@@ -150,28 +152,29 @@ def _homogenized_substitution(p: UniPoly, m: Moebius) -> UniPoly:
 def factored_compose_moebius(beta: FactoredBelyi, m: Moebius) -> FactoredBelyi:
     """beta(m(z)) in factored form, without multiplying the factors out.
 
-    A factor f becomes the monic numerator of f(m(z)) over
-    (cz + d)^deg f; its roots are the m-preimages of f's roots, so the
-    factors stay squarefree and coprime.  The one factor vanishing at
-    m(inf) = a/c loses a degree, and its class and exponent pass to
-    infinity (which is untagged when no factor vanishes there).  The point
-    m^-1(inf) = -d/c takes infinity's old class and order.  The scalar
-    picks up the leading coefficients, and the power (cz + d)^(+-o) left
-    over when infinity was a zero or pole of order o.  With c = 0,
-    infinity keeps its tag and that power is the constant d^(+-o).
+    Each factor is a binary form, and infinity joins its side as the form
+    y with the infinity order as its exponent.  A form f of degree n
+    becomes the monic pull-back of f by m, the numerator of f(m(z)) over
+    (cz + d)^n; its roots are the m-preimages of f's roots, so the factors
+    stay squarefree and coprime.  The one form vanishing at m(inf) loses
+    a degree, and its side and exponent pass to infinity (which is
+    untagged when no form vanishes there); y pulls back to cz + d, the
+    point -d/c, or to the constant d when c = 0.  The scalar picks up the
+    leading coefficients of the pull-backs on the zero and pole sides.
     """
-    side, order = beta.infinity_side, beta.infinity_order
-    affine = m.c.is_zero
-    new_side, new_order = (side, order) if affine else ("none", 0)
+    new_side, new_order = "none", 0
     k = beta.k
     sides = {}
     for name, factors in (("zero", beta.zero_factors),
                           ("one", beta.one_factors),
                           ("pole", beta.pole_factors)):
+        forms = [(f.coeffs, e) for f, e in factors]
+        if name == beta.infinity_side:
+            forms.append(((ONE, ZERO), beta.infinity_order))
         out = []
-        for f, e in factors:
+        for f, e in forms:
             h = _homogenized_substitution(f, m)
-            if h.degree < f.degree:
+            if h.degree < len(f) - 1:
                 new_side, new_order = name, e
             if name != "one":
                 lead = binary_power(h.leading(), e, ONE)
@@ -179,11 +182,6 @@ def factored_compose_moebius(beta: FactoredBelyi, m: Moebius) -> FactoredBelyi:
             if h.degree > 0:
                 out.append((h.monic(), e))
         sides[name] = out
-    if side in ("zero", "pole"):
-        u = binary_power(m.d if affine else m.c, order, ONE)
-        k = k * u if side == "zero" else k / u
-    if not affine and side != "none":
-        sides[side].append((UniPoly([m.d / m.c, ONE]), order))
     return FactoredBelyi(k, merge_by_exponent(sides["zero"]),
                          merge_by_exponent(sides["one"]),
                          merge_by_exponent(sides["pole"]),

@@ -8,8 +8,9 @@ is an exact.UniPoly over this ring.
 
 The elimination engine makes one pass over a list of equations (by
 convention the z-coefficients of some identity, highest degree first).  It
-reduces each equation by everything solved so far, divides out factors that
-the caller has declared nonzero, drops it if it is zero, and otherwise
+reduces each equation by everything solved so far, divides out the highest
+power of each unknown that the caller has declared nonzero (saturation by a
+variable, which lowers one exponent), drops it if it is zero, and otherwise
 solves it for the first unsolved unknown, in priority order, whose
 coefficient in it is a nonzero constant.  An equation with no such unknown
 stops the pass.  The full history is kept in an EliminationTrace so that
@@ -41,10 +42,6 @@ from .exact import UniPoly, _Record, binary_power
 
 Expo = tuple[int, ...]
 RationalLike = int | Fraction
-
-
-class NonDivisibleError(ArithmeticError):
-    """Exact multivariate division failed; usually a wrong nonzero assumption."""
 
 
 class MultiPoly:
@@ -254,27 +251,6 @@ class MultiPoly:
             total += t
         return total
 
-    def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact division, lex order; raises NonDivisibleError otherwise."""
-        self._check(divisor)
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return self
-        lead_d = max(divisor.terms)
-        cd = divisor.terms[lead_d]
-        q: dict[Expo, Fraction] = {}
-        r = self
-        while not r.is_zero:
-            lead_r = max(r.terms)
-            expo = tuple(x - y for x, y in zip(lead_r, lead_d))
-            if any(e < 0 for e in expo):
-                raise NonDivisibleError(f"({divisor}) does not divide ({self})")
-            c = r.terms[lead_r] / cd
-            q[expo] = c
-            r = r - MultiPoly(self.vars, {expo: c}) * divisor
-        return MultiPoly(self.vars, q)
-
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -332,23 +308,24 @@ class InconsistentSystemError(RuntimeError):
 
 class EliminationStep(_Record, frozen=True):
     """One solved equation: at z-degree `label`, `equation` (already reduced
-    under earlier substitutions) was divided by the recorded assumption
-    factors and solved for `variable` = `substitution`."""
+    under earlier substitutions) was divided by name^power for each
+    (name, power) of divided_by, names of declared-nonzero unknowns, and
+    solved for `variable` = `substitution`."""
 
     label: int
     equation: MultiPoly
-    divided_by: tuple[tuple[MultiPoly, int], ...]
+    divided_by: tuple[tuple[str, int], ...]
     variable: str
     substitution: MultiPoly
 
 
 class EliminationTrace(_Record):
-    """The steps of one elimination, the factors it divided by, the
+    """The steps of one elimination, the unknowns declared nonzero, the
     unknowns left free, and resolved: each solved variable, in step order,
     written in the free variables (the eliminator's map)."""
 
     steps: list[EliminationStep] = list
-    assumptions: tuple[MultiPoly, ...] = ()
+    assumptions: tuple[str, ...] = ()
     free_vars: tuple[str, ...] = ()
     resolved: dict[str, MultiPoly] = dict
 
@@ -376,14 +353,14 @@ class EliminationTrace(_Record):
 
     def to_report(self) -> dict:
         return {
-            "assumptions": [str(a) for a in self.assumptions],
+            "assumptions": list(self.assumptions),
             "free_variables": list(self.free_vars),
             "steps": [
                 {
                     "z_degree": s.label,
                     "equation": str(s.equation),
                     "divided_by": [
-                        {"factor": str(f), "power": p} for f, p in s.divided_by],
+                        {"factor": f, "power": p} for f, p in s.divided_by],
                     "variable": s.variable,
                     "substitution": str(s.substitution),
                 }
@@ -392,19 +369,19 @@ class EliminationTrace(_Record):
         }
 
 
-def _divide_assumptions(eq: MultiPoly, assumptions: Sequence[MultiPoly]
-                        ) -> tuple[MultiPoly, tuple[tuple[MultiPoly, int], ...]]:
+def _divide_assumptions(eq: MultiPoly, assumptions: Sequence[str]
+                        ) -> tuple[MultiPoly, tuple[tuple[str, int], ...]]:
+    """eq divided by name^m for each declared-nonzero unknown, m the least
+    exponent of name over eq's terms, and the (name, m) with m > 0."""
     divided = []
-    for f in assumptions:
-        count = 0
-        while not eq.is_zero:
-            try:
-                eq = eq.divide_exact(f)
-            except NonDivisibleError:
-                break
-            count += 1
-        if count:
-            divided.append((f, count))
+    for name in assumptions:
+        i = eq.vars.index(name)
+        m = min((expo[i] for expo in eq.terms), default=0)
+        if m:
+            eq = MultiPoly._trusted(eq.vars, {
+                expo[:i] + (expo[i] - m,) + expo[i + 1:]: c
+                for expo, c in eq.terms.items()})
+            divided.append((name, m))
     return eq, tuple(divided)
 
 
@@ -423,15 +400,16 @@ def _pick_linear_unknown(eq: MultiPoly, unknowns: Sequence[str],
 
 def sequential_linear_solve(system: Sequence[tuple[int, MultiPoly]],
                             unknowns: Sequence[str],
-                            assumptions: Sequence[MultiPoly] = (),
+                            assumptions: Sequence[str] = (),
                             ) -> EliminationTrace:
     """Solve a polynomial system in one pass, one linear step per equation.
 
     system      -- (z-degree label, equation) pairs, highest degree first.
     unknowns    -- variable names in solving priority (first wins when an
                    equation is linear in several).
-    assumptions -- factors declared nonzero; they are divided out of every
-                   reduced equation to maximal power and recorded.
+    assumptions -- unknowns declared nonzero; the highest power of each that
+                   divides a reduced equation is divided out and recorded.
+                   A name that is not an unknown raises ValueError.
 
     Each equation, in the order given, is reduced by one substitute_all
     with the resolved map, which sends every solved variable to its
@@ -443,18 +421,21 @@ def sequential_linear_solve(system: Sequence[tuple[int, MultiPoly]],
     the trace so far and the equation's label.
 
     Only a constant pivot is taken, and that loses nothing a pivot made
-    of declared factors would give.  In an equation c1*x + c0, c1 is free
-    of x, so a declared factor f dividing c1 is free of x too (a nonzero
-    multiple of an f that involves x involves x).  If c1 divided c0, f
-    would divide the equation, which has already been divided by f as far
-    as it goes; so a pivot that divides its rest has no declared factor,
-    and it is invertible only when it is a constant.
+    of declared unknowns would give.  In an equation c1*x + c0, c1 is free
+    of x, so a declared unknown t dividing c1 is not x.  If c1 divided c0,
+    t would divide the equation, which has already been divided by t as
+    far as it goes; so a pivot that divides its rest has no declared
+    unknown as a factor, and with only the declared unknowns known to be
+    nonzero it is invertible only when it is a constant.
 
     A new step x = e (e in the unsolved variables) is substituted into the
     map's values before it is added, so the values never mention a solved
     variable and the simultaneous substitution equals replaying the steps
     in order (module docstring).  The map is the trace's resolved field.
     """
+    stray = [name for name in assumptions if name not in unknowns]
+    if stray:
+        raise ValueError(f"assumptions {stray} are not unknowns")
     trace = EliminationTrace(assumptions=tuple(assumptions))
     unsolved = set(unknowns)
     resolved = trace.resolved

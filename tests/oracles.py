@@ -12,7 +12,8 @@ of document verify accepts, replace_fields, which builds the altered
 documents the tests feed to both, substitute_by_accumulation and
 reference_linear_solve, the one-variable-at-a-time references for
 MultiPoly.substitute_all and sequential_linear_solve, resolve_backward,
-the reference for the resolved map an EliminationTrace keeps, and the
+the reference for the resolved map an EliminationTrace keeps,
+quotient_system, the d6 ansatz's equations built by multiplying out, and the
 multiplied-out references on UniPoly that the package certifies without
 expanding: compose, ode_residual, halphen_identity_failures and
 main_equation_residual.  packed_width_bits restates the digit width that
@@ -397,6 +398,23 @@ def reference_linear_solve(system, unknowns, assumptions=()):
         unsolved.discard(name)
     trace.free_vars = tuple(v for v in unknowns if v in unsolved)
     return trace
+
+
+def quotient_system(names):
+    """The d6 ansatz A^3 - B^2*C - k*z = 0 over MultiPoly in names, with
+    A = z^2 + a1*z + a0, B = z^2 + (a1 - t)*z + b0 and C = z^2 + c1*z + c0,
+    as (z-degree, coefficient) pairs, highest degree first: b1 = a1 - t
+    is written in t, the unknown d6_solve declares nonzero."""
+    def var(name):
+        return MultiPoly.var(names, name)
+
+    def quad(hi, lo):
+        return UniPoly.from_terms({2: MultiPoly.const(names, 1), 1: hi, 0: lo})
+
+    S = (quad(var("a1"), var("a0")) ** 3
+         - quad(var("a1") - var("t"), var("b0")) ** 2 * quad(var("c1"), var("c0"))
+         - UniPoly.from_terms({1: var("k")}))
+    return [(d, S.coefficient(d)) for d in range(S.degree, -1, -1)]
 
 
 def resolve_backward(trace):

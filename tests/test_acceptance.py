@@ -28,7 +28,8 @@ from fullerene_belyi.moebius import (beta12_ratmap, beta60_ratmap,
                                      schwarz_check, schwarz_forms)
 from fullerene_belyi.multipoly import MultiPoly
 from oracles import (halphen_identity_failures, ode_residual,
-                     pentagon_chord_angles, quartic_oracle_roots)
+                     pentagon_chord_angles, quartic_oracle_roots,
+                     quotient_system)
 
 
 @contextmanager
@@ -294,19 +295,8 @@ def test_criterion_09_property_suites():
             for d in range(residual.degree, -1, -1):
                 assert trace.apply(residual.coefficient(d)).is_zero
         d6 = d6_solve()
-        names = d6.trace.steps[0].substitution.vars
-
-        def quad(hi, lo):
-            return UniPoly.from_terms({
-                2: MultiPoly.const(names, 1),
-                1: MultiPoly.var(names, hi),
-                0: MultiPoly.var(names, lo)})
-
-        ansatz = (quad("a1", "a0") ** 3
-                  - quad("b1", "b0") ** 2 * quad("c1", "c0")
-                  - UniPoly.from_terms({1: MultiPoly.var(names, "k")}))
-        for d in range(ansatz.degree, -1, -1):
-            assert d6.trace.apply(ansatz.coefficient(d)).is_zero
+        for _, eq in quotient_system(d6.trace.steps[0].substitution.vars):
+            assert d6.trace.apply(eq).is_zero
 
         # every projected vertex sits on the sphere to 1e-12
         for z in barrel_vertices().points.values():

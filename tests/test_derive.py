@@ -15,7 +15,8 @@ from fullerene_belyi.derive import (Verdict, case_degrees, d6_solve,
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.multipoly import MultiPoly
 from oracles import (halphen_identity_failures, main_equation_residual,
-                     ode_residual, packed_width_bits, resolve_backward)
+                     ode_residual, packed_width_bits, quotient_system,
+                     resolve_backward)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +554,8 @@ def test_d6_trace_matches_published_steps():
     names = trace.steps[0].substitution.vars
     a1 = MultiPoly.var(names, "a1")
     a0 = MultiPoly.var(names, "a0")
-    b1 = MultiPoly.var(names, "b1")
+    t = MultiPoly.var(names, "t")
+    b1 = a1 - t
     b0 = MultiPoly.var(names, "b0")
     assert trace.substitution_for("c1") == a1 * 3 - b1 * 2
     assert (trace.substitution_for("c0")
@@ -562,7 +564,7 @@ def test_d6_trace_matches_published_steps():
             == a0 + ((a1 - b1) * (a1 - b1 * 4)).scale(Fraction(1, 6)))
     assert (trace.substitution_for("a0")
             == (a1 * a1).scale(Fraction(1, 4)) - ((a1 - b1) ** 2).scale(Fraction(5, 9)))
-    assert trace.substitution_for("b1") == a1.scale(Fraction(2, 5))
+    assert trace.substitution_for("t") == a1.scale(Fraction(3, 5))
     assert trace.free_vars == ("a1",)
 
 
@@ -655,18 +657,7 @@ def test_replay_annihilates_ode_systems():
 
 def test_replay_annihilates_quotient_system():
     trace = d6_solve().trace
-    names = trace.steps[0].substitution.vars
-
-    def quad(hi, lo):
-        return UniPoly.from_terms({
-            2: MultiPoly.const(names, 1),
-            1: MultiPoly.var(names, hi),
-            0: MultiPoly.var(names, lo)})
-
-    S = (quad("a1", "a0") ** 3 - quad("b1", "b0") ** 2 * quad("c1", "c0")
-         - UniPoly.from_terms({1: MultiPoly.var(names, "k")}))
-    system = [(d, S.coefficient(d)) for d in range(S.degree, -1, -1)]
-    _replay(system, trace)
+    _replay(quotient_system(trace.steps[0].substitution.vars), trace)
 
 
 def test_quotient_solution_is_order_independent():
@@ -674,22 +665,11 @@ def test_quotient_solution_is_order_independent():
     from fullerene_belyi.multipoly import sequential_linear_solve
 
     trace = d6_solve().trace
-    names = trace.steps[0].substitution.vars
-
-    def quad(hi, lo):
-        return UniPoly.from_terms({
-            2: MultiPoly.const(names, 1),
-            1: MultiPoly.var(names, hi),
-            0: MultiPoly.var(names, lo)})
-
-    S = (quad("a1", "a0") ** 3 - quad("b1", "b0") ** 2 * quad("c1", "c0")
-         - UniPoly.from_terms({1: MultiPoly.var(names, "k")}))
-    system = [(d, S.coefficient(d)) for d in range(S.degree, -1, -1)]
-    assumption = MultiPoly.var(names, "a1") - MultiPoly.var(names, "b1")
-    reference = d6_solve().values
-    for order in (["c1", "c0", "b1", "a0", "b0", "a1", "k"],
-                  ["c0", "c1", "b0", "b1", "a0", "a1", "k"],
-                  ["k", "c1", "c0", "b1", "b0", "a1", "a0"]):
-        alt = sequential_linear_solve(system, order, assumptions=[assumption])
+    system = quotient_system(trace.steps[0].substitution.vars)
+    reference = trace.evaluate({"a1": Fraction(10)})
+    for order in (["c1", "c0", "t", "a0", "b0", "a1", "k"],
+                  ["c0", "c1", "b0", "t", "a0", "a1", "k"],
+                  ["k", "c1", "c0", "t", "b0", "a1", "a0"]):
+        alt = sequential_linear_solve(system, order, assumptions=["t"])
         assert alt.free_vars == ("a1",)
         assert alt.evaluate({"a1": Fraction(10)}) == reference

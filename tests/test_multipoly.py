@@ -7,9 +7,9 @@ import pytest
 from fullerene_belyi import derive
 from fullerene_belyi.exact import GaussRat, UniPoly
 from fullerene_belyi.multipoly import (InconsistentSystemError, MultiPoly,
-                                       NonDivisibleError, NonLinearStepError,
+                                       NonLinearStepError, _divide_assumptions,
                                        sequential_linear_solve)
-from oracles import (reference_linear_solve, resolve_backward,
+from oracles import (quotient_system, reference_linear_solve, resolve_backward,
                      substitute_by_accumulation)
 
 AB = ("a1", "a0", "b1", "b0")
@@ -199,14 +199,6 @@ def test_apply_param_matches_apply_on_every_coefficient():
     assert trace.apply_param(general) == general.map_coeffs(trace.apply)
 
 
-def test_divide_exact_and_failure():
-    a1, b1 = v("a1"), v("b1")
-    prod = (a1 - b1) * (a1 + b1)
-    assert prod.divide_exact(a1 - b1) == a1 + b1
-    with pytest.raises(NonDivisibleError):
-        (a1 * a1 + c(1)).divide_exact(a1 - b1)
-
-
 def test_binary_power_matches_repeated_product():
     base = v("a1") - v("b1").scale(Fraction(2, 3)) + c(1)
     product = c(1)
@@ -219,28 +211,23 @@ def test_binary_power_matches_repeated_product():
 
 
 # ---------------------------------------------------------------------------
-# dividing out a factor assumed nonzero
+# dividing out an unknown declared nonzero
 # ---------------------------------------------------------------------------
 
 
-def test_divide_out_degree_three_coefficient():
-    a1, a0, b1, b0 = v("a1"), v("a0"), v("b1"), v("b0")
-    inner = (a1 * a1 - a1 * b1 * 5 + b1 * b1 * 4 + a0 * 6 - b0 * 6)
-    eq = (a1 - b1) * inner
-    assert eq.divide_exact(a1 - b1) == inner
-
-
-def test_divide_out_fifth_power():
+def test_divide_out_least_power_of_the_declared_unknown():
     a1, b1 = v("a1"), v("b1")
-    eq = ((a1 - b1) ** 5 * (a1 * 2 - b1 * 5)).scale(Fraction(-1, 27))
-    out = eq.divide_exact((a1 - b1) ** 5)
-    assert out == (a1 * 2 - b1 * 5).scale(Fraction(-1, 27))
+    inner = a1 * 2 - b1 * 5 + c(3)
+    eq = (a1 ** 5 * inner).scale(Fraction(-1, 27))
+    assert _divide_assumptions(eq, ["a1"]) == (inner.scale(Fraction(-1, 27)), (("a1", 5),))
+    assert _divide_assumptions(a1 * a1 * b1 - a1 ** 3, ["a1", "b1"]) == (
+        b1 - a1, (("a1", 2),))
 
 
-def test_divide_out_nondivisible_is_error():
+def test_equation_without_the_declared_unknown_is_left_alone():
     a1, b1 = v("a1"), v("b1")
-    with pytest.raises(NonDivisibleError):
-        (a1 * 2 - b1 * 5).divide_exact(a1 - b1)
+    for eq in (b1 - c(4), a1 * b1 + c(1), MultiPoly.zero(AB)):
+        assert _divide_assumptions(eq, ["a1"]) == (eq, ())
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +323,23 @@ def test_solve_small_triangular_system():
 def test_solve_records_assumption_division():
     names = ("u", "t")
     t, u = MultiPoly.var(names, "t"), MultiPoly.var(names, "u")
-    eq = (t - u) * (u - MultiPoly.const(names, 4))
-    trace = sequential_linear_solve([(0, eq)], names, assumptions=[t - u])
+    eq = t * t * (u - MultiPoly.const(names, 4))
+    trace = sequential_linear_solve([(0, eq)], names, assumptions=["t"])
     step = trace.steps[0]
     assert step.variable == "u"
-    assert step.divided_by == ((t - u, 1),)
+    assert step.divided_by == (("t", 2),)
     assert step.substitution == MultiPoly.const(names, 4)
+    assert trace.to_report()["assumptions"] == ["t"]
+    assert trace.to_report()["steps"][0]["divided_by"] == [{"factor": "t", "power": 2}]
+
+
+def test_solve_refuses_an_assumption_that_is_not_an_unknown():
+    names = ("u", "t")
+    t, u = MultiPoly.var(names, "t"), MultiPoly.var(names, "u")
+    with pytest.raises(ValueError, match="not unknowns"):
+        sequential_linear_solve([(0, t * u)], ("u",), assumptions=["t"])
+    with pytest.raises(ValueError, match="not unknowns"):
+        sequential_linear_solve([(0, t * u)], names, assumptions=[t])
 
 
 def test_solve_inconsistent_system():
@@ -407,19 +405,6 @@ def solve_both(system, unknowns, assumptions=()):
     return got
 
 
-def quotient_system(names):
-    """The d6 ansatz A^3 - B^2*C - k*z = 0, with a1 - b1 declared nonzero."""
-    def quad(hi, lo):
-        return UniPoly.from_terms({2: MultiPoly.const(names, 1),
-                                   1: MultiPoly.var(names, hi),
-                                   0: MultiPoly.var(names, lo)})
-
-    S = (quad("a1", "a0") ** 3 - quad("b1", "b0") ** 2 * quad("c1", "c0")
-         - UniPoly.from_terms({1: MultiPoly.var(names, "k")}))
-    return ([(d, S.coefficient(d)) for d in range(S.degree, -1, -1)],
-            [MultiPoly.var(names, "a1") - MultiPoly.var(names, "b1")])
-
-
 @pytest.mark.parametrize("s", [5, 6])
 def test_solver_matches_reference_on_the_ode(s):
     m = s + 6
@@ -429,14 +414,13 @@ def test_solver_matches_reference_on_the_ode(s):
 
 
 @pytest.mark.parametrize("order", [
-    ["c1", "c0", "b1", "b0", "a1", "a0", "k"],  # d6_solve's own
-    ["c1", "c0", "b1", "a0", "b0", "a1", "k"],
-    ["c0", "c1", "b0", "b1", "a0", "a1", "k"],
-    ["k", "c1", "c0", "b1", "b0", "a1", "a0"]])
+    ["c1", "c0", "t", "b0", "a1", "a0", "k"],  # d6_solve's own
+    ["c1", "c0", "t", "a0", "b0", "a1", "k"],
+    ["c0", "c1", "b0", "t", "a0", "a1", "k"],
+    ["k", "c1", "c0", "t", "b0", "a1", "a0"]])
 def test_solver_matches_reference_on_the_quotient(order):
-    names = ("c1", "c0", "b1", "b0", "a1", "a0", "k")
-    system, assumptions = quotient_system(names)
-    trace = solve_both(system, order, assumptions)
+    names = ("c1", "c0", "t", "b0", "a1", "a0", "k")
+    trace = solve_both(quotient_system(names), order, ("t",))
     if order[0] == "c1" and order[3] == "b0":
         assert trace_fields(trace) == trace_fields(derive.d6_solve().trace)
 
@@ -448,8 +432,8 @@ def synthetic_systems():
     w3, y3, x3 = (MultiPoly.var(("w", "y", "x"), n) for n in ("w", "y", "x"))
     return {
         "triangular": ([(2, y2 - x2 * x2), (1, x2 - one2.scale(3))], ("y", "x"), ()),
-        "assumption": ([(0, (t - u) * (u - MultiPoly.const(("u", "t"), 4)))],
-                       ("u", "t"), (t - u,)),
+        "assumption": ([(0, t * (u - MultiPoly.const(("u", "t"), 4)))],
+                       ("u", "t"), ("t",)),
         "chain": ([(3, w3 - (x3 * y3 + x3 * x3)), (2, y3 - x3.scale(7)),
                    (1, x3 - MultiPoly.const(("w", "y", "x"), 2))], ("w", "y", "x"), ()),
         "report": ([(1, y2 - x2), (0, x2 - one2.scale(5))], ("y", "x"), ()),
@@ -468,13 +452,12 @@ def test_solver_errors_match_reference():
     names = ("y", "x")
     x, y = MultiPoly.var(names, "x"), MultiPoly.var(names, "y")
     one = MultiPoly.const(names, 1)
-    # neither x*y - 1 nor, once x - 3 is divided out, x*y - 2 has a
-    # constant pivot: the pass stops at it, though the equations after it
-    # would have solved y or x
+    # neither x*y - 1 nor, once x is divided out, x*y - 2 has a constant
+    # pivot: the pass stops at it, though the equations after it would
+    # have solved y or x
     nonlinear = [
         ([(2, x * y - one), (1, y - x * x), (0, x * x * x - y * y)], ()),
-        ([(2, (x - one.scale(3)) * (x * y - one.scale(2))), (1, x - one)],
-         (x - one.scale(3),))]
+        ([(2, x * (x * y - one.scale(2))), (1, x - one)], ("x",))]
     for system, assumptions in nonlinear:
         with pytest.raises(NonLinearStepError) as got:
             sequential_linear_solve(system, names, assumptions)
@@ -495,21 +478,29 @@ def test_solver_errors_match_reference():
 
 
 def test_every_pipeline_step_has_a_constant_pivot():
-    """Each recorded equation of the s = 5, s = 6 and d6 eliminations,
-    divided by its recorded factors, is pivot*x + rest with a nonzero
-    constant pivot, and the recorded substitution is -rest/pivot."""
+    """Each recorded equation of the s = 5, s = 6 and d6 eliminations is,
+    by multiplication, t^m * pivot * (x - substitution): the recorded
+    powers of declared unknowns times pivot*x + rest, with a nonzero
+    constant pivot and the substitution -rest/pivot free of x.  Only d6
+    divides, by t^1, t^2 and t^5."""
     traces = [derive.run_ode_elimination(5)[1], derive.run_ode_elimination(6)[1],
               derive.d6_solve().trace]
     assert [len(t.steps) for t in traces] == [9, 9, 6]
+    assert [s.divided_by for t in traces for s in t.steps if s.divided_by] == [
+        (("t", 1),), (("t", 2),), (("t", 5),)]
+    pivots = []
     for step in (step for trace in traces for step in trace.steps):
-        eq = step.equation
-        for factor, power in step.divided_by:
-            eq = eq.divide_exact(factor ** power)
-        pivot = eq.coefficient_in(step.variable, 1)
-        rest = eq.coefficient_in(step.variable, 0)
-        assert eq == pivot * MultiPoly.var(eq.vars, step.variable) + rest
-        assert pivot.is_constant and not pivot.is_zero
-        assert step.substitution == rest.scale(-1 / pivot.constant_value())
+        vs = step.equation.vars
+        monomial = MultiPoly.const(vs, 1)
+        for name, power in step.divided_by:
+            monomial = monomial * MultiPoly.var(vs, name) ** power
+        x = MultiPoly.var(vs, step.variable)
+        (expo,) = (monomial * x).terms
+        pivot = step.equation.terms[expo]
+        pivots.append(pivot)
+        assert step.substitution.degree_in(step.variable) == 0
+        assert step.equation == monomial * (x - step.substitution).scale(pivot)
+    assert pivots[-6:] == [-1, -1, -6, -3, -1, Fraction(-5, 27)]
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +547,7 @@ def test_trace_evaluate_reads_the_resolved_map():
     trace = derive.d6_solve().trace
     values = trace.evaluate({"a1": 10})
     assert list(values) == ["a1", *trace.resolved]
-    assert {name: values[name] for name in ("a0", "b1", "b0", "c1", "c0", "k")} == {
-        "a0": 5, "b1": 4, "b0": -1, "c1": 22, "c0": 125, "k": 1728}
+    assert {name: values[name] for name in ("a0", "t", "b0", "c1", "c0", "k")} == {
+        "a0": 5, "t": 6, "b0": -1, "c1": 22, "c0": 125, "k": 1728}
     with pytest.raises(ValueError, match="no value for variable a1"):
         trace.evaluate({})
