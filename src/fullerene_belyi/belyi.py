@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cache, reduce
 
 from .exact import (GaussRat, RationalMap, UniPoly, _cleared_identity, _natural,
-                    _quote, _Record, coprime, is_squarefree,
+                    _quote, _Record, coprime, first_equal_pair, is_squarefree,
                     squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
@@ -298,17 +298,20 @@ class FactoredBelyi(_Record, frozen=True):
 
         verify has one accept: a tight document (below) whose identity
         and zero-pole pairs hold.  Every other document goes on to the
-        checks that name its fault, in this order: every factor
-        squarefree; all factors pairwise coprime; the three side degrees
-        balance, including the infinity contribution; the fibres over 0, 1
-        and infinity hold exactly the n + 2 points of a Belyi map; the
-        identity k*Z - Q = c*O for the declared one-side product O (c a
-        nonzero scalar); and last, that the degree n is at least 1, since a
+        checks that name its fault, cheapest first: (i) no two factors are
+        equal; (ii) the three side degrees balance, including the infinity
+        contribution; (iii) the fibres over 0, 1 and infinity hold at least
+        the n + 2 points of a degree-n map; (iv) the identity k*Z - Q = c*O
+        for the declared one-side product O (c a nonzero scalar); (v) every
+        factor is squarefree, and then all factors are pairwise coprime;
+        (vi) the fibres hold no more than n + 2 points, so that beta is a
+        Belyi map; and last, (vii) the degree n is at least 1, since a
         constant is no Belyi map.  The factors are monic by construction,
         so nothing here checks that.
 
         Everything runs on integers, and verify asks exact only about
-        polynomials: coprime(f, g), is_squarefree(f), the identity
+        polynomials: coprime(f, g), is_squarefree(f), the first equal
+        pair of factors (exact.first_equal_pair), the identity
         (exact._cleared_identity on k and the (factor, exponent) pairs)
         and f.degree.  How a factor is stored stays inside exact.  Every
         certificate there reads one cleared form per factor: f as g_f/d_f
@@ -338,8 +341,15 @@ class FactoredBelyi(_Record, frozen=True):
         ("Packed sums" in the exact module docstring), W' at the width its
         products need rather than one inflated by the shared denominators.
 
-        No product is taken before two bounds that cost nothing of the
-        degree n: the side sums, and Riemann-Hurwitz.  A degree-n map
+        Only (v) runs the F_p Euclid of the certificates, quadratic in a
+        factor's degree, so every fault the other checks can name is named
+        before it runs.  (i) compares the cleared forms, which are
+        canonical, in one pass (exact.first_equal_pair): two equal
+        nonconstant factors share every root, so a factor repeated
+        verbatim is a FactorsShareRoot, whatever else is wrong with the
+        document.  No product is taken before (ii) and (iii), two bounds
+        that cost nothing of the degree n, so an exponent bomb, whose
+        factors are small, is refused before any product.  A degree-n map
         (n >= 1) has total ramification 2n - 2, so its fibres over 0, 1
         and infinity hold A >= 3n - (2n - 2) = n + 2 distinct points, with
         equality iff every critical value lies in {0, 1, infinity}, that
@@ -348,19 +358,12 @@ class FactoredBelyi(_Record, frozen=True):
         infinity: the number of declared parts over 0, 1 and infinity,
         the same parts that give n, the side sums and the passport
         (_fibres); by (4) below, A <= D once the identity holds, so with
-        D < n + 2 it cannot.  When the fault is named, the factors are
-        squarefree and pairwise coprime by the time the count is checked,
-        so once the identity holds A = D, and D > n + 2 leaves a critical
-        value outside {0, 1, infinity}: such a document is refused too
-        (IdentityFailed), before the identity.  The two bounds do not come
-        first, though: the squarefree and pair certificates run before
-        them, and those are quadratic in a factor's degree (the F_p
-        Euclid), so an unbalanced document with one large factor pays for
-        them before DegreeImbalance names it.  The order stays because a
-        document with a factor repeated on two sides is unbalanced too, and
-        the benchmark's certify corpus expects FactorsShareRoot for it
-        (ROADMAP items 4 and 6).  An exponent bomb, whose factors are
-        small, is still refused before any product.
+        D < n + 2 it cannot.  (iv) is one packed product per side, the one
+        the tight accept computed (cached), so a document whose identity
+        fails never reaches (v).  (vi) comes after (v) because its
+        message needs the certificates: with squarefree, pairwise coprime
+        factors and a true identity A = D, and D > n + 2 leaves a critical
+        value outside {0, 1, infinity} (IdentityFailed).
 
         The accept.  A document is tight when its sides balance at
         n >= 1, k != 0 and D = n + 2.  For a tight document verify checks
@@ -394,7 +397,7 @@ class FactoredBelyi(_Record, frozen=True):
         The identity and the pair results are computed once (cached), so
         a tight document that fails the identity or a zero-pole pair raises
         what the checks that name a fault alone would.  No document gets
-        past those checks with n >= 1: it has squarefree, pairwise coprime
+        past (i)-(vi) with n >= 1: it has squarefree, pairwise coprime
         factors, balanced sides, D = n + 2 and a true identity, so it is
         tight, and would have been accepted, unless k = 0.  And k = 0
         cannot balance: the identity then reads -Q = c*O, so the monic
@@ -427,16 +430,13 @@ class FactoredBelyi(_Record, frozen=True):
             # (3) of the docstring: the tag is the order the degrees give
             return Passport.of(*fibres)
 
-        for f, _ in all_factors:
-            if not is_squarefree(f):
-                raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
-        for i in range(len(all_factors)):
-            for j in range(i + 1, len(all_factors)):
-                if not pair_coprime(i, j):
-                    raise FactorsShareRoot(
-                        f"factors {_show(all_factors[i][0])} and "
-                        f"{_show(all_factors[j][0])} share a root")
+        def shared_root(i: int, j: int) -> FactorsShareRoot:
+            return FactorsShareRoot(f"factors {_show(all_factors[i][0])} and "
+                                    f"{_show(all_factors[j][0])} share a root")
 
+        equal = first_equal_pair([f for f, _ in all_factors])
+        if equal:
+            raise shared_root(*equal)
         for side, total in sums:
             if total != n:
                 raise DegreeImbalance(
@@ -447,12 +447,6 @@ class FactoredBelyi(_Record, frozen=True):
                 f"k*zeros - poles cannot factor as declared: {points} points "
                 f"over 0, 1 and infinity, a degree-{_show_int(n)} map has at "
                 f"least {_show_int(n + 2)} (Riemann-Hurwitz)")
-        if n >= 1 and points > n + 2:
-            raise IdentityFailed(
-                f"not a Belyi map: {points} points over 0, 1 and infinity, a "
-                f"degree-{_show_int(n)} Belyi map has exactly {_show_int(n + 2)}, "
-                "so beta would have a critical value outside 0, 1 and infinity "
-                "(Riemann-Hurwitz)")
         mismatch = identity()
         if mismatch:
             got, declared = mismatch
@@ -461,6 +455,19 @@ class FactoredBelyi(_Record, frozen=True):
             raise IdentityFailed(
                 "k*zeros - poles does not factor as declared: "
                 f"got {_show(got)}, declared {_show(declared)}")
+        for f, _ in all_factors:
+            if not is_squarefree(f):
+                raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
+        for i in range(len(all_factors)):
+            for j in range(i + 1, len(all_factors)):
+                if not pair_coprime(i, j):
+                    raise shared_root(i, j)
+        if n >= 1 and points > n + 2:
+            raise IdentityFailed(
+                f"not a Belyi map: {points} points over 0, 1 and infinity, a "
+                f"degree-{_show_int(n)} Belyi map has exactly {_show_int(n + 2)}, "
+                "so beta would have a critical value outside 0, 1 and infinity "
+                "(Riemann-Hurwitz)")
         raise DegreeImbalance("every side sums to 0: a Belyi map has "
                               "degree at least 1")
 

@@ -736,6 +736,21 @@ def _length(f: UniPoly) -> int:
     return len(f.coeffs) if form is None else len(form[1])
 
 
+def first_equal_pair(polys: Sequence[UniPoly]) -> tuple[int, int] | None:
+    """The first (i, j) with i < j and polys[i] == polys[j] (the least
+    such j, then the least i), or None.  One pass over the cleared forms
+    (_form_of), which are canonical: d is the lcm of the reduced
+    denominators and the digits end at the last nonzero coefficient, so
+    equal polynomials have equal forms, and no coefficient is built."""
+    first: dict = {}
+    for j, f in enumerate(polys):
+        d, re, im = _form_of(f)
+        i = first.setdefault((d, tuple(re), tuple(im)), j)
+        if i != j:
+            return i, j
+    return None
+
+
 def _scalar_term(c: GaussRat, mono: str) -> str:
     if mono and c == ONE:
         return mono

@@ -252,30 +252,34 @@ def is_tight(beta):
 
 def reference_verify(beta):
     """FactoredBelyi.verify as it was before the integer certificate, the
-    reference for the one in the package: squarefreeness and coprimality
-    by the exact Euclidean poly_gcd, the identity k*Z - Q = c*O by
-    multiplying the factors out over Q(i), and the checks in their old
-    order (the identity before the side sums).  Returns the passport or
-    raises the error verify raises, with the same message (polynomials and
-    integers shown as belyi's messages show them)."""
+    reference for the one in the package: equal factors by comparing
+    coefficients, squarefreeness and coprimality by the exact Euclidean
+    poly_gcd, the identity k*Z - Q = c*O by multiplying the factors out
+    over Q(i), and the checks in verify's order (equal factors, side sums,
+    too few points, identity, squarefree, pairs, too many points, degree
+    0).  Returns the passport or raises the error verify raises, with the
+    same message (polynomials and integers shown as belyi's messages show
+    them)."""
     all_factors = beta.zero_factors + beta.one_factors + beta.pole_factors
-    for f, _ in all_factors:
-        if poly_gcd(f, f.derivative()).degree:
-            raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
-    for i in range(len(all_factors)):
-        for j in range(i + 1, len(all_factors)):
+    for j in range(len(all_factors)):
+        for i in range(j):
             a, b = all_factors[i][0], all_factors[j][0]
-            if poly_gcd(a, b).degree:
+            if a == b:
                 raise FactorsShareRoot(f"factors {_show(a)} and {_show(b)} share a root")
-    # with squarefree, pairwise coprime factors the declared points are
-    # distinct, and a degree-n Belyi map has exactly n + 2 of them
-    degree, points = side_sum(beta, beta.zero_factors, "zero"), declared_points(beta)
-    if degree >= 1 and points > degree + 2:
+    n = side_sum(beta, beta.zero_factors, "zero")
+    for side, factors in (("one", beta.one_factors), ("pole", beta.pole_factors)):
+        if side_sum(beta, factors, side) != n:
+            raise DegreeImbalance(f"{side} side sums to "
+                                  f"{_show_int(side_sum(beta, factors, side))}, "
+                                  f"zero side to {_show_int(n)}")
+    # a degree-n map has at least n + 2 distinct points over 0, 1 and
+    # infinity, and a Belyi map exactly n + 2 (Riemann-Hurwitz)
+    points = declared_points(beta)
+    if n >= 1 and points < n + 2:
         raise IdentityFailed(
-            f"not a Belyi map: {points} points over 0, 1 and infinity, a "
-            f"degree-{_show_int(degree)} Belyi map has exactly "
-            f"{_show_int(degree + 2)}, so beta would have a critical value "
-            "outside 0, 1 and infinity (Riemann-Hurwitz)")
+            f"k*zeros - poles cannot factor as declared: {points} points over "
+            f"0, 1 and infinity, a degree-{_show_int(n)} map has at least "
+            f"{_show_int(n + 2)} (Riemann-Hurwitz)")
 
     def product(factors):
         out = UniPoly.one()
@@ -293,13 +297,6 @@ def reference_verify(beta):
         raise IdentityFailed(
             "k*zeros - poles does not factor as declared: "
             f"got {_show(w.monic())}, declared {_show(o_prod)}")
-
-    n = side_sum(beta, beta.zero_factors, "zero")
-    for side, factors in (("one", beta.one_factors), ("pole", beta.pole_factors)):
-        if side_sum(beta, factors, side) != n:
-            raise DegreeImbalance(f"{side} side sums to "
-                                  f"{_show_int(side_sum(beta, factors, side))}, "
-                                  f"zero side to {_show_int(n)}")
     dn, dd = z_prod.degree, q_prod.degree
     if dn != dd:
         expected = ("pole", dn - dd) if dn > dd else ("zero", dd - dn)
@@ -311,6 +308,23 @@ def reference_verify(beta):
         raise DegreeImbalance(
             f"infinity tagged {beta.infinity_side}^{_show_int(beta.infinity_order)}, "
             f"degrees give {expected[0]}^{_show_int(expected[1])}")
+
+    for f, _ in all_factors:
+        if poly_gcd(f, f.derivative()).degree:
+            raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
+    for i in range(len(all_factors)):
+        for j in range(i + 1, len(all_factors)):
+            a, b = all_factors[i][0], all_factors[j][0]
+            if poly_gcd(a, b).degree:
+                raise FactorsShareRoot(f"factors {_show(a)} and {_show(b)} share a root")
+    # with squarefree, pairwise coprime factors the declared points are
+    # distinct, and more than n + 2 leave a critical value outside {0, 1, oo}
+    if n >= 1 and points > n + 2:
+        raise IdentityFailed(
+            f"not a Belyi map: {points} points over 0, 1 and infinity, a "
+            f"degree-{_show_int(n)} Belyi map has exactly "
+            f"{_show_int(n + 2)}, so beta would have a critical value "
+            "outside 0, 1 and infinity (Riemann-Hurwitz)")
     if n < 1:
         raise DegreeImbalance("every side sums to 0: a Belyi map has "
                               "degree at least 1")

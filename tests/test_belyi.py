@@ -1,6 +1,8 @@
 """Passports, the factored-form identity, and fullerene bookkeeping."""
 
 import math
+import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -143,29 +145,44 @@ def test_verify_identity_failure_names_factor():
         broken.verify()
 
 
+# beta = -z(z - 3)/2: the identity holds with squarefree, coprime factors,
+# but its critical point 3/2 has the value 9/8
+NOT_BELYI = ("belyi v1\nk -1/2\ninfinity pole 2\nzero 1 0 1\nzero 1 -3 1\n"
+             "one 1 2 -3 1\n")
+# beta = z^2 with its zero side declared as the one factor z^2: the identity
+# z^2 - 1 = (z - 1)(z + 1) holds on 5 points, where a degree-2 map has 4
+SQUARED_ZERO = "belyi v1\nk 1\ninfinity pole 2\nzero 1 0 0 1\none 1 -1 0 1\n"
+# beta = z^2(z + 1) with its zero side declared as z(z + 1) and z: the
+# identity holds on 7 points, and the two zero factors share the root 0
+SHARED_ZERO = ("belyi v1\nk 1\ninfinity pole 3\nzero 1 0 1 1\nzero 1 0 1\n"
+               "one 1 -1 0 1 1\n")
+
+
 def test_verify_rejects_nonsquarefree_factor():
-    beta = quotient6_by_hand()
-    bad = FactoredBelyi(
-        k=beta.k,
-        zero_factors=((UniPoly.from_terms({2: 1, 1: -2, 0: 1}), 3),),
-        one_factors=beta.one_factors,
-        pole_factors=beta.pole_factors,
-        infinity_side="pole", infinity_order=5)
-    with pytest.raises(FactorNotSquarefree):
+    """The squarefree certificate runs only once the identity holds, and it
+    names the factor before the point count would.  The same factor in a
+    document whose identity fails is named by the identity."""
+    with pytest.raises(FactorNotSquarefree, match=r"^factor z\^2 has a repeated root$"):
+        FactoredBelyi.from_text(SQUARED_ZERO).verify()
+    bad = replace_fields(quotient6_by_hand(),
+                         zero_factors=((UniPoly.from_terms({2: 1, 1: -2, 0: 1}), 3),))
+    with pytest.raises(IdentityFailed, match="does not factor as declared"):
         bad.verify()
 
 
 def test_verify_rejects_shared_root():
-    z = UniPoly.x()
-    one = UniPoly.one()
-    beta = FactoredBelyi(
-        k=GaussRat.of(1),
-        zero_factors=((z - one, 2),),
-        one_factors=((z * z - one, 1),),
-        pole_factors=((z, 2),),
-        infinity_side="none", infinity_order=0)
-    with pytest.raises(FactorsShareRoot):
-        beta.verify()
+    """Two different factors with a common root are named by the pair
+    certificates, which run once the identity holds.  Two equal factors
+    are named before anything else, even on an unbalanced document."""
+    with pytest.raises(FactorsShareRoot,
+                       match=r"^factors z\^2 \+ z and z share a root$"):
+        FactoredBelyi.from_text(SHARED_ZERO).verify()
+    z, one = UniPoly.x(), UniPoly.one()
+    repeated = FactoredBelyi(
+        k=GaussRat.of(1), zero_factors=((z - one, 2),), one_factors=((z - one, 1),),
+        pole_factors=((z, 1),), infinity_side="none", infinity_order=0)
+    assert assert_agrees(repeated) == (
+        "FactorsShareRoot", "factors z - 1 and z - 1 share a root")
 
 
 @pytest.mark.parametrize("body, shown", [
@@ -229,13 +246,19 @@ def test_messages_show_a_polynomial_exactly_when_its_text_is_short(rng):
 def test_verify_messages_of_long_factors_are_bounded():
     z, one = UniPoly.x(), UniPoly.one()
     huge = UniPoly.from_terms({0: 10 ** 3000})
+    # beta = (z + huge)^2 and beta = (z - huge)^2 (z + 1), each declared
+    # with a true identity and more than n + 2 points, so that the
+    # squarefree and pair certificates are reached
     square = (z + huge) * (z + huge)
-    shared = FactoredBelyi(k=GaussRat.of(1), zero_factors=((z - huge, 2),),
-                           one_factors=(((z - huge) * (z + one), 1),),
-                           pole_factors=((z, 2),), infinity_side="none",
-                           infinity_order=0)
-    cases = [(replace_fields(quotient6_by_hand(), zero_factors=((square, 3),)),
-              FactorNotSquarefree), (shared, FactorsShareRoot)]
+    repeated = FactoredBelyi(k=GaussRat.of(1), zero_factors=((square, 1),),
+                             one_factors=((z + huge - one, 1), (z + huge + one, 1)),
+                             pole_factors=(), infinity_side="pole", infinity_order=2)
+    zeros = (z - huge) * (z - huge) * (z + one)
+    shared = FactoredBelyi(k=GaussRat.of(1),
+                           zero_factors=(((z - huge) * (z + one), 1), (z - huge, 1)),
+                           one_factors=((zeros - one, 1),), pole_factors=(),
+                           infinity_side="pole", infinity_order=3)
+    cases = [(repeated, FactorNotSquarefree), (shared, FactorsShareRoot)]
     for beta, error in cases:
         with pytest.raises(error) as exc:
             beta.verify()
@@ -447,8 +470,8 @@ def agreement_cases():
         for delta in (1, -1):
             cases[f"{name}/k{delta:+d}"] = replace_fields(
                 cases[name], k=cases[name].k + delta)
-    # a repeated factor also unbalances the sides; the factor checks come
-    # first, so these fail with FactorsShareRoot
+    # a repeated factor also unbalances the sides; equal factors are
+    # checked first, so these fail with FactorsShareRoot
     for name, side in (("d12/h9", "one_factors"), ("d72/h1", "pole_factors")):
         beta = cases[name]
         cases[f"{name}/repeated-{side}"] = replace_fields(
@@ -474,6 +497,10 @@ def agreement_cases():
     # (Riemann-Hurwitz): the exponent bomb's shape, small enough to expand
     cases["few-points/e40"] = FactoredBelyi.from_text(
         "belyi v1\nk 1\nzero 40 0 1\npole 40 1 1\none 40 2 1\n")
+    # true identities on more than n + 2 points: every certificate runs
+    cases["not-belyi"] = FactoredBelyi.from_text(NOT_BELYI)
+    cases["squared-zero"] = FactoredBelyi.from_text(SQUARED_ZERO)
+    cases["shared-zero"] = FactoredBelyi.from_text(SHARED_ZERO)
     return cases
 
 
@@ -482,27 +509,25 @@ CASES = agreement_cases()
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_verify_agrees_with_reference(name):
-    if name.startswith("few-points"):
-        # the point count refuses before any product; the reference,
-        # which expands the sides, names them instead
-        got = outcome(FactoredBelyi.verify, CASES[name])
-        assert got[0] == outcome(reference_verify, CASES[name])[0]
-        assert got[1].endswith("(Riemann-Hurwitz)")
-    else:
-        got = assert_agrees(CASES[name])
+    got = assert_agrees(CASES[name])
     expect = {"constant": "DegreeImbalance", "/k": "IdentityFailed",
               "repeated": "FactorsShareRoot",
               "collapsed": "IdentityFailed", "deg-W-above-O": "IdentityFailed",
-              "few-points": "IdentityFailed"}
+              "few-points": "IdentityFailed", "not-belyi": "IdentityFailed",
+              "squared-zero": "FactorNotSquarefree",
+              "shared-zero": "FactorsShareRoot"}
     tag = next((t for t in expect if t in name), None)
     if tag is None:
         assert isinstance(got, Passport) and got.is_balanced
     else:
         assert got[0] == expect[tag]
     if tag == "deg-W-above-O":
-        # 6 points at degree 3: refused before the identity is reached
-        assert got[1].startswith("not a Belyi map: 6 points over 0, 1 and "
-                                 "infinity, a degree-3 Belyi map has exactly 5")
+        # 6 points at degree 3, but the identity fails first
+        assert got[1] == ("k*zeros - poles does not factor as declared: "
+                          "got z^2 + z, declared z")
+    if tag == "few-points":
+        # the point count refuses before any product
+        assert got[1].startswith("k*zeros - poles cannot factor as declared")
 
 
 def test_agreement_cases_cover_real_gaussian_and_fallback():
@@ -553,12 +578,11 @@ def test_verify_at_the_digit_bound(e):
 
 
 def test_verify_checks_side_sums_before_the_identity():
-    """A document that fails both the identity and the side sums now
-    reports DegreeImbalance; the multiplied-out reference checked the
-    identity first."""
+    """A document that fails both the identity and the side sums reports
+    DegreeImbalance, the check that takes no product; the reference keeps
+    the same order."""
     beta = replace_fields(quotient6_by_hand(), k=GaussRat.of(2), infinity_order=4)
-    assert outcome(reference_verify, beta)[0] == "IdentityFailed"
-    assert outcome(FactoredBelyi.verify, beta) == (
+    assert assert_agrees(beta) == (
         "DegreeImbalance", "pole side sums to 5, zero side to 6")
 
 
@@ -599,14 +623,19 @@ def test_verify_of_a_parsed_document_clears_no_factor(monkeypatch, name):
     assert calls == [(beta.k,)]
 
 
+NAMED_BEFORE_THE_CERTIFICATES = ("d12/h3/k+1", "d12/h9/repeated-one_factors")
+
+
 @pytest.mark.parametrize("name", [*PARSED_ACCEPTS, "d12", "d60/h9", "d6/shift-1/p",
-                                  "d12/h3/k+1", "d12/h9/repeated-one_factors"])
+                                  "not-belyi", "squared-zero", "shared-zero",
+                                  *NAMED_BEFORE_THE_CERTIFICATES])
 def test_verify_reduces_each_factor_at_most_once(monkeypatch, name):
     """A factor keeps its reduction modulo J once it is made
     (exact._reduction): on the tight path a zero factor is in a pair with
-    each pole factor, and on the path that names a fault each factor's
-    squarefree certificate and every pair read it, yet verify reduces each
-    factor's cleared form at most once."""
+    each pole factor, and on a true identity over more than n + 2 points
+    each factor's squarefree certificate and every pair read it, yet
+    verify reduces each factor's cleared form at most once.  A fault named
+    by equal factors or by the identity reduces nothing."""
     beta = FactoredBelyi.from_text(CASES[name].to_text())
     forms = [f._form for f, _ in beta.zero_factors + beta.one_factors
              + beta.pole_factors]
@@ -615,7 +644,8 @@ def test_verify_reduces_each_factor_at_most_once(monkeypatch, name):
     monkeypatch.setattr(exact, "_reduce_mod_p",
                         lambda form: reduced.append(form) or reduce_mod_p(form))
     assert outcome(FactoredBelyi.verify, beta) == outcome(reference_verify, beta)
-    assert reduced and all(any(form is f for f in forms) for form in reduced)
+    assert bool(reduced) == (name not in NAMED_BEFORE_THE_CERTIFICATES)
+    assert all(any(form is f for f in forms) for form in reduced)
     assert len({id(form) for form in reduced}) == len(reduced)
 
 
@@ -775,17 +805,15 @@ def test_tight_documents_skip_the_squarefree_and_same_side_certificates(monkeypa
 
 @pytest.mark.parametrize("name", ["d6/k+1", "d6/k-1", "d12/h3/k+1", "d72/h1/k-1"])
 def test_a_tight_document_failing_the_identity_runs_it_once(monkeypatch, name):
-    """The full path reuses the identity the short path computed, and
-    raises what the reference raises."""
+    """The path that names the fault reuses the identity the short path
+    computed, and raises what the reference raises, before any squarefree
+    or pair certificate runs."""
     beta = CASES[name]
     assert declared_points(beta) == beta.degree + 2
     spy = CertificateSpy(monkeypatch)
     assert assert_agrees(beta)[0] == "IdentityFailed"
     assert len(spy.identity) == 1
-    # the full path ran: every factor's squarefree certificate and every pair
-    factors = len(beta.zero_factors + beta.one_factors + beta.pole_factors)
-    assert len(spy.squarefree) == factors
-    assert len(spy.coprime) == factors * (factors - 1) // 2
+    assert spy.squarefree == [] and spy.coprime == []
 
 
 def test_too_few_points_are_refused_before_any_product(monkeypatch):
@@ -801,10 +829,6 @@ def test_too_few_points_are_refused_before_any_product(monkeypatch):
             "^k\\*zeros - poles cannot factor as declared: 3 points over 0, 1 "
             "and infinity, a degree-2 map has at least 4 \\(Riemann-Hurwitz\\)$")):
         beta.verify()
-
-
-NOT_BELYI = ("belyi v1\nk -1/2\ninfinity pole 2\nzero 1 0 1\nzero 1 -3 1\n"
-             "one 1 2 -3 1\n")
 
 
 def test_verify_refuses_more_than_n_plus_2_points():
@@ -835,3 +859,64 @@ def test_verify_builds_no_fraction_polynomial_on_accept(monkeypatch):
     for name in ("d6", "d12/h1", "d60/h9", "d72/h3"):
         assert isinstance(CASES[name].verify(), Passport)
     assert built == []
+
+
+# one document per step of verify's fault path, in its order
+FAULT_STEPS = {
+    "1-equal-factors": ("belyi v1\nk 1\nzero 2 0 1\none 1 0 1\npole 1 1 1\n",
+                        "FactorsShareRoot", "factors z and z share a root"),
+    "2-side-sums": ("belyi v1\nk 1\nzero 2 0 1\none 1 1 1\npole 1 2 1\n",
+                    "DegreeImbalance", "one side sums to 1, zero side to 2"),
+    "3-too-few-points": ("belyi v1\nk 1\nzero 2 0 1\none 2 1 1\npole 2 2 1\n",
+                         "IdentityFailed", "k*zeros - poles cannot factor"),
+    "4-identity": ("belyi v1\nk 2\ninfinity pole 2\nzero 2 0 1\none 1 -1 1\n"
+                   "one 1 1 1\n", "IdentityFailed",
+                   "k*zeros - poles does not factor as declared"),
+    "5-squarefree": (SQUARED_ZERO, "FactorNotSquarefree", "factor z^2 has"),
+    "5-pairs": (SHARED_ZERO, "FactorsShareRoot", "factors z^2 + z and z share"),
+    "6-too-many-points": (NOT_BELYI, "IdentityFailed", "not a Belyi map"),
+    "7-degree-0": ("belyi v1\nk 2\n", "DegreeImbalance", "every side sums to 0"),
+}
+
+
+@pytest.mark.parametrize("step", list(FAULT_STEPS))
+def test_each_fault_step_names_its_class(step):
+    """Each step of the fault path stays reachable: a document that passes
+    every earlier step gets the step's class and message."""
+    text, name, message = FAULT_STEPS[step]
+    got = assert_agrees(FactoredBelyi.from_text(text))
+    assert got[0] == name and got[1].startswith(message)
+
+
+def dense_document(n: int, tagged: bool) -> str:
+    """Three dense factors with digits in [-9, 9]: zero and one sides of
+    degree n, a pole side of degree n - 1.  Tagged `infinity pole 1`, the
+    sides balance on 3n points and k*Z - Q is no multiple of O; untagged,
+    the pole side sums to n - 1."""
+    rng = random.Random(n)
+
+    def dense(degree):
+        return " ".join(str(rng.randint(-9, 9)) for _ in range(degree)) + " 1"
+
+    infinity = "infinity pole 1\n" if tagged else ""
+    return (f"belyi v1\nk 1\n{infinity}zero 1 {dense(n)}\none 1 {dense(n)}\n"
+            f"pole 1 {dense(n - 1)}\n")
+
+
+@pytest.mark.parametrize("tagged, name", [(True, "IdentityFailed"),
+                                          (False, "DegreeImbalance")],
+                         ids=["balanced", "unbalanced"])
+def test_a_large_fault_is_named_before_any_euclid(monkeypatch, tagged, name):
+    """A dense degree-2,000 document whose identity fails, or whose sides
+    do not balance, is refused without the quadratic F_p Euclid of the
+    squarefree and pair certificates."""
+    euclids = []
+    constant_gcd = exact._constant_gcd_mod_p
+    monkeypatch.setattr(exact, "_constant_gcd_mod_p",
+                        lambda a, b: euclids.append(1) or constant_gcd(a, b))
+    text = dense_document(2000, tagged)
+    start = time.perf_counter()
+    got = outcome(FactoredBelyi.verify, FactoredBelyi.from_text(text))
+    elapsed = time.perf_counter() - start
+    assert got[0] == name and euclids == []
+    assert elapsed < 0.5

@@ -656,6 +656,27 @@ def test_a_cleared_form_is_kept_once_computed(monkeypatch):
         parsed.other
 
 
+def test_first_equal_pair_compares_cleared_forms():
+    """Equal polynomials have equal cleared forms however they were made
+    (unreduced tokens, trailing zeros, coefficients in memory), so one
+    pass over the forms finds the least j with an earlier equal, and the
+    least such i, without building a parsed coefficient."""
+    z = UniPoly.x()
+    half = UniPoly((Fraction(1, 2), GaussRat.of(Fraction(2, 3), 1), 1))
+    parsed = UniPoly.from_tokens(["2/4", "08/12,3/3", "1", "-0", "0,0"])
+    other = UniPoly.from_tokens(["1/2", "2/3", "1"])
+    assert exact.first_equal_pair([]) is None
+    assert exact.first_equal_pair([z, half, other]) is None
+    # the digits alone are equal here; only d tells 1/2 + z/2 from 1 + z
+    assert exact.first_equal_pair([UniPoly((Fraction(1, 2), Fraction(1, 2))),
+                                   UniPoly((1, 1))]) is None
+    assert exact.first_equal_pair([z, half, other, z, parsed]) == (0, 3)
+    assert exact.first_equal_pair([other, half, z, parsed, half]) == (1, 3)
+    for f in (parsed, other):
+        with pytest.raises(AttributeError):
+            UniPoly.coeffs.__get__(f, UniPoly)  # the slot, unset
+
+
 def test_token_roundtrip_poly(rng):
     for _ in range(30):
         p = rand_poly(rng, 8)
