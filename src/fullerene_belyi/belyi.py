@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from functools import cache, reduce
 
-from .exact import (GaussRat, RationalMap, UniPoly, _cleared_identity, _natural,
-                    _quote, _Record, coprime, first_equal_pair, is_squarefree,
-                    squarefree_decomposition)
+from .exact import (ONE, ZERO, GaussRat, RationalMap, UniPoly, _cleared_identity,
+                    _natural, _quote, _Record, binary_power, coprime,
+                    first_equal_pair, is_squarefree, squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
 
@@ -229,39 +229,69 @@ class FactoredBelyi(_Record, frozen=True):
         zero_factors = tuple(squarefree_decomposition(f.num))
         pole_factors = tuple(squarefree_decomposition(f.den))
         one_factors = tuple(squarefree_decomposition(w))
-        side, order = _infinity_from_degrees(f.k, f.num.degree, f.den.degree,
-                                             w.degree)
+        side, order = _infinity_from_degrees(f.num.degree, w.degree,
+                                             f.den.degree)
         return FactoredBelyi(f.k, zero_factors, one_factors, pole_factors,
                              side, order)
 
     def substitute_power(self, n: int) -> "FactoredBelyi":
-        """beta(z^n), factor by factor.
+        """beta(z^n), factor by factor (_pull_back).
 
         A factor f with f(0) != 0 becomes f(z^n) with the same exponent:
         (f(z^n))' = n*z^(n-1)*f'(z^n) keeps it squarefree, and the roots
         of different factors lift to disjoint sets of n-th roots, so the
         factors stay coprime.  A factor z*g gives z with n times its
         exponent and g(z^n) with its own, and the order at infinity is
-        multiplied by n.  Factors sharing an exponent are then merged, so
-        the result is what from_ratmap returns for the substituted map.
+        multiplied by n.
         """
         if n < 1:
             raise ValueError("power substitution needs n >= 1")
+        return self._pull_back(n, lambda f: UniPoly(f).substitute_power(n))
 
-        def lift(factors: Factors) -> Factors:
+    def _pull_back(self, m: int, pull) -> "FactoredBelyi":
+        """beta(r(z)) factor by factor, for a map r of degree m whose only
+        critical values are 0 and infinity (z -> z^n, or a Moebius map
+        with m = 1), without multiplying the factors out.
+
+        Each factor is a binary form f (its coefficients), and infinity
+        joins its side as the form y, coefficients (1, 0), with the
+        infinity order as its exponent.  pull(f) is the polynomial h of
+        the pull-back of f by r, of degree m*deg f unless r sends infinity
+        to a root of f: then f's side takes infinity, with e times the lost
+        degree as its order, and no loss anywhere leaves infinity
+        untagged.  A root of h at 0, of order j, becomes the factor z with
+        exponent e*j, and the rest of h becomes monic with exponent e; its
+        roots are the r-preimages of f's roots away from 0, so the factors
+        stay squarefree and coprime.  k takes lead(h)^e on the zero side
+        and 1/lead(h)^e on the pole side.  Factors sharing an exponent are
+        then merged, so the result is what from_ratmap returns for the
+        substituted map.
+        """
+        k, side, order = self.k, "none", 0
+        sides = []
+        for name, factors in (("zero", self.zero_factors),
+                              ("one", self.one_factors),
+                              ("pole", self.pole_factors)):
+            forms = [(f.coeffs, e) for f, e in factors]
+            if name == self.infinity_side:
+                forms.append(((ONE, ZERO), self.infinity_order))
             out = []
-            for f, e in factors:
-                if f.coefficient(0).is_zero:
-                    out.append((UniPoly.x(), n * e))
-                    f = UniPoly(f.coeffs[1:])
-                    if f.degree == 0:
-                        continue
-                out.append((f.substitute_power(n), e))
-            return merge_by_exponent(out)
-
-        return FactoredBelyi(self.k, lift(self.zero_factors),
-                             lift(self.one_factors), lift(self.pole_factors),
-                             self.infinity_side, self.infinity_order * n)
+            for f, e in forms:
+                h = pull(f)
+                lost = m * (len(f) - 1) - h.degree
+                if lost:
+                    side, order = name, e * lost
+                j = next(i for i, c in enumerate(h.coeffs) if c)
+                if j:
+                    out.append((UniPoly.x(), e * j))
+                    h = UniPoly(h.coeffs[j:])
+                if name != "one":
+                    lead = binary_power(h.leading(), e, ONE)
+                    k = k * lead if name == "zero" else k / lead
+                if h.degree > 0:
+                    out.append((h.monic(), e))
+            sides.append(merge_by_exponent(out))
+        return FactoredBelyi(k, *sides, side, order)
 
     def to_ratmap(self) -> RationalMap:
         return RationalMap(self.k, _product(self.zero_factors),
@@ -523,15 +553,13 @@ class FactoredBelyi(_Record, frozen=True):
             raise BelyiFormatError(str(exc)) from exc
 
 
-def _infinity_from_degrees(k: GaussRat, dn: int, dd: int,
-                           dw: int) -> tuple[str, int]:
+def _infinity_from_degrees(dn: int, dw: int, dd: int) -> tuple[str, int]:
     """Critical class and order of infinity for beta = k*Z/Q with
-    deg Z = dn, deg Q = dd and deg(k*Z - Q) = dw."""
-    if dn > dd:
-        return "pole", dn - dd
-    if dn < dd:
-        return "zero", dd - dn
-    if k == GaussRat.of(1):
-        # beta(inf) = 1: order of vanishing of beta - 1 at infinity
-        return "one", dd - dw
+    deg Z = dn, deg(k*Z - Q) = dw and deg Q = dd: the side whose degree is
+    below n = max(dn, dd) takes infinity, with order n minus that degree
+    (at most one is below: dw < n needs dn = dd and k = 1)."""
+    n = max(dn, dd)
+    for side, degree in zip(("zero", "one", "pole"), (dn, dw, dd)):
+        if degree < n:
+            return side, n - degree
     return "none", 0

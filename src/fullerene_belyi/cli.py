@@ -224,8 +224,9 @@ def cmd_compose(what: str, write_path: str | None = None):
         raise KeyError(what)
     beta = load_preset(what)
     passport = beta.verify()
-    # verify proved the factors monic and the zeros coprime to the poles,
-    # so k * num/den is the map in lowest terms, of degree beta.degree
+    # the factors are monic by construction and verify proved the zeros
+    # coprime to the poles, so k * num/den is the map in lowest terms, of
+    # degree beta.degree
     num, den = _product(beta.zero_factors), _product(beta.pole_factors)
     doc = {
         "command": "compose",

@@ -9,10 +9,14 @@ The unfolding chain is
 where mu1 carries (0, 1, inf) to (-11+2i, 0, -11-2i) and mu2 carries
 (0, inf, i) to (-1, 1, inf).  A map given by three points and their images
 comes from one formula, the homogeneous cross-ratio, whichever of the points
-is infinity.  The presets never leave factored form: each step maps the
-monic squarefree factors of the previous function one by one
-(factored_compose_moebius here, FactoredBelyi.substitute_power in belyi),
-and the multiplied-out maps are read off the result (the compose command
+is infinity.  The presets never leave factored form: each step pulls the
+monic squarefree factors of the previous function back one by one, by a
+Moebius map (factored_compose_moebius) or by z -> z^n
+(FactoredBelyi.substitute_power).  Both are one call to the private
+FactoredBelyi._pull_back, which owns the side loop, where infinity goes
+and the merge by exponent; this module supplies only the pull-back of a
+binary form by a Moebius map (_homogenized_substitution).  The
+multiplied-out maps are read off the result (the compose command
 multiplies the verified factors of each side; beta12/60/72_ratmap wrap the
 same products in a RationalMap); no composed preset is multiplied out and
 split again.  Schwarz's classical invariant triple is reproduced at the end
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .belyi import FactoredBelyi, merge_by_exponent
+from .belyi import FactoredBelyi
 from .derive import d6_solve
 from .exact import (ONE, ZERO, GaussRat, RationalMap, UniPoly, Scalarish,
                     _Record, binary_power)
@@ -150,42 +154,16 @@ def _homogenized_substitution(p: tuple[GaussRat, ...], m: Moebius) -> UniPoly:
 
 
 def factored_compose_moebius(beta: FactoredBelyi, m: Moebius) -> FactoredBelyi:
-    """beta(m(z)) in factored form, without multiplying the factors out.
+    """beta(m(z)) in factored form, without multiplying the factors out
+    (FactoredBelyi._pull_back with the degree-1 map m).
 
-    Each factor is a binary form, and infinity joins its side as the form
-    y with the infinity order as its exponent.  A form f of degree n
-    becomes the monic pull-back of f by m, the numerator of f(m(z)) over
-    (cz + d)^n; its roots are the m-preimages of f's roots, so the factors
-    stay squarefree and coprime.  The one form vanishing at m(inf) loses
-    a degree, and its side and exponent pass to infinity (which is
-    untagged when no form vanishes there); y pulls back to cz + d, the
-    point -d/c, or to the constant d when c = 0.  The scalar picks up the
-    leading coefficients of the pull-backs on the zero and pole sides.
+    A form f of degree n pulls back to the numerator of f(m(z)) over
+    (cz + d)^n (_homogenized_substitution); its roots are the m-preimages
+    of f's roots.  The one form vanishing at m(inf) loses a degree, so its
+    side and exponent pass to infinity; y pulls back to cz + d, the point
+    -d/c, or to the constant d when c = 0.
     """
-    new_side, new_order = "none", 0
-    k = beta.k
-    sides = {}
-    for name, factors in (("zero", beta.zero_factors),
-                          ("one", beta.one_factors),
-                          ("pole", beta.pole_factors)):
-        forms = [(f.coeffs, e) for f, e in factors]
-        if name == beta.infinity_side:
-            forms.append(((ONE, ZERO), beta.infinity_order))
-        out = []
-        for f, e in forms:
-            h = _homogenized_substitution(f, m)
-            if h.degree < len(f) - 1:
-                new_side, new_order = name, e
-            if name != "one":
-                lead = binary_power(h.leading(), e, ONE)
-                k = k * lead if name == "zero" else k / lead
-            if h.degree > 0:
-                out.append((h.monic(), e))
-        sides[name] = out
-    return FactoredBelyi(k, merge_by_exponent(sides["zero"]),
-                         merge_by_exponent(sides["one"]),
-                         merge_by_exponent(sides["pole"]),
-                         new_side, new_order)
+    return beta._pull_back(1, lambda f: _homogenized_substitution(f, m))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +245,8 @@ def schwarz_check() -> bool:
     multiple of phi30^2, and verify() certifies it: a failing identity
     raises IdentityFailed.  verify proves k*Z - Q = c*O, and the scalar is
     pinned by leading terms: deg phi12^5 = 55 < 60, so c = k, and with
-    phi20 and phi30 monic (verify requires it) k*Z - Q = k*O reads
+    phi20 and phi30 monic (FactoredBelyi refuses any other factor)
+    k*Z - Q = k*O reads
     phi20^3 - 1728*phi12^5 = phi30^2.  The flipped beta60 is
     beta12(-z) lifted by z -> z^5: the same factored form, composed at a
     fifth of the degree.  Returns whether it equals the triple."""

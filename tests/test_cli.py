@@ -92,6 +92,19 @@ def test_verify_rejects_exponent_bomb_before_any_product(capsys, tmp_path):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("argv", [["derive", "abc"], ["compose", "d13"], []],
+                         ids=["derive-not-an-int", "compose-unknown-target",
+                              "no-subcommand"])
+def test_usage_errors_exit_2(capsys, argv):
+    # argparse refuses a bad flag or argument before any command runs: exit
+    # 2 with its usage message, not 1 with a named error
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("usage: fullerene-belyi")
+
+
 def test_verify_unknown_preset_fails(capsys):
     code, out, err = run_cli(capsys, "verify", "d61")
     assert code == 1

@@ -275,12 +275,41 @@ def test_beta12_built_factored_matches_projective_pipeline():
     assert build_beta12() == FactoredBelyi.from_ratmap(f)
 
 
-@pytest.mark.parametrize("base, n", [("d6", 2), ("d6", 5), ("d12", 3),
-                                     ("d60", 2)])
+def cube() -> FactoredBelyi:
+    """z^3: the only finite zero is 0, so sending infinity there moves
+    infinity onto the zero side."""
+    return FactoredBelyi.from_ratmap(RationalMap(1, UniPoly.monomial(3),
+                                                 UniPoly.one()))
+
+
+# bases whose infinity carries each tag, by the map sending infinity to
+# the double one-point i of d12, to the triple zero of z^3 and to a
+# regular point of d12
+TAGGED_BASES = {
+    "d12-one": ("one", lambda: factored_compose_moebius(build_beta12(),
+                                                        mu2().inverse())),
+    "cube-zero": ("zero", lambda: factored_compose_moebius(
+        cube(), Moebius.of(0, 1, 1, 0))),
+    "d12-none": ("none", lambda: factored_compose_moebius(
+        build_beta12(), Moebius.of(1, 0, 1, 7))),
+}
+
+
+@pytest.mark.parametrize("base, n", [
+    ("d6", 2), ("d6", 5), ("d12", 3), ("d60", 2),
+    *((name, n) for name in TAGGED_BASES for n in (2, 3))])
 def test_substitute_power_matches_from_ratmap(base, n):
     # d60's pole side is z * (z^10 - 11 z^5 - 1) merged at exponent 5;
-    # lifting by 2 must split it into z^10 and the rest at exponent 5
-    beta = cli.load_preset(base)
+    # lifting by 2 must split it into z^10 and the rest at exponent 5.
+    # The tagged bases put the form y on the one and zero sides, and none
+    # at all; a lift of the untagged one is not Belyi, so only the text is
+    # compared
+    if base in TAGGED_BASES:
+        tag, build = TAGGED_BASES[base]
+        beta = build()
+        assert beta.infinity_side == tag
+    else:
+        beta = cli.load_preset(base)
     reference = FactoredBelyi.from_ratmap(
         ratmap_substitute_power(beta.to_ratmap(), n))
     assert beta.substitute_power(n).to_text() == reference.to_text()
@@ -300,13 +329,6 @@ def test_substitute_power_mutations_fail_verify():
                       for f, e in base.pole_factors)
         with pytest.raises(BelyiVerificationError):
             replace_fields(good, pole_factors=poles).verify()
-
-
-def cube() -> FactoredBelyi:
-    """z^3: the only finite zero is 0, so sending infinity there moves
-    infinity onto the zero side."""
-    return FactoredBelyi.from_ratmap(RationalMap(1, UniPoly.monomial(3),
-                                                 UniPoly.one()))
 
 
 def moebius_cases(rng, targets):
