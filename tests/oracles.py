@@ -19,10 +19,13 @@ expanding: compose, ode_residual, halphen_identity_failures and
 main_equation_residual.  packed_width_bits restates the digit width that
 exact._packed_sum proves for a list of terms.  two_point_map and power_map
 build genuine Belyi maps with known passports in factored form, for the
-tests that feed them to verify and to its oracles.
+tests that feed them to verify and to its oracles, and dense_document
+writes large faulty `belyi v1` documents for the tests that time verify's
+refusals.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from fullerene_belyi.belyi import (DegreeImbalance, FactorNotSquarefree,
@@ -355,6 +358,21 @@ def power_map(n):
     z, one = UniPoly.x(), UniPoly.one()
     return FactoredBelyi(GaussRat.of(1), ((z, n),), ((z ** n - one, 1),), (),
                          "pole", n)
+
+
+def dense_document(n, tagged):
+    """Three dense factors with digits in [-9, 9]: zero and one sides of
+    degree n, a pole side of degree n - 1.  Tagged `infinity pole 1`, the
+    sides balance on 3n points and k*Z - Q is no multiple of O; untagged,
+    the pole side sums to n - 1."""
+    rng = random.Random(n)
+
+    def dense(degree):
+        return " ".join(str(rng.randint(-9, 9)) for _ in range(degree)) + " 1"
+
+    infinity = "infinity pole 1\n" if tagged else ""
+    return (f"belyi v1\nk 1\n{infinity}zero 1 {dense(n)}\none 1 {dense(n)}\n"
+            f"pole 1 {dense(n - 1)}\n")
 
 
 def replace_fields(beta, **changes):

@@ -1,7 +1,6 @@
 """Passports, the factored-form identity, and fullerene bookkeeping."""
 
 import math
-import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -18,10 +17,10 @@ from fullerene_belyi.belyi import (BelyiFormatError, BelyiVerificationError,
 from fullerene_belyi.cli import PRESETS, load_preset
 from fullerene_belyi.exact import GaussRat, RationalMap, UniPoly
 from fullerene_belyi.moebius import schwarz_forms
-from oracles import (compose, declared_points, eval_pairs, gadd, gmul, gneg,
-                     is_tight, main_equation_residual, packed_width_bits,
-                     poly_pairs, ratmap_substitute_power, reference_verify,
-                     replace_fields)
+from oracles import (compose, declared_points, dense_document, eval_pairs,
+                     gadd, gmul, gneg, is_tight, main_equation_residual,
+                     packed_width_bits, poly_pairs, ratmap_substitute_power,
+                     reference_verify, replace_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -886,21 +885,6 @@ def test_each_fault_step_names_its_class(step):
     text, name, message = FAULT_STEPS[step]
     got = assert_agrees(FactoredBelyi.from_text(text))
     assert got[0] == name and got[1].startswith(message)
-
-
-def dense_document(n: int, tagged: bool) -> str:
-    """Three dense factors with digits in [-9, 9]: zero and one sides of
-    degree n, a pole side of degree n - 1.  Tagged `infinity pole 1`, the
-    sides balance on 3n points and k*Z - Q is no multiple of O; untagged,
-    the pole side sums to n - 1."""
-    rng = random.Random(n)
-
-    def dense(degree):
-        return " ".join(str(rng.randint(-9, 9)) for _ in range(degree)) + " 1"
-
-    infinity = "infinity pole 1\n" if tagged else ""
-    return (f"belyi v1\nk 1\n{infinity}zero 1 {dense(n)}\none 1 {dense(n)}\n"
-            f"pole 1 {dense(n - 1)}\n")
 
 
 @pytest.mark.parametrize("tagged, name", [(True, "IdentityFailed"),

@@ -2,8 +2,6 @@
 
 import ast
 import importlib
-import os
-import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -58,12 +56,10 @@ def test_star_import_submodules_and_unknown_names():
         fullerene_belyi.no_such_name
 
 
-def test_startup_loads_only_what_derive_6_runs():
+def test_startup_loads_only_what_derive_6_runs(cold_python):
     # a clean interpreter: no site, whose .pth files may preload typing
-    src = str(Path(fullerene_belyi.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-S", str(GUARD)], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    proc = cold_python(str(GUARD))
+    assert proc.returncode == 0, (proc.stdout + proc.stderr).decode()
 
 
 def test_records_compare_and_hash_by_value():
