@@ -13,9 +13,10 @@ here comes from a known spherical graph.
 from __future__ import annotations
 
 from functools import cache, reduce
+from math import gcd
 
 from .exact import (ONE, ZERO, GaussRat, RationalMap, UniPoly, _cleared_identity,
-                    _natural, _quote, _Record, binary_power, coprime,
+                    _form_of, _natural, _quote, _Record, binary_power, coprime,
                     first_equal_pair, is_squarefree, squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
@@ -144,9 +145,15 @@ def _show(f: UniPoly) -> str:
     or denominator of its coefficients.  str(f) prints every such integer
     above 1, and a b-bit one with at least (b-1)*0.301 + 1 digits; when
     those digits alone exceed _SHOWN_CHARS, so does str(f), and f is named
-    without converting a long integer to decimal."""
-    bits = [x.bit_length() for c in f.coeffs if not c.is_zero
-            for q in (c.re, c.im) if q for x in (q.numerator, q.denominator)]
+    without converting a long integer to decimal.  The sizes are read from
+    f's cleared form (d, re, im), one gcd per nonzero part x/d, so f's
+    coefficients are built only for the text."""
+    d, re, im = _form_of(f)
+    bits = []
+    for x in re + im:
+        if x:
+            g = gcd(x, d)
+            bits += (x // g).bit_length(), (d // g).bit_length()
     if sum((b - 1) * 301 // 1000 + 1 for b in bits if b > 1) <= _SHOWN_CHARS:
         text = str(f)
         if len(text) <= _SHOWN_CHARS:
@@ -246,7 +253,14 @@ class FactoredBelyi(_Record, frozen=True):
         """
         if n < 1:
             raise ValueError("power substitution needs n >= 1")
-        return self._pull_back(n, lambda f: UniPoly(f).substitute_power(n))
+
+        def lift(f):
+            # f(z^n): f's coefficients set n apart, made a UniPoly once
+            h = [ZERO] * ((len(f) - 1) * n + 1)
+            h[::n] = f
+            return UniPoly(h)
+
+        return self._pull_back(n, lift)
 
     def _pull_back(self, m: int, pull) -> "FactoredBelyi":
         """beta(r(z)) factor by factor, for a map r of degree m whose only
@@ -350,9 +364,9 @@ class FactoredBelyi(_Record, frozen=True):
         token digits; any other gets it on first use and keeps it
         (exact._form_of).  Degrees and monicity are read from the forms
         too, so on the accept path a parsed factor builds no GaussRat
-        coefficient: only a message (_show) and the exact poly_gcd
-        fallback read them.  Each g_f is reduced modulo the prime ideal
-        J = (p, i - r) on first use and keeps that reduction
+        coefficient: only the text of a short message (_show) and the
+        exact poly_gcd fallback read them.  Each g_f is reduced modulo the
+        prime ideal J = (p, i - r) on first use and keeps that reduction
         (exact._reduction), so it is reduced at most once however many
         pairs it is in; the squarefreeness of f (the reduction against its
         derivative in F_p) and its coprimality with every other factor are

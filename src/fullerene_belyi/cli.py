@@ -12,14 +12,22 @@ Subcommands:
 Every command takes --format text|json and --output PATH.  JSON output is a
 single self-describing document; text output is fixed-layout.  Exit status is
 0 on success and 1 with a named error on any failed check.
+
+The grammar is one table (OPTIONS and COMMANDS).  main reads a plain
+command line, the global options spelled out and before the subcommand,
+with read_command_line and no argparse; --help, and any command line it
+does not read (a bad value, an abbreviation, --opt=value, an option out of
+place), goes to build_parser, which imports argparse and builds the same
+grammar from the same table, so help and refusals (usage, exit 2) are
+argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+import types
 
 from .belyi import (BelyiFormatError, BelyiVerificationError, FactoredBelyi,
                     _product, face_vector, counting, fullerene_passport)
@@ -388,53 +396,117 @@ def emit_svg(report: FaceGeometryReport, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the command line: one grammar, read exactly or by argparse
 # ---------------------------------------------------------------------------
+
+# A value's kind is int, a tuple of choices, or None for any string.
+# Each option before the subcommand: flag -> (kind, default, metavar, help).
+OPTIONS = {
+    "--format": (("text", "json"), "text", None, "report format (default: text)"),
+    "--output": (None, None, "PATH", "write the report to a file instead of stdout"),
+}
+
+# Each subcommand: name -> (help, its positional (name, kind, help), its
+# output option (flag, metavar, help) or None, run(args)).
+COMMANDS = {
+    "facevector": ("face vector of the p6-hexagon fullerene", ("p6", int, None),
+                   None, lambda a: cmd_facevector(a.p6)),
+    "passport": ("branching passport of the fullerene", ("p6", int, None),
+                 None, lambda a: cmd_passport(a.p6)),
+    "verify": ("certify a factored Belyi function",
+               ("target", None, "preset name (d6, d12, d60, d72) or file path"),
+               None, lambda a: cmd_verify(a.target)),
+    "derive": ("one-big-face derivation for face degree s", ("s", int, None),
+               None, lambda a: cmd_derive(a.s)),
+    "compose": ("build a composed preset or check Schwarz",
+                ("target", ("d12", "d60", "d72", "schwarz"), None),
+                ("--write", "PATH", "also write the factored form to a belyi v1 file"),
+                lambda a: cmd_compose(a.target, a.write)),
+    "geometry": ("metric report of the barrel pentagon", ("target", ("barrel",), None),
+                 ("--svg", "PATH", "also write the flat-face SVG"),
+                 lambda a: cmd_geometry(a.svg)),
+}
+
+
+def _value(word: str, kind):
+    """word as argparse converts a value of this kind, or None when
+    argparse might read or judge it otherwise: a word that starts with
+    "-" (an option, or a negative number), an int that is not ASCII
+    digits (int() also takes "+6", " 6", "6_0" and non-ASCII digits) or
+    is past the int-string limit, or a choice not in the tuple."""
+    if word.startswith("-"):
+        return None
+    if kind is int:
+        if not (word.isascii() and word.isdigit()):
+            return None
+        try:
+            return int(word)
+        except ValueError:
+            return None
+    return word if kind is None or word in kind else None
+
+
+def read_command_line(argv):
+    """The attributes build_parser().parse_args(argv) sets, read without
+    argparse from a plain command line: --format and --output, spelled
+    out, each at most once, then a subcommand, its positional value and
+    at most its own output option.  None for any other command line
+    (-h or --help, an abbreviation, --opt=value, --, an option after the
+    subcommand's value or before it, a refused value), which argparse
+    then reads: it prints help, or refuses with its usage and exit 2."""
+    words, given = list(argv), {}
+    while (len(words) > 1 and words[0] in OPTIONS and words[0] not in given
+           and _value(words[1], OPTIONS[words[0]][0]) is not None):
+        given[words[0]] = words[1]
+        del words[:2]
+    if len(words) < 2 or words[0] not in COMMANDS:
+        return None
+    sub, word, *rest = words
+    _, (name, kind, _), output, run = COMMANDS[sub]
+    value = _value(word, kind)
+    if value is None:
+        return None
+    attrs = {flag[2:]: given.get(flag, default)
+             for flag, (_, default, _, _) in OPTIONS.items()}
+    attrs.update({"subcommand": sub, name: value, "run": run})
+    if output:
+        flag = output[0]
+        attrs[flag[2:]] = None
+        if len(rest) == 2 and rest[0] == flag and _value(rest[1], None) is not None:
+            attrs[flag[2:]] = rest[1]
+            rest = []
+    return None if rest else types.SimpleNamespace(**attrs)
+
+
+def _kind(kind) -> dict:
+    return {"type": int} if kind is int else {"choices": kind}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the same grammar (OPTIONS and COMMANDS),
+    for --help and for the command lines read_command_line leaves."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="fullerene-belyi",
         description="Exact Belyi functions of the smallest fullerenes")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (default: text)")
-    parser.add_argument("--output", metavar="PATH",
-                        help="write the report to a file instead of stdout")
+    for flag, (kind, default, metavar, text) in OPTIONS.items():
+        parser.add_argument(flag, **_kind(kind), default=default, metavar=metavar,
+                            help=text)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("facevector", help="face vector of the p6-hexagon fullerene")
-    p.add_argument("p6", type=int)
-    p.set_defaults(run=lambda a: cmd_facevector(a.p6))
-
-    p = sub.add_parser("passport", help="branching passport of the fullerene")
-    p.add_argument("p6", type=int)
-    p.set_defaults(run=lambda a: cmd_passport(a.p6))
-
-    p = sub.add_parser("verify", help="certify a factored Belyi function")
-    p.add_argument("target", help="preset name (d6, d12, d60, d72) or file path")
-    p.set_defaults(run=lambda a: cmd_verify(a.target))
-
-    p = sub.add_parser("derive", help="one-big-face derivation for face degree s")
-    p.add_argument("s", type=int)
-    p.set_defaults(run=lambda a: cmd_derive(a.s))
-
-    p = sub.add_parser("compose", help="build a composed preset or check Schwarz")
-    p.add_argument("target", choices=("d12", "d60", "d72", "schwarz"))
-    p.add_argument("--write", metavar="PATH",
-                   help="also write the factored form to a belyi v1 file")
-    p.set_defaults(run=lambda a: cmd_compose(a.target, a.write))
-
-    p = sub.add_parser("geometry", help="metric report of the barrel pentagon")
-    p.add_argument("target", choices=("barrel",))
-    p.add_argument("--svg", metavar="PATH", help="also write the flat-face SVG")
-    p.set_defaults(run=lambda a: cmd_geometry(a.svg))
-
+    for name, (text, (pos, kind, pos_help), output, run) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument(pos, **_kind(kind), help=pos_help)
+        if output:
+            flag, metavar, opt_help = output
+            p.add_argument(flag, metavar=metavar, help=opt_help)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_command_line(argv) or build_parser().parse_args(argv)
     try:
         doc, lines = args.run(args)
         if args.format == "json":

@@ -93,8 +93,10 @@ W with both term scalars divided by g, so it lies in Z[i][z], and:
   W'/lead(W') = W/lead(W), so a failure names the same sides.
 W' is the packed sum of its two terms and G_O that of its one, so no
 product is expanded over Q(i), and the packing width follows the smaller
-scalars.  Only when the check fails are W'/lead(W') and O rebuilt over
-Q(i), to name the two sides that differ.
+scalars.  Only when the check fails are W'/lead(W') and O made into
+polynomials, to name the two sides that differ; they hold their cleared
+forms, and a message builds their coefficients over Q(i) only when it
+prints them.
 """
 
 from __future__ import annotations
@@ -386,7 +388,9 @@ def _cleared_identity(k: GaussRat, zeros, poles, ones
     read through their cleared forms (_form_of).  Returns None when it
     holds, (None, None) when W, and so k*Z - Q, is zero, and otherwise
     (got, declared): the two monic sides that differ, W/lead(W) and O.
-    Only a failing check builds a UniPoly."""
+    Only a failing check builds a UniPoly, and it holds only its cleared
+    form (_lazy_poly): a message that names a long side by its size
+    (belyi._show) builds none of its coefficients."""
     dk, (kr,), (ki,) = _cleared((k,))
     sides = [([((re, im), e) for (_, re, im), e in forms],
               math.prod(d ** e for (d, _, _), e in forms),
@@ -410,13 +414,19 @@ def _cleared_identity(k: GaussRat, zeros, poles, ones
     if len(w) == len(g_o) and all(_gauss_mul(lead, o) == (do * x, do * y)
                                   for (x, y), o in zip(w, g_o)):
         return None
-    # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2
+    # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2, and O = G_O / D_O
     lr, li = lead
-    norm = lr * lr + li * li
-    got = UniPoly([GaussRat(Fraction(x * lr + y * li, norm),
-                            Fraction(y * lr - x * li, norm)) for x, y in w])
-    declared = UniPoly([GaussRat(Fraction(x, do), Fraction(y, do)) for x, y in g_o])
-    return got, declared
+    got = _canonical(lr * lr + li * li, [x * lr + y * li for x, y in w],
+                     [y * lr - x * li for x, y in w])
+    declared = _canonical(do, [x for x, _ in g_o], [y for _, y in g_o])
+    return _lazy_poly(got), _lazy_poly(declared)
+
+
+def _canonical(d: int, re: list[int], im: list[int]) -> Cleared:
+    """The cleared form of (re + im*i)/d: d becomes the lcm of the reduced
+    denominators, d / gcd(d, every digit), with one gcd in all."""
+    g = math.gcd(d, *re, *im)
+    return d // g, [x // g for x in re], [y // g for y in im]
 
 
 def _zero_of(c):
@@ -680,12 +690,8 @@ class UniPoly:
         while parts and not (parts[-1][0][0] or parts[-1][1][0]):
             parts.pop()
         d = math.lcm(*{q for pair in parts for _, q in pair})
-        p = object.__new__(UniPoly)
-        _set_ring_zero(p, ZERO)
-        _set_form(p, (d, [n * (d // q) for (n, q), _ in parts],
-                      [n * (d // q) for _, (n, q) in parts]))
-        _set_mod_p(p, None)
-        return p
+        return _lazy_poly((d, [n * (d // q) for (n, q), _ in parts],
+                           [n * (d // q) for _, (n, q) in parts]))
 
     def __str__(self) -> str:
         """Over Q(i): z^2 - 3/2*z + (1+2i).  Over a parameter ring every
@@ -717,6 +723,18 @@ _set_coeffs = UniPoly.coeffs.__set__
 _set_ring_zero = UniPoly.ring_zero.__set__
 _set_form = UniPoly._form.__set__
 _set_mod_p = UniPoly._mod_p.__set__
+
+
+def _lazy_poly(form: Cleared) -> UniPoly:
+    """The polynomial over Q(i) of a canonical cleared form (d the lcm of
+    the reduced denominators, the digits ending in a nonzero
+    coefficient), holding only the form: its coefficients are built when
+    first read (UniPoly.__getattr__)."""
+    p = object.__new__(UniPoly)
+    _set_ring_zero(p, ZERO)
+    _set_form(p, form)
+    _set_mod_p(p, None)
+    return p
 
 
 def _form_of(f: UniPoly) -> Cleared:

@@ -21,13 +21,22 @@ exact._packed_sum proves for a list of terms.  two_point_map and power_map
 build genuine Belyi maps with known passports in factored form, for the
 tests that feed them to verify and to its oracles, and dense_document
 writes large faulty `belyi v1` documents for the tests that time verify's
-refusals.
+refusals.  reference_parser is cli.build_parser as it was written before
+the command table, the argparse parser that cli.read_command_line and
+the table-built parser are held to; reader_agrees and exit_of compare
+them.
 """
 
+import argparse
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction
 
+from fullerene_belyi import cli
+from fullerene_belyi.cli import (cmd_compose, cmd_derive, cmd_facevector,
+                                 cmd_geometry, cmd_passport, cmd_verify)
 from fullerene_belyi.belyi import (DegreeImbalance, FactorNotSquarefree,
                                    FactoredBelyi, FactorsShareRoot,
                                    IdentityFailed, _show, _show_int)
@@ -535,3 +544,71 @@ def main_equation_residual(k, V, P, H, M):
     when (V, P, H, M, k) define a fullerene Belyi function
     beta = k*V^3/(P^5*H^6) with beta - 1 = k*M^2/(P^5*H^6)."""
     return (V ** 3 - M ** 2).scale(GaussRat.coerce(k)) - P ** 5 * H ** 6
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """cli.build_parser as it was before the command table, verbatim."""
+    parser = argparse.ArgumentParser(
+        prog="fullerene-belyi",
+        description="Exact Belyi functions of the smallest fullerenes")
+    parser.add_argument("--format", choices=("text", "json"), default="text",
+                        help="report format (default: text)")
+    parser.add_argument("--output", metavar="PATH",
+                        help="write the report to a file instead of stdout")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("facevector", help="face vector of the p6-hexagon fullerene")
+    p.add_argument("p6", type=int)
+    p.set_defaults(run=lambda a: cmd_facevector(a.p6))
+
+    p = sub.add_parser("passport", help="branching passport of the fullerene")
+    p.add_argument("p6", type=int)
+    p.set_defaults(run=lambda a: cmd_passport(a.p6))
+
+    p = sub.add_parser("verify", help="certify a factored Belyi function")
+    p.add_argument("target", help="preset name (d6, d12, d60, d72) or file path")
+    p.set_defaults(run=lambda a: cmd_verify(a.target))
+
+    p = sub.add_parser("derive", help="one-big-face derivation for face degree s")
+    p.add_argument("s", type=int)
+    p.set_defaults(run=lambda a: cmd_derive(a.s))
+
+    p = sub.add_parser("compose", help="build a composed preset or check Schwarz")
+    p.add_argument("target", choices=("d12", "d60", "d72", "schwarz"))
+    p.add_argument("--write", metavar="PATH",
+                   help="also write the factored form to a belyi v1 file")
+    p.set_defaults(run=lambda a: cmd_compose(a.target, a.write))
+
+    p = sub.add_parser("geometry", help="metric report of the barrel pentagon")
+    p.add_argument("target", choices=("barrel",))
+    p.add_argument("--svg", metavar="PATH", help="also write the flat-face SVG")
+    p.set_defaults(run=lambda a: cmd_geometry(a.svg))
+
+    return parser
+
+
+def reader_agrees(argv) -> bool:
+    """Whether cli.read_command_line accepts argv; when it does, its
+    attributes must be those the reference parser sets, and its run the
+    table's command of the same subcommand."""
+    got = cli.read_command_line(argv)
+    if got is None:
+        return False
+    got = vars(got)
+    assert got.pop("run") is cli.COMMANDS[got["subcommand"]][3], argv
+    want = vars(reference_parser().parse_args(argv))
+    del want["run"]
+    assert got == want, argv
+    return True
+
+
+def exit_of(call, *args):
+    """(code, stdout, stderr) when call(*args) raises SystemExit, else
+    None; whatever it prints is captured either way."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            call(*args)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    return None

@@ -14,8 +14,11 @@ tests/test_package.py runs it the same way.
 import io
 import sys
 
-UNWANTED = ("dataclasses", "inspect", "typing", "pathlib", "json",
-            "fullerene_belyi.geometry", "fullerene_belyi.moebius")
+# argparse, with the gettext, locale and shutil it loads, is built only for
+# --help and for refused command lines (cli.read_command_line)
+UNWANTED = ("dataclasses", "inspect", "typing", "pathlib", "json", "argparse",
+            "gettext", "locale", "shutil", "fullerene_belyi.geometry",
+            "fullerene_belyi.moebius")
 
 
 def main() -> int:

@@ -5,15 +5,20 @@ import math
 import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from fullerene_belyi.belyi import MAX_PASSPORT_P6
-from fullerene_belyi.cli import (flat_pentagon_layout, main, render_svg)
+from fullerene_belyi.cli import (COMMANDS, flat_pentagon_layout, main,
+                                 read_command_line, render_svg)
 from fullerene_belyi.exact import _int_string_limit
 from fullerene_belyi.geometry import (FaceGeometryReport, Plane, SpherePoint,
                                       face_geometry)
-from oracles import dense_document
+from oracles import dense_document, exit_of, reader_agrees, reference_parser
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -91,14 +96,91 @@ def test_verify_rejects_exponent_bomb_before_any_product(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [["derive", "abc"], ["compose", "d13"], []],
                          ids=["derive-not-an-int", "compose-unknown-target",
                               "no-subcommand"])
-def test_usage_errors_exit_2(capsys, argv):
+def test_usage_errors_exit_2(argv):
     # argparse refuses a bad flag or argument before any command runs: exit
     # 2 with its usage message, not 1 with a named error
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    out, err = capsys.readouterr()
-    assert not out and err.startswith("usage: fullerene-belyi")
+    code, out, err = exit_of(main, argv)
+    assert code == 2 and not out and err.startswith("usage: fullerene-belyi")
+    assert (code, out, err) == exit_of(reference_parser().parse_args, argv)
+
+
+# ---------------------------------------------------------------------------
+# the command-line reader against the reference parser
+# ---------------------------------------------------------------------------
+
+# the README's commands and the benchmark's (perfbench/checks.py), each run
+# in text and json, bare and with --format
+README_ARGV = [("facevector", "2"), ("passport", "0"), ("verify", "d60"),
+               ("derive", "6"), ("compose", "d72", "--write", "barrel.belyi"),
+               ("verify", "barrel.belyi"), ("compose", "schwarz"),
+               ("geometry", "barrel", "--svg", "face.svg")]
+BENCHMARK_ARGV = [("derive", "5"), ("verify", "d6"), ("compose", "d12"),
+                  ("compose", "d60"),
+                  ("compose", "d72", "--write", ".perfbench/barrel.belyi"),
+                  ("verify", ".perfbench/barrel.belyi"),
+                  ("geometry", "barrel", "--svg", ".perfbench/face.svg")]
+PLAIN_ARGV = [[*fmt, *argv] for argv in README_ARGV + BENCHMARK_ARGV
+              for fmt in ((), ("--format", "text"), ("--format", "json"))]
+PLAIN_ARGV += [["--output", "report.txt", "--format", "json", "passport", "1"],
+               ["--format", "json", "--output", "", "verify", ""],
+               ["--output", "derive", "derive", "1"],
+               ["geometry", "barrel", "--svg", ""]]
+HELP_ARGV = [["-h"], ["--help"], *([sub, "--help"] for sub in COMMANDS),
+             ["--format", "json", "derive", "-h"]]
+# command lines the reader leaves to argparse, which refuses or accepts them
+TRAPS = [
+    ["--format", "yaml", "--format", "json", "derive", "6"],
+    ["--format", "json", "--format", "json", "derive", "6"],
+    ["--output", "a", "--output", "b", "derive", "1"],
+    ["passport", "5" * 5000], ["derive", "1" * 5000],
+    ["passport", "\u0666"], ["passport", "+6"], ["passport", " 6"],
+    ["passport", "6_0"], ["derive", "-5"], ["derive", ""],
+    ["--form", "json", "derive", "6"], ["--format=json", "derive", "6"],
+    ["--"], ["--", "derive", "6"], ["derive", "--", "6"],
+    ["derive", "6", "--format", "json"], ["derive", "6", "7"],
+    ["compose", "--write", "x.belyi", "d72"], ["compose", "d72", "--wri", "x"],
+    ["compose", "d72", "--write"], ["compose", "d72", "--write", "-x"],
+    ["compose", "d72", "--write=x.belyi"], ["compose", "d72", "--svg", "x"],
+    ["compose", "d72", "--write", "a", "--write", "b"],
+    ["geometry", "barrel", "--write", "x"], ["geometry", "Barrel"],
+    ["--output", "-", "derive", "1"], ["--format", "json"], ["derive"],
+    ["deriv", "6"],
+]
+
+
+def argv_id(argv):
+    text = " ".join(argv)
+    return text if len(text) <= 40 else f"{text[:30]}...({len(text)} chars)"
+
+
+@pytest.fixture
+def in_scratch(tmp_path, monkeypatch):
+    """A working directory holding the files the listed command lines
+    read, with room for those they write."""
+    d72 = (GOLDEN / "d72.belyi").read_bytes()
+    (tmp_path / ".perfbench").mkdir()
+    for path in ("barrel.belyi", ".perfbench/barrel.belyi"):
+        (tmp_path / path).write_bytes(d72)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV + HELP_ARGV + TRAPS, ids=argv_id)
+def test_reader_attributes_are_the_reference_parsers(argv):
+    assert reader_agrees(argv) == (argv in PLAIN_ARGV)
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV + HELP_ARGV + TRAPS, ids=argv_id)
+def test_exits_are_the_reference_parsers_byte_for_byte(in_scratch, argv):
+    got = exit_of(main, argv)
+    assert got == exit_of(reference_parser().parse_args, argv)
+    if argv in HELP_ARGV:
+        assert got[:1] == (0,) and got[1].startswith("usage: fullerene-belyi")
+
+
+def test_a_plain_command_line_builds_no_parser(monkeypatch):
+    monkeypatch.setattr("fullerene_belyi.cli.build_parser", None)
+    for argv in (["--format", "json", "passport", "0"], ["facevector", "2"]):
+        assert main(argv) == 0
 
 
 def test_verify_unknown_preset_fails(capsys):

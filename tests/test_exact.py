@@ -536,8 +536,11 @@ def test_cleared_identity_names_the_monic_sides_only_on_failure():
     assert identity(k, zeros, poles, ones) is None
     assert identity(GaussRat.of(1), zeros, zeros, ones) == (None, None)
     wrong = ((z - one * 3, 1), (z + one * 2, 1))
-    assert identity(k, zeros, poles, wrong) == (
-        one_side, (z - one * 3) * (z + one * 2))
+    sides = identity(k, zeros, poles, wrong)
+    assert sides == (one_side, (z - one * 3) * (z + one * 2))
+    # each side holds the canonical cleared form of its coefficients
+    for side in sides:
+        assert exact._form_of(side) == exact._cleared(side.coeffs)
 
 
 def test_squarefree_decomposition():

@@ -3,7 +3,9 @@ command lines.
 
 Every mutated preset document either verifies, and is then tight, or raises
 BelyiFormatError or BelyiVerificationError, and every command line ends in exit status 0 or 1,
-or in argparse's SystemExit 0 (--help) or 2; nothing else escapes.  Token
+or in argparse's SystemExit 0 (--help) or 2; nothing else escapes, and
+that exit is the reference parser's (oracles.reference_parser), as are
+the attributes of every command line cli.read_command_line accepts.  Token
 mutations mostly break the grammar, so a second strategy mutates within
 it: those documents all parse and reach verify, whose verdict must be the
 reference's.  Each example is held to WALL_S of wall time.  The runs are
@@ -26,7 +28,8 @@ from fullerene_belyi.belyi import (BelyiFormatError,  # noqa: E402
                                    BelyiVerificationError, FactoredBelyi,
                                    Passport)
 from fullerene_belyi.exact import GaussRat  # noqa: E402
-from oracles import is_tight, reference_verify  # noqa: E402
+from oracles import (exit_of, is_tight, reader_agrees,  # noqa: E402
+                     reference_parser, reference_verify)
 
 # the wall-time bound of one example, in seconds
 WALL_S = 2.0
@@ -222,3 +225,26 @@ def test_random_command_lines_end_in_a_status(scratch, data):
             os.chdir(cwd)
     assert status in (0, 1, ("exit", 0), ("exit", 2)), argv
     assert time.perf_counter() - start < WALL_S
+
+
+@FUZZ
+@given(data=st.data())
+def test_reader_attributes_on_random_command_lines(scratch, data):
+    """Whenever cli.read_command_line accepts a command line, it sets
+    what the reference parser sets (oracles.reader_agrees)."""
+    reader_agrees(data.draw(command_lines(scratch)))
+
+
+@FUZZ
+@given(data=st.data())
+def test_exits_on_random_command_lines_are_the_reference_parsers(scratch, data):
+    """Whenever cli.main exits through SystemExit (help or a refusal), its
+    code, stdout and stderr are the reference parser's, byte for byte, and
+    it exits whenever the reference does."""
+    argv = data.draw(command_lines(scratch))
+    cwd = os.getcwd()
+    os.chdir(scratch)
+    try:
+        assert exit_of(cli.main, argv) == exit_of(reference_parser().parse_args, argv)
+    finally:
+        os.chdir(cwd)

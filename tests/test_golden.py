@@ -7,14 +7,17 @@ tests/golden/<command>_<arg>.<format> holds the standard output of
 `compose d72 --write` writes, and verify_file.<format> the output of
 `verify golden/d72.belyi` run from tests/.  `geometry` has no golden copy:
 its floats come from the platform's libm.  It and the README commands
-without one exit 0 with nothing on stderr.
+without one exit 0 with nothing on stderr.  The console script that
+pyproject.toml declares is run as an installed one runs it.
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 COMMANDS = [("passport", "0"), ("facevector", "1"), ("derive", "5"),
             ("derive", "6"), ("verify", "d6"), ("compose", "d12"),
@@ -82,3 +85,27 @@ def test_command_without_golden_succeeds(tmp_path, cold_cli, argv):
     proc = cold_cli(*argv, cwd=tmp_path)
     assert succeeded(proc), proc.stderr
     assert proc.stdout
+
+
+def console_script():
+    """(name, module, function) of the one entry in pyproject.toml's
+    [project.scripts], read as text (Python 3.10 has no tomllib)."""
+    section = PYPROJECT.read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+    entries = re.findall(r'^([\w-]+) = "([\w.]+):(\w+)"$',
+                         section.split("\n[")[0], re.MULTILINE)
+    assert len(entries) == 1, entries
+    return entries[0]
+
+
+def test_console_script_runs_the_cli(cold_python):
+    """The entry point as the installed script calls it: sys.exit(main())
+    with the command line in sys.argv."""
+    name, module, function = console_script()
+    assert name == "fullerene-belyi"
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    proc = cold_python("-c", script, "--format", "json", "derive", "6")
+    assert succeeded(proc), proc.stderr
+    assert proc.stdout == golden("derive_6.json")
+    proc = cold_python("-c", script, "derive", "abc")
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith(b"usage: fullerene-belyi")
