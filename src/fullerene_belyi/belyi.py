@@ -12,7 +12,7 @@ here comes from a known spherical graph.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 from math import gcd
 
 from .exact import (ONE, ZERO, GaussRat, RationalMap, UniPoly, _cleared_identity,
@@ -340,18 +340,20 @@ class FactoredBelyi(_Record, frozen=True):
         """Certify that the factored data is a Belyi map, and return the
         passport.
 
-        verify has one accept: a tight document (below) whose identity
-        and zero-pole pairs hold.  Every other document goes on to the
-        checks that name its fault, cheapest first: (i) no two factors are
-        equal; (ii) the three side degrees balance, including the infinity
-        contribution; (iii) the fibres over 0, 1 and infinity hold at least
-        the n + 2 points of a degree-n map; (iv) the identity k*Z - Q = c*O
-        for the declared one-side product O (c a nonzero scalar); (v) every
-        factor is squarefree, and then all factors are pairwise coprime;
-        (vi) the fibres hold no more than n + 2 points, so that beta is a
-        Belyi map; and last, (vii) the degree n is at least 1, since a
-        constant is no Belyi map.  The factors are monic by construction,
-        so nothing here checks that.
+        verify runs one ordered pass, cheapest check first, and each check
+        names the fault it finds: (i) no two factors are equal; (ii) the
+        three side degrees balance, including the infinity contribution;
+        (iii) the fibres over 0, 1 and infinity hold at least the n + 2
+        points of a degree-n map; (iv) the identity k*Z - Q = c*O for the
+        declared one-side product O (c a nonzero scalar); then the accept:
+        a tight document (below) whose zero factors are coprime to its
+        pole factors returns its passport; (v) every factor is squarefree,
+        and then all factors are pairwise coprime; (vi) the fibres hold no
+        more than n + 2 points, so that beta is a Belyi map; and last,
+        (vii) the degree n is at least 1, since a constant is no Belyi
+        map.  The accept only skips (v)-(vii), which every document it
+        accepts passes ((4) below), so its place changes no outcome.  The
+        factors are monic by construction, so nothing here checks that.
 
         Everything runs on integers, and verify asks exact only about
         polynomials: coprime(f, g), is_squarefree(f), the first equal
@@ -402,18 +404,18 @@ class FactoredBelyi(_Record, frozen=True):
         infinity: the number of declared parts over 0, 1 and infinity,
         the same parts that give n, the side sums and the passport
         (_fibres); by (4) below, A <= D once the identity holds, so with
-        D < n + 2 it cannot.  (iv) is one packed product per side, the one
-        the tight accept computed (cached), so a document whose identity
-        fails never reaches (v).  (vi) comes after (v) because its
-        message needs the certificates: with squarefree, pairwise coprime
-        factors and a true identity A = D, and D > n + 2 leaves a critical
-        value outside {0, 1, infinity} (IdentityFailed).
+        D < n + 2 it cannot.  (iv) is one packed product per side, and a
+        document whose identity fails never reaches (v).  (vi) comes after
+        (v) because its message needs the certificates: with squarefree,
+        pairwise coprime factors and a true identity A = D, and D > n + 2
+        leaves a critical value outside {0, 1, infinity} (IdentityFailed).
 
-        The accept.  A document is tight when its sides balance at
-        n >= 1, k != 0 and D = n + 2.  For a tight document verify checks
-        the identity and then only the coprimality of each zero factor
-        with each pole factor (Z and Q coprime); when both hold, that
-        proves everything else.  Let beta = k*Z/Q:
+        The accept.  A document is tight when its sides balance, k != 0
+        and D = n + 2; n >= 1 follows, since balanced sides at n = 0 are
+        empty and give D = 0.  Past (iv) a tight document has a true
+        identity, so verify checks only the coprimality of each zero
+        factor with each pole factor (Z and Q coprime); when it holds,
+        that proves everything else.  Let beta = k*Z/Q:
         (1) Z and Q coprime, k != 0 and the balanced sums give
             deg beta = n, whatever the infinity tag: the larger of deg Z
             and deg Q is n.
@@ -438,10 +440,9 @@ class FactoredBelyi(_Record, frozen=True):
         Each guard is needed: without k != 0 or Z and Q coprime, (2)
         fails, and with D > n + 2 a repeated root fits in the count.
 
-        The identity and the pair results are computed once (cached), so
-        a tight document that fails the identity or a zero-pole pair raises
-        what the checks that name a fault alone would.  No document gets
-        past (i)-(vi) with n >= 1: it has squarefree, pairwise coprime
+        A tight document that fails a zero-pole pair computes those pairs
+        again in (v); only a document with a fault pays that.  No document
+        gets past (i)-(vi) with n >= 1: it has squarefree, pairwise coprime
         factors, balanced sides, D = n + 2 and a true identity, so it is
         tight, and would have been accepted, unless k = 0.  And k = 0
         cannot balance: the identity then reads -Q = c*O, so the monic
@@ -451,28 +452,9 @@ class FactoredBelyi(_Record, frozen=True):
         last check is reached only at n = 0.
         """
         all_factors = self.zero_factors + self.one_factors + self.pole_factors
-        nz = len(self.zero_factors)
-        poles = range(len(all_factors) - len(self.pole_factors), len(all_factors))
         fibres = self._fibres()
         n = sum(fibres[0])
-        sums = [("one", sum(fibres[1])), ("pole", sum(fibres[2]))]
         points = sum(map(len, fibres))
-
-        @cache
-        def pair_coprime(i: int, j: int) -> bool:
-            return coprime(all_factors[i][0], all_factors[j][0])
-
-        @cache
-        def identity():
-            return _cleared_identity(self.k, self.zero_factors,
-                                     self.pole_factors, self.one_factors)
-
-        if (n >= 1 and points == n + 2 and not self.k.is_zero
-                and all(total == n for _, total in sums)
-                and identity() is None
-                and all(pair_coprime(i, j) for i in range(nz) for j in poles)):
-            # (3) of the docstring: the tag is the order the degrees give
-            return Passport.of(*fibres)
 
         def shared_root(i: int, j: int) -> FactorsShareRoot:
             return FactorsShareRoot(f"factors {_show(all_factors[i][0])} and "
@@ -481,7 +463,7 @@ class FactoredBelyi(_Record, frozen=True):
         equal = first_equal_pair([f for f, _ in all_factors])
         if equal:
             raise shared_root(*equal)
-        for side, total in sums:
+        for side, total in (("one", sum(fibres[1])), ("pole", sum(fibres[2]))):
             if total != n:
                 raise DegreeImbalance(
                     f"{side} side sums to {_show_int(total)}, "
@@ -491,7 +473,8 @@ class FactoredBelyi(_Record, frozen=True):
                 f"k*zeros - poles cannot factor as declared: {points} points "
                 f"over 0, 1 and infinity, a degree-{_show_int(n)} map has at "
                 f"least {_show_int(n + 2)} (Riemann-Hurwitz)")
-        mismatch = identity()
+        mismatch = _cleared_identity(self.k, self.zero_factors,
+                                     self.pole_factors, self.one_factors)
         if mismatch:
             got, declared = mismatch
             if got is None:
@@ -499,12 +482,17 @@ class FactoredBelyi(_Record, frozen=True):
             raise IdentityFailed(
                 "k*zeros - poles does not factor as declared: "
                 f"got {_show(got)}, declared {_show(declared)}")
+        if points == n + 2 and not self.k.is_zero and all(
+                coprime(f, g) for f, _ in self.zero_factors
+                for g, _ in self.pole_factors):
+            # (3) of the docstring: the tag is the order the degrees give
+            return Passport.of(*fibres)
         for f, _ in all_factors:
             if not is_squarefree(f):
                 raise FactorNotSquarefree(f"factor {_show(f)} has a repeated root")
         for i in range(len(all_factors)):
             for j in range(i + 1, len(all_factors)):
-                if not pair_coprime(i, j):
+                if not coprime(all_factors[i][0], all_factors[j][0]):
                     raise shared_root(i, j)
         if n >= 1 and points > n + 2:
             raise IdentityFailed(

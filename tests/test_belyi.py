@@ -746,11 +746,22 @@ def test_identity_unpacks_w_at_the_reduced_width(packed_terms, widths):
     # z^2 with its zero side declared as one factor z^2: 5 points, not 4
     ("k 1\ninfinity pole 2\nzero 1 0 0 1\none 1 -1 0 1\n",
      "FactorNotSquarefree", False),
-], ids=["shared-root", "k-zero", "repeated-root"])
+    # k = 0 with no two factors equal: -Q = -O = -z^2
+    ("k 0\ninfinity zero 2\none 1 0 0 1\npole 2 0 1\n",
+     "FactorNotSquarefree", True),
+    # z^3/(3z^2 - 3z + 1) with (z + 1)^3 put into Z and into Q
+    ("k 1/3\ninfinity pole 1\nzero 3 0 1 1\none 3 -1 0 1\n"
+     "pole 1 1/3 -1 1\npole 3 1 1\n", "FactorsShareRoot", True),
+], ids=["shared-root", "k-zero", "repeated-root", "k-zero-distinct",
+        "shared-root-distinct"])
 def test_a_true_identity_on_n_plus_2_points_needs_every_guard(text, name, tight):
     """Each document satisfies k*Z - Q = c*O; the point count proves the
     factor checks only with k != 0, Z and Q coprime and exactly n + 2
-    points, and each of these breaks one of the three."""
+    points, and each of these breaks one of the three.  shared-root and
+    k-zero repeat a factor verbatim, so verify names them at (i), before
+    the accept; k-zero-distinct and shared-root-distinct hold no two
+    equal factors and reach the accept, which refuses them only by its
+    k != 0 guard and by its zero-pole pairs respectively."""
     beta = FactoredBelyi.from_text("belyi v1\n" + text)
     assert (declared_points(beta) == beta.degree + 2) == tight
     assert assert_agrees(beta)[0] == name
@@ -804,9 +815,9 @@ def test_tight_documents_skip_the_squarefree_and_same_side_certificates(monkeypa
 
 @pytest.mark.parametrize("name", ["d6/k+1", "d6/k-1", "d12/h3/k+1", "d72/h1/k-1"])
 def test_a_tight_document_failing_the_identity_runs_it_once(monkeypatch, name):
-    """The path that names the fault reuses the identity the short path
-    computed, and raises what the reference raises, before any squarefree
-    or pair certificate runs."""
+    """verify computes the identity once, at (iv), and raises what the
+    reference raises, before the accept and before any squarefree or pair
+    certificate runs."""
     beta = CASES[name]
     assert declared_points(beta) == beta.degree + 2
     spy = CertificateSpy(monkeypatch)
