@@ -43,8 +43,6 @@ every monomial owns one signed digit: the evaluation is exact and injective.
 
 from __future__ import annotations
 
-from enum import Enum
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd, lcm
@@ -55,10 +53,23 @@ from .exact import GaussRat, RationalMap, UniPoly, _packed_sum, _Record
 from .multipoly import EliminationTrace, MultiPoly, sequential_linear_solve
 
 
-class Verdict(Enum):
-    SOLVED = "Solved"
-    NO_SOLUTION_LEADING_COEFF = "NoSolutionLeadingCoeff"
-    NO_SOLUTION_DEGREE_DEFICIT = "NoSolutionDegreeDeficit"
+class Verdict:
+    """The outcome of a one-big-face derivation: one of the three
+    instances below, compared with `is`; value is the name the reports
+    print."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self.value = value
+
+    def __repr__(self) -> str:
+        return f"Verdict({self.value!r})"
+
+
+Verdict.SOLVED = Verdict("Solved")
+Verdict.NO_SOLUTION_LEADING_COEFF = Verdict("NoSolutionLeadingCoeff")
+Verdict.NO_SOLUTION_DEGREE_DEFICIT = Verdict("NoSolutionDegreeDeficit")
 
 
 def case_degrees(s: int) -> tuple[int, int, int, int]:
@@ -79,6 +90,9 @@ def ode_leading_coeff(s: int) -> int:
 def vm_from_p(p: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
     """V = (25/(11 s^2)) * (-12*P*P'' + 11*P'^2) and
     M = (25/(11 s^3)) * (90*P*P'*P'' - 36*P^2*P''' - 55*P'^3)."""
+    # the commands take V and M from _family_vm; this reference form runs
+    # only in tests and the benchmark
+    from fractions import Fraction
     d1 = p.derivative()
     d2 = d1.derivative()
     d3 = d2.derivative()
@@ -134,7 +148,7 @@ def _ode_system(m: int, names: list[str]) -> list[tuple[int, MultiPoly]]:
                     expo[m - 2 - k] += 1
             key = tuple(expo)
             acc[key] = acc.get(key, 0) + w
-        eq = MultiPoly._trusted(vs, {e: Fraction(c) for e, c in acc.items() if c})
+        eq = MultiPoly._trusted(vs, {e: c for e, c in acc.items() if c}, 1)
         if eq or system:
             system.append((d, eq))
     return system
@@ -170,7 +184,7 @@ class CaseReport(_Record):
     k: GaussRat | MultiPoly | None = None
     family: dict[str, MultiPoly] = dict
     free_vars: tuple[str, ...] = ()
-    normalization: dict[str, Fraction] = dict
+    normalization: dict[str, int] = dict
     notes: list[str] = list
 
     def to_report(self) -> dict:
@@ -231,8 +245,9 @@ def derive_case(s: int) -> CaseReport:
         # P = z^11 - 11 z^6 - z (a6 = +11 is the same dessin under z -> -z)
         if trace.free_vars != ("a6",):
             raise AssertionError(f"unexpected free variables {trace.free_vars}")
-        report.normalization = {"a6": Fraction(-11)}
-        report.P, report.V, report.M, report.k = _at_point(_family(5), report.normalization)
+        report.normalization = {"a6": -11}
+        report.P, report.V, report.M, report.k = _at_point(
+            _family(5), {"a6": GaussRat.coerce(-11)})
         if report.k.is_zero:
             raise AssertionError("k vanishes at the normalization")
         report.verdict = Verdict.SOLVED
@@ -270,12 +285,12 @@ def _family(s: int) -> tuple[UniPoly, UniPoly, UniPoly, MultiPoly]:
 
 
 def _at_point(family: tuple[UniPoly, UniPoly, UniPoly, MultiPoly],
-              values: dict[str, Fraction]) -> tuple[UniPoly, UniPoly, UniPoly, GaussRat]:
+              values: dict[str, GaussRat]) -> tuple[UniPoly, UniPoly, UniPoly, GaussRat]:
     """(P, V, M, k) of a _family with its free variables set to values, over
-    Q(i).  Evaluation is a ring map, so the certified identity holds there."""
+    Q(i), evaluated on integers (MultiPoly._at).  Evaluation is a ring map,
+    so the certified identity holds there."""
     P, V, M, k = family
-    return (*(f.map_coeffs(lambda c: GaussRat.of(c.evaluate(values))) for f in (P, V, M)),
-            GaussRat.of(k.evaluate(values)))
+    return (*(f.map_coeffs(lambda c: c._at(values)) for f in (P, V, M)), k._at(values))
 
 
 # the integer form of a family polynomial at z = 1:
@@ -289,7 +304,7 @@ def _free_variables(P: UniPoly) -> tuple[tuple[str, ...], tuple[int, ...], tuple
     the coefficients use, heaviest first.  a_i weighs deg P - i (module
     docstring)."""
     names = P.leading().vars
-    used = {i for c in P.coeffs for expo in c.terms for i, e in enumerate(expo) if e}
+    used = {i for c in P.coeffs for expo in c._num for i, e in enumerate(expo) if e}
     free = sorted(((P.degree - int(names[i][1:]), i) for i in used), reverse=True)
     return names, tuple(i for _, i in free), tuple(u for u, _ in free)
 
@@ -306,20 +321,21 @@ def _integer_form(f: UniPoly, indices: tuple[int, ...],
     fixes e, so setting z = 1 merges no two terms.
     """
     term_weights = set()
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: Form = {}
+    # a coefficient's denominator is the lcm of its terms' reduced ones
+    d = lcm(*(coeff._den for coeff in f.coeffs))
     for e, coeff in enumerate(f.coeffs):
-        for expo, c in coeff.terms.items():
+        scale = d // coeff._den
+        for expo, c in coeff._num.items():
             key = tuple(map(expo.__getitem__, indices))
             if sum(expo) != sum(key):
                 raise AssertionError(f"term {expo} uses a variable other than "
                                      + ", ".join(coeff.vars[i] for i in indices))
             term_weights.add(e + sum(map(mul, key, weights)))
-            terms[key] = c
+            terms[key] = c * scale
     if len(term_weights) != 1:
         raise AssertionError(f"not weighted-homogeneous: term weights {sorted(term_weights)}")
-    d = lcm(*(c.denominator for c in terms.values()))
-    return term_weights.pop(), d, {key: c.numerator * (d // c.denominator)
-                                   for key, c in terms.items()}
+    return term_weights.pop(), d, terms
 
 
 def _derivative_form(w: int, f: Form, weights: tuple[int, ...]) -> Form:
@@ -367,17 +383,17 @@ def _primitive(terms: list[tuple[int, list[tuple[Form, int]]]]
     return [(c // g, fs) for c, fs in terms]
 
 
-def _family_poly(f: Form, w: int, scale: Fraction, names: tuple[str, ...],
+def _family_poly(f: Form, w: int, n: int, d: int, names: tuple[str, ...],
                  indices: tuple[int, ...], weights: tuple[int, ...]) -> UniPoly:
-    """scale times the weight-w polynomial with integer form f: a monomial
+    """n/d times the weight-w polynomial with integer form f: a monomial
     of weight u sits on z^(w - u)."""
-    coeffs: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    coeffs: dict[int, Form] = {}
     for key, c in f.items():
         expo = [0] * len(names)
         for i, e in zip(indices, key):
             expo[i] = e
-        coeffs.setdefault(w - sum(map(mul, key, weights)), {})[tuple(expo)] = scale * c
-    return UniPoly.from_terms({e: MultiPoly._trusted(names, t)
+        coeffs.setdefault(w - sum(map(mul, key, weights)), {})[tuple(expo)] = n * c
+    return UniPoly.from_terms({e: MultiPoly._reduced(names, t, d)
                                for e, t in coeffs.items()})
 
 
@@ -402,8 +418,8 @@ def _family_vm(P: UniPoly, s: int) -> tuple[UniPoly, UniPoly]:
     v = _form_sum([(11, [(p1, 2)]), (-12, [(p0, 1), (p2, 1)])], 2 * w - 2, weights)
     m = _form_sum([(90, [(p0, 1), (p1, 1), (p2, 1)]), (-36, [(p0, 2), (p3, 1)]),
                    (-55, [(p1, 3)])], 3 * w - 3, weights)
-    return (_family_poly(v, 2 * w - 2, Fraction(25, 11 * s ** 2 * d ** 2), names, indices, weights),
-            _family_poly(m, 3 * w - 3, Fraction(25, 11 * s ** 3 * d ** 3), names, indices, weights))
+    return (_family_poly(v, 2 * w - 2, 25, 11 * s ** 2 * d ** 2, names, indices, weights),
+            _family_poly(m, 3 * w - 3, 25, 11 * s ** 3 * d ** 3, names, indices, weights))
 
 
 def _power_coefficient(f: UniPoly, e: int, n: int):
@@ -487,7 +503,7 @@ def family_k_formula() -> MultiPoly:
     return _family(6)[3]
 
 
-def family_k(a9: Fraction | int, a10: Fraction | int
+def family_k(a9: int | Fraction, a10: int | Fraction
              ) -> tuple[UniPoly, UniPoly, UniPoly, GaussRat]:
     """Concrete member of the s = 6 family: (P, V, M, k) over Q(i).
 
@@ -496,8 +512,8 @@ def family_k(a9: Fraction | int, a10: Fraction | int
     is the icosahedral solution with a vertex sent to infinity; a9 = 0 puts
     an edge midpoint there instead.
     """
-    a9, a10 = Fraction(a9), Fraction(a10)
-    if a9 == 0 and a10 == 0:
+    a9, a10 = GaussRat.coerce(a9), GaussRat.coerce(a10)
+    if a9.is_zero and a10.is_zero:
         raise ValueError("(a9, a10) = (0, 0) degenerates to a monomial")
     return _at_point(_family(6), {"a9": a9, "a10": a10})
 
@@ -508,9 +524,16 @@ def family_k(a9: Fraction | int, a10: Fraction | int
 
 
 class D6Report(_Record):
+    """The derived 6-edge quotient, its elimination, and the solution:
+    _point holds it in Q(i), and values gives it as Fractions."""
+
     belyi: FactoredBelyi
     trace: EliminationTrace
-    values: dict[str, Fraction]
+    _point: dict[str, GaussRat]
+
+    @property
+    def values(self) -> dict[str, Fraction]:
+        return {name: v.re for name, v in self._point.items()}
 
 
 @cache
@@ -525,7 +548,8 @@ def d6_solve() -> D6Report:
     enters the elimination as a declared-nonzero unknown: each equation is
     divided by the highest power of t that divides it.  The scaling
     freedom is spent on a1 = 10, and values reports b1 = a1 - t in place
-    of t.
+    of t.  The solution is computed in Q(i), on integers
+    (EliminationTrace._solution).
     """
     names = ["c1", "c0", "t", "b0", "a1", "a0", "k"]
 
@@ -544,9 +568,9 @@ def d6_solve() -> D6Report:
     if trace.free_vars != ("a1",):
         raise AssertionError(f"unexpected free variables {trace.free_vars}")
 
-    values = trace.evaluate({"a1": Fraction(10)})
+    values = trace._solution({"a1": GaussRat.coerce(10)})
     values["b1"] = values["a1"] - values.pop("t")
-    k = GaussRat.of(values["k"])
+    k = values["k"]
 
     def concrete(hi: str, lo: str) -> UniPoly:
         return UniPoly.from_terms({2: 1, 1: values[hi], 0: values[lo]})
@@ -557,4 +581,4 @@ def d6_solve() -> D6Report:
     # sanity: the derived one-side must be the C * B^2 the ansatz promised
     if beta.one_factors != ((concrete("c1", "c0"), 1), (concrete("b1", "b0"), 2)):
         raise AssertionError("one-side factorization drifted from the ansatz")
-    return D6Report(belyi=beta, trace=trace, values=values)
+    return D6Report(belyi=beta, trace=trace, _point=values)

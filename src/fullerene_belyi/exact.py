@@ -2,8 +2,10 @@
 
 Three layers live here:
 
-  GaussRat     -- a + b*i with Fraction real and imaginary parts.  A field;
-                  all operations are exact and values are immutable.
+  GaussRat     -- (a + b*i)/d held as three ints, d > 0 and
+                  gcd(a, b, d) = 1, so the triple is canonical.  A field;
+                  every operation is exact and takes one gcd, and values
+                  are immutable.
   UniPoly      -- the one dense univariate polynomial type, over GaussRat
                   or over MultiPoly (a family whose coefficients carry
                   parameters); the coefficients set the ring and the
@@ -41,10 +43,11 @@ bound's bit length plus a sign bit, rounded up to whole bytes.  With c and
 every f nonzero, each packed digit is below the bound too.
 
 Multiplication over Q(i).  Each operand is cleared to integer real and
-imaginary vectors over one common denominator d (the lcm of its
-denominators); the product is the packed sum of the one term with c = 1,
-and its digits are divided by d_a*d_b.  The schoolbook loop remains for the
-MultiPoly coefficient ring.
+imaginary vectors over one common denominator d, one lcm pass over its
+coefficients' triples (a triple's d is the lcm of the reduced
+denominators of its two parts); the product is the packed sum of the one
+term with c = 1, and each digit pair over d_a*d_b is made a triple by one
+gcd.  The schoolbook loop remains for the MultiPoly coefficient ring.
 
 Coprimality (a certificate modulo one fixed prime).  Let p = _P, a prime
 with p = 1 (mod 4), r = _R with r^2 = -1 (mod p), and J the prime ideal
@@ -76,9 +79,9 @@ no caller handles either.
 
 The identity of a factored Belyi function (products of powers in Z[i]).
 _cleared_identity, which FactoredBelyi.verify calls, proves k*Z - Q = c*O
-for Z, Q and O products of powers f^e of monic factors, without a
-Fraction.  It takes k and the (factor, exponent) pairs, and reads the
-cleared forms the certificates read:
+for Z, Q and O products of powers f^e of monic factors, on integers.  It
+takes k and the (factor, exponent) pairs, and reads the cleared forms the
+certificates read:
 every factor is g_f/d_f, with g_f in Z[i][z] and d_f the lcm of its
 denominators, and k = kappa/d_k.  With G_Z = prod g_f^e and
 D_Z = prod d_f^e (likewise for Q and O), k*Z - Q = W/(d_k*D_Z*D_Q) for
@@ -105,20 +108,31 @@ import math
 import operator
 import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
-Rationalish = int | Fraction
+# Annotations are not evaluated, and none of this module's code paths use
+# fractions: a Fraction argument is read by its numerator and denominator,
+# and only the accessors that return a Fraction (GaussRat.re, .im and
+# norm) import it.
 
 
 class GaussRat:
-    """A Gaussian rational a + b*i; both parts are exact Fractions.
-    Immutable; equal and hashed by (re, im)."""
+    """A Gaussian rational (a + b*i)/d, held as three ints with d > 0 and
+    gcd(a, b, d) = 1, so that equal values have equal triples; every
+    operation makes its result canonical with one gcd.  Immutable; equal
+    by the triple, and hashed as the pair (re, im) of Fractions is.  The
+    constructor, of() and coerce() take ints and Fractions (anything with
+    numerator and denominator); re, im and norm() return Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: Fraction, im: Fraction):
-        _set_re(self, re)
-        _set_im(self, im)
+    def __init__(self, re: int | Fraction, im: int | Fraction):
+        r, s = _rational(re), _rational(im)  # TypeError for a non-rational
+        d = r._d * s._d // math.gcd(r._d, s._d)
+        a, b = r._a * (d // r._d), s._a * (d // s._d)
+        g = math.gcd(a, b, d)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_d(self, d // g)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussRat is immutable")
@@ -127,96 +141,171 @@ class GaussRat:
 
     def __eq__(self, other) -> bool:
         if other.__class__ is GaussRat:
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # hash((re, im)) with Fraction parts, as Python hashes rationals
+        return hash((_rational_hash(self._a, self._d), _rational_hash(self._b, self._d)))
+
+    @property
+    def re(self) -> Fraction:
+        from fractions import Fraction
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        from fractions import Fraction
+        return Fraction(self._b, self._d)
 
     @staticmethod
-    def of(re: Rationalish = 0, im: Rationalish = 0) -> "GaussRat":
-        return GaussRat(Fraction(re), Fraction(im))
+    def of(re: int | Fraction = 0, im: int | Fraction = 0) -> "GaussRat":
+        return GaussRat(re, im)
 
     @staticmethod
-    def coerce(v: Scalarish) -> "GaussRat":
-        if isinstance(v, GaussRat):
-            return v
-        return GaussRat(Fraction(v), Fraction(0))
+    def coerce(v: int | Fraction | GaussRat) -> "GaussRat":
+        return v if v.__class__ is GaussRat else _rational(v)
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def __add__(self, other: Scalarish) -> "GaussRat":
-        o = GaussRat.coerce(other)
-        return GaussRat(self.re + o.re, self.im + o.im)
+    def __add__(self, other: int | Fraction | GaussRat) -> "GaussRat":
+        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        d, e = self._d, o._d
+        if d == e:
+            return _gauss(self._a + o._a, self._b + o._b, d)
+        return _gauss(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return _canonical_gauss(-self._a, -self._b, self._d)
 
-    def __sub__(self, other: Scalarish) -> "GaussRat":
+    def __sub__(self, other: int | Fraction | GaussRat) -> "GaussRat":
         return self + (-GaussRat.coerce(other))
 
-    def __rsub__(self, other: Scalarish) -> "GaussRat":
+    def __rsub__(self, other: int | Fraction | GaussRat) -> "GaussRat":
         return GaussRat.coerce(other) + (-self)
 
-    def __mul__(self, other: Scalarish) -> "GaussRat":
-        o = GaussRat.coerce(other)
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+    def __mul__(self, other: int | Fraction | GaussRat) -> "GaussRat":
+        o = other if other.__class__ is GaussRat else GaussRat.coerce(other)
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        if not (b1 or b2):
+            return _gauss(a1 * a2, 0, self._d * o._d)
+        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _canonical_gauss(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """re^2 + im^2 (the field norm down to Q)."""
-        return self.re * self.re + self.im * self.im
+        from fractions import Fraction
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "GaussRat":
-        n = self.norm()
+        """d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)."""
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussRat(self.re / n, -self.im / n)
+        return _gauss(d * a, -d * b, n)
 
-    def __truediv__(self, other: Scalarish) -> "GaussRat":
+    def __truediv__(self, other: int | Fraction | GaussRat) -> "GaussRat":
         return self * GaussRat.coerce(other).inverse()
 
-    def __rtruediv__(self, other: Scalarish) -> "GaussRat":
+    def __rtruediv__(self, other: int | Fraction | GaussRat) -> "GaussRat":
         return GaussRat.coerce(other) * self.inverse()
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _rational_text(a, d)
+        if not a:
+            return f"{_rational_text(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        return f"{_rational_text(a, d)}{sign}{_rational_text(abs(b), d)}i"
 
     __repr__ = __str__
 
     def to_token(self) -> str:
         """Serialize as "a/b" or "a/b,c/d"."""
-        if not self.im:
-            return str(self.re)
-        return f"{self.re},{self.im}"
+        if not self._b:
+            return _rational_text(self._a, self._d)
+        return f"{_rational_text(self._a, self._d)},{_rational_text(self._b, self._d)}"
 
     @staticmethod
     def from_token(token: str) -> "GaussRat":
         """Parse "a/b" or "a/b,c/d": each part an optional "-", ASCII
         digits, and optionally "/" and ASCII digits.  Anything else, a zero
         denominator included, raises ValueError."""
-        (a, b), (c, d) = _token_ratios(token)
-        return GaussRat(Fraction(a, b), Fraction(c, d) if c else _FZERO)
+        (a, b), (c, e) = _token_ratios(token)
+        # two coprime pairs over d = lcm(b, e) make a canonical triple
+        d = b * e // math.gcd(b, e)
+        return _canonical_gauss(a * (d // b), c * (d // e), d)
+
+
+# the slot setters, which skip the refusing __setattr__ (the hot path)
+_set_a = GaussRat._a.__set__
+_set_b = GaussRat._b.__set__
+_set_d = GaussRat._d.__set__
+_new = object.__new__
+
+
+def _canonical_gauss(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat (a + b*i)/d of a triple already canonical: d > 0 and
+    gcd(a, b, d) = 1."""
+    z = _new(GaussRat)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _rational(v: int | Fraction) -> GaussRat:
+    """A rational, read by its numerator and denominator, as a GaussRat;
+    TypeError for anything else (a GaussRat included)."""
+    try:
+        return _canonical_gauss(v.numerator, 0, v.denominator)
+    except AttributeError:
+        raise TypeError(f"not a rational: {_quote(v)}") from None
+
+
+def _gauss(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat (a + b*i)/d for d > 0, made canonical by one gcd."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _canonical_gauss(a, b, d)
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, by Python's rule for the hash of a
+    rational: |n|/d modulo the prime sys.hash_info.modulus, signed."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if d == 1:
+        return hash(n)
+    p = sys.hash_info.modulus
+    h = sys.hash_info.inf if d % p == 0 else abs(n) % p * pow(d, -1, p) % p
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _rational_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0: the integer, or "n/d" in lowest
+    terms."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 # a message quotes at most this many characters of a line or token
@@ -288,15 +377,9 @@ def _token_ratios(token: str) -> tuple[tuple[int, int], tuple[int, int]]:
     raise ValueError(f"bad coefficient token: {_quote(token)}")
 
 
-# the slot setters, which skip the refusing __setattr__ (the hot path)
-_set_re = GaussRat.re.__set__
-_set_im = GaussRat.im.__set__
-Scalarish = int | Fraction | GaussRat
-
-_FZERO = Fraction(0)
-ZERO = GaussRat.of(0)
-ONE = GaussRat.of(1)
-I = GaussRat.of(0, 1)
+ZERO = _canonical_gauss(0, 0, 1)
+ONE = _canonical_gauss(1, 0, 1)
+I = _canonical_gauss(0, 1, 1)
 
 
 def binary_power(base, n: int, one, mul=operator.mul):
@@ -319,11 +402,12 @@ Cleared = tuple[int, list[int], list[int]]  # (d, re, im)
 
 def _cleared(coeffs: Sequence[GaussRat]) -> Cleared:
     """(d, re, im) with coeffs[k] = (re[k] + im[k]*i) / d and d the lcm of
-    every denominator."""
-    d = math.lcm(*[c.re.denominator for c in coeffs],
-                 *[c.im.denominator for c in coeffs])
-    return (d, [c.re.numerator * (d // c.re.denominator) for c in coeffs],
-            [c.im.numerator * (d // c.im.denominator) for c in coeffs])
+    every denominator: one lcm pass over the triples' d, which is the lcm
+    of the reduced denominators of each coefficient's two parts."""
+    d = math.lcm(*[c._d for c in coeffs])
+    scales = [d // c._d for c in coeffs]
+    return (d, [c._a * m for c, m in zip(coeffs, scales)],
+            [c._b * m for c, m in zip(coeffs, scales)])
 
 
 def _pack(digits: Sequence[int], width: int) -> int:
@@ -431,7 +515,7 @@ def _canonical(d: int, re: list[int], im: list[int]) -> Cleared:
 
 def _zero_of(c):
     """The zero of c's coefficient ring (c * 0 keeps a MultiPoly's variables)."""
-    return ZERO if isinstance(c, (int, Fraction, GaussRat)) else c * 0
+    return ZERO if c.__class__ is GaussRat or hasattr(c, "denominator") else c * 0
 
 
 class UniPoly:
@@ -458,8 +542,8 @@ class UniPoly:
     __slots__ = ("coeffs", "ring_zero", "_form", "_mod_p")
 
     def __init__(self, coeffs: Iterable = (), ring_zero=None):
-        cs = [GaussRat.coerce(c) if isinstance(c, (int, Fraction)) else c
-              for c in coeffs]
+        cs = [c if c.__class__ is GaussRat or not hasattr(c, "denominator")
+              else GaussRat.coerce(c) for c in coeffs]
         if ring_zero is None:
             ring_zero = _zero_of(cs[0]) if cs else ZERO
         while cs and cs[-1].is_zero:
@@ -478,8 +562,7 @@ class UniPoly:
         if name != "coeffs":
             raise AttributeError(f"'UniPoly' object has no attribute {name!r}")
         d, re, im = self._form
-        coeffs = tuple(GaussRat(Fraction(x, d), Fraction(y, d) if y else _FZERO)
-                       for x, y in zip(re, im))
+        coeffs = tuple(_gauss(x, y, d) for x, y in zip(re, im))
         _set_coeffs(self, coeffs)
         return coeffs
 
@@ -498,11 +581,11 @@ class UniPoly:
         return UniPoly((0, 1))
 
     @staticmethod
-    def constant(c: Scalarish) -> "UniPoly":
+    def constant(c: int | Fraction | GaussRat) -> "UniPoly":
         return UniPoly((c,))
 
     @staticmethod
-    def monomial(power: int, c: Scalarish = 1) -> "UniPoly":
+    def monomial(power: int, c: int | Fraction | GaussRat = 1) -> "UniPoly":
         return UniPoly([0] * power + [c])
 
     @staticmethod
@@ -596,8 +679,7 @@ class UniPoly:
             d = da * db
             digits = _packed_sum([((1, 0), [((ar, ai), 1), ((br, bi), 1)])],
                                  len(a) + len(b) - 1)
-            return UniPoly([GaussRat(Fraction(x, d), Fraction(y, d) if y else _FZERO)
-                            for x, y in digits], zero)
+            return UniPoly([_gauss(x, y, d) for x, y in digits], zero)
         # schoolbook over a parameter ring
         nonzero_b = [(j, y) for j, y in enumerate(b) if not y.is_zero]
         out = [zero] * (len(a) + len(b) - 1)
@@ -669,9 +751,9 @@ class UniPoly:
             raise ValueError(f"{other} does not divide {self}")
         return q
 
-    def evaluate(self, x: Scalarish) -> GaussRat:
+    def evaluate(self, x: int | Fraction | GaussRat) -> GaussRat:
         x = GaussRat.coerce(x)
-        acc = GaussRat.of(0)
+        acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -926,7 +1008,7 @@ class RationalMap:
 
     __slots__ = ("k", "num", "den")
 
-    def __init__(self, k: Scalarish, num: UniPoly, den: UniPoly):
+    def __init__(self, k: int | Fraction | GaussRat, num: UniPoly, den: UniPoly):
         k = GaussRat.coerce(k)
         if num.is_zero:
             raise ValueError("rational map with zero numerator")

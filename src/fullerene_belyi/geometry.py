@@ -206,23 +206,29 @@ def barrel_vertices() -> BarrelVertices:
     r1*r4 = r2*r3 = 1 follow from q.  b2 is taken as
     (s + sqrt(s^2 - 4(c + 2)))/2 and b1 as (c + 2)/b2, and each x in the
     form above, so no difference of near-equal floats is formed.  Any
-    failed check raises GeometryError."""
+    failed check raises GeometryError.  The checks read the coefficients'
+    integer triples: with s = S/D and c + 2 = C/D over one positive D,
+    they are S > 0, C > 0 and S*S > 4*C*D."""
     v = barrel_vertex_polynomial()
     q = UniPoly(v.coeffs[::6])
     if q.substitute_power(6) != v:
         raise GeometryError("vertex polynomial is not a polynomial in z^6")
-    if any(c.im for c in q.coeffs):
+    if any(c._b for c in q.coeffs):
         raise GeometryError("vertex polynomial has non-real coefficients")
-    s, c = q.coefficient(3).re, q.coefficient(2).re
+    s, c = q.coefficient(3), q.coefficient(2)
     if q != UniPoly.from_terms({4: 1, 3: s, 2: c, 1: -s, 0: 1}):
         raise GeometryError(
             "quartic in z^6 is not of the form w^4 + s w^3 + c w^2 - s w + 1")
-    if not (s > 0 and c + 2 > 0 and s * s > 4 * (c + 2)):
+    D = s._d * c._d
+    S, C = s._a * c._d, (c._a + 2 * c._d) * s._d
+    if not (S > 0 and C > 0 and S * S > 4 * C * D):
         raise GeometryError("quartic in z^6 needs s > 0, c + 2 > 0 and "
                             f"s^2 > 4(c + 2), has s = {s}, c = {c}")
 
-    b2 = (s + math.sqrt(s * s - 4 * (c + 2))) / 2
-    x2, x1 = (2 / (b + math.sqrt(b * b + 4)) for b in (b2, (c + 2) / b2))
+    # the floats of s, s^2 - 4(c + 2) and c + 2, each one correctly
+    # rounded quotient of integers
+    b2 = (S / D + math.sqrt((S * S - 4 * C * D) / (D * D))) / 2
+    x2, x1 = (2 / (b + math.sqrt(b * b + 4)) for b in (b2, C / D / b2))
     radii = tuple(w ** (1.0 / 6.0) for w in (x2, x1, 1 / x1, 1 / x2))
     points = {}
     for ring, r in enumerate(radii):

@@ -30,8 +30,7 @@ from functools import cache
 
 from .belyi import FactoredBelyi
 from .derive import d6_solve
-from .exact import (ONE, ZERO, GaussRat, RationalMap, UniPoly, Scalarish,
-                    _Record, binary_power)
+from .exact import ONE, ZERO, GaussRat, RationalMap, UniPoly, _Record, binary_power
 
 
 class _Infinity:
@@ -72,7 +71,8 @@ class Moebius(_Record, frozen=True):
     d: GaussRat
 
     @staticmethod
-    def of(a: Scalarish, b: Scalarish, c: Scalarish, d: Scalarish) -> "Moebius":
+    def of(a: int | Fraction | GaussRat, b: int | Fraction | GaussRat,
+           c: int | Fraction | GaussRat, d: int | Fraction | GaussRat) -> "Moebius":
         a, b, c, d = (GaussRat.coerce(v) for v in (a, b, c, d))
         det = a * d - b * c
         if det.is_zero:

@@ -1,10 +1,13 @@
 """Sparse multivariate polynomials over Q and sequential linear elimination.
 
-MultiPoly stores {exponent tuple: Fraction} over a fixed, ordered variable
-tuple shared by every polynomial of one system; zero coefficients are never
-stored.  A polynomial in z whose coefficients are MultiPolys (an
-indeterminate-coefficient polynomial such as z^m + a_{m-1} z^{m-1} + ...)
-is an exact.UniPoly over this ring.
+MultiPoly stores integer numerators {exponent tuple: int} over one common
+denominator, for a fixed, ordered variable tuple shared by every
+polynomial of one system; zero coefficients are never stored, and the
+form is canonical (the denominator is positive and shares no factor with
+every numerator), so each operation ends in one gcd.  A polynomial in z
+whose coefficients are MultiPolys (an indeterminate-coefficient
+polynomial such as z^m + a_{m-1} z^{m-1} + ...) is an exact.UniPoly over
+this ring.
 
 The elimination engine makes one pass over a list of equations (by
 convention the z-coefficients of some identity, highest degree first).  It
@@ -35,45 +38,73 @@ the steps a second time.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
-from .exact import UniPoly, _Record, binary_power
+from .exact import (ONE, ZERO, GaussRat, UniPoly, _gauss, _rational, _rational_text, _Record,
+                    binary_power)
 
 Expo = tuple[int, ...]
-RationalLike = int | Fraction
 
 
 class MultiPoly:
-    """Sparse polynomial over Q in a fixed ordered set of named variables."""
+    """Sparse polynomial over Q in a fixed ordered set of named variables,
+    held as integer numerators over one common denominator.
 
-    __slots__ = ("vars", "terms")
+    _num maps exponent tuples to nonzero ints and _den is a positive int
+    with gcd(_den, every numerator) = 1 (the zero polynomial has _den 1),
+    so equal polynomials have equal (_num, _den); every operation makes its
+    result canonical with one gcd.  The constructor and scale() take ints
+    and Fractions (anything with numerator and denominator); terms,
+    constant_value() and evaluate() return Fractions."""
+
+    __slots__ = ("vars", "_num", "_den")
 
     def __init__(self, variables: Sequence[str],
-                 terms: Mapping[Expo, RationalLike] | None = None):
+                 terms: Mapping[Expo, int | Fraction] | None = None):
         vs = tuple(variables)
-        cleaned: dict[Expo, Fraction] = {}
+        nonzero = {}
         for expo, c in (terms or {}).items():
-            c = Fraction(c)
             if not c:
                 continue
             if len(expo) != len(vs):
                 raise ValueError("exponent arity does not match variable set")
-            cleaned[tuple(expo)] = c
+            nonzero[tuple(expo)] = _rational(c)  # TypeError for a non-rational
+        # numerators over the lcm of the reduced denominators: canonical
+        den = lcm(*(c._d for c in nonzero.values()))
         object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "_num", {expo: c._a * (den // c._d)
+                                          for expo, c in nonzero.items()})
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _trusted(cls, vs: tuple[str, ...], terms: dict[Expo, Fraction]) -> "MultiPoly":
-        """Wrap terms that are already nonzero Fractions with full-arity
-        keys, as every arithmetic result is, skipping the cleaning."""
+    def _trusted(cls, vs: tuple[str, ...], num: dict[Expo, int], den: int) -> "MultiPoly":
+        """Wrap a canonical (num, den) with full-arity keys, as every
+        arithmetic result is, skipping the cleaning."""
         out = object.__new__(cls)
         object.__setattr__(out, "vars", vs)
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "_num", num)
+        object.__setattr__(out, "_den", den)
         return out
+
+    @classmethod
+    def _reduced(cls, vs: tuple[str, ...], num: dict[Expo, int], den: int) -> "MultiPoly":
+        """num/den, for nonzero numerators and den > 0, made canonical by
+        one gcd."""
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        return cls._trusted(vs, num, den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> dict[Expo, Fraction]:
+        """{exponent tuple: Fraction} of the nonzero terms."""
+        from fractions import Fraction
+        return {e: Fraction(c, self._den) for e, c in self._num.items()}
 
     # -- constructors ---------------------------------------------------
 
@@ -82,16 +113,16 @@ class MultiPoly:
         return MultiPoly(variables, {})
 
     @staticmethod
-    def const(variables: Sequence[str], c: RationalLike) -> "MultiPoly":
+    def const(variables: Sequence[str], c: int | Fraction) -> "MultiPoly":
         vs = tuple(variables)
-        return MultiPoly(vs, {(0,) * len(vs): Fraction(c)})
+        return MultiPoly(vs, {(0,) * len(vs): c})
 
     @staticmethod
     def var(variables: Sequence[str], name: str) -> "MultiPoly":
         vs = tuple(variables)
         expo = [0] * len(vs)
         expo[vs.index(name)] = 1
-        return MultiPoly(vs, {tuple(expo): Fraction(1)})
+        return MultiPoly._trusted(vs, {tuple(expo): 1}, 1)
 
     def _check(self, other: "MultiPoly") -> None:
         if self.vars != other.vars:
@@ -101,37 +132,36 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._num)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        from fractions import Fraction
+        if not self._num:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._num.values())), self._den)
 
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self._num), default=0)
 
     def coefficient_in(self, name: str, power: int) -> "MultiPoly":
         """Collect the coefficient of name**power (a MultiPoly without name)."""
         i = self.vars.index(name)
-        out: dict[Expo, Fraction] = {}
-        for expo, c in self.terms.items():
+        out: dict[Expo, int] = {}
+        for expo, c in self._num.items():
             if expo[i] == power:
-                reduced = list(expo)
-                reduced[i] = 0
-                out[tuple(reduced)] = c
-        return MultiPoly(self.vars, out)
+                out[expo[:i] + (0,) + expo[i + 1:]] = c
+        return MultiPoly._reduced(self.vars, out, self._den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiPoly) and self.vars == other.vars
-                and self.terms == other.terms)
+                and self._den == other._den and self._num == other._num)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -142,53 +172,64 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = out.get(expo, 0) + c
+        d, e = self._den, other._den
+        g = gcd(d, e)
+        ms, mo = e // g, d // g
+        out = dict(self._num) if ms == 1 else {x: c * ms for x, c in self._num.items()}
+        for expo, c in other._num.items():
+            s = out.get(expo, 0) + c * mo
             if s:
                 out[expo] = s
             else:
-                out.pop(expo, None)
-        return MultiPoly._trusted(self.vars, out)
+                del out[expo]
+        return MultiPoly._reduced(self.vars, out, d * ms)
 
-    def __radd__(self, other: RationalLike) -> "MultiPoly":
+    def __radd__(self, other: int | Fraction) -> "MultiPoly":
         """rational + polynomial, e.g. 1 + zero for the ring's one."""
         return MultiPoly.const(self.vars, other) + self
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self._num.items()},
+                                  self._den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check(other)
-        out: dict[Expo, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
+        out: dict[Expo, int] = {}
+        for ea, ca in self._num.items():
+            for eb, cb in other._num.items():
+                expo = tuple(map(add, ea, eb))
                 s = out.get(expo, 0) + ca * cb
                 if s:
                     out[expo] = s
                 else:
-                    out.pop(expo, None)
-        return MultiPoly._trusted(self.vars, out)
+                    del out[expo]
+        return MultiPoly._reduced(self.vars, out, self._den * other._den)
 
     def __rmul__(self, other) -> "MultiPoly":
         return self * other
 
-    def scale(self, s: RationalLike) -> "MultiPoly":
-        s = Fraction(s)
-        if not s:
-            return MultiPoly.zero(self.vars)
-        return MultiPoly._trusted(self.vars, {e: c * s for e, c in self.terms.items()})
+    def scale(self, s: int | Fraction) -> "MultiPoly":
+        s = _rational(s)
+        return self._scaled(s._a, s._d)
+
+    def _scaled(self, n: int, d: int) -> "MultiPoly":
+        """self times n/d, for d != 0."""
+        if not n:
+            return MultiPoly._trusted(self.vars, {}, 1)
+        if d < 0:
+            n, d = -n, -d
+        return MultiPoly._reduced(self.vars, {e: c * n for e, c in self._num.items()},
+                                  self._den * d)
 
     def __pow__(self, n: int) -> "MultiPoly":
         return binary_power(self, n, MultiPoly.const(self.vars, 1))
 
-    def substitute_all(self, mapping: Mapping[str, "MultiPoly | RationalLike"]
+    def substitute_all(self, mapping: Mapping[str, "MultiPoly | int | Fraction"]
                        ) -> "MultiPoly":
         """Replace several variables at once, each by a polynomial (or
         constant), and renormalize; self when none of them occurs.
@@ -197,12 +238,14 @@ class MultiPoly:
         occurs in a replacement is not replaced again.  Terms are grouped by
         their exponents on the replaced variables, and each group is
         multiplied by one product of the replacements' powers, which are
-        computed once per call."""
+        computed once per call.  The products are brought over the lcm L of
+        their denominators, so the sum accumulates integers over self's
+        denominator times L."""
         vs = self.vars
-        occurs = [any(col) for col in zip(*self.terms)] or [False] * len(vs)
+        occurs = [any(col) for col in zip(*self._num)] or [False] * len(vs)
         subs: list[tuple[int, MultiPoly]] = []
         for name, r in mapping.items():
-            if isinstance(r, (int, Fraction)):
+            if not isinstance(r, MultiPoly):
                 r = MultiPoly.const(vs, r)
             self._check(r)
             i = vs.index(name)
@@ -210,66 +253,77 @@ class MultiPoly:
                 subs.append((i, r))
         if not subs:
             return self
-        groups: dict[Expo, dict[Expo, Fraction]] = {}
-        for expo, c in self.terms.items():
+        groups: dict[Expo, dict[Expo, int]] = {}
+        for expo, c in self._num.items():
             stripped = list(expo)
             for i, _ in subs:
                 stripped[i] = 0
             groups.setdefault(tuple(expo[i] for i, _ in subs), {})[tuple(stripped)] = c
         one = MultiPoly.const(vs, 1)
         powers = [[one, r] for _, r in subs]    # powers[j][p] = r_j^p
-        out: dict[Expo, Fraction] = {}
-        for key, part in groups.items():
+        factors = []
+        for key in groups:
             factor = one
             for cached, p in zip(powers, key):
                 if p:
                     while len(cached) <= p:
                         cached.append(cached[-1] * cached[1])
                     factor = cached[p] if factor is one else factor * cached[p]
+            factors.append(factor)
+        den = lcm(*(f._den for f in factors))
+        out: dict[Expo, int] = {}
+        for part, factor in zip(groups.values(), factors):
+            m = den // factor._den
             for ea, ca in part.items():
-                for eb, cb in factor.terms.items():
+                ca *= m
+                for eb, cb in factor._num.items():
                     e = tuple(map(add, ea, eb))
                     s = out.get(e, 0) + ca * cb
                     if s:
                         out[e] = s
                     else:
-                        out.pop(e, None)
-        return MultiPoly._trusted(vs, out)
+                        del out[e]
+        return MultiPoly._reduced(vs, out, self._den * den)
 
-    def evaluate(self, assignments: Mapping[str, RationalLike]) -> Fraction:
-        idx = {name: self.vars.index(name) for name in assignments}
-        total = Fraction(0)
-        for expo, c in self.terms.items():
-            t = c
-            for pos, e in enumerate(expo):
-                if not e:
-                    continue
-                name = self.vars[pos]
-                if name not in assignments:
-                    raise ValueError(f"no value for variable {name}")
-                t *= Fraction(assignments[name]) ** e
-            total += t
-        return total
+    def _at(self, values: Mapping[str, GaussRat]) -> GaussRat:
+        """self with each variable set to its GaussRat value, in Q(i);
+        ValueError names a variable that occurs without a value."""
+        total = ZERO
+        for expo, c in self._num.items():
+            t = GaussRat.coerce(c)
+            for name, e in zip(self.vars, expo):
+                if e:
+                    if name not in values:
+                        raise ValueError(f"no value for variable {name}")
+                    t = t * binary_power(values[name], e, ONE)
+            total = total + t
+        return _gauss(total._a, total._b, total._d * self._den)
+
+    def evaluate(self, assignments: Mapping[str, int | Fraction]) -> Fraction:
+        for name in assignments:
+            self.vars.index(name)  # ValueError for a name that is no variable
+        return self._at({name: _rational(v) for name, v in assignments.items()}).re
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
+        d = self._den
         parts = []
-        for expo in sorted(self.terms, reverse=True):
-            c = self.terms[expo]
+        for expo in sorted(self._num, reverse=True):
+            c = self._num[expo]
             mono = "*".join(
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.vars, expo) if e)
             if not mono:
-                parts.append(str(c))
-            elif c == 1:
+                parts.append(_rational_text(c, d))
+            elif c == d:
                 parts.append(mono)
-            elif c == -1:
+            elif c == -d:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{c}*{mono}")
+                parts.append(f"{_rational_text(c, d)}*{mono}")
         joined = parts[0]
         for p in parts[1:]:
             joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -344,11 +398,17 @@ class EliminationTrace(_Record):
         """apply() on every coefficient of a polynomial in z over MultiPoly."""
         return p.map_coeffs(self.apply)
 
-    def evaluate(self, free_assignments: Mapping[str, RationalLike]) -> dict[str, Fraction]:
+    def evaluate(self, free_assignments: Mapping[str, int | Fraction]) -> dict[str, Fraction]:
         """Concrete values for every variable given values of the free
         ones: the free ones, then the solved ones in step order."""
-        values = {name: Fraction(v) for name, v in free_assignments.items()}
-        values.update({name: e.evaluate(values) for name, e in self.resolved.items()})
+        solution = self._solution({name: _rational(v) for name, v in free_assignments.items()})
+        return {name: v.re for name, v in solution.items()}
+
+    def _solution(self, free: Mapping[str, GaussRat]) -> dict[str, GaussRat]:
+        """evaluate() in Q(i): the free values, then each solved variable's
+        resolved value at them, in step order."""
+        values = dict(free)
+        values.update({name: e._at(free) for name, e in self.resolved.items()})
         return values
 
     def to_report(self) -> dict:
@@ -376,11 +436,11 @@ def _divide_assumptions(eq: MultiPoly, assumptions: Sequence[str]
     divided = []
     for name in assumptions:
         i = eq.vars.index(name)
-        m = min((expo[i] for expo in eq.terms), default=0)
+        m = min((expo[i] for expo in eq._num), default=0)
         if m:
             eq = MultiPoly._trusted(eq.vars, {
                 expo[:i] + (expo[i] - m,) + expo[i + 1:]: c
-                for expo, c in eq.terms.items()})
+                for expo, c in eq._num.items()}, eq._den)
             divided.append((name, m))
     return eq, tuple(divided)
 
@@ -393,8 +453,9 @@ def _pick_linear_unknown(eq: MultiPoly, unknowns: Sequence[str],
         if name in unsolved and eq.degree_in(name) == 1:
             c1 = eq.coefficient_in(name, 1)
             if c1.is_constant:
-                return name, eq.coefficient_in(name, 0).scale(
-                    Fraction(-1) / c1.constant_value())
+                # c1 is one constant term n/d, so name = -(the rest)*d/n
+                (n,) = c1._num.values()
+                return name, eq.coefficient_in(name, 0)._scaled(-c1._den, n)
     return None
 
 

@@ -29,7 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BELYI = "fullerene_belyi/belyi.py"
+EXACT = "fullerene_belyi/exact.py"
 GUARDS = "tests/test_belyi.py::test_a_true_identity_on_n_plus_2_points_needs_every_guard"
+GAUSS_REFERENCE = "tests/test_exact.py::test_gaussrat_agrees_with_the_fraction_pair_reference"
 
 # name: (file under src/, snippet, replacement, test selection)
 MUTANTS = {
@@ -57,9 +59,27 @@ MUTANTS = {
         ["tests/test_multipoly.py::test_divide_out_least_power_of_the_declared_unknown"]),
     "barrel-double-root-allowed": (
         "fullerene_belyi/geometry.py",
-        "s * s > 4 * (c + 2)",
-        "s * s >= 4 * (c + 2)",
+        "S * S > 4 * C * D",
+        "S * S >= 4 * C * D",
         ["tests/test_geometry.py::test_barrel_vertices_reject_mutated_polynomial"]),
+    # equality and hashing read the triple, so a sum must be made canonical
+    "gaussrat-sum-not-reduced": (
+        EXACT,
+        """            return _gauss(self._a + o._a, self._b + o._b, d)
+        return _gauss(self._a * e + o._a * d, self._b * e + o._b * d, d * e)""",
+        """            return _canonical_gauss(self._a + o._a, self._b + o._b, d)
+        return _canonical_gauss(self._a * e + o._a * d, self._b * e + o._b * d, d * e)""",
+        [GAUSS_REFERENCE]),
+    "gaussrat-product-imaginary-sign": (
+        EXACT,
+        "a1 * b2 + b1 * a2",
+        "a1 * b2 - b1 * a2",
+        [GAUSS_REFERENCE]),
+    "gaussrat-inverse-without-conjugate": (
+        EXACT,
+        "_gauss(d * a, -d * b, n)",
+        "_gauss(d * a, d * b, n)",
+        [GAUSS_REFERENCE]),
 }
 
 

@@ -24,7 +24,10 @@ writes large faulty `belyi v1` documents for the tests that time verify's
 refusals.  reference_parser is cli.build_parser as it was written before
 the command table, the argparse parser that cli.read_command_line and
 the table-built parser are held to; reader_agrees and exit_of compare
-them.
+them.  gsub, ginverse, gtext, gtoken and gcleared restate GaussRat's
+arithmetic, its text and the cleared form (exact._form_of) on Fraction
+pairs, as GaussRat computed them before it held an integer triple, and
+gaussrat_disagreements holds GaussRat to them.
 """
 
 import argparse
@@ -34,7 +37,7 @@ import math
 import random
 from fractions import Fraction
 
-from fullerene_belyi import cli
+from fullerene_belyi import cli, exact
 from fullerene_belyi.cli import (cmd_compose, cmd_derive, cmd_facevector,
                                  cmd_geometry, cmd_passport, cmd_verify)
 from fullerene_belyi.belyi import (DegreeImbalance, FactorNotSquarefree,
@@ -60,6 +63,72 @@ def gmul(a, b):
 
 def gneg(a):
     return (-a[0], -a[1])
+
+
+def gsub(a, b):
+    return gadd(a, gneg(b))
+
+
+def ginverse(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+def gtext(a):
+    """str of a Gaussian rational: "re", "imi" or "re+imi"/"re-|im|i"."""
+    re, im = a
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def gtoken(a):
+    """The belyi v1 token of a Gaussian rational: "re" or "re,im"."""
+    return f"{a[0]},{a[1]}" if a[1] else str(a[0])
+
+
+def gcleared(pairs):
+    """(d, re, im): the pairs as integer vectors over d, the lcm of every
+    reduced denominator of every part."""
+    d = math.lcm(*(x.denominator for pair in pairs for x in pair))
+    return (d, [x.numerator * (d // x.denominator) for x, _ in pairs],
+            [y.numerator * (d // y.denominator) for _, y in pairs])
+
+
+def gaussrat_disagreements(x, y):
+    """Where GaussRat disagrees with the Fraction-pair references on the
+    Gaussian rationals x and y, given as (re, im) pairs of Fractions: its
+    parts and canonical triple, + - * / and inverse (also with an int or a
+    Fraction operand), == and hash, str, the token and its round trip, the
+    norm, complex() and the cleared form of [x, y]."""
+    gx, gy = GaussRat(*x), GaussRat(*y)
+    checks = {
+        "parts": (gx.re, gx.im) == x and (gy.re, gy.im) == y,
+        "canonical": gx._d > 0 and math.gcd(gx._a, gx._b, gx._d) == 1,
+        "add": gx + gy == GaussRat(*gadd(x, y)),
+        "sub": gx - gy == GaussRat(*gsub(x, y)),
+        "mul": gx * gy == GaussRat(*gmul(x, y)),
+        "int and Fraction operands": (
+            3 - gx == GaussRat(*gsub((Fraction(3), Fraction(0)), x))
+            and y[0] * gx == GaussRat(*gmul((y[0], Fraction(0)), x))
+            and gx + y[1] == GaussRat(*gadd(x, (y[1], Fraction(0))))),
+        "eq": (gx == gy) == (x == y) and gx == GaussRat(*x),
+        "hash": hash(gx) == hash(x) and hash(gy) == hash(y),
+        "str": str(gx) == gtext(x) and str(gy) == gtext(y),
+        "token": (gx.to_token() == gtoken(x)
+                  and GaussRat.from_token(gtoken(x)) == gx
+                  and GaussRat.from_token(gx.to_token()) == gx),
+        "norm": gx.norm() == x[0] * x[0] + x[1] * x[1],
+        "complex": complex(gx) == complex(float(x[0]), float(x[1])),
+        "cleared form": exact._form_of(UniPoly([gx, gy, 1])) == gcleared(
+            [x, y, (Fraction(1), Fraction(0))]),
+    }
+    if any(y):
+        checks["div"] = gx / gy == GaussRat(*gmul(x, ginverse(y)))
+        checks["inverse"] = gy.inverse() == GaussRat(*ginverse(y))
+    return sorted(name for name, ok in checks.items() if not ok)
 
 
 def packed_width_bits(terms):

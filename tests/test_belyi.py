@@ -667,7 +667,9 @@ def test_a_parsed_document_is_accepted_building_no_coefficient(monkeypatch, name
     """from_text and verify construct one GaussRat, k, on the accept
     path: no factor's coefficients are built and no polynomial is made.
     (Where a certificate is inconclusive, as on d6/shift-1/p, the exact gcd
-    that decides it reads the coefficients.)"""
+    that decides it reads the coefficients.)  A GaussRat is made by its
+    constructor or, from a canonical integer triple, by
+    exact._canonical_gauss; both are counted."""
     text = CASES[name].to_text()
     built = []
     for cls in (UniPoly, GaussRat):
@@ -678,6 +680,13 @@ def test_a_parsed_document_is_accepted_building_no_coefficient(monkeypatch, name
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
+    canonical = exact._canonical_gauss
+
+    def counted_triple(*triple):
+        built.append("GaussRat")
+        return canonical(*triple)
+
+    monkeypatch.setattr(exact, "_canonical_gauss", counted_triple)
     beta = FactoredBelyi.from_text(text)
     passport = beta.verify()
     assert built == ["GaussRat"]

@@ -12,8 +12,9 @@ from fullerene_belyi.exact import (GaussRat, RationalMap, UniPoly, coprime,
                                    is_squarefree, poly_gcd,
                                    squarefree_decomposition)
 from fullerene_belyi.multipoly import MultiPoly
-from oracles import (compose, derivative_pairs, euclid_gcd_pairs, mul_pairs,
-                     mul_pointwise_equal, poly_pairs, ratmap_substitute_power)
+from oracles import (compose, derivative_pairs, euclid_gcd_pairs,
+                     gaussrat_disagreements, mul_pairs, mul_pointwise_equal,
+                     poly_pairs, ratmap_substitute_power)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -246,6 +247,44 @@ def test_packed_sum_powers_at_the_borrow_boundary(widths, sign, c, f, e, digits,
     got = exact._packed_sum([((sign * c, 0), [((f, []), e)])], len(digits))
     assert got == [(sign * d, 0) for d in digits]
     assert widths == [bits]
+
+
+_H = 1 << 200
+# real parts: zero, units, small fractions, denominators divisible by the
+# certificate prime (and its square), and heights up to 2^200
+_PARTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-22, 3),
+          Fraction(1, exact._P), Fraction(-5, 3 * exact._P), Fraction(exact._P, 2),
+          Fraction(7, exact._P ** 2), Fraction(_H - 1, _H + 1), Fraction(-_H, 3),
+          Fraction(1, _H + 3), Fraction(_H + 1))
+# imaginary parts: with re = 0 these give zero and pure imaginary values
+_IMAGINARY = (Fraction(0), Fraction(1), Fraction(-2, 5), Fraction(1, exact._P),
+              Fraction(_H, 7))
+GAUSS_GRID = [(re, im) for re in _PARTS for im in _IMAGINARY]
+
+
+def test_gaussrat_agrees_with_the_fraction_pair_reference():
+    """GaussRat, an integer triple, against Gaussian rationals as Fraction
+    pairs (oracles.gaussrat_disagreements) on every pair of a fixed grid:
+    + - * / and inverse, == and hash, str, tokens and their round trip,
+    and the cleared form."""
+    failures = [(x, y, bad) for x in GAUSS_GRID for y in GAUSS_GRID
+                if (bad := gaussrat_disagreements(x, y))]
+    assert not failures, failures[:3]
+
+
+def test_gaussrat_reference_property():
+    if st is None:
+        pytest.skip("hypothesis is not installed")
+    part = st.builds(Fraction, st.integers(-_H, _H), st.integers(1, _H)) | st.sampled_from(
+        [Fraction(0), Fraction(1, exact._P), Fraction(exact._P + 2, 3 * exact._P)])
+    gauss = st.tuples(part, part)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gauss, gauss)
+    def check(x, y):
+        assert not gaussrat_disagreements(x, y)
+
+    check()
 
 
 def test_kronecker_kernel_property():

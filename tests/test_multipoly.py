@@ -1,5 +1,6 @@
 """Sparse multivariate arithmetic and the elimination engine."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,30 @@ def test_arithmetic_results_store_only_nonzero_fractions():
     assert [p.terms for p in cancelled[:1] + cancelled[3:]] == [{}, {}]
     assert cancelled[1] == a1
     assert cancelled[2].terms == {(0, 0, 2, 0): Fraction(-1)}
+
+
+def _canonical(p):
+    """p's numerators are nonzero ints over one positive denominator that
+    shares no factor with all of them; zero is ({}, 1)."""
+    return (p._den > 0 and all(type(c) is int and c for c in p._num.values())
+            and math.gcd(p._den, *p._num.values()) == 1)
+
+
+def test_arithmetic_results_are_canonical_integer_forms(rng):
+    names = ("x", "y", "w")
+    for _ in range(200):
+        p, q = rand_mp(rng, names, rng.randint(0, 5)), rand_mp(rng, names, rng.randint(0, 5))
+        s = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        results = [p + q, p - q, p - p, p * q, -p, p.scale(s), p * 3,
+                   p.coefficient_in("x", 1), p.substitute_all({"y": q}), p ** 2]
+        for r in results:
+            assert _canonical(r), r
+            # equal values, equal forms: the form rebuilt from Fractions
+            assert (r._num, r._den) == (MultiPoly(names, r.terms)._num, r._den)
+    assert (MultiPoly.zero(names)._num, MultiPoly.zero(names)._den) == ({}, 1)
+    half = MultiPoly(names, {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(3, 4)})
+    assert (half._num, half._den) == ({(1, 0, 0): 2, (0, 1, 0): 3}, 4)
+    assert str(half) == "1/2*x + 3/4*y" and str(half.scale(2)) == "x + 3/2*y"
 
 
 def test_variable_set_mismatch():

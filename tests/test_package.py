@@ -57,7 +57,9 @@ def test_star_import_submodules_and_unknown_names():
 
 
 def test_startup_loads_only_what_derive_6_runs(cold_python):
-    # a clean interpreter: no site, whose .pth files may preload typing
+    # a clean interpreter: no site, whose .pth files may preload typing;
+    # the guard runs derive 6 and every other README command, each in a
+    # fresh interpreter, in text and json format
     proc = cold_python(str(GUARD))
     assert proc.returncode == 0, (proc.stdout + proc.stderr).decode()
 
@@ -116,3 +118,33 @@ def test_factored_belyi_constructor_checks_its_fields():
                       infinity_order=0)
     beta = FactoredBelyi(GaussRat.of(1), [(z, 1)], [], [], "pole", 1)
     assert beta.zero_factors == ((z, 1),) and beta.one_factors == ()
+
+
+def test_fraction_accessors_keep_their_return_types():
+    """GaussRat holds an integer triple and MultiPoly integer numerators
+    over one denominator, and the commands read those integers; the
+    accessors that returned Fractions still do, importing fractions
+    themselves.  They take Fraction arguments, read by numerator and
+    denominator.  CaseReport.normalization holds ints (it held Fractions)."""
+    from fullerene_belyi import derive
+    from fullerene_belyi.multipoly import MultiPoly
+
+    g = GaussRat(Fraction(3, 4), Fraction(-1, 6))
+    assert (g.re, g.im, g.norm()) == (Fraction(3, 4), Fraction(-1, 6), Fraction(85, 144))
+    assert all(type(x) is Fraction for x in (g.re, g.im, g.norm(), GaussRat.of(2).re))
+    P, V, M, k = derive.family_k(Fraction(2, 3), -1)
+    assert [type(x) for x in (P, V, M, k)] == [UniPoly, UniPoly, UniPoly, GaussRat]
+    assert all(type(c) is GaussRat for f in (P, V, M) for c in f.coeffs)
+    x = MultiPoly.var(("x", "y"), "x")
+    assert type(x.scale(Fraction(1, 2)).evaluate({"x": Fraction(2, 3)})) is Fraction
+    assert type(x.evaluate({"x": 1})) is Fraction
+    assert all(type(c) is Fraction for c in x.scale(Fraction(1, 2)).terms.values())
+    assert type(MultiPoly.const(x.vars, Fraction(5, 2)).constant_value()) is Fraction
+    trace = derive.d6_solve().trace
+    assert all(type(v) is Fraction for v in trace.evaluate({"a1": Fraction(10)}).values())
+    values = derive.d6_solve().values
+    assert list(values.items()) == [("a1", 10), ("c1", 22), ("c0", 125), ("b0", -1),
+                                    ("a0", 5), ("k", 1728), ("b1", 4)]
+    assert all(type(v) is Fraction for v in values.values())
+    report = derive.derive_case(5)
+    assert report.normalization == {"a6": -11} and type(report.normalization["a6"]) is int
