@@ -367,13 +367,11 @@ class FactoredBelyi(_Record, frozen=True):
         (exact._form_of).  Degrees and monicity are read from the forms
         too, so on the accept path a parsed factor builds no GaussRat
         coefficient: only the text of a short message (_show) and the
-        exact poly_gcd fallback read them.  Each g_f is reduced modulo the
-        prime ideal J = (p, i - r) on first use and keeps that reduction
-        (exact._reduction), so it is reduced at most once however many
-        pairs it is in; the squarefreeness of f (the reduction against its
+        exact poly_gcd fallback read them.  The squarefreeness of f (the
+        reduction of g_f modulo the prime ideal J = (p, i - r) against its
         derivative in F_p) and its coprimality with every other factor are
-        certified on those reductions, with the exact poly_gcd where the
-        certificate is inconclusive (exact module docstring).  The
+        certified on the reductions of the forms, with the exact poly_gcd
+        where the certificate is inconclusive (exact module docstring).  The
         identity is checked cross-multiplied in Z[i] on the same forms:
         with G_Z = prod g_f^e and D_Z = prod d_f^e
         (likewise for Q and O), k*Z - Q is W/(d_k*D_Z*D_Q) for

@@ -59,14 +59,14 @@ def load_preset(name: str) -> FactoredBelyi:
     raise KeyError(name)
 
 
-def _round_floats(obj, digits: int = 12):
-    # significant digits, so residuals of 1e-16 survive the trip to JSON
+def _round_floats(obj):
+    # 12 significant digits, so residuals of 1e-16 survive the trip to JSON
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 

@@ -55,9 +55,7 @@ with p = 1 (mod 4), r = _R with r^2 = -1 (mod p), and J the prime ideal
 certificate reads the cleared form (d, re, im) of a polynomial (_cleared),
 made once per polynomial and kept in it (_form_of), or made at parse time:
 A = d*a = re + i*im lies in Z[i][z] and has the roots of a, so a and b are
-coprime iff A and B are.  _reduce_mod_p maps A to F_p[z], and the
-polynomial keeps that reduction as it keeps its form (_reduction), so a
-factor paired with many others is reduced once.  Suppose lead(A)
+coprime iff A and B are.  _reduce_mod_p maps A to F_p[z].  Suppose lead(A)
 is a unit of the local ring R = Z[i]_J (its reduction is nonzero).  If A
 and B had a common factor over Q(i), they would have a monic irreducible
 one, g.  R is a discrete valuation ring, hence integrally closed, and g
@@ -74,8 +72,8 @@ exact Euclidean poly_gcd.  No point is sampled and no answer is
 probabilistic.  Reduction mod J is a ring map that commutes with d/dz, and
 A' = d*a', so is_squarefree runs the certificate on A's reduction and its
 derivative in F_p[z].  The certificates take polynomials: coprime(a, b)
-and is_squarefree(p) make or read the forms and reductions themselves, so
-no caller handles either.
+and is_squarefree(p) read the forms and reduce them themselves, so no
+caller handles either.
 
 The identity of a factored Belyi function (products of powers in Z[i]).
 _cleared_identity, which FactoredBelyi.verify calls, proves k*Z - Q = c*O
@@ -532,14 +530,13 @@ class UniPoly:
     Instances are immutable, and hashable when their coefficients are.
 
     A polynomial over Q(i) keeps its cleared form (_cleared) in the private
-    _form slot once it is known (_form_of), and that form's reduction
-    modulo the certificate prime in _mod_p once it is made (_reduction).
+    _form slot once it is known (_form_of).
     from_tokens fills _form and leaves coeffs unset; the coefficients are
     then built from the form on first use (__getattr__), and is_zero and
     degree read the form's length, so they build none.
     """
 
-    __slots__ = ("coeffs", "ring_zero", "_form", "_mod_p")
+    __slots__ = ("coeffs", "ring_zero", "_form")
 
     def __init__(self, coeffs: Iterable = (), ring_zero=None):
         cs = [c if c.__class__ is GaussRat or not hasattr(c, "denominator")
@@ -551,7 +548,6 @@ class UniPoly:
         _set_coeffs(self, tuple(cs))
         _set_ring_zero(self, ring_zero)
         _set_form(self, None)
-        _set_mod_p(self, None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("UniPoly is immutable")
@@ -804,7 +800,6 @@ class UniPoly:
 _set_coeffs = UniPoly.coeffs.__set__
 _set_ring_zero = UniPoly.ring_zero.__set__
 _set_form = UniPoly._form.__set__
-_set_mod_p = UniPoly._mod_p.__set__
 
 
 def _lazy_poly(form: Cleared) -> UniPoly:
@@ -815,7 +810,6 @@ def _lazy_poly(form: Cleared) -> UniPoly:
     p = object.__new__(UniPoly)
     _set_ring_zero(p, ZERO)
     _set_form(p, form)
-    _set_mod_p(p, None)
     return p
 
 
@@ -900,16 +894,6 @@ def _reduce_mod_p(cleared: Cleared) -> list[int]:
     return out
 
 
-def _reduction(f: UniPoly) -> list[int]:
-    """The reduction of f's cleared form, from its _mod_p slot: made on
-    first use and kept there, as _form_of keeps the form."""
-    reduction = f._mod_p
-    if reduction is None:
-        reduction = _reduce_mod_p(_form_of(f))
-        _set_mod_p(f, reduction)
-    return reduction
-
-
 def _constant_gcd_mod_p(a: list[int], b: list[int]) -> bool:
     """True iff gcd(a, b) in F_p[z] (p = _P) is a nonzero constant; a is
     nonzero, and neither list ends in a zero."""
@@ -940,37 +924,33 @@ def _derivative_mod_p(r: list[int]) -> list[int]:
     return out
 
 
-def _proves_coprime(a: UniPoly, rb: list[int]) -> bool:
-    """True when a's reduction (_reduction) and rb, the reduction of b's
-    cleared form, prove a and b coprime; False means only that the
-    certificate is inconclusive."""
-    ra = _reduction(a)
-    return (bool(ra) and len(ra) == _length(a)
-            and _constant_gcd_mod_p(ra, rb))
-
-
 def coprime(a: UniPoly, b: UniPoly) -> bool:
     """True iff a and b have no common root, i.e. gcd(a, b) is constant.
 
     Certified modulo one fixed prime when that is conclusive (see the
-    module docstring), otherwise decided by poly_gcd.  Each polynomial is
-    reduced once and keeps its reduction (_reduction), so pairing one
-    factor with many reduces it once.  The certificate needs the leading
-    coefficient of a's cleared form to survive the reduction, so pass the
-    polynomial with the unit leading coefficient first."""
-    return _proves_coprime(a, _reduction(b)) or poly_gcd(a, b).degree == 0
+    module docstring), otherwise decided by poly_gcd.  The certificate
+    needs the leading coefficient of a's cleared form to survive the
+    reduction, so pass the polynomial with the unit leading coefficient
+    first."""
+    ra = _reduce_mod_p(_form_of(a))
+    return (bool(ra) and len(ra) == _length(a)
+            and _constant_gcd_mod_p(ra, _reduce_mod_p(_form_of(b)))
+            or poly_gcd(a, b).degree == 0)
 
 
 def is_squarefree(p: UniPoly) -> bool:
     """True iff gcd(p, p') is constant.
 
-    The reduction of (d*p)' = d*p' is the derivative of p's kept
-    reduction in F_p[z], so the coprimality certificate for p and p'
-    reduces nothing more; poly_gcd decides when it is inconclusive."""
+    The reduction of (d*p)' = d*p' is the derivative of the reduction of
+    p's cleared form in F_p[z], so p is reduced once and the coprimality
+    certificate runs on that reduction and its derivative; poly_gcd
+    decides when it is inconclusive."""
     if p.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    return (p.degree == 0
-            or _proves_coprime(p, _derivative_mod_p(_reduction(p)))
+    if p.degree == 0:
+        return True
+    r = _reduce_mod_p(_form_of(p))
+    return (len(r) == _length(p) and _constant_gcd_mod_p(r, _derivative_mod_p(r))
             or poly_gcd(p, p.derivative()).degree == 0)
 
 
@@ -1017,13 +997,12 @@ class RationalMap:
         k = k * num.leading() / den.leading()
         num = num.monic()
         den = den.monic()
-        # the monic num leads, so the certificate applies; poly_gcd
-        # runs only when it is inconclusive or the two share a root
-        if not _proves_coprime(num, _reduction(den)):
+        # the monic num leads, so the certificate applies; when coprime
+        # is False the gcd has positive degree
+        if not coprime(num, den):
             g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
+            num = num.divide_exact(g)
+            den = den.divide_exact(g)
         if k.is_zero:
             raise ValueError("rational map with zero scalar")
         object.__setattr__(self, "k", k)

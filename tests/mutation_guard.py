@@ -80,6 +80,28 @@ MUTANTS = {
         "_gauss(d * a, -d * b, n)",
         "_gauss(d * a, d * b, n)",
         [GAUSS_REFERENCE]),
+    # a reduction whose leading coefficient vanished proves nothing
+    "coprime-without-lead-check": (
+        EXACT,
+        "bool(ra) and len(ra) == _length(a)",
+        "bool(ra)",
+        ["tests/test_exact.py::test_coprime_leading_coefficient_divisible_by_prime",
+         "tests/test_exact.py::test_coprime_prime_in_a_denominator_falls_back"]),
+    "squarefree-without-lead-check": (
+        EXACT,
+        "len(r) == _length(p) and ",
+        "",
+        ["tests/test_exact.py::test_is_squarefree_needs_the_leading_coefficient"]),
+    "derivative-mod-p-without-factor": (
+        EXACT,
+        "i * c % _P for i, c in enumerate(r)",
+        "c % _P for i, c in enumerate(r)",
+        ["tests/test_exact.py::test_is_squarefree_differentiates_the_reduction"]),
+    "constant-gcd-mod-p-any-gcd": (
+        EXACT,
+        "    return len(a) == 1\n",
+        "    return len(a) >= 1\n",
+        ["tests/test_exact.py::test_coprime_shared_root_is_false"]),
 }
 
 

@@ -536,6 +536,19 @@ def test_is_squarefree_non_monic(gcd_calls):
     assert len(gcd_calls) == 1
 
 
+def test_is_squarefree_needs_the_leading_coefficient(gcd_calls):
+    """(z -+ 1/p)^2 clears to p^2 z^2 -+ 2p z + 1, which reduces to the
+    constant 1, whose derivative is zero: a constant gcd mod J that proves
+    nothing, since the leading coefficient vanished.  Only that check
+    sends the square to poly_gcd."""
+    z = UniPoly.x()
+    for root in (Fraction(1, exact._P), Fraction(-1, exact._P)):
+        square = (z - UniPoly.constant(root)) ** 2
+        assert exact._reduce_mod_p(exact._form_of(square)) == [1]
+        assert not is_squarefree(square)
+    assert len(gcd_calls) == 2
+
+
 def test_is_squarefree_differentiates_the_reduction(gcd_calls, monkeypatch, rng):
     """The certificate reduces p once and differentiates in F_p: the
     reduction is a ring map that commutes with d/dz."""
