@@ -20,27 +20,34 @@ Three layers live here:
 Polynomials serialize as lists of coefficient tokens "a/b" (rational) or
 "a/b,c/d" (real,imag), lowest index first; see README for the format note.
 UniPoly.from_tokens parses them straight to the cleared form the
-certificates below read: each part is reduced to a coprime (n, d) on the
-token digits (_ratio, the one grammar GaussRat.from_token also reads), d
-is the lcm of those denominators, and the GaussRat coefficients are built
-from the form only when something reads them.
+certificates below read, in one checked pass per line: one check of the
+joined tokens' characters, int() on every part, then one lcm of the
+denominators as written and one gcd that makes the form canonical (d the
+lcm of the reduced denominators).  A line it refuses is read again by the
+grammar GaussRat.from_token reads (_token_ratios), which names the fault.
+The GaussRat coefficients are built from the form only when something
+reads them.
 
 Three integer kernels do the heavy work of certification.
 
 Packed sums (Kronecker substitution).  _packed_sum computes
 S = sum(c * prod f^e) over terms with c in Z[i] and every f in Z[i][z],
 given as its real and imaginary integer digit vectors.  Each vector is
-packed into one integer as its value at z = 2^B, the powers and products
-are taken as big integers in Z[i] (_gauss_mul), and the digits of S are
-unpacked.  Evaluation at 2^B is a ring map, so the unpacking is exact once
-every coefficient x of S satisfies |Re x|, |Im x| < 2^(B-1).  The 1-norm
+packed into one integer as its value at z = 2^B (_pack: every digit plus
+2^(B-1) is a nonnegative B-bit string, and one subtraction of the offset
+sum(2^(B-1) * 2^(B*k)) takes that back off), the powers and products are
+taken as big integers in Z[i] (_gauss_mul), and the digits of S are
+unpacked (_unpack: the same offset added, the bytes split).  Evaluation
+at 2^B is a ring map, so the unpacking is exact once every coefficient x
+of S satisfies |Re x|, |Im x| < 2^(B-1).  The 1-norm
 ||g||_1 = sum(|Re g_k| + |Im g_k|) bounds both parts of every coefficient
 of g, it is subadditive, and it is submultiplicative, because
 |Re(x*y)| + |Im(x*y)| <= (|Re x| + |Im x|)(|Re y| + |Im y|) for any x, y in
 Z[i] and a coefficient of g*h is a sum of such products.  So every
 coefficient of S is below bound = sum ||c||_1 * prod ||f||_1^e, and B is the
 bound's bit length plus a sign bit, rounded up to whole bytes.  With c and
-every f nonzero, each packed digit is below the bound too.
+every f nonzero, each packed digit is below the bound too, so every digit
+packed or unpacked is below 2^(B-1) in absolute value.
 
 Multiplication over Q(i).  Each operand is cleared to integer real and
 imaginary vectors over one common denominator d, one lcm pass over its
@@ -247,9 +254,8 @@ class GaussRat:
         digits, and optionally "/" and ASCII digits.  Anything else, a zero
         denominator included, raises ValueError."""
         (a, b), (c, e) = _token_ratios(token)
-        # two coprime pairs over d = lcm(b, e) make a canonical triple
         d = b * e // math.gcd(b, e)
-        return _canonical_gauss(a * (d // b), c * (d // e), d)
+        return _gauss(a * (d // b), c * (d // e), d)
 
 
 # the slot setters, which skip the refusing __setattr__ (the hot path)
@@ -352,7 +358,9 @@ def _natural(text: str) -> int:
 
 def _ratio(text: str) -> tuple[int, int]:
     """A token part "a" or "a/b" (naturals, a with an optional "-", b > 0)
-    as the coprime pair (n, d) with d > 0 and n/d its value."""
+    as the pair (n, d) it spells, d > 0; each parser makes its value
+    canonical once (GaussRat.from_token by _gauss, UniPoly.from_tokens by
+    _canonical)."""
     num, slash, den = text.partition("/")
     n = -_natural(num[1:]) if num.startswith("-") else _natural(num)
     if not slash:
@@ -360,13 +368,13 @@ def _ratio(text: str) -> tuple[int, int]:
     d = _natural(den)
     if not d:
         raise ValueError(f"zero denominator in {_quote(text)}")
-    g = math.gcd(n, d)
-    return n // g, d // g
+    return n, d
 
 
 def _token_ratios(token: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The coprime pairs (_ratio) of a token's real and imaginary parts:
-    the grammar of GaussRat.from_token, which UniPoly.from_tokens shares."""
+    """The pairs (_ratio) of a token's real and imaginary parts: the
+    grammar of GaussRat.from_token, which names the fault of any token
+    UniPoly.from_tokens refuses."""
     parts = token.split(",")
     if len(parts) == 1:
         return _ratio(parts[0]), (0, 1)
@@ -374,6 +382,9 @@ def _token_ratios(token: str) -> tuple[tuple[int, int], tuple[int, int]]:
         return _ratio(parts[0]), _ratio(parts[1])
     raise ValueError(f"bad coefficient token: {_quote(token)}")
 
+
+# the characters of that grammar; UniPoly.from_tokens refuses any other
+_GRAMMAR = b"0123456789-/,"
 
 ZERO = _canonical_gauss(0, 0, 1)
 ONE = _canonical_gauss(1, 0, 1)
@@ -408,22 +419,29 @@ def _cleared(coeffs: Sequence[GaussRat]) -> Cleared:
             [c._b * m for c, m in zip(coeffs, scales)])
 
 
-def _pack(digits: Sequence[int], width: int) -> int:
-    """sum(digits[k] * 2^(B*k)) with B = 8*width, for |digits[k]| < 2^B."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in digits)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in digits)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _offset(n: int, width: int) -> int:
+    """sum(2^(B-1) * 2^(B*k)) over k < n, B = 8*width: the offset that
+    makes n signed digits |c_k| < 2^(B-1) the bytes c_k + 2^(B-1)."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
-def _unpack(x: int, n: int, width: int) -> list[int]:
-    """The n signed digits c_k of x = sum(c_k * 2^(B*k)), B = 8*width, given
-    |c_k| < 2^(B-1).  Adding 2^(B-1) to every digit makes them all
-    nonnegative; the big-int addition absorbs the borrows of the negative
-    ones, and the bytes then split into digits directly."""
+def _pack(digits: Sequence[int], width: int, to_bytes=int.to_bytes) -> int:
+    """sum(digits[k] * 2^(B*k)) with B = 8*width, for |digits[k]| < 2^(B-1):
+    each digit plus 2^(B-1) is one nonnegative byte string, and one
+    subtraction of the offset takes the 2^(B-1) back off every digit."""
     half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    raw = (x + offset).to_bytes(n * width, "little")
-    return [int.from_bytes(raw[k:k + width], "little") - half
+    raw = b"".join([to_bytes(x + half, width, "little") for x in digits])
+    return int.from_bytes(raw, "little") - _offset(len(digits), width)
+
+
+def _unpack(x: int, n: int, width: int, from_bytes=int.from_bytes) -> list[int]:
+    """The n signed digits c_k of x = sum(c_k * 2^(B*k)), B = 8*width, given
+    |c_k| < 2^(B-1): _pack read backwards.  Adding the offset makes every
+    digit nonnegative, the big-int addition absorbing the borrows of the
+    negative ones, and the bytes then split into digits directly."""
+    half = 1 << (8 * width - 1)
+    raw = (x + _offset(n, width)).to_bytes(n * width, "little")
+    return [from_bytes(raw[k:k + width], "little") - half
             for k in range(0, n * width, width)]
 
 
@@ -491,13 +509,13 @@ def _cleared_identity(k: GaussRat, zeros, poles, ones
         return None, None
     g_o = _packed_sum([((1, 0), go)], dego + 1)
     # the one-side scalar is lead(W) / (d_k*D_Z*D_Q); only the monic part
-    # is declared, so compare W' / lead(W') = W / lead(W) with G_O / D_O
-    lead = w[-1]
-    if len(w) == len(g_o) and all(_gauss_mul(lead, o) == (do * x, do * y)
-                                  for (x, y), o in zip(w, g_o)):
+    # is declared, so compare W' / lead(W') = W / lead(W) with G_O / D_O:
+    # D_O*W' = lead(W')*G_O, digit by digit in Z[i]
+    lr, li = w[-1]
+    if len(w) == len(g_o) and all(lr * a - li * b == do * x and lr * b + li * a == do * y
+                                  for (x, y), (a, b) in zip(w, g_o)):
         return None
     # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2, and O = G_O / D_O
-    lr, li = lead
     got = _canonical(lr * lr + li * li, [x * lr + y * li for x, y in w],
                      [y * lr - x * li for x, y in w])
     declared = _canonical(do, [x for x, _ in g_o], [y for _, y in g_o])
@@ -508,6 +526,8 @@ def _canonical(d: int, re: list[int], im: list[int]) -> Cleared:
     """The cleared form of (re + im*i)/d: d becomes the lcm of the reduced
     denominators, d / gcd(d, every digit), with one gcd in all."""
     g = math.gcd(d, *re, *im)
+    if g == 1:
+        return d, re, im
     return d // g, [x // g for x in re], [y // g for y in im]
 
 
@@ -762,14 +782,47 @@ class UniPoly:
     @staticmethod
     def from_tokens(tokens: Sequence[str]) -> "UniPoly":
         """The polynomial with these coefficient tokens, lowest power first
-        (GaussRat.from_token's grammar), parsed straight to its cleared
-        form: d is the lcm of the reduced denominators."""
-        parts = [_token_ratios(t) for t in tokens]
-        while parts and not (parts[-1][0][0] or parts[-1][1][0]):
-            parts.pop()
-        d = math.lcm(*{q for pair in parts for _, q in pair})
-        return _lazy_poly((d, [n * (d // q) for (n, q), _ in parts],
-                           [n * (d // q) for _, (n, q) in parts]))
+        (GaussRat.from_token's grammar), parsed straight to its canonical
+        cleared form in one checked pass.
+
+        The pass first checks the joined tokens once: only the grammar's
+        characters (so ASCII, and no space, "+" or "_", which int() would
+        accept; encode() refuses a lone surrogate) and no "/-", which
+        would let int() read a signed denominator.  On such text int()
+        accepts exactly the grammar's parts, an optional "-" and digits,
+        up to the same int-string limit.  Then int() reads every part,
+        and a zero denominator is refused.  On any refusal the grammar
+        (_token_ratios) reads the tokens again and raises its own
+        message.
+
+        The form is made canonical once.  Say part j is n_j/q_j as
+        written, n'_j/q'_j reduced; D is the lcm of the q_j and L that of
+        the q'_j, so L divides D, D = m*L, and n_j*D/q_j = m*n'_j*L/q'_j.
+        A prime p dividing L divides some q'_j as often as it divides L,
+        so p divides neither L/q'_j nor n'_j: gcd(L, every n'_j*L/q'_j)
+        is 1, and gcd(D, every digit) is m.  Dividing by that one gcd
+        (_canonical) leaves d = L and the digits over it."""
+        line = "".join(tokens)
+        try:
+            if line.encode().translate(None, _GRAMMAR) or "/-" in line:
+                raise ValueError
+            fields = []
+            for t in tokens:
+                re, comma, im = t.partition(",")
+                n, slash, q = re.partition("/")
+                m, slash_im, r = im.partition("/")
+                fields += (n, q if slash else "1", m if comma else "0", r if slash_im else "1")
+            # (re, its denominator, im, its denominator) per token
+            parts = list(map(int, fields))
+            if 0 in parts[1::2]:
+                raise ValueError
+        except ValueError:
+            parts = [x for t in tokens for pair in _token_ratios(t) for x in pair]
+        while parts and not (parts[-4] or parts[-2]):
+            del parts[-4:]
+        d = math.lcm(*set(parts[1::2]))
+        digits = [n * (d // q) for n, q in zip(parts[::2], parts[1::2])]
+        return _lazy_poly(_canonical(d, digits[::2], digits[1::2]))
 
     def __str__(self) -> str:
         """Over Q(i): z^2 - 3/2*z + (1+2i).  Over a parameter ring every

@@ -32,6 +32,7 @@ BELYI = "fullerene_belyi/belyi.py"
 EXACT = "fullerene_belyi/exact.py"
 GUARDS = "tests/test_belyi.py::test_a_true_identity_on_n_plus_2_points_needs_every_guard"
 GAUSS_REFERENCE = "tests/test_exact.py::test_gaussrat_agrees_with_the_fraction_pair_reference"
+GRAMMAR = "tests/test_exact.py::test_gaussrat_rejects_tokens_outside_the_grammar_at_once"
 
 # name: (file under src/, snippet, replacement, test selection)
 MUTANTS = {
@@ -102,6 +103,27 @@ MUTANTS = {
         "    return len(a) == 1\n",
         "    return len(a) >= 1\n",
         ["tests/test_exact.py::test_coprime_shared_root_is_false"]),
+    # from_tokens' one pass: int() reads what its checks let through
+    "from-tokens-without-zero-denominator": (
+        EXACT,
+        "            if 0 in parts[1::2]:\n                raise ValueError\n",
+        "",
+        [GRAMMAR]),
+    "from-tokens-without-signed-denominator-check": (
+        EXACT,
+        ' or "/-" in line',
+        "",
+        [GRAMMAR]),
+    "identity-imaginary-cross-term-sign": (
+        EXACT,
+        "lr * b + li * a == do * y",
+        "lr * b - li * a == do * y",
+        ["tests/test_exact.py::test_cleared_identity_names_the_monic_sides_only_on_failure"]),
+    "pack-offset-wrong-byte": (
+        EXACT,
+        'bytes(width - 1) + b"\\x80"',
+        'bytes(width - 1) + b"\\x40"',
+        ["tests/test_exact.py::test_packed_sum_powers_at_the_borrow_boundary"]),
 }
 
 

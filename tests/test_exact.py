@@ -64,18 +64,61 @@ def test_gaussrat_field_axioms_randomized(rng):
             assert (b / a) * a == b
 
 
+INT_STRING_LIMIT = exact._int_string_limit()
+
+
 @pytest.mark.parametrize("token", [
     "1e5", "1.5", "1_000", " 7 ", "\u0663", "1e9999999", "+1", "1/-2", "-",
-    "1/", "/2", "1,2,3", "1,", "0x10", "", "1/0", "-0/00", "2,3/0", "--1"])
+    "1/", "/2", "1,2,3", "1,", "0x10", "", "1/0", "-0/00", "2,3/0", "--1",
+    # int() reads each of these parts in from_tokens' one pass, or would
+    # without its checks; the grammar must still name the fault
+    "5/-3", "1-2", "-/5", "1,-", "0/0,1", "\ud800",
+    pytest.param(f"2/3,-{'9' * (INT_STRING_LIMIT + 1)}", id="past-the-int-string-limit",
+                 marks=pytest.mark.skipif(not INT_STRING_LIMIT, reason="no int-string limit"))])
 def test_gaussrat_rejects_tokens_outside_the_grammar_at_once(token):
     start = time.perf_counter()
     with pytest.raises(ValueError) as want:
         GaussRat.from_token(token)
-    # from_tokens reads the same grammar and refuses with the same message
-    with pytest.raises(ValueError) as got:
-        UniPoly.from_tokens(["1", token, "0"])
-    assert str(got.value) == str(want.value)
+    # from_tokens reads the same grammar and refuses with the same message,
+    # also inside a long line
+    for tokens in (["1", token, "0"], ["-3/4,5"] * 40 + [token] + ["7/8"] * 40):
+        with pytest.raises(ValueError) as got:
+            UniPoly.from_tokens(tokens)
+        assert str(got.value) == str(want.value)
     assert time.perf_counter() - start < 1
+
+
+def test_from_tokens_refuses_exactly_what_the_grammar_refuses():
+    """from_tokens' one pass accepts a token iff GaussRat.from_token does,
+    with the same value, and refuses it with the grammar's message: tokens
+    drawn from the grammar's characters and near misses that int() or
+    str.isdigit() would read."""
+    if st is None:
+        pytest.skip("hypothesis is not installed")
+    digits = st.sampled_from(["0", "7", "12", "00"])
+    part = st.builds(lambda sign, n, den: sign + n + ("" if den is None else "/" + den),
+                     st.sampled_from(["", "-"]), digits, st.none() | digits)
+    grammatical = part | st.builds(lambda a, b: f"{a},{b}", part, part)
+    pieces = st.sampled_from(["-", "/", ",", "+", "_", " ", "\t", ".", "e", "\u0663"])
+    # a grammatical token with one near miss put in, or any text of the characters
+    near_miss = st.builds(lambda t, i, c: t[:i] + c + t[i:], grammatical,
+                          st.integers(0, 9), pieces)
+    tokens = (grammatical | near_miss
+              | st.text("0123456789-/,+_ \t.e\u0663", max_size=10))
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(tokens)
+    def check(token):
+        try:
+            want = GaussRat.from_token(token)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                UniPoly.from_tokens(["1", token])
+            assert str(got.value) == str(exc)
+        else:
+            assert UniPoly.from_tokens(["1", token]) == UniPoly((1, want))
+
+    check()
 
 
 def test_token_parts_past_the_int_string_limit_name_their_digits():
