@@ -425,21 +425,21 @@ def _offset(n: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
-def _pack(digits: Sequence[int], width: int, to_bytes=int.to_bytes) -> int:
+def _pack(digits: Sequence[int], width: int) -> int:
     """sum(digits[k] * 2^(B*k)) with B = 8*width, for |digits[k]| < 2^(B-1):
     each digit plus 2^(B-1) is one nonnegative byte string, and one
     subtraction of the offset takes the 2^(B-1) back off every digit."""
-    half = 1 << (8 * width - 1)
+    half, to_bytes = 1 << (8 * width - 1), int.to_bytes
     raw = b"".join([to_bytes(x + half, width, "little") for x in digits])
     return int.from_bytes(raw, "little") - _offset(len(digits), width)
 
 
-def _unpack(x: int, n: int, width: int, from_bytes=int.from_bytes) -> list[int]:
+def _unpack(x: int, n: int, width: int) -> list[int]:
     """The n signed digits c_k of x = sum(c_k * 2^(B*k)), B = 8*width, given
     |c_k| < 2^(B-1): _pack read backwards.  Adding the offset makes every
     digit nonnegative, the big-int addition absorbing the borrows of the
     negative ones, and the bytes then split into digits directly."""
-    half = 1 << (8 * width - 1)
+    half, from_bytes = 1 << (8 * width - 1), int.from_bytes
     raw = (x + _offset(n, width)).to_bytes(n * width, "little")
     return [from_bytes(raw[k:k + width], "little") - half
             for k in range(0, n * width, width)]
