@@ -337,23 +337,18 @@ def _int_string_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
-# Python refuses an int-string limit between 0 (none) and this many
-# digits, so no shorter token can exceed it; 3.10 lacks the field
-_INT_STRING_THRESHOLD = getattr(sys.int_info, "str_digits_check_threshold", 640)
-
-
 def _natural(text: str) -> int:
     """The value of a nonempty string of ASCII digits; ValueError for
     anything else (a sign, a space, "_", an exponent, a non-ASCII digit),
-    and for more digits than Python's int-string limit, named by count."""
+    and for more digits than Python's int-string limit, named by count.
+    int() of ASCII digits raises ValueError only past that limit."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected ASCII digits, got {_quote(text)}")
-    if len(text) > _INT_STRING_THRESHOLD:
-        limit = _int_string_limit()
-        if limit and len(text) > limit:
-            raise ValueError(f"a number of {len(text)} digits exceeds Python's "
-                             f"int-string limit of {limit} digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"a number of {len(text)} digits exceeds Python's int-"
+                         f"string limit of {_int_string_limit()} digits") from None
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -1032,60 +1027,6 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-class RationalMap:
-    """k * num(z)/den(z), num and den monic and coprime, k nonzero.
-
-    deg(map) = max(deg num, deg den); this is the topological degree when
-    num/den really are coprime, which the constructor enforces.
-    """
-
-    __slots__ = ("k", "num", "den")
-
-    def __init__(self, k: int | Fraction | GaussRat, num: UniPoly, den: UniPoly):
-        k = GaussRat.coerce(k)
-        if num.is_zero:
-            raise ValueError("rational map with zero numerator")
-        if den.is_zero:
-            raise ZeroDivisionError("rational map with zero denominator")
-        k = k * num.leading() / den.leading()
-        num = num.monic()
-        den = den.monic()
-        # the monic num leads, so the certificate applies; when coprime
-        # is False the gcd has positive degree
-        if not coprime(num, den):
-            g = poly_gcd(num, den)
-            num = num.divide_exact(g)
-            den = den.divide_exact(g)
-        if k.is_zero:
-            raise ValueError("rational map with zero scalar")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("RationalMap is immutable")
-
-    @property
-    def degree(self) -> int:
-        return max(self.num.degree, self.den.degree)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalMap) and self.k == other.k
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.num, self.den))
-
-    def one_numerator(self) -> UniPoly:
-        """Numerator of self - 1 over the common denominator: k*num - den."""
-        return self.num.scale(self.k) - self.den
-
-    def __str__(self) -> str:
-        return f"({self.k}) * ({self.num}) / ({self.den})"
-
-    __repr__ = __str__
-
-
 class _Record:
     """Base of the package's plain records.
 
@@ -1147,3 +1088,49 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class RationalMap(_Record, frozen=True):
+    """k * num(z)/den(z), num and den monic and coprime, k nonzero.
+
+    deg(map) = max(deg num, deg den); this is the topological degree when
+    num/den really are coprime, which the constructor enforces.
+    """
+
+    k: GaussRat
+    num: UniPoly
+    den: UniPoly
+
+    def __post_init__(self):
+        k, num, den = GaussRat.coerce(self.k), self.num, self.den
+        if num.is_zero:
+            raise ValueError("rational map with zero numerator")
+        if den.is_zero:
+            raise ZeroDivisionError("rational map with zero denominator")
+        k = k * num.leading() / den.leading()
+        num = num.monic()
+        den = den.monic()
+        # the monic num leads, so the certificate applies; when coprime
+        # is False the gcd has positive degree
+        if not coprime(num, den):
+            g = poly_gcd(num, den)
+            num = num.divide_exact(g)
+            den = den.divide_exact(g)
+        if k.is_zero:
+            raise ValueError("rational map with zero scalar")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def degree(self) -> int:
+        return max(self.num.degree, self.den.degree)
+
+    def one_numerator(self) -> UniPoly:
+        """Numerator of self - 1 over the common denominator: k*num - den."""
+        return self.num.scale(self.k) - self.den
+
+    def __str__(self) -> str:
+        return f"({self.k}) * ({self.num}) / ({self.den})"
+
+    __repr__ = __str__

@@ -2,13 +2,17 @@
 onto the unit sphere, and the metric report for the distinguished
 pentagonal face.
 
-The barrel vertex polynomial is v(z) = q(z^6) with q the quartic zero
-factor of the degree-12 function.  barrel_vertices reads q off v exactly,
-checks exactly that q is w^4 + s w^3 + c w^2 - s w + 1 with s > 0,
-c + 2 > 0 and s^2 > 4(c + 2), which proves its four roots real and simple,
-takes them in closed form from the factorization that shape gives, and
-places the 24 vertices as sixth roots of them; the ring structure and the
-reciprocal pairing are consequences, not numerical observations.
+The barrel's Belyi function is beta72 = beta12(z^6) (moebius.build_beta72
+is build_beta12().substitute_power(6)), so its vertex factor is q(z^6)
+with q the quartic zero factor of the degree-12 function, and its 24
+vertices are the sixth roots of q's roots.  barrel_quartic takes q from the
+certified degree-12 function, without building the degree-72 one.
+barrel_vertices checks exactly that q is w^4 + s w^3 + c w^2 - s w + 1
+with s > 0, c + 2 > 0 and s^2 > 4(c + 2), which proves its four roots real
+and simple, takes them in closed form from the factorization that shape
+gives, and places the 24 vertices as sixth roots of them; the ring
+structure and the reciprocal pairing are consequences, not numerical
+observations.
 
 poly_roots is a general root finder, which the barrel does not use:
 Aberth-Ehrlich simultaneous iteration followed by Newton polishing; every
@@ -173,22 +177,26 @@ class BarrelVertices(_Record, frozen=True):
 
 
 @cache
-def barrel_vertex_polynomial() -> UniPoly:
-    """z^24 + 228 z^18 + 494 z^12 - 228 z^6 + 1, taken from the certified
-    degree-72 preset rather than typed in."""
-    from .moebius import build_beta72
+def barrel_quartic() -> UniPoly:
+    """w^4 + 228 w^3 + 494 w^2 - 228 w + 1, the one zero factor (of
+    exponent 3) of the certified degree-12 preset, taken from it rather
+    than typed in.  beta72 is beta12(z^6) factor by factor, so beta72's
+    vertex factor is q(z^6), and verify d72 and compose d72 remain its
+    own certificates."""
+    from .moebius import build_beta12
 
-    beta = build_beta72()
+    beta = build_beta12()
     beta.verify()
     (factor, exponent), = beta.zero_factors
-    if exponent != 3 or factor.degree != 24:
-        raise AssertionError("unexpected degree-72 vertex factor")
+    if exponent != 3 or factor.degree != 4:
+        raise AssertionError("unexpected degree-12 vertex factor")
     return factor
 
 
 @cache
 def barrel_vertices() -> BarrelVertices:
-    """The 24 vertices, placed from the quartic q with v(z) = q(z^6).
+    """The 24 vertices, the sixth roots of the roots of the quartic q
+    (barrel_quartic), whose z^6-lift is beta72's vertex factor.
 
     q must read, compared exactly on its coefficients,
     q(w) = w^4 + s w^3 + c w^2 - s w + 1 with s > 0, c + 2 > 0 and
@@ -209,10 +217,7 @@ def barrel_vertices() -> BarrelVertices:
     failed check raises GeometryError.  The checks read the coefficients'
     integer triples: with s = S/D and c + 2 = C/D over one positive D,
     they are S > 0, C > 0 and S*S > 4*C*D."""
-    v = barrel_vertex_polynomial()
-    q = UniPoly(v.coeffs[::6])
-    if q.substitute_power(6) != v:
-        raise GeometryError("vertex polynomial is not a polynomial in z^6")
+    q = barrel_quartic()
     if any(c._b for c in q.coeffs):
         raise GeometryError("vertex polynomial has non-real coefficients")
     s, c = q.coefficient(3), q.coefficient(2)

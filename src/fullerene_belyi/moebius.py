@@ -34,14 +34,8 @@ from .exact import ONE, ZERO, GaussRat, RationalMap, UniPoly, _Record, binary_po
 
 
 class _Infinity:
-    """The point at infinity of the projective line."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The point at infinity of the projective line; its one instance is
+    INFINITY."""
 
     def __repr__(self):
         return "INFINITY"

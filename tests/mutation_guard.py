@@ -33,6 +33,7 @@ EXACT = "fullerene_belyi/exact.py"
 GUARDS = "tests/test_belyi.py::test_a_true_identity_on_n_plus_2_points_needs_every_guard"
 GAUSS_REFERENCE = "tests/test_exact.py::test_gaussrat_agrees_with_the_fraction_pair_reference"
 GRAMMAR = "tests/test_exact.py::test_gaussrat_rejects_tokens_outside_the_grammar_at_once"
+VERIFY_AT_BOUND = "tests/test_belyi.py::test_verify_at_the_digit_bound"
 
 # name: (file under src/, snippet, replacement, test selection)
 MUTANTS = {
@@ -124,6 +125,32 @@ MUTANTS = {
         'bytes(width - 1) + b"\\x80"',
         'bytes(width - 1) + b"\\x40"',
         ["tests/test_exact.py::test_packed_sum_powers_at_the_borrow_boundary"]),
+    "pull-back-lost-order-without-exponent": (
+        BELYI,
+        "side, order = name, e * lost",
+        "side, order = name, lost",
+        ["tests/test_compose.py::test_substitute_power_matches_from_ratmap"]),
+    "infinity-from-degrees-one-more": (
+        BELYI,
+        "return side, n - degree",
+        "return side, n - degree + 1",
+        ["tests/test_belyi.py::test_from_ratmap_splits_multiplicities"]),
+    "first-equal-pair-without-imaginary-digits": (
+        EXACT,
+        "(d, tuple(re), tuple(im))",
+        "(d, tuple(re))",
+        [VERIFY_AT_BOUND]),
+    # the packed digits are signed, so the width needs the sign bit
+    "packed-sum-width-without-sign-bit": (
+        EXACT,
+        "bound.bit_length() + 8",
+        "bound.bit_length() + 7",
+        [VERIFY_AT_BOUND]),
+    "identity-without-degree-test": (
+        EXACT,
+        "len(w) == len(g_o) and ",
+        "",
+        ["tests/test_belyi.py::test_verify_agrees_with_reference"]),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fullerene_belyi import geometry
 from fullerene_belyi.exact import GaussRat, UniPoly
-from fullerene_belyi.geometry import (GeometryError, barrel_vertex_polynomial,
+from fullerene_belyi.geometry import (GeometryError, barrel_quartic,
                                       barrel_vertices, face_geometry,
                                       inverse_stereographic, plane_through,
                                       poly_roots, residual_scale, SpherePoint)
@@ -56,8 +56,9 @@ def test_roots_deterministic_ordering():
 
 
 def test_barrel_root_residuals():
-    v = barrel_vertex_polynomial()
-    assert v == UniPoly.from_terms({24: 1, 18: 228, 12: 494, 6: -228, 0: 1})
+    q = barrel_quartic()
+    assert q == UniPoly.from_terms({4: 1, 3: 228, 2: 494, 1: -228, 0: 1})
+    v = q.substitute_power(6)
     for z in barrel_vertices().points.values():
         value = 0j
         for c in reversed(v.coeffs):
@@ -68,7 +69,7 @@ def test_barrel_root_residuals():
 @pytest.fixture
 def fresh_barrel():
     """Empty the barrel_vertices cache before and after the test, so a
-    monkeypatched vertex polynomial is read and does not leak."""
+    monkeypatched quartic is read and does not leak."""
     geometry.barrel_vertices.cache_clear()
     yield
     geometry.barrel_vertices.cache_clear()
@@ -79,28 +80,44 @@ ROOTS = r"needs s > 0, c \+ 2 > 0 and s\^2 > 4\(c \+ 2\)"
 
 
 @pytest.mark.parametrize("terms, message", [
-    ({24: 1, 18: 228, 12: 494, 7: 1, 6: -228, 0: 1}, "polynomial in z\\^6"),
-    ({24: 1, 0: GaussRat.of(0, 1)}, "non-real"),
-    ({24: 1, 18: 228, 12: 494, 6: -228, 0: 100000}, SHAPE),
-    ({24: 1, 18: -228, 12: 494, 6: 228, 0: 1}, ROOTS),
-    ({24: 1, 18: 228, 12: 494, 6: -228, 0: 2}, SHAPE),
-    ({24: 1, 18: 228, 12: 494, 6: -227, 0: 1}, SHAPE),
-    ({24: 2, 18: 228, 12: 494, 6: -228, 0: 1}, SHAPE),
-    ({18: 1, 12: 228, 6: 494, 0: 1}, SHAPE),
-    ({24: 1, 12: 494, 0: 1}, ROOTS),
-    ({24: 1, 18: 228, 12: -10, 6: -228, 0: 1}, ROOTS),
+    ({4: 1, 0: GaussRat.of(0, 1)}, "non-real"),
+    ({4: 1, 3: 228, 2: 494, 1: -228, 0: 100000}, SHAPE),
+    ({4: 1, 3: -228, 2: 494, 1: 228, 0: 1}, ROOTS),
+    ({4: 1, 3: 228, 2: 494, 1: -228, 0: 2}, SHAPE),
+    ({4: 1, 3: 228, 2: 494, 1: -227, 0: 1}, SHAPE),
+    ({4: 2, 3: 228, 2: 494, 1: -228, 0: 1}, SHAPE),
+    ({3: 1, 2: 228, 1: 494, 0: 1}, SHAPE),
+    ({4: 1, 2: 494, 0: 1}, ROOTS),
+    ({4: 1, 3: 228, 2: -10, 1: -228, 0: 1}, ROOTS),
     # (w^2 + 2w - 1)^2: s^2 = 4(c + 2), a double pair of roots
-    ({24: 1, 18: 4, 12: 2, 6: -4, 0: 1}, ROOTS),
-    ({24: 1, 18: 1, 6: -1, 0: 1}, ROOTS),
-], ids=["not-in-z6", "non-real", "complex-pair", "flipped-signs",
+    ({4: 1, 3: 4, 2: 2, 1: -4, 0: 1}, ROOTS),
+    ({4: 1, 3: 1, 1: -1, 0: 1}, ROOTS),
+], ids=["non-real", "complex-pair", "flipped-signs",
         "constant-not-one", "c1-not-minus-c3", "not-monic", "cubic",
         "s-zero", "c-plus-2-negative", "square", "complex-roots"])
 def test_barrel_vertices_reject_mutated_polynomial(monkeypatch, fresh_barrel,
                                                    terms, message):
-    monkeypatch.setattr(geometry, "barrel_vertex_polynomial",
+    monkeypatch.setattr(geometry, "barrel_quartic",
                         lambda: UniPoly.from_terms(terms))
     with pytest.raises(GeometryError, match=message):
         barrel_vertices()
+
+
+def test_barrel_geometry_builds_no_degree_72_function(cold_python):
+    # the vertices come from the degree-12 function's quartic, so the
+    # command runs with the degree-72 builder refusing; a fresh interpreter,
+    # because the builders' caches would hide a call made earlier in process
+    script = """if True:
+        from fullerene_belyi import cli, moebius
+        def refuse():
+            raise AssertionError("build_beta72 called")
+        moebius.build_beta72 = refuse
+        for fmt in ("text", "json"):
+            assert cli.main(["--format", fmt, "geometry", "barrel"]) == 0
+        """
+    result = cold_python("-c", script)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.startswith(b"vertex rings: r1 = 0.405238")
 
 
 def test_barrel_vertices_need_no_root_finder(monkeypatch, fresh_barrel):
