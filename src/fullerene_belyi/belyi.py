@@ -3,8 +3,11 @@
 A genus-zero Belyi function is kept in fully factored shape: a scalar k, the
 monic squarefree factors of its zeros (with exponents), of the zeros of
 beta - 1, and of its poles, plus the order of the point at infinity tagged
-with the critical class it belongs to.  verify() certifies the factored data
-against the defining polynomial identity and reads off the passport.
+with the critical class it belongs to.  These are its three sides, the
+fibres over 0, 1 and infinity; SIDES names them in the one order that
+construction, the pull-back, the fibres and the belyi v1 text all walk.
+verify() certifies the factored data against the defining polynomial
+identity and reads off the passport.
 
 Connectedness of the underlying graph is not checked; every function shipped
 here comes from a known spherical graph.
@@ -21,7 +24,10 @@ from .exact import (ONE, ZERO, GaussRat, RationalMap, UniPoly, _cleared_identity
 
 Factors = tuple[tuple[UniPoly, int], ...]
 
-INFINITY_SIDES = ("zero", "one", "pole", "none")
+# the three sides of a factored Belyi function, the fibres over 0, 1 and
+# infinity, in the one order every walk over them takes
+SIDES = ("zero", "one", "pole")
+INFINITY_SIDES = (*SIDES, "none")
 
 
 class BelyiVerificationError(ValueError):
@@ -195,10 +201,12 @@ def _normalize_factors(factors) -> Factors:
 class FactoredBelyi(_Record, frozen=True):
     """beta = k * prod(zero_factors) / prod(pole_factors), with
     beta - 1 vanishing exactly on prod(one_factors), and infinity tagged
-    with its critical class and order.  Every factor is a nonconstant
-    monic polynomial with a positive exponent: construction refuses any
-    other (ValueError, which from_text names as a BelyiFormatError).
-    verify() certifies that the factors are squarefree and the rest."""
+    with its critical class and order.  The field of side s is
+    s_factors, and every walk over the sides (_sides) takes them in
+    SIDES order.  Every factor is a nonconstant monic polynomial with a
+    positive exponent: construction refuses any other (ValueError, which
+    from_text names as a BelyiFormatError).  verify() certifies that the
+    factors are squarefree and the rest."""
 
     k: GaussRat
     zero_factors: Factors
@@ -214,9 +222,12 @@ class FactoredBelyi(_Record, frozen=True):
             raise ValueError("untagged infinity cannot carry an order")
         if self.infinity_side != "none" and self.infinity_order < 1:
             raise ValueError("tagged infinity needs a positive order")
-        object.__setattr__(self, "zero_factors", _normalize_factors(self.zero_factors))
-        object.__setattr__(self, "one_factors", _normalize_factors(self.one_factors))
-        object.__setattr__(self, "pole_factors", _normalize_factors(self.pole_factors))
+        for side, factors in self._sides():
+            object.__setattr__(self, f"{side}_factors", _normalize_factors(factors))
+
+    def _sides(self):
+        """(side, factors) for each side, in SIDES order."""
+        return ((side, getattr(self, f"{side}_factors")) for side in SIDES)
 
     # -- construction ----------------------------------------------------
 
@@ -233,13 +244,9 @@ class FactoredBelyi(_Record, frozen=True):
         w = f.one_numerator()
         if w.is_zero:
             raise ValueError("the constant function 1 is not a Belyi function")
-        zero_factors = tuple(squarefree_decomposition(f.num))
-        pole_factors = tuple(squarefree_decomposition(f.den))
-        one_factors = tuple(squarefree_decomposition(w))
-        side, order = _infinity_from_degrees(f.num.degree, w.degree,
-                                             f.den.degree)
-        return FactoredBelyi(f.k, zero_factors, one_factors, pole_factors,
-                             side, order)
+        polys = (f.num, w, f.den)  # in SIDES order
+        return FactoredBelyi(f.k, *(tuple(squarefree_decomposition(p)) for p in polys),
+                             *_infinity_from_degrees(*(p.degree for p in polys)))
 
     def substitute_power(self, n: int) -> "FactoredBelyi":
         """beta(z^n), factor by factor (_pull_back).
@@ -283,9 +290,7 @@ class FactoredBelyi(_Record, frozen=True):
         """
         k, side, order = self.k, "none", 0
         sides = []
-        for name, factors in (("zero", self.zero_factors),
-                              ("one", self.one_factors),
-                              ("pole", self.pole_factors)):
+        for name, factors in self._sides():
             forms = [(f.coeffs, e) for f, e in factors]
             if name == self.infinity_side:
                 forms.append(((ONE, ZERO), self.infinity_order))
@@ -317,15 +322,9 @@ class FactoredBelyi(_Record, frozen=True):
         """The declared parts over 0, 1 and infinity: each root of a factor
         gives the factor's exponent, and the tagged side also gets the
         order at infinity."""
-        fibres = []
-        for side, factors in (("zero", self.zero_factors),
-                              ("one", self.one_factors),
-                              ("pole", self.pole_factors)):
-            parts = [e for f, e in factors for _ in range(f.degree)]
-            if self.infinity_side == side:
-                parts.append(self.infinity_order)
-            fibres.append(parts)
-        return fibres
+        return [[e for f, e in factors for _ in range(f.degree)]
+                + ([self.infinity_order] if side == self.infinity_side else [])
+                for side, factors in self._sides()]
 
     @property
     def degree(self) -> int:
@@ -507,11 +506,8 @@ class FactoredBelyi(_Record, frozen=True):
         lines = ["belyi v1", f"k {self.k.to_token()}"]
         if self.infinity_side != "none":
             lines.append(f"infinity {self.infinity_side} {self.infinity_order}")
-        for side, factors in (("zero", self.zero_factors),
-                              ("one", self.one_factors),
-                              ("pole", self.pole_factors)):
-            for f, e in factors:
-                lines.append(f"{side} {e} " + " ".join(f.to_tokens()))
+        lines += [f"{side} {e} " + " ".join(f.to_tokens())
+                  for side, factors in self._sides() for f, e in factors]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -521,8 +517,7 @@ class FactoredBelyi(_Record, frozen=True):
         function, raises BelyiFormatError."""
         k = None
         side_tag, order = "none", 0
-        factors: dict[str, list[tuple[UniPoly, int]]] = {
-            "zero": [], "one": [], "pole": []}
+        factors: dict[str, list[tuple[UniPoly, int]]] = {side: [] for side in SIDES}
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].split() != ["belyi", "v1"]:
             raise BelyiFormatError("not a belyi v1 document")
@@ -547,8 +542,8 @@ class FactoredBelyi(_Record, frozen=True):
         if k is None:
             raise BelyiFormatError("belyi document is missing the scalar k")
         try:
-            return FactoredBelyi(k, tuple(factors["zero"]), tuple(factors["one"]),
-                                 tuple(factors["pole"]), side_tag, order)
+            return FactoredBelyi(k, *(tuple(factors[side]) for side in SIDES),
+                                 side_tag, order)
         except ValueError as exc:
             raise BelyiFormatError(str(exc)) from exc
 
@@ -559,7 +554,7 @@ def _infinity_from_degrees(dn: int, dw: int, dd: int) -> tuple[str, int]:
     below n = max(dn, dd) takes infinity, with order n minus that degree
     (at most one is below: dw < n needs dn = dd and k = 1)."""
     n = max(dn, dd)
-    for side, degree in zip(("zero", "one", "pole"), (dn, dw, dd)):
+    for side, degree in zip(SIDES, (dn, dw, dd)):
         if degree < n:
             return side, n - degree
     return "none", 0

@@ -34,6 +34,7 @@ GUARDS = "tests/test_belyi.py::test_a_true_identity_on_n_plus_2_points_needs_eve
 GAUSS_REFERENCE = "tests/test_exact.py::test_gaussrat_agrees_with_the_fraction_pair_reference"
 GRAMMAR = "tests/test_exact.py::test_gaussrat_rejects_tokens_outside_the_grammar_at_once"
 VERIFY_AT_BOUND = "tests/test_belyi.py::test_verify_at_the_digit_bound"
+FAULT_STEPS = "tests/test_belyi.py::test_each_fault_step_names_its_class"
 
 # name: (file under src/, snippet, replacement, test selection)
 MUTANTS = {
@@ -151,6 +152,54 @@ MUTANTS = {
         "len(w) == len(g_o) and ",
         "",
         ["tests/test_belyi.py::test_verify_agrees_with_reference"]),
+    # each fault step of verify, (i) to (vii)
+    "verify-equal-factors-not-raised": (
+        BELYI,
+        "raise shared_root(*equal)",
+        "pass",
+        [FAULT_STEPS]),
+    "verify-side-sum-only-above": (
+        BELYI,
+        "if total != n:",
+        "if total > n:",
+        ["tests/test_belyi.py::test_verify_checks_side_sums_before_the_identity"]),
+    "verify-too-few-points-one-short": (
+        BELYI,
+        "points < n + 2",
+        "points < n + 1",
+        ["tests/test_belyi.py::test_too_few_points_are_refused_before_any_product"]),
+    "verify-collapsed-identity-accepted": (
+        BELYI,
+        'raise IdentityFailed("k*zeros - poles collapsed to zero")',
+        "return Passport.of(*fibres)",
+        ["tests/test_belyi.py::test_verify_agrees_with_reference"]),
+    "verify-squarefree-skips-last-factor": (
+        BELYI,
+        "for f, _ in all_factors:",
+        "for f, _ in all_factors[:-1]:",
+        [FAULT_STEPS]),
+    "verify-pairs-skip-last-factor": (
+        BELYI,
+        "range(i + 1, len(all_factors))",
+        "range(i + 1, len(all_factors) - 1)",
+        [FAULT_STEPS]),
+    "verify-too-many-points-one-over": (
+        BELYI,
+        "points > n + 2",
+        "points > n + 3",
+        ["tests/test_belyi.py::test_verify_refuses_more_than_n_plus_2_points"]),
+    "verify-degree-0-accepted": (
+        BELYI,
+        """        raise DegreeImbalance("every side sums to 0: a Belyi map has "
+                              "degree at least 1")""",
+        "        return Passport.of(*fibres)",
+        [FAULT_STEPS]),
+    "factor-exponent-0-allowed": (
+        BELYI,
+        "if e < 1:",
+        "if e < 0:",
+        ["tests/test_package.py::test_factored_belyi_constructor_checks_its_fields",
+         "tests/test_cli.py::test_bad_input_exits_1_with_named_error[zero-exponent]"]),
 }
 
 

@@ -894,6 +894,16 @@ FAULT_STEPS = {
                    "k*zeros - poles does not factor as declared"),
     "5-squarefree": (SQUARED_ZERO, "FactorNotSquarefree", "factor z^2 has"),
     "5-pairs": (SHARED_ZERO, "FactorsShareRoot", "factors z^2 + z and z share"),
+    # the fault on the last factor: the loops of (v) must reach it
+    "5-squarefree-last": ("belyi v1\nk 0\ninfinity zero 2\none 2 0 1\n"
+                          "pole 1 0 0 1\n", "FactorNotSquarefree",
+                          "factor z^2 has a repeated root"),
+    # beta = 4z^3 - 3z, with beta - 1 = 4(z - 1)(z + 1/2)^2 declared as two
+    # one-side factors sharing -1/2
+    "5-pairs-last": ("belyi v1\nk 4\ninfinity pole 3\nzero 1 0 1\n"
+                     "zero 1 -3/4 0 1\none 1 1/2 1\none 1 -1/2 -1/2 1\n",
+                     "FactorsShareRoot",
+                     "factors z + 1/2 and z^2 - 1/2*z - 1/2 share a root"),
     "6-too-many-points": (NOT_BELYI, "IdentityFailed", "not a Belyi map"),
     "7-degree-0": ("belyi v1\nk 2\n", "DegreeImbalance", "every side sums to 0"),
 }

@@ -299,6 +299,8 @@ def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
     # map is the constant 2
     ("belyi v1\nk 2\n", None, "DegreeImbalance",
      "every side sums to 0: a Belyi map has degree at least 1"),
+    ("belyi v1\nk 1\nzero 0 0 1\n", None, "BelyiFormatError",
+     "factor exponents must be positive"),
     (None, ["--output", "missing-dir/report.txt", "passport", "0"],
      "FileNotFoundError", None),
     (None, ["verify", "D6"], "FileNotFoundError",
@@ -313,7 +315,8 @@ def test_verify_rejects_an_exponent_token_at_once(capsys, tmp_path):
      "polynomial, coefficients up to 4 bits>"),
 ], ids=["bare-k", "bare-infinity", "k-divides-by-zero", "k-exponent-token",
         "second-k-line", "second-infinity-line", "exponent-bomb",
-        "not-a-belyi-map", "not-monic", "not-utf-8", "constant", "output-dir-missing",
+        "not-a-belyi-map", "not-monic", "not-utf-8", "constant", "zero-exponent",
+        "output-dir-missing",
         "verify-no-such-preset-or-file", "dense-unbalanced",
         "dense-identity-fails"])
 def test_bad_input_exits_1_with_named_error(tmp_path, cold_cli, document, argv,

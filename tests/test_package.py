@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,17 +26,30 @@ def test_every_exported_name_resolves():
 
 
 def test_traced_benchmark_stages_resolve():
-    # perfbench/tracing.py wraps these (module, function) pairs by name, so
-    # deleting or renaming one breaks the benchmark's --trace 1 mode
+    # perfbench/tracing.py wraps these (module, function) pairs and these
+    # FactoredBelyi methods by name, so deleting or renaming one, or making
+    # a static method an instance method, breaks the benchmark's --trace 1
+    # mode
     tree = ast.parse(TRACING.read_text(encoding="utf-8"))
-    table, = [node.value for node in tree.body
-              if isinstance(node, ast.Assign)
-              and [t.id for t in node.targets] == ["FUNCTIONS"]]
-    pairs = [ast.literal_eval(key) for key in table.keys]
+
+    def keys(name):
+        table, = [node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == [name]]
+        return [ast.literal_eval(key) for key in table.keys]
+
+    pairs = keys("FUNCTIONS")
     assert pairs
     missing = [(mod, name) for mod, name in pairs if not hasattr(
         importlib.import_module(f"fullerene_belyi.{mod}"), name)]
     assert not missing
+    methods, static = keys("METHODS"), keys("STATIC_METHODS")
+    assert methods and set(static) >= {"from_text", "from_ratmap"}
+    assert [m for m in methods + static if not hasattr(FactoredBelyi, m)] == []
+    assert all(inspect.isfunction(inspect.getattr_static(FactoredBelyi, m))
+               for m in methods)
+    assert all(isinstance(inspect.getattr_static(FactoredBelyi, m), staticmethod)
+               for m in static)
 
 
 def test_names_are_their_home_objects():
@@ -116,6 +130,8 @@ def test_factored_belyi_constructor_checks_its_fields():
         FactoredBelyi(k=GaussRat.of(1), zero_factors=((UniPoly.one(), 1),),
                       one_factors=(), pole_factors=(), infinity_side="none",
                       infinity_order=0)
+    with pytest.raises(ValueError, match="^factor exponents must be positive$"):
+        FactoredBelyi(GaussRat.of(1), ((z, 0),), (), (), "none", 0)
     beta = FactoredBelyi(GaussRat.of(1), [(z, 1)], [], [], "pole", 1)
     assert beta.zero_factors == ((z, 1),) and beta.one_factors == ()
 
