@@ -380,9 +380,13 @@ class FactoredBelyi(_Record, frozen=True):
         W' = W/g, g the gcd of the parts of kappa*D_Q and d_k*D_Z: W' is
         integral, W' != 0 iff W != 0 and deg W' = deg W, and
         D_O*W' = lead(W')*G_O iff D_O*W = lead(W)*G_O, while a failure
-        names W'/lead(W') = W/lead(W).  W' and G_O are one packed sum each
-        ("Packed sums" in the exact module docstring), W' at the width its
-        products need rather than one inflated by the shared denominators.
+        names W'/lead(W') = W/lead(W).  W' and G_O are one packed value
+        each ("Packed sums" in the exact module docstring), at one width
+        their products need rather than one inflated by the shared
+        denominators.  A true identity is accepted by one comparison,
+        W'(2^B) = c*G_O(2^B) with c = lead(W')/D_O read off the side
+        degrees; only a document that comparison does not settle is
+        unpacked and compared digit by digit.
 
         Only (v) runs the F_p Euclid of the certificates, quadratic in a
         factor's degree, so every fault the other checks can name is named

@@ -32,7 +32,9 @@ Three integer kernels do the heavy work of certification.
 
 Packed sums (Kronecker substitution).  _packed_sum computes
 S = sum(c * prod f^e) over terms with c in Z[i] and every f in Z[i][z],
-given as its real and imaginary integer digit vectors.  Each vector is
+given as its real and imaginary integer digit vectors, in three steps:
+the bound (_packed_bound), the value at z = 2^B (_packed_value) and the
+unpack (_unpack_gauss).  Each vector is
 packed into one integer as its value at z = 2^B (_pack: every digit plus
 2^(B-1) is a nonnegative B-bit string, and one subtraction of the offset
 sum(2^(B-1) * 2^(B*k)) takes that back off), the powers and products are
@@ -99,12 +101,28 @@ W with both term scalars divided by g, so it lies in Z[i][z], and:
   W' != 0 iff W != 0, and deg W' = deg W;
   lead(W') = lead(W)/g, so D_O*W' = lead(W')*G_O iff D_O*W = lead(W)*G_O;
   W'/lead(W') = W/lead(W), so a failure names the same sides.
-W' is the packed sum of its two terms and G_O that of its one, so no
-product is expanded over Q(i), and the packing width follows the smaller
-scalars.  Only when the check fails are W'/lead(W') and O made into
-polynomials, to name the two sides that differ; they hold their cleared
-forms, and a message builds their coefficients over Q(i) only when it
-prints them.
+W' (two terms) and G_O (one) are each packed as one value in Z[i] at
+z = 2^B (_packed_value), so no product is expanded over Q(i), and the
+width follows the smaller scalars.  A true identity is accepted by one
+comparison of the two values.  The top digit of a cleared monic factor is
+its d, so lead(G_Z) = D_Z and lead(G_Q) = D_Q.  With W' written as
+kappa'*G_Z - delta'*G_Q, its z^max(deg Z, deg Q) digit is
+L = kappa'*D_Z - delta'*D_Q, where a term counts only if its side's degree
+is that maximum.  When L != 0 and D_O divides both parts of L,
+c = L/D_O lies in Z[i], B is proven from bound_W + ||c||_1*bound_O (the
+packed bounds of W' and G_O), and the identity is accepted when
+W'(2^B) = c*G_O(2^B) in Z[i].  That is a proof:
+both parts of every coefficient of P = W' - c*G_O are at most
+bound_W + ||c||_1*bound_O < 2^(B-1), so P(2^B) = 0 iff P = 0; and
+W' = c*G_O with c != 0 gives W' != 0, deg W' = deg O and
+lead(W') = c*D_O, so D_O*W' = lead(W')*G_O.  The prediction of L only
+picks the documents that try the comparison, and no verdict rests on it:
+when L = 0 (the tops of the two terms cancel), c is not in Z[i], or the
+values differ, W' and G_O are unpacked at the same width and compared
+digit by digit as above, which decides the identity.  Only when that
+check fails are W'/lead(W') and O made into polynomials, to name the two
+sides that differ; they hold their cleared forms, and a message builds
+their coefficients over Q(i) only when it prints them.
 """
 
 from __future__ import annotations
@@ -455,15 +473,25 @@ def _gauss_mul(a: GaussInt, b: GaussInt) -> GaussInt:
     return rr - ii, (ar + ai) * (br + bi) - rr - ii
 
 
-def _packed_sum(terms, n: int) -> list[GaussInt]:
-    """The n (re, im) digits of sum(c * prod(f^e)) over terms
-    [(c, [((re, im), e), ...]), ...]: c is a nonzero Gaussian integer and
-    each f, the integer digit lists re + im*i lowest first, is nonzero.
-    One width serves every factor ("Packed sums" in the module docstring)."""
-    bound = sum((abs(cr) + abs(ci)) * math.prod(
+def _packed_bound(terms) -> int:
+    """sum(||c||_1 * prod(||f||_1^e)) over terms [(c, [((re, im), e), ...]),
+    ...]: above both parts of every coefficient of sum(c * prod(f^e)), and
+    of every digit packed ("Packed sums" in the module docstring)."""
+    return sum((abs(cr) + abs(ci)) * math.prod(
         (sum(map(abs, re)) + sum(map(abs, im))) ** e for (re, im), e in factors)
         for (cr, ci), factors in terms)
-    width = (bound.bit_length() + 8) // 8
+
+
+def _width(bound: int) -> int:
+    """The byte width of signed digits below bound: its bit length plus a
+    sign bit, rounded up to whole bytes."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _packed_value(terms, width: int) -> GaussInt:
+    """sum(c * prod(f^e)) over terms at z = 2^B, B = 8*width, in Z[i]: c is
+    a Gaussian integer and each f, the integer digit lists re + im*i lowest
+    first, is nonzero, with every digit below 2^(B-1) in absolute value."""
     total_re = total_im = 0
     for c, factors in terms:
         for (re, im), e in factors:
@@ -471,8 +499,22 @@ def _packed_sum(terms, n: int) -> list[GaussInt]:
             c = _gauss_mul(c, binary_power(g, e, (1, 0), _gauss_mul))
         total_re += c[0]
         total_im += c[1]
-    return list(zip(_unpack(total_re, n, width),
-                    _unpack(total_im, n, width) if total_im else [0] * n))
+    return total_re, total_im
+
+
+def _unpack_gauss(value: GaussInt, n: int, width: int) -> list[GaussInt]:
+    """The n (re, im) digits of a packed value, each part below 2^(B-1)."""
+    re, im = value
+    return list(zip(_unpack(re, n, width), _unpack(im, n, width) if im else [0] * n))
+
+
+def _packed_sum(terms, n: int) -> list[GaussInt]:
+    """The n (re, im) digits of sum(c * prod(f^e)) over terms
+    [(c, [((re, im), e), ...]), ...]: c is a nonzero Gaussian integer and
+    each f is nonzero.  One width, proven from the bound, serves every
+    factor ("Packed sums" in the module docstring)."""
+    width = _width(_packed_bound(terms))
+    return _unpack_gauss(_packed_value(terms, width), n, width)
 
 
 def _cleared_identity(k: GaussRat, zeros, poles, ones
@@ -483,9 +525,12 @@ def _cleared_identity(k: GaussRat, zeros, poles, ones
     read through their cleared forms (_form_of).  Returns None when it
     holds, (None, None) when W, and so k*Z - Q, is zero, and otherwise
     (got, declared): the two monic sides that differ, W/lead(W) and O.
-    Only a failing check builds a UniPoly, and it holds only its cleared
-    form (_lazy_poly): a message that names a long side by its size
-    (belyi._show) builds none of its coefficients."""
+    W' and G_O are one packed value each, and a true identity with
+    c = L/D_O in Z[i] is accepted by one comparison of the two; only
+    the other documents unpack them.  Only a failing check builds a
+    UniPoly, and it holds only its cleared form (_lazy_poly): a message
+    that names a long side by its size (belyi._show) builds none of its
+    coefficients."""
     dk, (kr,), (ki,) = _cleared((k,))
     sides = [([((re, im), e) for (_, re, im), e in forms],
               math.prod(d ** e for (d, _, _), e in forms),
@@ -496,13 +541,26 @@ def _cleared_identity(k: GaussRat, zeros, poles, ones
     # W' = W/g (module docstring): the same test, packed at the width the
     # products need
     g = math.gcd(kr * dq, ki * dq, dk * dz)
-    w = _packed_sum([((kr * dq // g, ki * dq // g), gz), ((-dk * dz // g, 0), gq)],
-                    max(degz, degq) + 1)
+    (zr, zi), qr = (kr * dq // g, ki * dq // g), -dk * dz // g
+    w_terms, o_terms = [((zr, zi), gz), ((qr, 0), gq)], [((1, 0), go)]
+    # L, the z^max(deg Z, deg Q) digit of W': the top digit of a cleared
+    # monic factor is its d, so lead(G_Z) = D_Z and lead(G_Q) = D_Q
+    lr = (zr * dz if degz >= degq else 0) + (qr * dq if degq >= degz else 0)
+    li = zi * dz if degz >= degq else 0
+    c = (lr // do, li // do) if (lr or li) and not (lr % do or li % do) else None
+    width = _width(_packed_bound(w_terms)
+                   + (abs(c[0]) + abs(c[1]) if c else 1) * _packed_bound(o_terms))
+    w, g_o = _packed_value(w_terms, width), _packed_value(o_terms, width)
+    # every digit of W' - c*G_O is below 2^(B-1), so it is zero iff its
+    # value at 2^B is
+    if c and w == _gauss_mul(c, g_o):
+        return None
+    w = _unpack_gauss(w, max(degz, degq) + 1, width)
     while w and w[-1] == (0, 0):
         w.pop()
     if not w:
         return None, None
-    g_o = _packed_sum([((1, 0), go)], dego + 1)
+    g_o = _unpack_gauss(g_o, dego + 1, width)
     # the one-side scalar is lead(W) / (d_k*D_Z*D_Q); only the monic part
     # is declared, so compare W' / lead(W') = W / lead(W) with G_O / D_O:
     # D_O*W' = lead(W')*G_O, digit by digit in Z[i]

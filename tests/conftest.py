@@ -56,7 +56,8 @@ def rng():
 
 @pytest.fixture
 def widths(monkeypatch):
-    """The digit widths, in bits, that _packed_sum unpacks at."""
+    """The digit widths, in bits, of each exact._unpack call: _packed_sum's,
+    and the identity's on its digit path."""
     seen = []
     unpack = exact._unpack
 

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -697,15 +698,16 @@ def test_a_parsed_document_is_accepted_building_no_coefficient(monkeypatch, name
 
 @pytest.fixture
 def packed_terms(monkeypatch):
-    """The term lists exact._packed_sum is called with."""
+    """(terms, width, value) of each exact._packed_value call."""
     seen = []
-    packed_sum = exact._packed_sum
+    packed_value = exact._packed_value
 
-    def spy(terms, n):
-        seen.append(terms)
-        return packed_sum(terms, n)
+    def spy(terms, width):
+        value = packed_value(terms, width)
+        seen.append((terms, width, value))
+        return value
 
-    monkeypatch.setattr(exact, "_packed_sum", spy)
+    monkeypatch.setattr(exact, "_packed_value", spy)
     return seen
 
 
@@ -727,7 +729,7 @@ def test_identity_packs_w_with_coprime_scalars(packed_terms, name):
     which on these conjugates has over 100 bits."""
     beta = CASES[name]
     beta.verify()
-    w = packed_terms[0]  # the identity is the first product verify takes
+    w = packed_terms[0][0]  # the identity is the first product verify takes
     scalars = [c for c, _ in w]
     assert len(w) == 2 and math.gcd(*(x for c in scalars for x in c)) == 1
     unreduced = unreduced_w_scalars(beta)
@@ -737,14 +739,92 @@ def test_identity_packs_w_with_coprime_scalars(packed_terms, name):
 
 
 def test_identity_unpacks_w_at_the_reduced_width(packed_terms, widths):
-    """On the d72 h9 conjugate W' is unpacked at the width its own bound
-    proves, at least 100 bits narrower than the bound on W."""
+    """On the d72 h9 conjugate W' and G_O are packed at one width, the one
+    bound_W + ||c||_1 * bound_O proves, at least 100 bits narrower than the
+    bound on W; W'(2^B) = c*G_O(2^B) for c in Z[i] accepts it, so nothing
+    is unpacked."""
     CASES["d72/h9"].verify()
-    w = packed_terms[0]
+    (w, width, w_value), (o, o_width, o_value) = packed_terms
+    d, (cr,), (ci,) = exact._cleared((GaussRat.of(*w_value) / GaussRat.of(*o_value),))
+    assert d == 1 and o == [((1, 0), o[0][1])] and widths == []
+    assert 8 * width == 8 * o_width == packed_width_bits(w + [((cr, ci), o[0][1])])
     unreduced = [(c, factors) for c, (_, factors)
                  in zip(unreduced_w_scalars(CASES["d72/h9"]), w)]
-    assert widths[:2] == [packed_width_bits(w)] * 2
-    assert packed_width_bits(unreduced) - packed_width_bits(w) >= 100
+    assert packed_width_bits(unreduced) - 8 * width >= 100
+
+
+# true identities that the one packed comparison cannot decide, so they
+# are accepted digit by digit: the tops of k*Z and Q cancel (k = 1,
+# deg Z = deg Q, infinity on the one side), so lead(W') is not the
+# predicted L = 0; or L/D_O is not in Z[i], because the one factor's
+# cleared form 2z + 1 + i is not primitive over Z[i]
+DIGIT_PATH = {
+    # (z - 1 - i)^2 / (z - 1 + i)^2 - 1 = -4i(z - 1) / (z - 1 + i)^2
+    "tops-cancel": ("belyi v1\nk 1\ninfinity one 1\nzero 2 -1,-1 1\n"
+                    "pole 2 -1,1 1\none 1 -1 1\n", "(2^1 | 1^2 | 2^1)"),
+    # (-1 + i)z - 1 = (-1 + i)(z + (1 + i)/2), and the same at z^3
+    "c-outside-z[i]": ("belyi v1\nk -1,1\ninfinity pole 1\nzero 1 0 1\n"
+                       "one 1 1/2,1/2 1\n", "(1^1 | 1^1 | 1^1)"),
+    "c-outside-z[i]/z^3": ("belyi v1\nk -1,1\ninfinity pole 3\nzero 3 0 1\n"
+                           "one 1 1/2,1/2 0 0 1\n", "(3^1 | 1^3 | 3^1)"),
+}
+
+
+@pytest.mark.parametrize("name", list(DIGIT_PATH))
+def test_identities_the_comparison_cannot_decide_are_unpacked(widths, name):
+    text, passport = DIGIT_PATH[name]
+    beta = FactoredBelyi.from_text(text)
+    assert str(beta.verify()) == passport and widths
+    assert assert_agrees(beta) == beta.verify()
+
+
+# false documents and one collapse, each of which a weaker packed
+# comparison would get wrong: z - 1 against z - 1 + i agrees on the real
+# parts at 2^B; against z + 10^40, with c = 1 and with c = 1/2 (not in
+# Z[i]), the width must hold G_O's digits too, not only W''s; and
+# z^2 - 1 = (z - 1)(z + 1) makes W' zero, L = 0, with no two factors equal
+FALSE_IDENTITIES = {
+    "imaginary-part": ("belyi v1\nk 1\ninfinity pole 1\nzero 1 0 1\none 1 -1,1 1\n",
+                       "does not factor as declared: got z - 1, declared z + (-1+1i)"),
+    "wide-one-side": (f"belyi v1\nk 1\ninfinity pole 1\nzero 1 0 1\none 1 {10 ** 40} 1\n",
+                      f"does not factor as declared: got z - 1, declared z + {10 ** 40}"),
+    "wide-one-side/half": (
+        f"belyi v1\nk 1\ninfinity pole 1\nzero 1 0 1\none 1 {2 * 10 ** 40 + 1}/2 1\n",
+        f"does not factor as declared: got z - 1, declared z + {2 * 10 ** 40 + 1}/2"),
+    "collapsed-distinct": ("belyi v1\nk 1\nzero 1 -1 0 1\npole 1 -1 1\npole 1 1 1\n"
+                           "one 1 5 1\none 1 7 1\n", "collapsed to zero"),
+}
+
+
+@pytest.mark.parametrize("name", list(FALSE_IDENTITIES))
+def test_the_packed_comparison_accepts_only_what_it_proves(name):
+    text, message = FALSE_IDENTITIES[name]
+    assert assert_agrees(FactoredBelyi.from_text(text)) == (
+        "IdentityFailed", f"k*zeros - poles {message}")
+
+
+def test_only_documents_the_comparison_refuses_are_unpacked(widths):
+    """Every accepted preset and seed-1 corpus document is accepted by the
+    one packed comparison; each IdentityFailed document is unpacked to
+    name its sides."""
+    from verdict_hash import preset_texts  # puts perfbench/ on sys.path
+
+    import corpus
+
+    docs = [(name, "accept", load_preset(name).to_text()) for name in PRESETS]
+    docs += [(doc.name, doc.expect, doc.text) for doc in corpus.generate(1, preset_texts())]
+    seen = Counter(expect for _, expect, _ in docs)
+    for name, expect, text in docs:
+        beta = FactoredBelyi.from_text(text)
+        widths.clear()
+        if expect == "accept":
+            beta.verify()
+            assert widths == [], name
+        elif expect == "IdentityFailed":
+            with pytest.raises(IdentityFailed):
+                beta.verify()
+            assert widths, name
+    assert seen["accept"] == len(PRESETS) + 34 and seen["IdentityFailed"] == 4
 
 
 @pytest.mark.parametrize("text, name, tight", [
@@ -838,11 +918,11 @@ def test_a_tight_document_failing_the_identity_runs_it_once(monkeypatch, name):
 
 def test_too_few_points_are_refused_before_any_product(monkeypatch):
     """Degree 2 on 3 points over 0, 1 and infinity: Riemann-Hurwitz asks
-    for 4, so verify refuses before the packed sums of the identity."""
+    for 4, so verify refuses before the packed values of the identity."""
     def no_product(*args):
-        raise AssertionError("the identity's packed sum was reached")
+        raise AssertionError("the identity's packed value was reached")
 
-    monkeypatch.setattr(exact, "_packed_sum", no_product)
+    monkeypatch.setattr(exact, "_packed_value", no_product)
     beta = FactoredBelyi.from_text(
         "belyi v1\nk 1\nzero 2 0 1\npole 2 1 1\none 2 2 1\n")
     with pytest.raises(IdentityFailed, match=(
