@@ -260,14 +260,7 @@ class FactoredBelyi(_Record, frozen=True):
         """
         if n < 1:
             raise ValueError("power substitution needs n >= 1")
-
-        def lift(f):
-            # f(z^n): f's coefficients set n apart, made a UniPoly once
-            h = [ZERO] * ((len(f) - 1) * n + 1)
-            h[::n] = f
-            return UniPoly(h)
-
-        return self._pull_back(n, lift)
+        return self._pull_back(n, lambda f: UniPoly(f).substitute_power(n))
 
     def _pull_back(self, m: int, pull) -> "FactoredBelyi":
         """beta(r(z)) factor by factor, for a map r of degree m whose only
@@ -371,22 +364,9 @@ class FactoredBelyi(_Record, frozen=True):
         derivative in F_p) and its coprimality with every other factor are
         certified on the reductions of the forms, with the exact poly_gcd
         where the certificate is inconclusive (exact module docstring).  The
-        identity is checked cross-multiplied in Z[i] on the same forms:
-        with G_Z = prod g_f^e and D_Z = prod d_f^e
-        (likewise for Q and O), k*Z - Q is W/(d_k*D_Z*D_Q) for
-        W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and k*Z - Q = c*O with
-        O = G_O/D_O monic holds iff W != 0, deg W = deg O and
-        D_O*W = lead(W)*G_O coefficient by coefficient.  The test runs on
-        W' = W/g, g the gcd of the parts of kappa*D_Q and d_k*D_Z: W' is
-        integral, W' != 0 iff W != 0 and deg W' = deg W, and
-        D_O*W' = lead(W')*G_O iff D_O*W = lead(W)*G_O, while a failure
-        names W'/lead(W') = W/lead(W).  W' and G_O are one packed value
-        each ("Packed sums" in the exact module docstring), at one width
-        their products need rather than one inflated by the shared
-        denominators.  A true identity is accepted by one comparison,
-        W'(2^B) = c*G_O(2^B) with c = lead(W')/D_O read off the side
-        degrees; only a document that comparison does not settle is
-        unpacked and compared digit by digit.
+        identity is checked on the same forms, cross-multiplied in Z[i] and
+        packed, by the one comparison whose proof is in the exact module
+        docstring.
 
         Only (v) runs the F_p Euclid of the certificates, quadratic in a
         factor's degree, so every fault the other checks can name is named
@@ -474,8 +454,7 @@ class FactoredBelyi(_Record, frozen=True):
                 f"k*zeros - poles cannot factor as declared: {points} points "
                 f"over 0, 1 and infinity, a degree-{_show_int(n)} map has at "
                 f"least {_show_int(n + 2)} (Riemann-Hurwitz)")
-        mismatch = _cleared_identity(self.k, self.zero_factors,
-                                     self.pole_factors, self.one_factors)
+        mismatch = _cleared_identity(self.k, *(factors for _, factors in self._sides()))
         if mismatch:
             got, declared = mismatch
             if got is None:

@@ -87,42 +87,51 @@ caller handles either.
 The identity of a factored Belyi function (products of powers in Z[i]).
 _cleared_identity, which FactoredBelyi.verify calls, proves k*Z - Q = c*O
 for Z, Q and O products of powers f^e of monic factors, on integers.  It
-takes k and the (factor, exponent) pairs, and reads the cleared forms the
-certificates read:
-every factor is g_f/d_f, with g_f in Z[i][z] and d_f the lcm of its
-denominators, and k = kappa/d_k.  With G_Z = prod g_f^e and
-D_Z = prod d_f^e (likewise for Q and O), k*Z - Q = W/(d_k*D_Z*D_Q) for
-W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and since O = G_O/D_O is monic, the
-identity holds iff W != 0, deg W = deg O and D_O*W = lead(W)*G_O
-coefficient by coefficient.  The denominator products share most of
-their bits, so the check runs on W' = W/g instead, for
+takes k and the (factor, exponent) pairs of the three sides, and reads
+the cleared forms the certificates read: every factor is g_f/d_f, with
+g_f in Z[i][z] and d_f the lcm of its denominators, and k = kappa/d_k.
+With G_Z = prod g_f^e and D_Z = prod d_f^e (likewise for Q and O),
+k*Z - Q = W/(d_k*D_Z*D_Q) for W = kappa*G_Z*D_Q - d_k*D_Z*G_Q, and since
+O = G_O/D_O is monic, the identity holds iff W is a nonzero scalar
+multiple of G_O.  The denominator products share most of their bits, so
+the check runs on W' = W/g instead, for
 g = gcd(Re(kappa)*D_Q, Im(kappa)*D_Q, d_k*D_Z) >= 1 (d_k*D_Z > 0).  W' is
-W with both term scalars divided by g, so it lies in Z[i][z], and:
-  W' != 0 iff W != 0, and deg W' = deg W;
-  lead(W') = lead(W)/g, so D_O*W' = lead(W')*G_O iff D_O*W = lead(W)*G_O;
-  W'/lead(W') = W/lead(W), so a failure names the same sides.
-W' (two terms) and G_O (one) are each packed as one value in Z[i] at
-z = 2^B (_packed_value), so no product is expanded over Q(i), and the
-width follows the smaller scalars.  A true identity is accepted by one
-comparison of the two values.  The top digit of a cleared monic factor is
-its d, so lead(G_Z) = D_Z and lead(G_Q) = D_Q.  With W' written as
-kappa'*G_Z - delta'*G_Q, its z^max(deg Z, deg Q) digit is
-L = kappa'*D_Z - delta'*D_Q, where a term counts only if its side's degree
-is that maximum.  When L != 0 and D_O divides both parts of L,
-c = L/D_O lies in Z[i], B is proven from bound_W + ||c||_1*bound_O (the
-packed bounds of W' and G_O), and the identity is accepted when
-W'(2^B) = c*G_O(2^B) in Z[i].  That is a proof:
-both parts of every coefficient of P = W' - c*G_O are at most
-bound_W + ||c||_1*bound_O < 2^(B-1), so P(2^B) = 0 iff P = 0; and
-W' = c*G_O with c != 0 gives W' != 0, deg W' = deg O and
-lead(W') = c*D_O, so D_O*W' = lead(W')*G_O.  The prediction of L only
-picks the documents that try the comparison, and no verdict rests on it:
-when L = 0 (the tops of the two terms cancel), c is not in Z[i], or the
-values differ, W' and G_O are unpacked at the same width and compared
-digit by digit as above, which decides the identity.  Only when that
-check fails are W'/lead(W') and O made into polynomials, to name the two
-sides that differ; they hold their cleared forms, and a message builds
-their coefficients over Q(i) only when it prints them.
+W with both term scalars divided by g, so it lies in Z[i][z], it is a
+nonzero multiple of G_O iff W is, and W'/lead(W') = W/lead(W), so a
+failure names the same sides.  W' (two terms) and G_O (one) are each
+packed as one value in Z[i] at z = 2^B (_packed_value), so no product is
+expanded over Q(i), and the width follows the smaller scalars.
+
+One comparison of the two values decides the identity.  Its scalar is
+read first.  The top digit of a cleared monic factor is its d, so
+lead(G_Z) = D_Z and lead(G_Q) = D_Q.  With W' written as
+kappa'*G_Z - delta'*G_Q and t = max(deg Z, deg Q), the z^t digit of W' is
+L = kappa'*D_Z - delta'*D_Q, where a term counts only if its side's
+degree is t.  L = 0 exactly when the tops cancel: k = 1 and
+deg Z = deg Q (infinity is then on the one side of a balanced document),
+or k = 0 and deg Z > deg Q.  L is then taken instead as W''s z^deg O
+digit, unpacked once at W''s own width, and only when deg O <= t (as
+balanced sides give; a larger deg O leaves L = 0).  Write L/D_O in
+lowest terms as n/m: h = gcd(Re L, Im L, D_O), n = L/h in Z[i] and
+m = D_O/h >= 1.  m*W' (m taken into its two term scalars) and G_O
+are packed at the width B proven from m*bound_W + ||n||_1*bound_O
+(bound_W and bound_O the packed bounds of W' and G_O; 1 stands for
+||n||_1 when n = 0, so that G_O's digits fit), and the identity is
+accepted exactly when n != 0 and m*W'(2^B) = n*G_O(2^B) in Z[i].
+  Soundness: both parts of every coefficient of P = m*W' - n*G_O are at
+  most m*bound_W + ||n||_1*bound_O < 2^(B-1), so P(2^B) = 0 iff P = 0;
+  and m*W' = n*G_O with n != 0 makes W' the nonzero multiple (n/m)*G_O,
+  which is the identity.
+  Completeness: a true identity has W' = c'*G_O for some c' != 0, so
+  deg W' = deg O and lead(W') = c'*D_O.  When L != 0, deg W' = t and
+  lead(W') = L; when L = 0, deg W' = deg O < t and lead(W') is the z^deg O
+  digit read.  Either way c' = L/D_O = n/m with n != 0, and m*W' = n*G_O.
+Packing at a proven width is injective and m >= 1, so W' = 0, a
+collapse of k*Z - Q, is the packed value zero.  Digits are unpacked after the
+comparison only for a message: when the identity fails, W'/lead(W') and
+O are made into polynomials to name the two sides that differ; they hold
+their cleared forms, and a message builds their coefficients over Q(i)
+only when it prints them.
 """
 
 from __future__ import annotations
@@ -517,58 +526,60 @@ def _packed_sum(terms, n: int) -> list[GaussInt]:
     return _unpack_gauss(_packed_value(terms, width), n, width)
 
 
-def _cleared_identity(k: GaussRat, zeros, poles, ones
+def _cleared_identity(k: GaussRat, zeros, ones, poles
                       ) -> tuple[UniPoly | None, UniPoly | None] | None:
     """Check the identity k*Z - Q = c*O of a factored Belyi function in
-    Z[i] (see the module docstring).  zeros, poles and ones are the
-    (monic factor, exponent) pairs of its sides; k and every factor are
-    read through their cleared forms (_form_of).  Returns None when it
-    holds, (None, None) when W, and so k*Z - Q, is zero, and otherwise
-    (got, declared): the two monic sides that differ, W/lead(W) and O.
-    W' and G_O are one packed value each, and a true identity with
-    c = L/D_O in Z[i] is accepted by one comparison of the two; only
-    the other documents unpack them.  Only a failing check builds a
-    UniPoly, and it holds only its cleared form (_lazy_poly): a message
-    that names a long side by its size (belyi._show) builds none of its
-    coefficients."""
+    Z[i] (see the module docstring).  zeros, ones and poles are the
+    (monic factor, exponent) pairs of its sides, in SIDES order; k and
+    every factor are read through their cleared forms (_form_of).  Returns
+    None when it holds, (None, None) when W, and so k*Z - Q, is zero, and
+    otherwise (got, declared): the two monic sides that differ, W/lead(W)
+    and O.  m*W' and G_O are one packed value each, and the one comparison
+    m*W'(2^B) = n*G_O(2^B) decides the identity; digits are unpacked
+    before it only to read n/m when the tops cancel (L = 0), and after it
+    only for a message.  Only a failing check builds a UniPoly, and it
+    holds only its cleared form (_lazy_poly): a message that names a long
+    side by its size (belyi._show) builds none of its coefficients."""
     dk, (kr,), (ki,) = _cleared((k,))
     sides = [([((re, im), e) for (_, re, im), e in forms],
               math.prod(d ** e for (d, _, _), e in forms),
               sum((len(re) - 1) * e for (_, re, _), e in forms))
              for forms in ([(_form_of(f), e) for f, e in factors]
-                           for factors in (zeros, poles, ones))]
-    (gz, dz, degz), (gq, dq, degq), (go, do, dego) = sides
+                           for factors in (zeros, ones, poles))]
+    (gz, dz, degz), (go, do, dego), (gq, dq, degq) = sides
     # W' = W/g (module docstring): the same test, packed at the width the
     # products need
     g = math.gcd(kr * dq, ki * dq, dk * dz)
-    (zr, zi), qr = (kr * dq // g, ki * dq // g), -dk * dz // g
-    w_terms, o_terms = [((zr, zi), gz), ((qr, 0), gq)], [((1, 0), go)]
-    # L, the z^max(deg Z, deg Q) digit of W': the top digit of a cleared
-    # monic factor is its d, so lead(G_Z) = D_Z and lead(G_Q) = D_Q
-    lr = (zr * dz if degz >= degq else 0) + (qr * dq if degq >= degz else 0)
-    li = zi * dz if degz >= degq else 0
-    c = (lr // do, li // do) if (lr or li) and not (lr % do or li % do) else None
+    zr, zi, qr, top = kr * dq // g, ki * dq // g, -dk * dz // g, max(degz, degq)
+    # L, the z^top digit of W': the top digit of a cleared monic factor is
+    # its d, so lead(G_Z) = D_Z and lead(G_Q) = D_Q
+    lead = ((zr * dz if degz >= degq else 0) + (qr * dq if degq >= degz else 0),
+            zi * dz if degz >= degq else 0)
+    if lead == (0, 0) and dego <= top:
+        # the tops cancel: a true identity leads at W''s z^deg O digit
+        w_terms = [((zr, zi), gz), ((qr, 0), gq)]
+        width = _width(_packed_bound(w_terms))
+        lead = _unpack_gauss(_packed_value(w_terms, width), top + 1, width)[dego]
+    # L/D_O = n/m in lowest terms; m*W' is packed with m in its scalars
+    h = math.gcd(*lead, do)
+    (nr, ni), m = (lead[0] // h, lead[1] // h), do // h
+    w_terms, o_terms = [((m * zr, m * zi), gz), ((m * qr, 0), gq)], [((1, 0), go)]
     width = _width(_packed_bound(w_terms)
-                   + (abs(c[0]) + abs(c[1]) if c else 1) * _packed_bound(o_terms))
+                   + (abs(nr) + abs(ni) or 1) * _packed_bound(o_terms))
     w, g_o = _packed_value(w_terms, width), _packed_value(o_terms, width)
-    # every digit of W' - c*G_O is below 2^(B-1), so it is zero iff its
+    # every digit of m*W' - n*G_O is below 2^(B-1), so it is zero iff its
     # value at 2^B is
-    if c and w == _gauss_mul(c, g_o):
+    if (nr or ni) and w == _gauss_mul((nr, ni), g_o):
         return None
-    w = _unpack_gauss(w, max(degz, degq) + 1, width)
-    while w and w[-1] == (0, 0):
-        w.pop()
-    if not w:
+    if w == (0, 0):
         return None, None
+    w = _unpack_gauss(w, top + 1, width)
+    while w[-1] == (0, 0):
+        w.pop()
     g_o = _unpack_gauss(g_o, dego + 1, width)
-    # the one-side scalar is lead(W) / (d_k*D_Z*D_Q); only the monic part
-    # is declared, so compare W' / lead(W') = W / lead(W) with G_O / D_O:
-    # D_O*W' = lead(W')*G_O, digit by digit in Z[i]
+    # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2 (W' scaled by g and
+    # m alike), and O = G_O / D_O
     lr, li = w[-1]
-    if len(w) == len(g_o) and all(lr * a - li * b == do * x and lr * b + li * a == do * y
-                                  for (x, y), (a, b) in zip(w, g_o)):
-        return None
-    # W / lead(W) = W * conj(lead(W)) / |lead(W)|^2, and O = G_O / D_O
     got = _canonical(lr * lr + li * li, [x * lr + y * li for x, y in w],
                      [y * lr - x * li for x, y in w])
     declared = _canonical(do, [x for x, _ in g_o], [y for _, y in g_o])

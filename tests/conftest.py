@@ -57,7 +57,8 @@ def rng():
 @pytest.fixture
 def widths(monkeypatch):
     """The digit widths, in bits, of each exact._unpack call: _packed_sum's,
-    and the identity's on its digit path."""
+    and the identity's, which reads W''s z^deg O digit when the tops of
+    k*Z and Q cancel and names the sides of a failure."""
     seen = []
     unpack = exact._unpack
 

@@ -36,7 +36,7 @@ GRAMMAR = "tests/test_exact.py::test_gaussrat_rejects_tokens_outside_the_grammar
 VERIFY_AT_BOUND = "tests/test_belyi.py::test_verify_at_the_digit_bound"
 FAULT_STEPS = "tests/test_belyi.py::test_each_fault_step_names_its_class"
 CLEARED_IDENTITY = "tests/test_exact.py::test_cleared_identity_names_the_monic_sides_only_on_failure"
-DIGIT_PATH = "tests/test_belyi.py::test_identities_the_comparison_cannot_decide_are_unpacked"
+HARD_SCALARS = "tests/test_belyi.py::test_the_comparison_decides_hard_scalars"
 PACKED_COMPARISON = "tests/test_belyi.py::test_the_packed_comparison_accepts_only_what_it_proves"
 
 # name: (file under src/, snippet, replacement, test selection)
@@ -119,11 +119,6 @@ MUTANTS = {
         ' or "/-" in line',
         "",
         [GRAMMAR]),
-    "identity-imaginary-cross-term-sign": (
-        EXACT,
-        "lr * b + li * a == do * y",
-        "lr * b - li * a == do * y",
-        [CLEARED_IDENTITY, DIGIT_PATH]),
     "pack-offset-wrong-byte": (
         EXACT,
         'bytes(width - 1) + b"\\x80"',
@@ -150,45 +145,51 @@ MUTANTS = {
         "bound.bit_length() + 8",
         "bound.bit_length() + 7",
         [VERIFY_AT_BOUND]),
-    "identity-without-degree-test": (
+    # the identity's one comparison m*W'(2^B) = n*G_O(2^B), n/m = L/D_O in
+    # lowest terms, and its read of L when the tops cancel; the degree
+    # guard is reachable only by a direct call, since balanced sides give
+    # deg O <= max(deg Z, deg Q)
+    "identity-comparison-without-m": (
         EXACT,
-        "len(w) == len(g_o) and ",
-        "",
-        ["tests/test_belyi.py::test_verify_agrees_with_reference"]),
-    # the one packed comparison W'(2^B) = c*G_O(2^B) and the zero test
-    # of the digit path: L = 0 gives c = 0, and W' = 0*G_O is a collapse
-    "identity-comparison-without-l-nonzero": (
+        "[((m * zr, m * zi), gz), ((m * qr, 0), gq)]",
+        "[((zr, zi), gz), ((qr, 0), gq)]",
+        [HARD_SCALARS]),
+    "identity-reduction-without-d-o": (
         EXACT,
-        "if (lr or li) and not (lr % do or li % do)",
-        "if not (lr % do or li % do)",
-        [CLEARED_IDENTITY, PACKED_COMPARISON]),
-    "identity-width-without-c-times-g-o": (
+        "math.gcd(*lead, do)",
+        "math.gcd(*lead)",
+        [CLEARED_IDENTITY, HARD_SCALARS, PACKED_COMPARISON]),
+    "identity-cancelled-tops-read-one-digit-low": (
+        EXACT,
+        "top + 1, width)[dego]",
+        "top + 1, width)[dego - 1]",
+        [HARD_SCALARS]),
+    "identity-cancelled-tops-read-without-degree-guard": (
+        EXACT,
+        "lead == (0, 0) and dego <= top",
+        "lead == (0, 0)",
+        [CLEARED_IDENTITY]),
+    "identity-width-without-n-times-g-o": (
         EXACT,
         """_width(_packed_bound(w_terms)
-                   + (abs(c[0]) + abs(c[1]) if c else 1) * _packed_bound(o_terms))""",
+                   + (abs(nr) + abs(ni) or 1) * _packed_bound(o_terms))""",
         "_width(_packed_bound(w_terms))",
         [PACKED_COMPARISON]),
     "identity-comparison-real-parts-only": (
         EXACT,
-        "w == _gauss_mul(c, g_o)",
-        "w[0] == _gauss_mul(c, g_o)[0]",
+        "w == _gauss_mul((nr, ni), g_o)",
+        "w[0] == _gauss_mul((nr, ni), g_o)[0]",
         [PACKED_COMPARISON]),
-    # a floor quotient 0 would size the width for W' alone
-    "identity-c-by-floor-division": (
+    "identity-comparison-without-n-nonzero": (
         EXACT,
-        "if (lr or li) and not (lr % do or li % do) else None",
-        "if lr or li else None",
-        [PACKED_COMPARISON]),
+        "if (nr or ni) and w ==",
+        "if w ==",
+        [CLEARED_IDENTITY, PACKED_COMPARISON]),
     "identity-collapse-accepted": (
         EXACT,
         "        return None, None\n",
         "        return None\n",
         [CLEARED_IDENTITY, PACKED_COMPARISON]),
-    "identity-without-trailing-zero-strip": (
-        EXACT,
-        "    while w and w[-1] == (0, 0):\n        w.pop()\n",
-        "",
-        [DIGIT_PATH]),
     # each fault step of verify, (i) to (vii)
     "verify-equal-factors-not-raised": (
         BELYI,

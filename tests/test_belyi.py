@@ -740,9 +740,9 @@ def test_identity_packs_w_with_coprime_scalars(packed_terms, name):
 
 def test_identity_unpacks_w_at_the_reduced_width(packed_terms, widths):
     """On the d72 h9 conjugate W' and G_O are packed at one width, the one
-    bound_W + ||c||_1 * bound_O proves, at least 100 bits narrower than the
-    bound on W; W'(2^B) = c*G_O(2^B) for c in Z[i] accepts it, so nothing
-    is unpacked."""
+    m*bound_W + ||n||_1 * bound_O proves with m = 1, at least 100 bits
+    narrower than the bound on W; W'(2^B) = n*G_O(2^B) accepts it, so
+    nothing is unpacked."""
     CASES["d72/h9"].verify()
     (w, width, w_value), (o, o_width, o_value) = packed_terms
     d, (cr,), (ci,) = exact._cleared((GaussRat.of(*w_value) / GaussRat.of(*o_value),))
@@ -753,12 +753,12 @@ def test_identity_unpacks_w_at_the_reduced_width(packed_terms, widths):
     assert packed_width_bits(unreduced) - 8 * width >= 100
 
 
-# true identities that the one packed comparison cannot decide, so they
-# are accepted digit by digit: the tops of k*Z and Q cancel (k = 1,
-# deg Z = deg Q, infinity on the one side), so lead(W') is not the
-# predicted L = 0; or L/D_O is not in Z[i], because the one factor's
-# cleared form 2z + 1 + i is not primitive over Z[i]
-DIGIT_PATH = {
+# true identities whose scalar n/m is not L itself, each decided by the one
+# packed comparison: the tops of k*Z and Q cancel (k = 1, deg Z = deg Q,
+# infinity on the one side), so L = 0 and n/m is read from W''s z^deg O
+# digit; or m = 2, because the one factor's cleared form 2z + 1 + i is not
+# primitive over Z[i]
+HARD_SCALARS = {
     # (z - 1 - i)^2 / (z - 1 + i)^2 - 1 = -4i(z - 1) / (z - 1 + i)^2
     "tops-cancel": ("belyi v1\nk 1\ninfinity one 1\nzero 2 -1,-1 1\n"
                     "pole 2 -1,1 1\none 1 -1 1\n", "(2^1 | 1^2 | 2^1)"),
@@ -770,19 +770,30 @@ DIGIT_PATH = {
 }
 
 
-@pytest.mark.parametrize("name", list(DIGIT_PATH))
-def test_identities_the_comparison_cannot_decide_are_unpacked(widths, name):
-    text, passport = DIGIT_PATH[name]
+@pytest.mark.parametrize("name", list(HARD_SCALARS))
+def test_the_comparison_decides_hard_scalars(packed_terms, widths, name):
+    """A scalar outside Z[i] is accepted with no digit unpacked; cancelled
+    tops unpack W' once, its real and imaginary parts at W''s own width,
+    to read n/m."""
+    text, passport = HARD_SCALARS[name]
     beta = FactoredBelyi.from_text(text)
-    assert str(beta.verify()) == passport and widths
+    assert str(beta.verify()) == passport
+    if name == "tops-cancel":
+        w, width, _ = packed_terms[0]
+        assert widths == [8 * width] * 2 and 8 * width == packed_width_bits(w)
+    else:
+        assert widths == []
     assert assert_agrees(beta) == beta.verify()
 
 
-# false documents and one collapse, each of which a weaker packed
-# comparison would get wrong: z - 1 against z - 1 + i agrees on the real
-# parts at 2^B; against z + 10^40, with c = 1 and with c = 1/2 (not in
-# Z[i]), the width must hold G_O's digits too, not only W''s; and
-# z^2 - 1 = (z - 1)(z + 1) makes W' zero, L = 0, with no two factors equal
+# false documents and collapses, each of which a weaker packed comparison
+# would get wrong: z - 1 against z - 1 + i agrees on the real parts at 2^B;
+# against z + 10^40, with n/m = 1 and with m = 2, the width must hold
+# G_O's digits too, not only W''s; z^2 - 1 = (z - 1)(z + 1) makes W' zero,
+# L = 0, with no two factors equal.  The one-tagged documents have k = 1
+# and deg Z = deg Q, so L = 0 and n/m comes from W''s z^deg O digit: that
+# digit is not lead(W') when deg W' > deg O, and it is 0 when
+# deg W' < deg O, or when W' collapses
 FALSE_IDENTITIES = {
     "imaginary-part": ("belyi v1\nk 1\ninfinity pole 1\nzero 1 0 1\none 1 -1,1 1\n",
                        "does not factor as declared: got z - 1, declared z + (-1+1i)"),
@@ -793,6 +804,18 @@ FALSE_IDENTITIES = {
         f"does not factor as declared: got z - 1, declared z + {2 * 10 ** 40 + 1}/2"),
     "collapsed-distinct": ("belyi v1\nk 1\nzero 1 -1 0 1\npole 1 -1 1\npole 1 1 1\n"
                            "one 1 5 1\none 1 7 1\n", "collapsed to zero"),
+    # z(z - 1)(z - 2) - (z + 1)^3 = -6z^2 - z - 1
+    "tops-cancel/deg-W-above-O": (
+        "belyi v1\nk 1\ninfinity one 2\nzero 1 0 1\nzero 1 -1 1\nzero 1 -2 1\n"
+        "pole 3 1 1\none 1 -5 1\n",
+        "does not factor as declared: got z^2 + 1/6*z + 1/6, declared z - 5"),
+    # z(z - 1)(z - 2) - (z^3 - 3z^2 + 5z - 7) = -3z + 7
+    "tops-cancel/deg-W-below-O": (
+        "belyi v1\nk 1\ninfinity one 1\nzero 1 0 1\nzero 1 -1 1\nzero 1 -2 1\n"
+        "pole 1 -7 5 -3 1\none 1 1 0 1\n",
+        "does not factor as declared: got z - 7/3, declared z^2 + 1"),
+    "tops-cancel/collapsed": ("belyi v1\nk 1\ninfinity one 1\nzero 1 -1 0 1\n"
+                              "pole 1 -1 1\npole 1 1 1\none 1 5 1\n", "collapsed to zero"),
 }
 
 

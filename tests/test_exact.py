@@ -628,14 +628,21 @@ def test_cleared_identity_names_the_monic_sides_only_on_failure():
     ones = ((z - one * 3, 1), (z + one.scale(h), 1))
 
     identity = exact._cleared_identity
-    assert identity(k, zeros, poles, ones) is None
-    assert identity(GaussRat.of(1), zeros, zeros, ones) == (None, None)
+    assert identity(k, zeros, ones, poles) is None
+    assert identity(GaussRat.of(1), zeros, ones, zeros) == (None, None)
     wrong = ((z - one * 3, 1), (z + one * 2, 1))
-    sides = identity(k, zeros, poles, wrong)
+    sides = identity(k, zeros, wrong, poles)
     assert sides == (one_side, (z - one * 3) * (z + one * 2))
     # each side holds the canonical cleared form of its coefficients
     for side in sides:
         assert exact._form_of(side) == exact._cleared(side.coeffs)
+    # the tops of k*Z and Q cancel (L = 0): n/m is read from W''s z^deg O
+    # digit, and only when deg O <= max(deg Z, deg Q), for W' has no digit
+    # above that
+    zeros, poles = ((z, 1),), ((z + one, 1),)  # W' = z - (z + 1) = -1
+    assert identity(GaussRat.of(1), zeros, (), poles) is None
+    assert identity(GaussRat.of(1), zeros, ((z * z + one, 1),), poles) == (
+        one, z * z + one)
 
 
 def test_squarefree_decomposition():
