@@ -260,9 +260,9 @@ class FactoredBelyi(_Record, frozen=True):
         """
         if n < 1:
             raise ValueError("power substitution needs n >= 1")
-        return self._pull_back(n, lambda f: UniPoly(f).substitute_power(n))
+        return self._pull_back(lambda f: UniPoly(f).substitute_power(n))
 
-    def _pull_back(self, m: int, pull) -> "FactoredBelyi":
+    def _pull_back(self, pull) -> "FactoredBelyi":
         """beta(r(z)) factor by factor, for a map r of degree m whose only
         critical values are 0 and infinity (z -> z^n, or a Moebius map
         with m = 1), without multiplying the factors out.
@@ -271,17 +271,25 @@ class FactoredBelyi(_Record, frozen=True):
         joins its side as the form y, coefficients (1, 0), with the
         infinity order as its exponent.  pull(f) is the polynomial h of
         the pull-back of f by r, of degree m*deg f unless r sends infinity
-        to a root of f: then f's side takes infinity, with e times the lost
-        degree as its order, and no loss anywhere leaves infinity
-        untagged.  A root of h at 0, of order j, becomes the factor z with
-        exponent e*j, and the rest of h becomes monic with exponent e; its
-        roots are the r-preimages of f's roots away from 0, so the factors
-        stay squarefree and coprime.  k takes lead(h)^e on the zero side
-        and 1/lead(h)^e on the pole side.  Factors sharing an exponent are
-        then merged, so the result is what from_ratmap returns for the
+        to a root of f.  A root of h at 0, of order j, becomes the factor z
+        with exponent e*j, and the rest of h becomes monic with exponent e;
+        its roots are the r-preimages of f's roots away from 0, so the
+        factors stay squarefree and coprime.  k takes lead(h)^e on the zero
+        side and 1/lead(h)^e on the pole side.  Factors sharing an exponent
+        are then merged, so the result is what from_ratmap returns for the
         substituted map.
+
+        Infinity is placed as from_ratmap places it, by the sums of e*deg f
+        over each side (_infinity_from_degrees).  In a balanced input every
+        side sums to n, counting y on the tagged side, so side s of the
+        result sums to m*n minus e times the degree lost by each of its
+        forms.  The factors are pairwise coprime, so at most one form
+        vanishes at r(infinity); under z -> z^n that form is y alone, since
+        a monic factor does not vanish at infinity.  Exactly that side falls
+        short, by e times the lost degree, which is its order at infinity;
+        no loss leaves infinity untagged.
         """
-        k, side, order = self.k, "none", 0
+        k = self.k
         sides = []
         for name, factors in self._sides():
             forms = [(f.coeffs, e) for f, e in factors]
@@ -290,9 +298,6 @@ class FactoredBelyi(_Record, frozen=True):
             out = []
             for f, e in forms:
                 h = pull(f)
-                lost = m * (len(f) - 1) - h.degree
-                if lost:
-                    side, order = name, e * lost
                 j = next(i for i, c in enumerate(h.coeffs) if c)
                 if j:
                     out.append((UniPoly.x(), e * j))
@@ -303,7 +308,8 @@ class FactoredBelyi(_Record, frozen=True):
                 if h.degree > 0:
                     out.append((h.monic(), e))
             sides.append(merge_by_exponent(out))
-        return FactoredBelyi(k, *sides, side, order)
+        return FactoredBelyi(k, *sides, *_infinity_from_degrees(
+            *(sum(e * f.degree for f, e in side) for side in sides)))
 
     def to_ratmap(self) -> RationalMap:
         return RationalMap(self.k, _product(self.zero_factors),
@@ -535,7 +541,9 @@ def _infinity_from_degrees(dn: int, dw: int, dd: int) -> tuple[str, int]:
     """Critical class and order of infinity for beta = k*Z/Q with
     deg Z = dn, deg(k*Z - Q) = dw and deg Q = dd: the side whose degree is
     below n = max(dn, dd) takes infinity, with order n minus that degree
-    (at most one is below: dw < n needs dn = dd and k = 1)."""
+    (at most one is below: dw < n needs dn = dd and k = 1).  The one rule
+    that places infinity: from_ratmap passes the degrees of its three
+    polynomials, and _pull_back the sums of e*deg f over its three sides."""
     n = max(dn, dd)
     for side, degree in zip(SIDES, (dn, dw, dd)):
         if degree < n:

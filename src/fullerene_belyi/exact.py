@@ -159,12 +159,10 @@ class GaussRat:
 
     def __init__(self, re: int | Fraction, im: int | Fraction):
         r, s = _rational(re), _rational(im)  # TypeError for a non-rational
-        d = r._d * s._d // math.gcd(r._d, s._d)
-        a, b = r._a * (d // r._d), s._a * (d // s._d)
-        g = math.gcd(a, b, d)
-        _set_a(self, a // g)
-        _set_b(self, b // g)
-        _set_d(self, d // g)
+        z = _gauss(r._a * s._d, s._a * r._d, r._d * s._d)
+        _set_a(self, z._a)
+        _set_b(self, z._b)
+        _set_d(self, z._d)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussRat is immutable")
@@ -281,8 +279,7 @@ class GaussRat:
         digits, and optionally "/" and ASCII digits.  Anything else, a zero
         denominator included, raises ValueError."""
         (a, b), (c, e) = _token_ratios(token)
-        d = b * e // math.gcd(b, e)
-        return _gauss(a * (d // b), c * (d // e), d)
+        return _gauss(a * e, c * b, b * e)
 
 
 # the slot setters, which skip the refusing __setattr__ (the hot path)
@@ -902,12 +899,7 @@ class UniPoly:
                 continue
             mono = "z" if i == 1 else (f"z^{i}" if i else "")
             parts.append(_scalar_term(c, mono) if scalar else _family_term(c, mono))
-        if not scalar:
-            return " + ".join(parts)
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return joined
+        return _signed_sum(parts) if scalar else " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
@@ -960,6 +952,15 @@ def first_equal_pair(polys: Sequence[UniPoly]) -> tuple[int, int] | None:
         if i != j:
             return i, j
     return None
+
+
+def _signed_sum(parts: Sequence[str]) -> str:
+    """The terms joined into a sum, a term's leading "-" read as " - "
+    (UniPoly and MultiPoly print by it)."""
+    joined = parts[0]
+    for p in parts[1:]:
+        joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return joined
 
 
 def _scalar_term(c: GaussRat, mono: str) -> str:

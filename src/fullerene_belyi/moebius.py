@@ -157,7 +157,7 @@ def factored_compose_moebius(beta: FactoredBelyi, m: Moebius) -> FactoredBelyi:
     side and exponent pass to infinity; y pulls back to cz + d, the point
     -d/c, or to the constant d when c = 0.
     """
-    return beta._pull_back(1, lambda f: _homogenized_substitution(f, m))
+    return beta._pull_back(lambda f: _homogenized_substitution(f, m))
 
 
 # ---------------------------------------------------------------------------

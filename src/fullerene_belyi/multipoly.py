@@ -42,9 +42,24 @@ from math import gcd, lcm
 from operator import add
 
 from .exact import (ONE, ZERO, GaussRat, UniPoly, _gauss, _rational, _rational_text, _Record,
-                    binary_power)
+                    _signed_sum, binary_power)
 
 Expo = tuple[int, ...]
+
+
+def _multiply_into(out: dict[Expo, int], m: int, a: dict[Expo, int],
+                   b: dict[Expo, int]) -> None:
+    """out += m*a*b over integer term dicts, dropping the terms that
+    cancel: the one product loop of MultiPoly."""
+    for ea, ca in a.items():
+        ca *= m
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
 
 
 class MultiPoly:
@@ -200,14 +215,7 @@ class MultiPoly:
             return self.scale(other)
         self._check(other)
         out: dict[Expo, int] = {}
-        for ea, ca in self._num.items():
-            for eb, cb in other._num.items():
-                expo = tuple(map(add, ea, eb))
-                s = out.get(expo, 0) + ca * cb
-                if s:
-                    out[expo] = s
-                else:
-                    del out[expo]
+        _multiply_into(out, 1, self._num, other._num)
         return MultiPoly._reduced(self.vars, out, self._den * other._den)
 
     def __rmul__(self, other) -> "MultiPoly":
@@ -273,16 +281,7 @@ class MultiPoly:
         den = lcm(*(f._den for f in factors))
         out: dict[Expo, int] = {}
         for part, factor in zip(groups.values(), factors):
-            m = den // factor._den
-            for ea, ca in part.items():
-                ca *= m
-                for eb, cb in factor._num.items():
-                    e = tuple(map(add, ea, eb))
-                    s = out.get(e, 0) + ca * cb
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
+            _multiply_into(out, den // factor._den, part, factor._num)
         return MultiPoly._reduced(vs, out, self._den * den)
 
     def _at(self, values: Mapping[str, GaussRat]) -> GaussRat:
@@ -324,10 +323,7 @@ class MultiPoly:
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"{_rational_text(c, d)}*{mono}")
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return joined
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"

@@ -16,11 +16,12 @@ even pairs, the change in odd ones.
 
 The file keeps, per side and workload, every run's command, host fields
 and result line, and per workload its pairs, each metric's median,
-quartiles (inclusive method), min and max on both sides, and the number
-of pairs the change wins (lower is better, but for ops_per_s).  Running
-it again for another workload adds that workload to the same file.
+quartiles (inclusive method), min and max on both sides, the number of
+pairs the change wins (lower is better, but for ops_per_s), and the
+run's --description.  Running it again for another workload adds that
+workload to the same file; the top-level description is the first run's.
 pytest does not collect this file; tests/test_bench_pairs.py checks its
-arithmetic.
+arithmetic and its update of the document (record_workload).
 """
 
 from __future__ import annotations
@@ -73,6 +74,21 @@ def claim(summary: dict, metric: str) -> dict:
             "relative": gap / parent["median"],
             "parent_iqr": parent["q3"] - parent["q1"],
             "gap_exceeds_iqr": abs(gap) > parent["q3"] - parent["q1"]}
+
+
+def record_workload(doc: dict, workload: str, description: str | None,
+                    runs: dict[str, list], block: dict) -> dict:
+    """Add one workload's runs and its <workload>_pairs block to a BENCH
+    document.  The run's description goes into its own block; the
+    top-level description is set only when the document is new, so a
+    later run for another workload keeps every earlier text."""
+    text = description or ""
+    doc.setdefault("description", text)
+    for side, side_runs in runs.items():
+        doc.setdefault("runs", {}).setdefault(side, {})[workload] = side_runs
+    doc[f"{workload}_pairs"] = {"description": text, **block}
+    doc.setdefault("notes", [])
+    return doc
 
 
 def checkout_parent(rev: str, into: Path) -> None:
@@ -149,9 +165,6 @@ def main(argv: list[str] | None = None) -> int:
                  for side in runs.values() for r in side)
     summary = summarize(pairs)
     p50 = claim(summary, "latency_p50_s")
-    doc.setdefault("description", args.description or "")
-    if args.description:
-        doc["description"] = args.description
     doc["host_note"] = (
         f"Python {sys.version.split()[0]}; perfbench pins each run to one CPU and scales "
         "timings by its host.ref_loop_s gauge. The parent side is a git archive of "
@@ -161,9 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         "own seed, and the side that ran first alternated, parent first in even pairs "
         "(counting from 0). Other tenants of the host were not controlled; each run's "
         "loadavg_start is in its host fields. Written by tests/bench_pairs.py.")
-    for side in runs:
-        doc.setdefault("runs", {}).setdefault(side, {})[args.workload] = runs[side]
-    doc[f"{args.workload}_pairs"] = {
+    record_workload(doc, args.workload, args.description, runs, {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
         "note": (f"{args.pairs} parent/change pairs, seeds {args.first_seed}-"
@@ -175,8 +186,7 @@ def main(argv: list[str] | None = None) -> int:
                  f"{p50['parent_iqr'] * 1e3:.2f} ms."),
         **summary,
         "pairs": pairs,
-    }
-    doc.setdefault("notes", [])
+    })
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
     print(doc[f"{args.workload}_pairs"]["note"])
     return 0

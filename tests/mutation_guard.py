@@ -81,6 +81,28 @@ MUTANTS = {
         "a1 * b2 + b1 * a2",
         "a1 * b2 - b1 * a2",
         [GAUSS_REFERENCE]),
+    # two rational parts make one triple, over the product of their
+    # denominators, in the constructor and in the token parser
+    "gaussrat-init-imaginary-over-its-own-denominator": (
+        EXACT,
+        "s._a * r._d",
+        "s._a * s._d",
+        [GAUSS_REFERENCE]),
+    "gaussrat-from-token-imaginary-over-its-own-denominator": (
+        EXACT,
+        "c * b",
+        "c * e",
+        [GRAMMAR, GAUSS_REFERENCE]),
+    "signed-sum-keeps-the-sign": (
+        EXACT,
+        "p[1:]",
+        "p",
+        ["tests/test_golden.py"]),
+    "multipoly-product-without-m": (
+        "fullerene_belyi/multipoly.py",
+        "        ca *= m\n",
+        "",
+        ["tests/test_multipoly.py"]),
     "gaussrat-inverse-without-conjugate": (
         EXACT,
         "_gauss(d * a, -d * b, n)",
@@ -124,10 +146,10 @@ MUTANTS = {
         'bytes(width - 1) + b"\\x80"',
         'bytes(width - 1) + b"\\x40"',
         ["tests/test_exact.py::test_packed_sum_powers_at_the_borrow_boundary"]),
-    "pull-back-lost-order-without-exponent": (
+    "pull-back-side-degrees-without-exponents": (
         BELYI,
-        "side, order = name, e * lost",
-        "side, order = name, lost",
+        "sum(e * f.degree for f, e in side)",
+        "sum(f.degree for f, e in side)",
         ["tests/test_compose.py::test_substitute_power_matches_from_ratmap"]),
     "infinity-from-degrees-one-more": (
         BELYI,

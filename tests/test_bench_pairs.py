@@ -2,7 +2,7 @@
 
 import pytest
 
-from bench_pairs import change_wins, claim, spread, summarize
+from bench_pairs import change_wins, claim, record_workload, spread, summarize
 
 
 def pair(parent_p50, change_p50, parent_ops=10.0, change_ops=11.0):
@@ -39,3 +39,21 @@ def test_claim_compares_the_median_gap_with_the_parents_spread():
     # a gap inside the parent's interquartile spread is not enough
     assert not claim(summarize([pair(p, p - 0.001) for p in parent]),
                      "latency_p50_s")["gap_exceeds_iqr"]
+
+
+def test_each_workload_keeps_its_own_description():
+    doc = {}
+    for workload, text in (("certify", "certify (no gain claimed)"),
+                           ("proof", "proof (no gain claimed)")):
+        runs = {"parent": [f"{workload} parent run"], "change": [f"{workload} change run"]}
+        record_workload(doc, workload, text, runs, {"pairs": []})
+    assert doc["certify_pairs"]["description"] == "certify (no gain claimed)"
+    assert doc["proof_pairs"]["description"] == "proof (no gain claimed)"
+    # the top-level description is the one the document was created with
+    assert doc["description"] == "certify (no gain claimed)"
+    assert doc["runs"]["parent"] == {"certify": ["certify parent run"],
+                                     "proof": ["proof parent run"]}
+    # a file read back keeps its description when a run gives none
+    record_workload(doc, "build", None, {"parent": [], "change": []}, {"pairs": []})
+    assert doc["description"] == "certify (no gain claimed)"
+    assert doc["build_pairs"]["description"] == ""

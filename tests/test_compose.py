@@ -400,6 +400,20 @@ def test_factored_moebius_moves_infinity_tags():
     assert flipped.k == GaussRat.of(Fraction(-1, 1728))
 
 
+def test_pull_back_places_infinity_by_side_degrees():
+    # d6 with its pole tag dropped does not balance: its pole side sums to
+    # 1.  A pull-back places infinity by the side sums, as from_ratmap
+    # does, so the side that falls short takes it and the result is Belyi
+    untagged = replace_fields(cli.load_preset("d6"), infinity_side="none",
+                              infinity_order=0)
+    lifted = untagged.substitute_power(2)
+    assert (lifted.infinity_side, lifted.infinity_order) == ("pole", 10)
+    assert str(lifted.verify()) == "(3^4 | 2^4 1^4 | 10^1 2^1)"
+    shifted = factored_compose_moebius(untagged, Moebius.of(1, 1, 0, 1))
+    assert (shifted.infinity_side, shifted.infinity_order) == ("pole", 5)
+    assert str(shifted.verify()) == "(3^2 | 2^2 1^2 | 5^1 1^1)"
+
+
 @pytest.fixture
 def cold_calls(monkeypatch):
     """Runs a command as a fresh process would, every cache of the package
