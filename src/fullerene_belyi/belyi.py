@@ -16,10 +16,9 @@ here comes from a known spherical graph.
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd
 
 from .exact import (ONE, ZERO, GaussRat, RationalMap, UniPoly, _cleared_identity,
-                    _form_of, _natural, _quote, _Record, binary_power, coprime,
+                    _natural, _quote, _Record, _show, binary_power, coprime,
                     first_equal_pair, is_squarefree, squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
@@ -139,32 +138,9 @@ def counting(p6: int) -> tuple[int, int, int]:
     return unknowns, equations, unknowns - equations
 
 
-# a message shows a polynomial of at most this many characters, and an
-# integer of at most this many bits; longer ones it names by their size
-_SHOWN_CHARS = 200
+# a message shows an integer of at most this many bits; a longer one it
+# names by its size (exact._show does the same for a polynomial)
 _SHOWN_BITS = 200
-
-
-def _show(f: UniPoly) -> str:
-    """f as a message shows it: str(f) when that is at most _SHOWN_CHARS
-    characters, else its degree and the largest bit length of a numerator
-    or denominator of its coefficients.  str(f) prints every such integer
-    above 1, and a b-bit one with at least (b-1)*0.301 + 1 digits; when
-    those digits alone exceed _SHOWN_CHARS, so does str(f), and f is named
-    without converting a long integer to decimal.  The sizes are read from
-    f's cleared form (d, re, im), one gcd per nonzero part x/d, so f's
-    coefficients are built only for the text."""
-    d, re, im = _form_of(f)
-    bits = []
-    for x in re + im:
-        if x:
-            g = gcd(x, d)
-            bits += (x // g).bit_length(), (d // g).bit_length()
-    if sum((b - 1) * 301 // 1000 + 1 for b in bits if b > 1) <= _SHOWN_CHARS:
-        text = str(f)
-        if len(text) <= _SHOWN_CHARS:
-            return text
-    return f"<degree {f.degree} polynomial, coefficients up to {max(bits)} bits>"
 
 
 def _show_int(n: int) -> str:

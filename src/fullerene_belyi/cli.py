@@ -38,6 +38,8 @@ from .derive import Verdict, d6_solve, derive_case
 # FaceGeometryReport of the SVG annotations is geometry's (annotations are
 # not evaluated)
 
+# the one list of preset names: the first is solved (d6_solve), every
+# other one built by composition, so compose takes PRESETS[1:]
 PRESETS = ("d6", "d12", "d60", "d72")
 
 
@@ -47,16 +49,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def load_preset(name: str) -> FactoredBelyi:
-    if name == "d6":
+    """The preset of this name: the first solved by d6_solve, each other
+    one "d<n>" built by composition (moebius.build_beta<n>)."""
+    if name not in PRESETS:
+        raise KeyError(name)
+    if name == PRESETS[0]:
         return d6_solve().belyi
-    from .moebius import build_beta12, build_beta60, build_beta72
-    if name == "d12":
-        return build_beta12()
-    if name == "d60":
-        return build_beta60()
-    if name == "d72":
-        return build_beta72()
-    raise KeyError(name)
+    from . import moebius
+    return getattr(moebius, f"build_beta{name[1:]}")()
 
 
 def _round_floats(obj):
@@ -71,6 +71,8 @@ def _round_floats(obj):
 
 
 def _factors_str(factors) -> str:
+    """A side's [text, exponent] pairs, as the verify document holds them,
+    as one product."""
     if not factors:
         return "1"
     return " * ".join(f"({f})^{e}" if e != 1 else f"({f})" for f, e in factors)
@@ -147,23 +149,22 @@ def cmd_verify(target: str):
         "source": source,
         "degree": beta.degree,
         "k": beta.k.to_token(),
-        "zeros": [[str(f), e] for f, e in beta.zero_factors],
-        "ones": [[str(f), e] for f, e in beta.one_factors],
-        "poles": [[str(f), e] for f, e in beta.pole_factors],
+        **{f"{side}s": [[str(f), e] for f, e in factors]
+           for side, factors in beta._sides()},
         "infinity": [beta.infinity_side, beta.infinity_order],
         "passport": str(passport),
         "checks": {"identity": "ok", "squarefree_coprime": "ok",
                    "degree_balance": "ok"},
     }
+    side, order = doc["infinity"]
     lines = [
-        f"{source}: degree {beta.degree}, k = {beta.k}",
-        f"zeros: {_factors_str(beta.zero_factors)}",
-        f"ones:  {_factors_str(beta.one_factors)}",
-        f"poles: {_factors_str(beta.pole_factors)}"
-        + (f" ; infinity {beta.infinity_side}^{beta.infinity_order}"
-           if beta.infinity_side != "none" else ""),
+        f"{source}: degree {doc['degree']}, k = {beta.k}",
+        f"zeros: {_factors_str(doc['zeros'])}",
+        f"ones:  {_factors_str(doc['ones'])}",
+        f"poles: {_factors_str(doc['poles'])}"
+        + (f" ; infinity {side}^{order}" if side != "none" else ""),
         "identity, squarefreeness, coprimality, degree balance: ok",
-        f"passport: {passport}",
+        f"passport: {doc['passport']}",
     ]
     return doc, lines
 
@@ -171,28 +172,28 @@ def cmd_verify(target: str):
 def cmd_derive(s: int):
     report = derive_case(s)
     doc = {"command": "derive", **report.to_report()}
+    degrees = doc["degrees"]
     lines = [
-        f"s = {s}: n = {report.n} edges, required degrees "
-        f"V:{report.vertex_degree} M:{report.midpoint_degree} "
-        f"P:{report.face_degree}",
-        f"verdict: {report.verdict.value}",
+        f"s = {s}: n = {doc['edges']} edges, required degrees "
+        f"V:{degrees['V']} M:{degrees['M']} P:{degrees['P']}",
+        f"verdict: {doc['verdict']}",
     ]
     if report.verdict is Verdict.NO_SOLUTION_LEADING_COEFF:
         lines.append(
-            f"ODE top coefficient (s-6)(s-5)(s+5)(s+6) = {report.leading_coeff}"
+            f"ODE top coefficient (s-6)(s-5)(s+5)(s+6) = {doc['ode_leading_coeff']}"
             " != 0: no monic P solves the ODE")
     if report.verdict is Verdict.SOLVED:
-        lines += [f"P = {report.P}", f"V = {report.V}", f"M = {report.M}",
-                  f"k = {report.k}  (V^3 = M^2 + k*P^5)"]
+        lines += [f"{name} = {doc[name]}" for name in "PVM"]
+        lines.append(f"k = {doc['k']}  (V^3 = M^2 + k*P^5)")
     if report.family:
-        lines.append(f"family in free variables {', '.join(report.free_vars)}:")
-        lines += [f"  {name} = {expr}" for name, expr in report.family.items()]
-        lines.append(f"k = {report.k}")
+        lines.append(f"family in free variables {', '.join(doc['free_variables'])}:")
+        lines += [f"  {name} = {expr}" for name, expr in doc["family"].items()]
+        lines.append(f"k = {doc['k']}")
     if report.trace is not None:
         lines.append("elimination steps:")
-        lines += [f"  z^{st.label}: {st.variable} = {st.substitution}"
-                  for st in report.trace.steps]
-    lines += list(report.notes)
+        lines += [f"  z^{st['z_degree']}: {st['variable']} = {st['substitution']}"
+                  for st in doc["trace"]["steps"]]
+    lines += doc["notes"]
     if report.verdict is not Verdict.SOLVED:
         lines.append(
             "no dessin with one face of degree s among pentagons exists for "
@@ -228,7 +229,7 @@ def cmd_compose(what: str, write_path: str | None = None):
             "degree-60 function after z -> -z equals phi20^3/(1728 phi12^5): ok",
         ]
         return doc, lines
-    if what not in ("d12", "d60", "d72"):
+    if what not in PRESETS[1:]:
         raise KeyError(what)
     beta = load_preset(what)
     passport = beta.verify()
@@ -414,12 +415,12 @@ COMMANDS = {
     "passport": ("branching passport of the fullerene", ("p6", int, None),
                  None, lambda a: cmd_passport(a.p6)),
     "verify": ("certify a factored Belyi function",
-               ("target", None, "preset name (d6, d12, d60, d72) or file path"),
+               ("target", None, f"preset name ({', '.join(PRESETS)}) or file path"),
                None, lambda a: cmd_verify(a.target)),
     "derive": ("one-big-face derivation for face degree s", ("s", int, None),
                None, lambda a: cmd_derive(a.s)),
     "compose": ("build a composed preset or check Schwarz",
-                ("target", ("d12", "d60", "d72", "schwarz"), None),
+                ("target", (*PRESETS[1:], "schwarz"), None),
                 ("--write", "PATH", "also write the factored form to a belyi v1 file"),
                 lambda a: cmd_compose(a.target, a.write)),
     "geometry": ("metric report of the barrel pentagon", ("target", ("barrel",), None),

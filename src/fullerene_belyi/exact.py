@@ -354,6 +354,33 @@ def _quote(value) -> str:
     return f"{text[:_QUOTED_CHARS]}... ({len(text)} characters)"
 
 
+# a message shows a polynomial of at most this many characters; a longer
+# one it names by its size
+_SHOWN_CHARS = 200
+
+
+def _show(f: UniPoly) -> str:
+    """f as a message shows it: str(f) when that is at most _SHOWN_CHARS
+    characters, else its degree and the largest bit length of a numerator
+    or denominator of its coefficients.  str(f) prints every such integer
+    above 1, and a b-bit one with at least (b-1)*0.301 + 1 digits; when
+    those digits alone exceed _SHOWN_CHARS, so does str(f), and f is named
+    without converting a long integer to decimal.  The sizes are read from
+    f's cleared form (d, re, im), one gcd per nonzero part x/d, so f's
+    coefficients are built only for the text."""
+    d, re, im = _form_of(f)
+    bits = []
+    for x in re + im:
+        if x:
+            g = math.gcd(x, d)
+            bits += (x // g).bit_length(), (d // g).bit_length()
+    if sum((b - 1) * 301 // 1000 + 1 for b in bits if b > 1) <= _SHOWN_CHARS:
+        text = str(f)
+        if len(text) <= _SHOWN_CHARS:
+            return text
+    return f"<degree {f.degree} polynomial, coefficients up to {max(bits)} bits>"
+
+
 def _int_string_limit() -> int:
     """Python's limit on the digits of an int parsed from a string; 0 when
     there is none.  The limit came in 3.11 and 3.10.7; 0, as before it,
@@ -536,7 +563,7 @@ def _cleared_identity(k: GaussRat, zeros, ones, poles
     before it only to read n/m when the tops cancel (L = 0), and after it
     only for a message.  Only a failing check builds a UniPoly, and it
     holds only its cleared form (_lazy_poly): a message that names a long
-    side by its size (belyi._show) builds none of its coefficients."""
+    side by its size (_show) builds none of its coefficients."""
     dk, (kr,), (ki,) = _cleared((k,))
     sides = [([((re, im), e) for (_, re, im), e in forms],
               math.prod(d ** e for (d, _, _), e in forms),

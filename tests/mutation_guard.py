@@ -4,15 +4,16 @@ A mutant is a file under src/, a snippet that must occur in it exactly
 once, its replacement, and the tests that must catch it.  For each mutant
 the script copies src/ to a temporary directory, applies the mutant there
 and runs `python -m pytest -x -q <selection>` with PYTHONPATH pointing at
-the copy.  First it runs every selection on an unmutated copy, which must
-pass.  Run it from anywhere:
+the copy.  First it runs the selections of the mutants it will apply on
+an unmutated copy, which must pass.  Run it from anywhere:
 
-    python tests/mutation_guard.py
+    python tests/mutation_guard.py              # every mutant, as CI does
+    python tests/mutation_guard.py NAME...      # only the named mutants
 
 It prints one line per mutant and exits 1 when a mutant survives, when
 a snippet does not occur exactly once (a refactor moved it: update the
-entry, do not drop it), or when a selection does not pass unmutated.
-pytest does not collect this file.
+entry, do not drop it), or when a selection does not pass unmutated; it
+exits 2 on a name that is not listed.  pytest does not collect this file.
 
 Left out, as an equivalent mutant: _reduce_mod_p with _R replaced by -_R.
 -r is the other square root of -1 modulo _P, so (p, i + r) is the
@@ -29,7 +30,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BELYI = "fullerene_belyi/belyi.py"
+DERIVE = "fullerene_belyi/derive.py"
 EXACT = "fullerene_belyi/exact.py"
+MULTIPOLY = "fullerene_belyi/multipoly.py"
 GUARDS = "tests/test_belyi.py::test_a_true_identity_on_n_plus_2_points_needs_every_guard"
 GAUSS_REFERENCE = "tests/test_exact.py::test_gaussrat_agrees_with_the_fraction_pair_reference"
 GRAMMAR = "tests/test_exact.py::test_gaussrat_rejects_tokens_outside_the_grammar_at_once"
@@ -59,7 +62,7 @@ MUTANTS = {
         "if points >= n + 2 and",
         ["tests/test_belyi.py::test_verify_refuses_more_than_n_plus_2_points"]),
     "divide-by-one-power-less": (
-        "fullerene_belyi/multipoly.py",
+        MULTIPOLY,
         "expo[:i] + (expo[i] - m,) + expo[i + 1:]: c",
         "expo[:i] + (expo[i] - m + 1,) + expo[i + 1:]: c",
         ["tests/test_multipoly.py::test_divide_out_least_power_of_the_declared_unknown"]),
@@ -99,7 +102,7 @@ MUTANTS = {
         "p",
         ["tests/test_golden.py"]),
     "multipoly-product-without-m": (
-        "fullerene_belyi/multipoly.py",
+        MULTIPOLY,
         "        ca *= m\n",
         "",
         ["tests/test_multipoly.py"]),
@@ -254,6 +257,30 @@ MUTANTS = {
                               "degree at least 1")""",
         "        return Passport.of(*fibres)",
         [FAULT_STEPS]),
+    # the exact fallback decides what the one prime leaves open
+    "coprime-without-poly-gcd-fallback": (
+        EXACT,
+        "or poly_gcd(a, b).degree == 0",
+        "or False",
+        ["tests/test_exact.py::test_coprime_unlucky_prime_falls_back"]),
+    # (a*V, a*M) balances w(M) = w(V) + w(P) - 1 and fails only this one
+    "family-weights-without-v-balance": (
+        DERIVE,
+        " and 2 * wv == wm + wp - 1",
+        "",
+        ["tests/test_derive.py::test_family_certificate_rejects_mutation"]),
+    # x*y - 1 is linear in x, but its pivot y is not a constant
+    "eliminator-takes-a-nonconstant-pivot": (
+        MULTIPOLY,
+        "if c1.is_constant:",
+        "if c1:",
+        ["tests/test_multipoly.py::test_solver_errors_match_reference"]),
+    # equality and hashing read the canonical (numerators, denominator)
+    "multipoly-reduced-without-gcd": (
+        MULTIPOLY,
+        "g = gcd(den, *num.values())",
+        "g = 1",
+        ["tests/test_multipoly.py::test_arithmetic_results_are_canonical_integer_forms"]),
     "factor-exponent-0-allowed": (
         BELYI,
         "if e < 1:",
@@ -295,24 +322,28 @@ def check(name: str) -> str | None:
     return None
 
 
-def main() -> int:
-    selections = sorted({test for *_, selection in MUTANTS.values()
-                         for test in selection})
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"not a listed mutant: {', '.join(unknown)}")
+        return 2
+    names = names or list(MUTANTS)
+    selections = sorted({test for name in names for test in MUTANTS[name][3]})
     with tempfile.TemporaryDirectory() as tmp:
         baseline = run_tests(copy_src(tmp), selections)
     if baseline.returncode != 0:
         print(f"the selections fail unmutated:\n{baseline.stdout}{baseline.stderr}")
         return 1
     failed = 0
-    for name in MUTANTS:
+    for name in names:
         start = time.perf_counter()
         problem = check(name)
         status = "killed" if problem is None else f"FAILED: {problem}"
         print(f"{name}: {status} ({time.perf_counter() - start:.1f} s)")
         failed += problem is not None
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    print(f"{len(names) - failed} of {len(names)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

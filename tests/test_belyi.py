@@ -240,7 +240,7 @@ def test_messages_show_a_polynomial_exactly_when_its_text_is_short(rng):
         if f.is_zero:
             continue
         text = str(f)
-        assert (belyi._show(f) == text) == (len(text) <= belyi._SHOWN_CHARS), text
+        assert (belyi._show(f) == text) == (len(text) <= exact._SHOWN_CHARS), text
 
 
 def test_verify_messages_of_long_factors_are_bounded():

@@ -5,6 +5,7 @@ import math
 import re
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,10 @@ import pytest
 from fullerene_belyi.belyi import MAX_PASSPORT_P6
 from fullerene_belyi.cli import (COMMANDS, flat_pentagon_layout, main,
                                  read_command_line, render_svg)
-from fullerene_belyi.exact import _int_string_limit
+from fullerene_belyi.exact import UniPoly, _int_string_limit
 from fullerene_belyi.geometry import (FaceGeometryReport, Plane, SpherePoint,
                                       face_geometry)
+from fullerene_belyi.multipoly import MultiPoly
 from oracles import dense_document, exit_of, reader_agrees, reference_parser
 
 
@@ -205,6 +207,26 @@ def test_derive_5_report(capsys):
     assert "P = z^11 - 11*z^6 - z" in out
     assert "k = 1728" in out
     assert "a1 = -1/121*a6^2" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, made", [
+    (["derive", "6"], {"MultiPoly": 92, "UniPoly": 3}),
+    (["verify", "d72"], {"UniPoly": 4}),
+])
+def test_each_report_polynomial_is_printed_once(capsys, monkeypatch, fmt, argv, made):
+    """The text lines read the strings of the JSON document, so either
+    format turns each report polynomial into a string once: derive 6's
+    family, k, trace and P, V, M, and verify's factors."""
+    counts = Counter()
+    for cls in (MultiPoly, UniPoly):
+        def counted(self, text=cls.__str__, name=cls.__name__):
+            counts[name] += 1
+            return text(self)
+        monkeypatch.setattr(cls, "__str__", counted)
+    assert main(["--format", fmt, *argv]) == 0
+    capsys.readouterr()
+    assert dict(counts) == made
 
 
 def test_compose_d60_json(capsys):

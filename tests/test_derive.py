@@ -351,17 +351,24 @@ def _mutated_family(s, case):
     P, V, M, _ = derive._family(s)
     pvm = {"P": P, "V": V, "M": M}
     target, change = case.split(":")
-    if target == "VM":
+    names = P.leading().vars
+    if case == "VM:doubled":
         # (2V, 2M) still solves the linear s*M = 3*V'*P - 5*V*P', but not
         # s*V^2 = 2*M'*P - 5*M*P'
         return P, V * 2, M * 2, r"does not satisfy s\*V\^2"
+    if case == "VM:homogeneous-wrong-weight":
+        # (a*V, a*M) for the lightest free variable a keeps
+        # w(M) = w(V) + w(P) - 1 and solves s*M = 3*V'*P - 5*V*P', but
+        # 2 w(V) = w(M) + w(P) - 1 fails, so only that balance refuses it
+        a = MultiPoly.var(names, FREE[s][-1])
+        return (P, V.map_coeffs(lambda c: c * a), M.map_coeffs(lambda c: c * a),
+                "do not balance")
     if target == "PVM":
         # (2P, 4V, 8M) satisfies both Halphen identities and
         # V^3 = M^2 + 2k*P^5, but the z^(5 deg P) coefficient of
         # 64(V^3 - M^2) is 64k, not 2k: reading k off it needs P monic
         return P * 2, V * 4, M * 8, "P is not monic"
     f = pvm[target]
-    names = P.leading().vars
     if change == "negated":
         # (-M)^2 = M^2, and -V still solves s*V^2 = 2*M'*P - 5*M*P', but
         # s*M = 3*V'*P - 5*V*P' pins both signs
@@ -403,7 +410,7 @@ def _mutated_family(s, case):
     f"{target}:{change}" for target in "VMP"
     for change in ("lowest-weight", "highest-weight")
 ] + ["V:homogeneous-wrong-weight", "V:wrong-weight", "V:third-variable", "M:negated", "V:negated",
-      "V:doubled", "V:degree", "VM:doubled", "PVM:scaled"])
+      "V:doubled", "V:degree", "VM:doubled", "VM:homogeneous-wrong-weight", "PVM:scaled"])
 @pytest.mark.parametrize("s", [5, 6])
 def test_family_certificate_rejects_mutation(s, case):
     P, V, M, message = _mutated_family(s, case)
