@@ -18,8 +18,9 @@ from __future__ import annotations
 from functools import reduce
 
 from .exact import (ONE, ZERO, GaussRat, RationalMap, UniPoly, _cleared_identity,
-                    _natural, _quote, _Record, _show, binary_power, coprime,
-                    first_equal_pair, is_squarefree, squarefree_decomposition)
+                    _natural, _quote, _Record, _show, _show_int, binary_power,
+                    coprime, first_equal_pair, is_squarefree,
+                    squarefree_decomposition)
 
 Factors = tuple[tuple[UniPoly, int], ...]
 
@@ -136,16 +137,6 @@ def counting(p6: int) -> tuple[int, int, int]:
     unknowns = 1 + (20 + 2 * p6) + 12 + p6 + (31 + 3 * p6)
     equations = 1 + 2 * (30 + 3 * p6)
     return unknowns, equations, unknowns - equations
-
-
-# a message shows an integer of at most this many bits; a longer one it
-# names by its size (exact._show does the same for a polynomial)
-_SHOWN_BITS = 200
-
-
-def _show_int(n: int) -> str:
-    """n in decimal, or its bit length when it has more than _SHOWN_BITS."""
-    return str(n) if n.bit_length() <= _SHOWN_BITS else f"<{n.bit_length()}-bit integer>"
 
 
 def _product(factors: Factors) -> UniPoly:

@@ -49,14 +49,13 @@ def _write_text(path: str, text: str) -> None:
 
 
 def load_preset(name: str) -> FactoredBelyi:
-    """The preset of this name: the first solved by d6_solve, each other
-    one "d<n>" built by composition (moebius.build_beta<n>)."""
-    if name not in PRESETS:
-        raise KeyError(name)
+    """The preset of this name: the first solved by d6_solve, the others
+    built by composition, in PRESETS order."""
     if name == PRESETS[0]:
         return d6_solve().belyi
-    from . import moebius
-    return getattr(moebius, f"build_beta{name[1:]}")()
+    from .moebius import build_beta12, build_beta60, build_beta72
+    builders = dict(zip(PRESETS[1:], (build_beta12, build_beta60, build_beta72)))
+    return builders[name]()
 
 
 def _round_floats(obj):
@@ -149,20 +148,21 @@ def cmd_verify(target: str):
         "source": source,
         "degree": beta.degree,
         "k": beta.k.to_token(),
-        **{f"{side}s": [[str(f), e] for f, e in factors]
-           for side, factors in beta._sides()},
+        "zeros": [[str(f), e] for f, e in beta.zero_factors],
+        "ones": [[str(f), e] for f, e in beta.one_factors],
+        "poles": [[str(f), e] for f, e in beta.pole_factors],
         "infinity": [beta.infinity_side, beta.infinity_order],
         "passport": str(passport),
         "checks": {"identity": "ok", "squarefree_coprime": "ok",
                    "degree_balance": "ok"},
     }
-    side, order = doc["infinity"]
     lines = [
-        f"{source}: degree {doc['degree']}, k = {beta.k}",
+        f"{source}: degree {beta.degree}, k = {beta.k}",
         f"zeros: {_factors_str(doc['zeros'])}",
         f"ones:  {_factors_str(doc['ones'])}",
         f"poles: {_factors_str(doc['poles'])}"
-        + (f" ; infinity {side}^{order}" if side != "none" else ""),
+        + (f" ; infinity {beta.infinity_side}^{beta.infinity_order}"
+           if beta.infinity_side != "none" else ""),
         "identity, squarefreeness, coprimality, degree balance: ok",
         f"passport: {doc['passport']}",
     ]
@@ -172,28 +172,28 @@ def cmd_verify(target: str):
 def cmd_derive(s: int):
     report = derive_case(s)
     doc = {"command": "derive", **report.to_report()}
-    degrees = doc["degrees"]
     lines = [
-        f"s = {s}: n = {doc['edges']} edges, required degrees "
-        f"V:{degrees['V']} M:{degrees['M']} P:{degrees['P']}",
-        f"verdict: {doc['verdict']}",
+        f"s = {s}: n = {report.n} edges, required degrees "
+        f"V:{report.vertex_degree} M:{report.midpoint_degree} "
+        f"P:{report.face_degree}",
+        f"verdict: {report.verdict.value}",
     ]
     if report.verdict is Verdict.NO_SOLUTION_LEADING_COEFF:
         lines.append(
-            f"ODE top coefficient (s-6)(s-5)(s+5)(s+6) = {doc['ode_leading_coeff']}"
+            f"ODE top coefficient (s-6)(s-5)(s+5)(s+6) = {report.leading_coeff}"
             " != 0: no monic P solves the ODE")
     if report.verdict is Verdict.SOLVED:
         lines += [f"{name} = {doc[name]}" for name in "PVM"]
         lines.append(f"k = {doc['k']}  (V^3 = M^2 + k*P^5)")
     if report.family:
-        lines.append(f"family in free variables {', '.join(doc['free_variables'])}:")
+        lines.append(f"family in free variables {', '.join(report.free_vars)}:")
         lines += [f"  {name} = {expr}" for name, expr in doc["family"].items()]
         lines.append(f"k = {doc['k']}")
     if report.trace is not None:
         lines.append("elimination steps:")
-        lines += [f"  z^{st['z_degree']}: {st['variable']} = {st['substitution']}"
-                  for st in doc["trace"]["steps"]]
-    lines += doc["notes"]
+        lines += [f"  z^{st.label}: {st.variable} = {step['substitution']}"
+                  for st, step in zip(report.trace.steps, doc["trace"]["steps"])]
+    lines += list(report.notes)
     if report.verdict is not Verdict.SOLVED:
         lines.append(
             "no dessin with one face of degree s among pentagons exists for "

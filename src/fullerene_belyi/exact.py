@@ -381,6 +381,16 @@ def _show(f: UniPoly) -> str:
     return f"<degree {f.degree} polynomial, coefficients up to {max(bits)} bits>"
 
 
+# a message shows an integer of at most this many bits; a longer one it
+# names by its size, as _show does a polynomial
+_SHOWN_BITS = 200
+
+
+def _show_int(n: int) -> str:
+    """n in decimal, or its bit length when it has more than _SHOWN_BITS."""
+    return str(n) if n.bit_length() <= _SHOWN_BITS else f"<{n.bit_length()}-bit integer>"
+
+
 def _int_string_limit() -> int:
     """Python's limit on the digits of an int parsed from a string; 0 when
     there is none.  The limit came in 3.11 and 3.10.7; 0, as before it,

@@ -4,16 +4,15 @@ A mutant is a file under src/, a snippet that must occur in it exactly
 once, its replacement, and the tests that must catch it.  For each mutant
 the script copies src/ to a temporary directory, applies the mutant there
 and runs `python -m pytest -x -q <selection>` with PYTHONPATH pointing at
-the copy.  First it runs the selections of the mutants it will apply on
-an unmutated copy, which must pass.  Run it from anywhere:
+the copy.  First it runs every selection on an unmutated copy, which must
+pass.  Run it from anywhere:
 
-    python tests/mutation_guard.py              # every mutant, as CI does
-    python tests/mutation_guard.py NAME...      # only the named mutants
+    python tests/mutation_guard.py
 
 It prints one line per mutant and exits 1 when a mutant survives, when
 a snippet does not occur exactly once (a refactor moved it: update the
-entry, do not drop it), or when a selection does not pass unmutated; it
-exits 2 on a name that is not listed.  pytest does not collect this file.
+entry, do not drop it), or when a selection does not pass unmutated.
+pytest does not collect this file.
 
 Left out, as an equivalent mutant: _reduce_mod_p with _R replaced by -_R.
 -r is the other square root of -1 modulo _P, so (p, i + r) is the
@@ -322,28 +321,24 @@ def check(name: str) -> str | None:
     return None
 
 
-def main(names: list[str]) -> int:
-    unknown = [name for name in names if name not in MUTANTS]
-    if unknown:
-        print(f"not a listed mutant: {', '.join(unknown)}")
-        return 2
-    names = names or list(MUTANTS)
-    selections = sorted({test for name in names for test in MUTANTS[name][3]})
+def main() -> int:
+    selections = sorted({test for *_, selection in MUTANTS.values()
+                         for test in selection})
     with tempfile.TemporaryDirectory() as tmp:
         baseline = run_tests(copy_src(tmp), selections)
     if baseline.returncode != 0:
         print(f"the selections fail unmutated:\n{baseline.stdout}{baseline.stderr}")
         return 1
     failed = 0
-    for name in names:
+    for name in MUTANTS:
         start = time.perf_counter()
         problem = check(name)
         status = "killed" if problem is None else f"FAILED: {problem}"
         print(f"{name}: {status} ({time.perf_counter() - start:.1f} s)")
         failed += problem is not None
-    print(f"{len(names) - failed} of {len(names)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
