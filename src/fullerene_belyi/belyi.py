@@ -118,24 +118,22 @@ MAX_PASSPORT_P6 = 10 ** 6
 
 
 def fullerene_passport(p6: int) -> Passport:
-    """(3^(2n) | 2^(3n) | 5^12 6^(n-10)) with n = 10 + p6, for
+    """(3^f0 | 2^f1 | 5^12 6^p6) with f0 and f1 from face_vector, for
     0 <= p6 <= MAX_PASSPORT_P6."""
-    if p6 < 0:
-        raise ValueError("hexagon count must be nonnegative")
+    fv = face_vector(p6)
     if p6 > MAX_PASSPORT_P6:
         raise ValueError(f"hexagon count {p6} exceeds {MAX_PASSPORT_P6}: the "
                          "passport would list 6*p6 + 62 parts")
-    n = 10 + p6
-    return Passport.of([3] * (2 * n), [2] * (3 * n), [5] * 12 + [6] * p6)
+    return Passport.of([3] * fv.f0, [2] * fv.f1, [5] * 12 + [6] * p6)
 
 
 def counting(p6: int) -> tuple[int, int, int]:
-    """(unknown count, equation count, excess) for the factored-form system;
-    the excess is always 3, the dimension of the Moebius group."""
-    if p6 < 0:
-        raise ValueError("hexagon count must be nonnegative")
-    unknowns = 1 + (20 + 2 * p6) + 12 + p6 + (31 + 3 * p6)
-    equations = 1 + 2 * (30 + 3 * p6)
+    """(unknown count, equation count, excess) for the factored-form system,
+    2 + f0 + f1 + f2 unknowns and 1 + 2*f1 equations; the excess is always
+    3, the dimension of the Moebius group."""
+    fv = face_vector(p6)
+    unknowns = 2 + fv.f0 + fv.f1 + fv.f2
+    equations = 1 + 2 * fv.f1
     return unknowns, equations, unknowns - equations
 
 

@@ -1031,9 +1031,11 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.monic()
 
 
-# The certificate prime.  _P = 5 (mod 8), so 2 is a quadratic non-residue
-# mod _P and _R = 2^((_P-1)/4) satisfies _R^2 = -1 (mod _P).
-_P = (1 << 61) - 259
+# The certificate prime, the largest below 2^30 with _P = 5 (mod 8), so
+# every residue fits in one 30-bit digit of a CPython int.  2 is a
+# quadratic non-residue mod _P, so _R = 2^((_P-1)/4) satisfies
+# _R^2 = -1 (mod _P).
+_P = (1 << 30) - 35
 _R = pow(2, (_P - 1) // 4, _P)
 
 

@@ -272,28 +272,34 @@ def _norm(u) -> float:
     return math.sqrt(_dot(u, u))
 
 
+def _cross(u, v) -> tuple[float, float, float]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _angle_deg(u, v) -> float:
+    """The angle between two nonzero vectors, degrees; the cosine is
+    clamped to [-1, 1], which rounding can leave."""
+    c = _dot(u, v) / (_norm(u) * _norm(v))
+    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
+
+
 def plane_through(p1: SpherePoint, p2: SpherePoint, p3: SpherePoint) -> Plane:
     """The plane p*X + q*Y + r*Z = 1 through three points (it must not pass
-    through the origin, and the points must not be collinear)."""
-    rows = [p1.as_tuple(), p2.as_tuple(), p3.as_tuple()]
+    through the origin, and the points must not be collinear).
 
-    def det3(m) -> float:
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-    d = det3(rows)
-    size = max(_norm(r) for r in rows)
+    The normal n = (p2 - p1) x (p3 - p1) is divided by d = n.p1, which is
+    the triple product p1.(p2 x p3): the determinant of the three points,
+    zero exactly when their plane passes through the origin or they are
+    collinear."""
+    n = _cross(_sub(p2, p1), _sub(p3, p1))
+    d = _dot(n, p1.as_tuple())
+    pts = (p1, p2, p3)
+    size = max(_norm(pt.as_tuple()) for pt in pts)
     if abs(d) <= 1e-12 * size ** 3:
         raise GeometryError("degenerate point configuration for a plane")
-    coeffs = []
-    for col in range(3):
-        m = [list(r) for r in rows]
-        for i in range(3):
-            m[i][col] = 1.0
-        coeffs.append(det3(m) / d)
-    plane = Plane(*coeffs)
-    worst = max(plane.residual_at(SpherePoint(*r)) for r in rows)
+    plane = Plane(*(c / d for c in n))
+    worst = max(plane.residual_at(pt) for pt in pts)
     if worst > 1e-9:
         raise GeometryError(f"plane fit residual {worst:.3e} too large")
     return plane
@@ -302,11 +308,7 @@ def plane_through(p1: SpherePoint, p2: SpherePoint, p3: SpherePoint) -> Plane:
 def interior_angle_deg(at: SpherePoint, toward_a: SpherePoint,
                        toward_b: SpherePoint) -> float:
     """Angle at `at` between the chords toward the two neighbors, degrees."""
-    u = _sub(toward_a, at)
-    v = _sub(toward_b, at)
-    c = _dot(u, v) / (_norm(u) * _norm(v))
-    c = max(-1.0, min(1.0, c))
-    return math.degrees(math.acos(c))
+    return _angle_deg(_sub(toward_a, at), _sub(toward_b, at))
 
 
 PENTAGON_CYCLE = ("A1", "A7", "A13", "A8", "A2")
@@ -374,10 +376,7 @@ def face_geometry(labels: tuple[str, ...] = PENTAGON_CYCLE) -> FaceGeometryRepor
     plane_quad = plane_through(seq[0], seq[4], seq[1])
     plane_cap = plane_through(seq[1], seq[2], seq[3])
     quad_res = plane_quad.residual_at(seq[3])
-    n1 = plane_quad.unit_normal()
-    n2 = plane_cap.unit_normal()
-    c = max(-1.0, min(1.0, _dot(n1, n2)))
-    dihedral = math.degrees(math.acos(c))
+    dihedral = _angle_deg(plane_quad.unit_normal(), plane_cap.unit_normal())
 
     return FaceGeometryReport(
         labels=tuple(labels), points=pts, edge_lengths=lengths,

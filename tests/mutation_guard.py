@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BELYI = "fullerene_belyi/belyi.py"
 DERIVE = "fullerene_belyi/derive.py"
 EXACT = "fullerene_belyi/exact.py"
+GEOMETRY = "fullerene_belyi/geometry.py"
 MULTIPOLY = "fullerene_belyi/multipoly.py"
 GUARDS = "tests/test_belyi.py::test_a_true_identity_on_n_plus_2_points_needs_every_guard"
 GAUSS_REFERENCE = "tests/test_exact.py::test_gaussrat_agrees_with_the_fraction_pair_reference"
@@ -66,7 +67,7 @@ MUTANTS = {
         "expo[:i] + (expo[i] - m + 1,) + expo[i + 1:]: c",
         ["tests/test_multipoly.py::test_divide_out_least_power_of_the_declared_unknown"]),
     "barrel-double-root-allowed": (
-        "fullerene_belyi/geometry.py",
+        GEOMETRY,
         "S * S > 4 * C * D",
         "S * S >= 4 * C * D",
         ["tests/test_geometry.py::test_barrel_vertices_reject_mutated_polynomial"]),
@@ -286,6 +287,24 @@ MUTANTS = {
         "if e < 0:",
         ["tests/test_package.py::test_factored_belyi_constructor_checks_its_fields",
          "tests/test_cli.py::test_bad_input_exits_1_with_named_error[zero-exponent]"]),
+    # the plane's normal is one cross product; a component with its terms
+    # swapped changes its sign, and the plane misses its points
+    "plane-cross-product-component-swapped": (
+        GEOMETRY,
+        "u[2] * v[0] - u[0] * v[2]",
+        "u[0] * v[2] - u[2] * v[0]",
+        ["tests/test_geometry.py::test_plane_through_drawn_triples_holds_each_point"]),
+    # rounding can leave the cosine of parallel chords just outside [-1, 1]
+    "angle-without-clamp": (
+        GEOMETRY,
+        "math.acos(max(-1.0, min(1.0, c)))",
+        "math.acos(c)",
+        ["tests/test_geometry.py::test_parallel_and_antiparallel_chords_are_exactly_0_and_180"]),
+    "counting-reads-f2-for-f1": (
+        BELYI,
+        "equations = 1 + 2 * fv.f1",
+        "equations = 1 + 2 * fv.f2",
+        ["tests/test_belyi.py::test_counting"]),
 }
 
 

@@ -66,6 +66,12 @@ def test_counting():
     assert all(counting(p6)[2] == 3 for p6 in range(40))
 
 
+@pytest.mark.parametrize("count", [face_vector, fullerene_passport, counting])
+def test_negative_hexagon_count_is_refused(count):
+    with pytest.raises(ValueError, match="^hexagon count must be nonnegative$"):
+        count(-1)
+
+
 # ---------------------------------------------------------------------------
 # main equation residual
 # ---------------------------------------------------------------------------

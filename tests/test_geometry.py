@@ -9,6 +9,7 @@ from fullerene_belyi import geometry
 from fullerene_belyi.exact import GaussRat, UniPoly
 from fullerene_belyi.geometry import (GeometryError, barrel_quartic,
                                       barrel_vertices, face_geometry,
+                                      interior_angle_deg,
                                       inverse_stereographic, plane_through,
                                       poly_roots, residual_scale, SpherePoint)
 from oracles import quartic_oracle_roots
@@ -229,6 +230,82 @@ def test_plane_rejects_collinear():
     with pytest.raises(GeometryError):
         plane_through(SpherePoint(0.1, 0, 0), SpherePoint(0.2, 0, 0),
                       SpherePoint(0.3, 0, 0))
+
+
+def _draw_point(rng, span=2.0):
+    return SpherePoint(*(rng.uniform(-span, span) for _ in range(3)))
+
+
+def _plane_margins(p1, p2, p3):
+    """(|n|/size^2, |n.p1|/(|n| size)) for n = (p2 - p1) x (p3 - p1):
+    how far from collinear the points are, and how far their plane stays
+    from the origin, both relative to the points' size."""
+    a, b, c = p1.as_tuple(), p2.as_tuple(), p3.as_tuple()
+    u = [y - x for x, y in zip(a, b)]
+    v = [y - x for x, y in zip(a, c)]
+    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+         u[0] * v[1] - u[1] * v[0])
+    size = max(math.dist((0, 0, 0), x) for x in (a, b, c))
+    length = math.dist((0, 0, 0), n)
+    return length / size ** 2, abs(sum(x * y for x, y in zip(n, a))) / (length * size)
+
+
+def test_plane_through_drawn_triples_holds_each_point(rng):
+    drawn = 0
+    while drawn < 500:
+        pts = [_draw_point(rng) for _ in range(3)]
+        if min(_plane_margins(*pts)) < 0.05:
+            continue
+        drawn += 1
+        plane = plane_through(*pts)
+        assert max(plane.residual_at(pt) for pt in pts) <= 1e-12, pts
+
+
+def test_plane_through_refuses_collinear_and_origin_triples(rng):
+    for _ in range(200):
+        p1, p2 = _draw_point(rng), _draw_point(rng)
+        s, t = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        on_line = SpherePoint(*(x + s * (y - x) for x, y in
+                                zip(p1.as_tuple(), p2.as_tuple())))
+        with pytest.raises(GeometryError, match="degenerate"):
+            plane_through(p1, p2, on_line)
+        through_origin = SpherePoint(*(s * x + t * y for x, y in
+                                       zip(p1.as_tuple(), p2.as_tuple())))
+        with pytest.raises(GeometryError, match="degenerate"):
+            plane_through(p1, through_origin, p2)
+    with pytest.raises(GeometryError, match="degenerate"):
+        plane_through(SpherePoint(1, 0, 0), SpherePoint(0, 1, 0),
+                      SpherePoint(1, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# angles
+# ---------------------------------------------------------------------------
+
+
+def test_parallel_and_antiparallel_chords_are_exactly_0_and_180():
+    # the chords' rounded cosine is 1 + 2^-52 (-1 - 2^-52 antiparallel),
+    # outside acos's domain, so only the clamp gives an angle
+    u = (1.1, 0.1, -0.4)
+    at = SpherePoint(0.0, 0.0, 0.0)
+    for k, want in ((7, 0.0), (-7, 180.0)):
+        v = tuple(k * x for x in u)
+        cosine = sum(x * y for x, y in zip(u, v)) / (
+            math.sqrt(sum(x * x for x in u)) * math.sqrt(sum(y * y for y in v)))
+        assert abs(cosine) > 1.0
+        assert interior_angle_deg(at, SpherePoint(*u), SpherePoint(*v)) == want
+
+
+def test_triangle_angles_sum_to_180(rng):
+    drawn = 0
+    while drawn < 500:
+        a, b, c = (_draw_point(rng) for _ in range(3))
+        if _plane_margins(a, b, c)[0] < 0.05:
+            continue
+        drawn += 1
+        total = (interior_angle_deg(a, b, c) + interior_angle_deg(b, c, a)
+                 + interior_angle_deg(c, a, b))
+        assert abs(total - 180.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
